@@ -37,7 +37,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="pool worker threads, 0 = one per available core")
 
 
 def _add_q(parser, required=False):
@@ -58,6 +59,11 @@ def _note(message: str):
 
 def _fmt_cov(coverage) -> str:
     return "n/a" if coverage is None else f"{coverage:.4f}"
+
+
+def _fmt_run(extras) -> str:
+    return (f"aborted={extras['aborted_trials']} pool_threads={extras['pool_threads']} "
+            f"trial_blas_threads={extras['trial_blas_threads']}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ def cmd_simulate(args) -> int:
     text = reports.report_json(report) if args.format == "json" else reports.bulk_report_csv(report)
     _emit(args, text)
     _note(f"coverage={_fmt_cov(report.coverage)} mu_hat={report.extras['mu_hat']:.6g} "
-          f"aborted={report.extras['aborted_trials']}")
+          f"{_fmt_run(report.extras)}")
     return 0
 
 
@@ -188,9 +194,10 @@ def cmd_compare(args) -> int:
         half_bin = report.extras["bin_width"] / 2.0
         argmax_ok = (lo - half_bin) <= argmax <= (hi + half_bin)
         _note(f"coverage={_fmt_cov(report.coverage)} argmax_center={argmax:.6g} "
-              f"interlace=[{lo:.6g},{hi:.6g}] argmax_in_interval={argmax_ok}")
+              f"interlace=[{lo:.6g},{hi:.6g}] argmax_in_interval={argmax_ok} "
+              f"{_fmt_run(report.extras)}")
     else:
-        _note(f"coverage={_fmt_cov(report.coverage)}")
+        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
     if report.coverage is None or report.coverage < args.min_coverage:
         _note(f"coverage below threshold {args.min_coverage}")
         return 3

@@ -91,7 +91,8 @@ def representative_matrix(model: SpectrumModel, n_dim: int) -> np.ndarray:
 
     Multiplicities follow the weights (largest-remainder rounding) and atoms
     are interleaved proportionally, so every leading block keeps roughly the
-    same mixture and a principal minor inherits the model.
+    same mixture and a principal minor inherits the model.  Raises
+    ``ValueError`` when an atom would get no entry at this size.
     """
     weights = np.array([w for _, w in model.atoms])
     counts = np.floor(weights * n_dim).astype(int)
@@ -99,7 +100,10 @@ def representative_matrix(model: SpectrumModel, n_dim: int) -> np.ndarray:
     for k in np.argsort(-remainders)[: n_dim - counts.sum()]:
         counts[k] += 1
     entries = []
-    for (loc, _), c in zip(model.atoms, counts):
+    for (loc, weight), c in zip(model.atoms, counts):
+        if c == 0:
+            raise ValueError(f"atom at {loc} with weight {weight} gets no entry "
+                             f"at size {n_dim}; use a larger size")
         entries.extend((loc, (j + 0.5) / c) for j in range(c))
     entries.sort(key=lambda pair: pair[1])
     return np.diag(np.array([loc for loc, _ in entries]))

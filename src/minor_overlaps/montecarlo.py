@@ -3,8 +3,14 @@
 Every experiment follows the same discipline: one independent random stream
 per trial (:func:`minor_overlaps.ensembles.derive_stream`), trials run
 concurrently but reduce in trial-index order, and 99% confidence intervals
-use the normal approximation over per-trial statistics.  Reports therefore
-reproduce bit for bit for a fixed master seed, independent of worker count.
+use the normal approximation over per-trial statistics.  The trial pool has
+one worker per available core (``threads=0``), and while trials run numpy's
+OpenBLAS is held at one thread, so each worker decomposes single-threaded
+and the caller's BLAS setting is restored afterwards.  Reports therefore
+reproduce bit for bit for a fixed master seed, independent of worker count
+and of the caller's BLAS thread count.  Set-up decompositions outside the
+trials (such as the initial transform of an explicit deterministic part)
+still run with the caller's BLAS setting.
 
 Binned comparisons use the density-weighted average of the theory curve over
 each bin rather than its value at the bin center: the Monte Carlo bin mean
@@ -15,9 +21,13 @@ more than a confidence interval.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +185,50 @@ class TrajectorySeries:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the block; yields 1, or None if unreachable.
+
+    The count is process-wide, so the caller's value is restored on exit.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield None
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield 1
+    finally:
+        set_threads(previous)
+
+
 def _run_trials(trials: int, threads: int, worker):
-    """Run trials concurrently, preserving trial order; None marks an abort."""
+    """Run trials concurrently, preserving trial order; None marks an abort.
+
+    Returns ``(results, aborted, used)`` where ``used`` holds the resolved
+    ``pool_threads`` and the ``trial_blas_threads`` the trials ran with (None
+    when the BLAS count could not be set).  Each pool worker gets one BLAS
+    thread, so the pool never oversubscribes the cores and the arithmetic, and
+    hence the output bytes, do not depend on ``threads``.
+    """
 
     def safe(m):
         try:
@@ -184,17 +236,20 @@ def _run_trials(trials: int, threads: int, worker):
         except (NumericError, DegenerateInputError):
             return None
 
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1:
-        results = [safe(m) for m in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, range(trials)))
+    if threads == 0:  # one worker per core this process may run on
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    threads = max(threads, 1)
+    with _one_blas_thread() as blas_threads:
+        if threads == 1:
+            results = [safe(m) for m in range(trials)]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(safe, range(trials)))
     aborted = sum(r is None for r in results)
     if aborted > MAX_ABORT_FRACTION * trials:
         raise NumericError(f"{aborted}/{trials} trials aborted; run rejected")
-    return results, aborted
+    return results, aborted, {"pool_threads": threads, "trial_blas_threads": blas_threads}
 
 
 def _require_ci_trials(trials: int):
@@ -392,7 +447,7 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         means, counts = _bin_means(row, grid.full_evals, edges)
         return means, counts, grid.minor_evals[row_idx], grid.row_sum_error()
 
-    results, aborted = _run_trials(config.trials, config.threads, worker)
+    results, aborted, used = _run_trials(config.trials, config.threads, worker)
     kept = [r for r in results if r is not None]
     per_means = np.array([r[0] for r in kept])
     per_counts = np.array([r[1] for r in kept])
@@ -422,6 +477,7 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         "bin_width": float(edges[1] - edges[0]),
         "aborted_trials": aborted,
         "worst_row_sum_error": worst_row_err,
+        **used,
     }
     figure_curve = mean * rho_bar
     interior_idx = np.flatnonzero(interior & ~np.isnan(figure_curve))
@@ -475,7 +531,7 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
             return ("absorbed", None)
         return ("ok", float(grid.values[0, 0]))
 
-    results, aborted = _run_trials(config.trials, config.threads, worker)
+    results, aborted, used = _run_trials(config.trials, config.threads, worker)
     vals = np.array([r[1] for r in results if r is not None and r[0] == "ok"])
     flagged = sum(1 for r in results if r is not None and r[0] == "absorbed")
     if vals.size < 2:
@@ -491,7 +547,7 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
         coverage=None,
         wall_time_s=time.perf_counter() - start,
         extras={"spike": spike, "minor_spike": minor_spike,
-                "aborted_trials": aborted, "absorbed_trials": flagged},
+                "aborted_trials": aborted, "absorbed_trials": flagged, **used},
     )
 
 
@@ -549,7 +605,7 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
         means, counts = _bin_means(n_dim * col, grid.minor_evals, edges)
         return ("ok", (means, counts, float(col.sum())))
 
-    results, aborted = _run_trials(config.trials, config.threads, worker)
+    results, aborted, used = _run_trials(config.trials, config.threads, worker)
     kept = [r[1] for r in results if r is not None and r[0] == "ok"]
     flagged = sum(1 for r in results if r is not None and r[0] == "absorbed")
     if len(kept) < 2:
@@ -584,6 +640,7 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
             "interior": interior.tolist(),
             "aborted_trials": aborted,
             "absorbed_trials": flagged,
+            **used,
         },
     )
 
@@ -637,7 +694,7 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         row_means = n_dim * bulk_vals[:, jsel].mean(axis=1)
         return _bin_means(row_means, bulk_mu, edges)
 
-    results, aborted = _run_trials(config.trials, config.threads, worker)
+    results, aborted, used = _run_trials(config.trials, config.threads, worker)
     kept = [r for r in results if r is not None]
     per_means = np.array([r[0] for r in kept])
     per_counts = np.array([r[1] for r in kept])
@@ -668,6 +725,7 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
             "interior": interior.tolist(),
             "lambda_window": float(full_window),
             "aborted_trials": aborted,
+            **used,
         },
     )
 
@@ -701,7 +759,7 @@ def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
             _, grid = _decompose_pair(x_mat, n)
             return n / n_dim - float(grid.values[0, 0])
 
-        results, aborted = _run_trials(config.trials, config.threads, worker)
+        results, aborted, used = _run_trials(config.trials, config.threads, worker)
         aborted_total += aborted
         vals = np.array([r for r in results if r is not None])
         half = Z_99 * vals.std(ddof=1) / np.sqrt(vals.size)
@@ -718,5 +776,5 @@ def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
         theory=tuple(theory),
         coverage=hits / len(rows),
         wall_time_s=time.perf_counter() - start,
-        extras={"sizes": list(sizes), "aborted_trials": aborted_total},
+        extras={"sizes": list(sizes), "aborted_trials": aborted_total, **used},
     )

@@ -72,7 +72,7 @@ def test_compare_runs_and_gates(capsys, tmp_path):
             "--out", str(tmp_path / "cmp.csv")]
     code, _, stderr = _run(capsys, args + ["--min-coverage", "0.0"])
     assert code == 0
-    assert "coverage=" in stderr
+    assert "coverage=" in stderr and "aborted=0 pool_threads=" in stderr
     code, _, _ = _run(capsys, args + ["--min-coverage", "1.5"])
     assert code == 3
 
@@ -139,9 +139,20 @@ def test_simulate_with_spectrum_model(capsys, tmp_path):
         "simulate", "--N", "120", "--qfrac", "0.5", "--t", "1", "--trials", "100",
         "--bins", "15", "--seed", "12", "--model", str(model_path), "--out", str(out)])
     assert code == 0
+    assert "aborted=0 pool_threads=" in stderr and "trial_blas_threads=" in stderr
     lines = out.read_text().strip().split("\n")
     assert lines[0] == BULK_CURVE_HEADER
     assert len(lines) == 16
+
+
+def test_model_atom_without_entries_exits_two(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"atoms": [[0.0, 0.999], [5.0, 0.001]], "spikes": [], "q": 0.5}')
+    code, _, stderr = _run(capsys, [
+        "simulate", "--N", "200", "--qfrac", "0.5", "--trials", "100",
+        "--model", str(model_path)])
+    assert code == 2
+    assert "atom at 5.0" in stderr and "size 200" in stderr
 
 
 def test_theory_general_kernel_curve(capsys, tmp_path):

@@ -6,6 +6,7 @@ from minor_overlaps import (
     SpectrumModel,
     boundary_values,
     derive_stream,
+    representative_matrix,
     sample_goe,
     scan_support_edge,
     semicircle_density,
@@ -233,3 +234,10 @@ def test_spectrum_model_json_roundtrip_and_validation():
         SpectrumModel(atoms=((0.0, 1.0),), spikes=(0.0,))
     with pytest.raises(ValueError):
         SpectrumModel(atoms=((0.0, 1.0),), q=0.0)
+
+
+def test_representative_matrix_refuses_atoms_without_entries():
+    model = SpectrumModel(atoms=((0.0, 0.999), (5.0, 0.001)))
+    with pytest.raises(ValueError, match=r"atom at 5.0 .* size 200"):
+        representative_matrix(model, 200)
+    assert np.count_nonzero(np.diag(representative_matrix(model, 1000)) == 5.0) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from minor_overlaps import (
     run_spike_spike,
     spike_path_series,
 )
-from minor_overlaps.montecarlo import Z_99
+from minor_overlaps.errors import NumericError
+from minor_overlaps.montecarlo import Z_99, _openblas_threads, _run_trials
 
 
 def _small_bulk_config(**overrides):
@@ -56,6 +58,8 @@ def test_bulk_determinism_across_thread_counts():
     assert a.estimates == b.estimates
     assert a.theory == b.theory
     assert a.extras["mu_hat"] == b.extras["mu_hat"]
+    assert (a.extras["pool_threads"], b.extras["pool_threads"]) == (1, 4)
+    assert a.extras["trial_blas_threads"] == b.extras["trial_blas_threads"]
 
 
 def test_bulk_argmax_lies_in_interlacing_interval():
@@ -169,6 +173,51 @@ def test_bulk_general_spectrum_run():
     edges = report.extras["bin_edges"]
     assert edges[0] == pytest.approx(-edges[-1], abs=1e-4)
     assert 2.2 < edges[-1] < 2.7
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread limit of the trial pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS (getter, setter), with the caller's count set to 2 and restored after."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread symbols are not available")
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield blas
+    set_threads(before)
+
+
+@pytest.mark.parametrize("threads", [0, 1, 3])
+def test_trials_run_with_one_blas_thread_and_restore(blas_threads, threads):
+    get_threads, _ = blas_threads
+    results, aborted, used = _run_trials(8, threads, lambda m: get_threads())
+    assert results == [1] * 8
+    assert aborted == 0
+    assert used == {"pool_threads": threads or len(os.sched_getaffinity(0)),
+                    "trial_blas_threads": 1}
+    assert get_threads() == 2
+
+
+def test_blas_count_restored_after_failed_run(blas_threads):
+    get_threads, _ = blas_threads
+
+    def always_fails(m):
+        raise NumericError("forced")
+
+    def worker_bug(m):
+        raise RuntimeError("not a trial abort")
+
+    with pytest.raises(NumericError, match="trials aborted"):
+        _run_trials(8, 2, always_fails)
+    assert get_threads() == 2
+    with pytest.raises(RuntimeError):
+        _run_trials(8, 2, worker_bug)
+    assert get_threads() == 2
 
 
 def test_config_is_frozen_and_echoable():
