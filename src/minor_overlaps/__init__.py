@@ -8,11 +8,8 @@ scale.
 from .reports import TOOL_VERSION as __version__
 
 from .ensembles import (
-    EnsembleKind,
-    EnsembleSpec,
     SeedSpec,
     derive_stream,
-    minor_truncate,
     rank_one,
     sample_bernoulli,
     sample_goe,
@@ -23,7 +20,6 @@ from .ensembles import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateInputError,
     DomainError,
     NumericError,
     PoleError,
@@ -32,6 +28,7 @@ from .freeprob import (
     BoundaryValues,
     SpectrumModel,
     boundary_values,
+    leading_block_model,
     representative_matrix,
     scan_support_edge,
     semicircle_density,
@@ -78,6 +75,7 @@ from .spectral import (
     SpectralDecomposition,
     check_interlacing,
     eig_sym,
+    minor_size,
     overlap_grid,
     quantile_index,
 )

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo, overlaps_theory, probes, reports
-from .errors import DegenerateInputError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
+    leading_block_model,
     representative_matrix,
     semicircle_density,
     semicircle_quantile,
@@ -31,6 +32,7 @@ from .freeprob import (
 )
 from .montecarlo import ASpec, ExperimentConfig
 from .overlaps_theory import FiniteInitialTransform
+from .spectral import minor_size
 
 
 def _add_common(parser):
@@ -59,6 +61,10 @@ def _note(message: str):
 
 def _fmt_cov(coverage) -> str:
     return "n/a" if coverage is None else f"{coverage:.4f}"
+
+
+def _emit_report(args, report, to_csv):
+    _emit(args, reports.report_json(report) if args.format == "json" else to_csv(report))
 
 
 def _fmt_run(extras) -> str:
@@ -117,7 +123,7 @@ def cmd_theory(args) -> int:
             overlaps_theory.spike_bulk_mass(args.spike, args.q, args.t)))
         return 0
     if args.bernoulli_expansion:
-        n = args.n if args.n is not None else int(round(args.q * args.n_dim))
+        n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
         _emit(args, reports.value_csv(
             overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
         return 0
@@ -134,14 +140,10 @@ def _cmd_theory_general(args) -> int:
         raise ValueError("theory --kernel general needs --mu")
     if args.lambda_range is None:
         raise ValueError("theory --kernel general needs --lambda-range LO HI")
-    n0 = args.n0
-    a_mat = representative_matrix(model, n0)
-    n0_minor = int(round(q * n0))
+    n0_minor = minor_size(q, args.n0)
+    a_mat = representative_matrix(model, args.n0, n0_minor)
     s0 = FiniteInitialTransform.from_matrix(a_mat, n0_minor)
-    minor_diag = np.diag(a_mat)[:n0_minor]
-    locs, cnts = np.unique(minor_diag, return_counts=True)
-    minor_model = SpectrumModel(atoms=tuple((loc, c / n0_minor) for loc, c in zip(locs, cnts)),
-                                q=q)
+    minor_model = leading_block_model(a_mat, n0_minor, q)
     full_ev = lambda z: solve_stieltjes(model, z, t)
     minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
 
@@ -168,8 +170,8 @@ def _bulk_config(args) -> ExperimentConfig:
     a_spec = ASpec()
     if getattr(args, "model", None):
         model = SpectrumModel.from_json(Path(args.model).read_text())
-        a_spec = ASpec(kind="explicit",
-                       matrix=representative_matrix(model, args.n_dim))
+        matrix = representative_matrix(model, args.n_dim, minor_size(args.q, args.n_dim))
+        a_spec = ASpec(kind="explicit", matrix=matrix)
     return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                             master_seed=args.seed, target="bulk", x=args.x,
                             a_spec=a_spec, bins=args.bins, threads=args.threads)
@@ -177,8 +179,7 @@ def _bulk_config(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
-    text = reports.report_json(report) if args.format == "json" else reports.bulk_report_csv(report)
-    _emit(args, text)
+    _emit_report(args, report, reports.bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} mu_hat={report.extras['mu_hat']:.6g} "
           f"{_fmt_run(report.extras)}")
     return 0
@@ -186,8 +187,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
-    text = reports.report_json(report) if args.format == "json" else reports.bulk_report_csv(report)
-    _emit(args, text)
+    _emit_report(args, report, reports.bulk_report_csv)
     if "interlace_lo" in report.extras:
         lo, hi = report.extras["interlace_lo"], report.extras["interlace_hi"]
         argmax = report.extras["argmax_center"]
@@ -220,24 +220,21 @@ def cmd_spike(args) -> int:
                                   master_seed=args.seed, target="spike_spike",
                                   a_spec=a_spec, threads=args.threads)
         report = montecarlo.run_spike_spike(config)
-        text = (reports.report_json(report) if args.format == "json"
-                else reports.spike_top_report_csv(report))
-        _emit(args, text)
+        _emit_report(args, report, reports.spike_top_report_csv)
         est = report.estimates[0]
         _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
-              f"absorbed={report.extras['absorbed_trials']}")
+              f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
         return 0
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
                               bins=args.bins, threads=args.threads)
     report = montecarlo.run_spike_bulk(config)
-    text = (reports.report_json(report) if args.format == "json"
-            else reports.spike_bulk_report_csv(report))
-    _emit(args, text)
+    _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
     _note(f"coverage={_fmt_cov(report.coverage)} total_mass={mass.mean:.6g} "
-          f"theory_mass={report.theory[-1]:.6g}")
+          f"theory_mass={report.theory[-1]:.6g} "
+          f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
     return 0
 
 
@@ -247,20 +244,17 @@ def cmd_bernoulli(args) -> int:
                                   master_seed=args.seed, target="bernoulli_bulk",
                                   p=args.p, bins=args.bins, threads=args.threads)
         report = montecarlo.run_bernoulli(config)
-        text = (reports.report_json(report) if args.format == "json"
-                else reports.bernoulli_bulk_report_csv(report))
-        _emit(args, text)
-        _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g}")
+        _emit_report(args, report, reports.bernoulli_bulk_report_csv)
+        _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
+              f"{_fmt_run(report.extras)}")
         return 0
     sizes = tuple(int(v) for v in args.sizes.split(","))
     config = ExperimentConfig(n_dim=sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
                               p=args.p, n_dims=sizes, threads=args.threads)
     report = montecarlo.run_bernoulli(config)
-    text = (reports.report_json(report) if args.format == "json"
-            else reports.bernoulli_spike_report_csv(report))
-    _emit(args, text)
-    _note(f"coverage={_fmt_cov(report.coverage)}")
+    _emit_report(args, report, reports.bernoulli_spike_report_csv)
+    _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
     return 0
 
 
@@ -272,9 +266,7 @@ def cmd_probe(args) -> int:
     else:
         report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
                                     trials=args.trials, seed=args.seed)
-    text = (reports.report_json(report) if args.format == "json"
-            else reports.probe_report_csv(report))
-    _emit(args, text)
+    _emit_report(args, report, reports.probe_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)}")
     return 0
 
@@ -384,7 +376,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, DegenerateInputError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2
     except NumericError as exc:

@@ -16,7 +16,6 @@ identical matrices bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -41,37 +40,6 @@ def derive_stream(master_seed: int, trial_index: int) -> SeedSpec:
     ``SeedSequence(entropy=master_seed, spawn_key=(k,))``.
     """
     return SeedSpec(master_seed=int(master_seed), stream_id=int(trial_index))
-
-
-class EnsembleKind(str, Enum):
-    GOE_SNAPSHOT = "goe_snapshot"
-    DYSON_INCREMENT = "dyson_increment"
-    BERNOULLI = "bernoulli"
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Declarative description of one matrix draw (used by config plumbing)."""
-
-    kind: EnsembleKind
-    n_dim: int
-    t_or_dt: float = 0.0
-    p: float = 0.0
-
-    def sample(self, seed: SeedSpec) -> np.ndarray:
-        if self.kind is EnsembleKind.BERNOULLI:
-            return sample_bernoulli(self.n_dim, self.p, seed)
-        return sample_goe(self.n_dim, self.t_or_dt, seed)
-
-
-def ensure_symmetric(x: np.ndarray) -> np.ndarray:
-    """Validate the symmetric-matrix contract; returns the input unchanged."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.array_equal(x, x.T):
-        raise ValueError("matrix is not exactly symmetric")
-    return x
 
 
 def _symmetric_gaussian(n_dim: int, var_off: float, rng: np.random.Generator) -> np.ndarray:
@@ -123,22 +91,6 @@ def sample_path(n_dim: int, t_grid, seed: SeedSpec) -> list[np.ndarray]:
             h = h + _symmetric_gaussian(n_dim, dt / n_dim, rng)
         out.append(h)
         prev = t
-    return out
-
-
-def minor_truncate(x: np.ndarray, n: int) -> np.ndarray:
-    """Embedded principal minor: keep the top-left ``n x n`` block, zero the rest.
-
-    The result has the same shape as ``x`` so both spectra live at the same
-    size; the ``N - n`` extra null eigenvalues are discarded downstream by
-    eigenvector support, not by thresholding.
-    """
-    x = np.asarray(x)
-    n_dim = x.shape[0]
-    if not 1 <= n <= n_dim:
-        raise ValueError(f"minor rank n={n} out of range [1, {n_dim}]")
-    out = np.zeros_like(x)
-    out[:n, :n] = x[:n, :n]
     return out
 
 

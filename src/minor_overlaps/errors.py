@@ -22,13 +22,5 @@ class PoleError(NumericError):
     """An evaluation landed on (or within tolerance of) a pole."""
 
 
-class DegenerateInputError(ValueError):
-    """Input is too degenerate to process unambiguously.
-
-    Raised e.g. when the null space of an embedded minor cannot be
-    separated from genuine near-zero bulk eigenvalues.
-    """
-
-
 class DomainError(ValueError):
     """A formula was evaluated outside its validity domain."""

@@ -83,16 +83,14 @@ class SpectrumModel:
                    q=obj.get("q", 1.0))
 
 
-NULL_MODEL = SpectrumModel(atoms=((0.0, 1.0),))
-
-
-def representative_matrix(model: SpectrumModel, n_dim: int) -> np.ndarray:
+def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:
     """Diagonal matrix realizing the model's atoms at a finite size.
 
     Multiplicities follow the weights (largest-remainder rounding) and atoms
     are interleaved proportionally, so every leading block keeps roughly the
     same mixture and a principal minor inherits the model.  Raises
-    ``ValueError`` when an atom would get no entry at this size.
+    ``ValueError`` when an atom would get no entry at this size or, given the
+    minor size ``n``, no entry in the leading ``n x n`` block.
     """
     weights = np.array([w for _, w in model.atoms])
     counts = np.floor(weights * n_dim).astype(int)
@@ -106,7 +104,18 @@ def representative_matrix(model: SpectrumModel, n_dim: int) -> np.ndarray:
                              f"at size {n_dim}; use a larger size")
         entries.extend((loc, (j + 0.5) / c) for j in range(c))
     entries.sort(key=lambda pair: pair[1])
-    return np.diag(np.array([loc for loc, _ in entries]))
+    diag = np.array([loc for loc, _ in entries])
+    if n is not None:
+        for loc, weight in model.atoms:
+            if loc not in diag[:n]:
+                raise ValueError(f"atom at {loc} with weight {weight} gets no entry in the "
+                                 f"leading {n}x{n} block at size {n_dim}; use a larger size")
+    return np.diag(diag)
+
+
+def leading_block_model(a: np.ndarray, n: int, q: float) -> SpectrumModel:
+    """Spectrum model of the leading ``n x n`` block of ``a``, the minor's initial spectrum."""
+    return SpectrumModel.from_eigenvalues(np.linalg.eigvalsh(a[:n, :n]), q=q)
 
 
 def stieltjes_atomic(model: SpectrumModel, w: complex) -> complex:

@@ -1,12 +1,15 @@
 """Finite-size experiments that estimate overlaps and compare against theory.
 
-Every experiment follows the same discipline: one independent random stream
-per trial (:func:`minor_overlaps.ensembles.derive_stream`), trials run
-concurrently but reduce in trial-index order, and 99% confidence intervals
-use the normal approximation over per-trial statistics.  The trial pool has
-one worker per available core (``threads=0``), and while trials run numpy's
-OpenBLAS is held at one thread, so each worker decomposes single-threaded
-and the caller's BLAS setting is restored afterwards.  Reports therefore
+Every experiment runs its trials through :func:`_run_decomposed`: one
+independent random stream per trial
+(:func:`minor_overlaps.ensembles.derive_stream`), each trial decomposes its
+matrix and the bare leading ``n x n`` block and audits Cauchy interlacing,
+and trials run concurrently but reduce in trial-index order.  99% confidence
+intervals use the normal approximation over per-trial statistics
+(:func:`_estimate`).  The trial pool has one worker per available core
+(``threads=0``), and while trials run numpy's OpenBLAS is held at one
+thread, so each worker decomposes single-threaded and the caller's BLAS
+setting is restored afterwards.  Reports therefore
 reproduce bit for bit for a fixed master seed, independent of worker count
 and of the caller's BLAS thread count.  Set-up decompositions outside the
 trials (such as the initial transform of an explicit deterministic part)
@@ -35,7 +38,6 @@ from scipy.integrate import quad
 
 from .ensembles import (
     derive_stream,
-    minor_truncate,
     rank_one,
     sample_bernoulli,
     sample_goe,
@@ -44,10 +46,11 @@ from .ensembles import (
     tail_spike_vector,
     uniform_spike_vector,
 )
-from .errors import DegenerateInputError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
+    leading_block_model,
     scan_support_edge,
     semicircle_density,
     solve_minor_stieltjes,
@@ -62,7 +65,7 @@ from .overlaps_theory import (
     spike_bulk_overlap,
     spike_spike_overlap,
 )
-from .spectral import check_interlacing, eig_sym, overlap_grid, quantile_index
+from .spectral import check_interlacing, eig_sym, minor_size, overlap_grid, quantile_index
 
 Z_99 = 2.575829303548901  # two-sided 99% normal quantile
 MIN_CI_TRIALS = 100
@@ -137,7 +140,8 @@ class ExperimentConfig:
 
     @property
     def n(self) -> int:
-        return int(round(self.q * self.n_dim))
+        """Minor size ``round(qN)``, halves rounded up (:func:`~minor_overlaps.spectral.minor_size`)."""
+        return minor_size(self.q, self.n_dim)
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,7 @@ def _run_trials(trials: int, threads: int, worker):
     def safe(m):
         try:
             return worker(m)
-        except (NumericError, DegenerateInputError):
+        except NumericError:
             return None
 
     if threads == 0:  # one worker per core this process may run on
@@ -252,11 +256,6 @@ def _run_trials(trials: int, threads: int, worker):
     return results, aborted, {"pool_threads": threads, "trial_blas_threads": blas_threads}
 
 
-def _require_ci_trials(trials: int):
-    if trials < MIN_CI_TRIALS:
-        raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, got {trials}")
-
-
 def _bulk_bin_edges(t: float, bins: int, bin_range, radius_scale: float = 1.0) -> np.ndarray:
     if bin_range is not None:
         lo, hi = bin_range
@@ -268,48 +267,49 @@ def _bulk_bin_edges(t: float, bins: int, bin_range, radius_scale: float = 1.0) -
     return np.linspace(lo, hi, bins + 1)
 
 
-def _interior_mask(centers: np.ndarray, t: float, radius_scale: float = 1.0) -> np.ndarray:
-    radius = 2.0 * np.sqrt(t) * radius_scale
-    return (radius - np.abs(centers)) >= INTERIOR_EDGE_FRACTION * 2.0 * radius
+def _interior_mask(centers: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    margin = INTERIOR_EDGE_FRACTION * (hi - lo)
+    return ((centers - lo) >= margin) & ((hi - centers) >= margin)
 
 
-def _per_bin_stats(per_trial_means: np.ndarray, per_trial_counts: np.ndarray):
-    """Across-trial mean / 99% CI per bin from per-trial bin means."""
-    bins = per_trial_means.shape[1]
-    mean = np.full(bins, np.nan)
-    half = np.full(bins, np.nan)
-    n_samples = per_trial_counts.sum(axis=0).astype(int)
-    for b in range(bins):
-        vals = per_trial_means[:, b]
-        vals = vals[~np.isnan(vals)]
-        if vals.size >= 2:
-            mean[b] = vals.mean()
-            half[b] = Z_99 * vals.std(ddof=1) / np.sqrt(vals.size)
-    return mean, half, n_samples
+def _estimate(center, mean, sd, n_samples, kind="bin", sqrt_n=1.0) -> OverlapEstimate:
+    """Estimate with its 99% normal interval ``mean +- Z_99 * sd / sqrt_n``.
+
+    ``sd`` is a sample standard deviation with ``sqrt_n`` the root of its
+    sample count, or a ready standard error with ``sqrt_n = 1``.  A NaN
+    ``mean`` gives a row without estimate.
+    """
+    if np.isnan(mean):
+        return OverlapEstimate(center=float(center), mean=None, ci_low=None, ci_high=None,
+                               n_samples=int(n_samples), kind=kind)
+    half = Z_99 * sd / sqrt_n
+    return OverlapEstimate(center=float(center), mean=float(mean), ci_low=float(mean - half),
+                           ci_high=float(mean + half), n_samples=int(n_samples), kind=kind)
 
 
-def _bin_rows(centers, mean, half, n_samples):
+def _binned(kept, edges: np.ndarray, theory, interior):
+    """Across-trial bin estimates and the share of them that cover ``theory``.
+
+    Every kept trial result starts with its per-bin means and counts.  A bin
+    needs two trial means for an estimate.  Coverage counts the interior
+    bins that have an estimate and a finite theory value, and is None when
+    there are none.  Returns ``(rows, coverage)``.
+    """
+    per_means = np.array([k[0] for k in kept])
+    n_samples = np.array([k[1] for k in kept]).sum(axis=0).astype(int)
     rows = []
-    for b, c in enumerate(centers):
-        if np.isnan(mean[b]):
-            rows.append(OverlapEstimate(center=float(c), mean=None, ci_low=None,
-                                        ci_high=None, n_samples=int(n_samples[b])))
-        else:
-            rows.append(OverlapEstimate(center=float(c), mean=float(mean[b]),
-                                        ci_low=float(mean[b] - half[b]),
-                                        ci_high=float(mean[b] + half[b]),
-                                        n_samples=int(n_samples[b])))
-    return rows
-
-
-def _coverage(rows, theory, interior) -> float | None:
-    hits = total = 0
-    for est, th, keep in zip(rows, theory, interior):
-        if not keep or est.mean is None or np.isnan(th):
-            continue
-        total += 1
-        hits += est.ci_low <= th <= est.ci_high
-    return hits / total if total else None
+    for b, c in enumerate(0.5 * (edges[:-1] + edges[1:])):
+        vals = per_means[:, b]
+        vals = vals[~np.isnan(vals)]
+        mean = sd = np.nan
+        if vals.size >= 2:
+            mean, sd = vals.mean(), vals.std(ddof=1)
+        rows.append(_estimate(c, mean, sd, n_samples[b], sqrt_n=np.sqrt(vals.size)))
+    judged = [(est, th) for est, th, keep in zip(rows, theory, interior)
+              if keep and est.mean is not None and not np.isnan(th)]
+    if not judged:
+        return rows, None
+    return rows, sum(est.ci_low <= th <= est.ci_high for est, th in judged) / len(judged)
 
 
 def _binned_semicircle_average(func, edges: np.ndarray, t: float):
@@ -380,15 +380,36 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     return theory, rho_bar
 
 
-def _decompose_pair(x_mat: np.ndarray, n: int):
-    """Full and embedded-minor decompositions, overlap grid, interlacing audit."""
-    full = eig_sym(x_mat)
-    minor = eig_sym(minor_truncate(x_mat, n))
-    grid = overlap_grid(full, minor, n)
-    ok, margin = check_interlacing(full.eigenvalues, grid.minor_evals)
-    if not ok:
-        raise NumericError(f"interlacing violated by margin {margin:.3e}")
-    return full, grid
+def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = None,
+                    first_stream: int = 0):
+    """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
+
+    Trial ``m`` draws ``x = sample(derive_stream(config.master_seed,
+    first_stream + m))``, decomposes ``x`` and its bare leading ``n x n``
+    block (``n`` defaults to ``config.n``), audits Cauchy interlacing, and
+    returns ``trial(full, grid)``, or None for an absorbed spike.  ``kept``
+    holds the other results in trial order.  ``run`` holds the counts
+    ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
+    ``trial_blas_threads`` the trials ran with.
+    """
+    if config.trials < MIN_CI_TRIALS:
+        raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
+                         f"got {config.trials}")
+    n = config.n if n is None else n
+
+    def worker(m):
+        x_mat = sample(derive_stream(config.master_seed, first_stream + m))
+        full = eig_sym(x_mat)
+        grid = overlap_grid(full, eig_sym(x_mat[:n, :n]))
+        ok, margin = check_interlacing(full.eigenvalues, grid.minor_evals)
+        if not ok:
+            raise NumericError(f"interlacing violated by margin {margin:.3e}")
+        return (trial(full, grid),)
+
+    results, aborted, used = _run_trials(config.trials, config.threads, worker)
+    done = [r[0] for r in results if r is not None]
+    kept = [r for r in done if r is not None]
+    return kept, {"aborted_trials": aborted, "absorbed_trials": len(done) - len(kept), **used}
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +419,8 @@ def _decompose_pair(x_mat: np.ndarray, n: int):
 def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Binned rescaled overlaps of one minor eigenvector row against theory.
 
-    Per trial: observe ``A + noise(t)``, decompose the matrix and its embedded
-    minor, take the minor row at quantile ``x``, and accumulate
+    Per trial: observe ``A + noise(t)``, decompose the matrix and its leading
+    ``n x n`` block, take the minor row at quantile ``x``, and accumulate
     ``N * overlap^2`` into bins of the full eigenvalue.  The matched theory is
     the closed-form kernel at the trial-averaged realized minor eigenvalue,
     density-averaged over each bin.
@@ -412,17 +433,16 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("t must be > 0")
     if config.a_spec.kind not in ("null", "explicit"):
         raise ValueError("bulk experiment needs a null or explicit deterministic part")
-    _require_ci_trials(config.trials)
     a_mat = config.a_spec.build(n_dim, n)
 
     if a_mat is None:
         full_ev = minor_ev = s0 = None
         edges = _bulk_bin_edges(t, config.bins, config.bin_range)
-        interior_span = None
+        hi_edge = 2.0 * np.sqrt(t)
+        lo_edge = -hi_edge
     else:
         full_model = SpectrumModel.from_eigenvalues(np.linalg.eigvalsh(a_mat))
-        minor_model = SpectrumModel.from_eigenvalues(
-            np.linalg.eigvalsh(a_mat[:n, :n]), q=q)
+        minor_model = leading_block_model(a_mat, n, q)
         full_ev = lambda z: solve_stieltjes(full_model, z, t)
         minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
         s0 = FiniteInitialTransform.from_matrix(a_mat, n)
@@ -433,41 +453,30 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
             lo_edge, hi_edge = _scan_general_support(full_ev, full_model, t)
             margin = 0.025 * (hi_edge - lo_edge)
             edges = np.linspace(lo_edge + margin, hi_edge - margin, config.bins + 1)
-        interior_span = (lo_edge, hi_edge)
     centers = 0.5 * (edges[:-1] + edges[1:])
     row_idx = quantile_index(config.x, n) - 1
 
-    def worker(m):
-        seed = derive_stream(config.master_seed, m)
+    def sample(seed):
         x_mat = sample_goe(n_dim, t, seed)
-        if a_mat is not None:
-            x_mat = x_mat + a_mat
-        _, grid = _decompose_pair(x_mat, n)
+        return x_mat if a_mat is None else x_mat + a_mat
+
+    def trial(full, grid):
         row = n_dim * grid.values[row_idx]
         means, counts = _bin_means(row, grid.full_evals, edges)
         return means, counts, grid.minor_evals[row_idx], grid.row_sum_error()
 
-    results, aborted, used = _run_trials(config.trials, config.threads, worker)
-    kept = [r for r in results if r is not None]
-    per_means = np.array([r[0] for r in kept])
-    per_counts = np.array([r[1] for r in kept])
+    kept, run = _run_decomposed(config, sample, trial)
     mu_hat = float(np.mean([r[2] for r in kept]))
     worst_row_err = float(max(r[3] for r in kept))
 
-    mean, half, n_samples = _per_bin_stats(per_means, per_counts)
     if a_mat is None:
         theory, rho_bar = _binned_semicircle_average(
             lambda l: kernel_goe_value(mu_hat, l, t, q), edges, t)
-        interior = _interior_mask(centers, t)
     else:
         theory, rho_bar = _binned_general_theory(s0, mu_hat, t, q,
                                                  full_ev, minor_ev, edges)
-        lo_edge, hi_edge = interior_span
-        width = hi_edge - lo_edge
-        interior = ((centers - lo_edge) >= INTERIOR_EDGE_FRACTION * width) & (
-            (hi_edge - centers) >= INTERIOR_EDGE_FRACTION * width)
-    rows = _bin_rows(centers, mean, half, n_samples)
-    coverage = _coverage(rows, theory, interior)
+    interior = _interior_mask(centers, lo_edge, hi_edge)
+    rows, coverage = _binned(kept, edges, theory, interior)
 
     extras = {
         "mu_hat": mu_hat,
@@ -475,11 +484,10 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         "rho_bin": rho_bar.tolist(),
         "interior": interior.tolist(),
         "bin_width": float(edges[1] - edges[0]),
-        "aborted_trials": aborted,
         "worst_row_sum_error": worst_row_err,
-        **used,
+        **run,
     }
-    figure_curve = mean * rho_bar
+    figure_curve = np.array([np.nan if r.mean is None else r.mean for r in rows]) * rho_bar
     interior_idx = np.flatnonzero(interior & ~np.isnan(figure_curve))
     if interior_idx.size:
         extras["argmax_center"] = float(
@@ -514,7 +522,6 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind not in ("uniform_spike", "split_spike"):
         raise ValueError("spike-spike experiment needs a uniform_spike or split_spike part")
-    _require_ci_trials(config.trials)
     spike = config.a_spec.spike
     if config.a_spec.kind == "split_spike":
         minor_spike = config.a_spec.minor_spike
@@ -523,31 +530,24 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     theory = spike_spike_overlap(spike, minor_spike, q, t)  # validates the time window
     a_mat = config.a_spec.build(n_dim, n)
 
-    def worker(m):
-        seed = derive_stream(config.master_seed, m)
-        x_mat = a_mat + sample_goe(n_dim, t, seed)
-        full, grid = _decompose_pair(x_mat, n)
+    def trial(full, grid):
         if _spike_absorbed(full.eigenvalues[0], t):
-            return ("absorbed", None)
-        return ("ok", float(grid.values[0, 0]))
+            return None
+        return float(grid.values[0, 0])
 
-    results, aborted, used = _run_trials(config.trials, config.threads, worker)
-    vals = np.array([r[1] for r in results if r is not None and r[0] == "ok"])
-    flagged = sum(1 for r in results if r is not None and r[0] == "absorbed")
+    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
+    vals = np.array(kept)
     if vals.size < 2:
         raise NumericError("no usable spike-spike trials (spike absorbed everywhere)")
-    half = Z_99 * vals.std(ddof=1) / np.sqrt(vals.size)
-    est = OverlapEstimate(center=float(t), mean=float(vals.mean()),
-                          ci_low=float(vals.mean() - half), ci_high=float(vals.mean() + half),
-                          n_samples=int(vals.size), kind="top_overlap")
+    est = _estimate(t, vals.mean(), vals.std(ddof=1), vals.size, "top_overlap",
+                    np.sqrt(vals.size))
     return ExperimentReport(
         config=config,
         estimates=(est,),
         theory=(float(theory),),
         coverage=None,
         wall_time_s=time.perf_counter() - start,
-        extras={"spike": spike, "minor_spike": minor_spike,
-                "aborted_trials": aborted, "absorbed_trials": flagged, **used},
+        extras={"spike": spike, "minor_spike": minor_spike, **run},
     )
 
 
@@ -587,7 +587,6 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind != "tail_spike":
         raise ValueError("spike-bulk experiment needs a tail_spike deterministic part")
-    _require_ci_trials(config.trials)
     spike = config.a_spec.spike
     mass_theory = spike_bulk_mass(spike, q, t)  # validates t < spike^2
     a_mat = config.a_spec.build(n_dim, n)
@@ -595,37 +594,25 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    def worker(m):
-        seed = derive_stream(config.master_seed, m)
-        x_mat = a_mat + sample_goe(n_dim, t, seed)
-        full, grid = _decompose_pair(x_mat, n)
+    def trial(full, grid):
         if _spike_absorbed(full.eigenvalues[0], t):
-            return ("absorbed", None)
+            return None
         col = grid.values[:, 0]
         means, counts = _bin_means(n_dim * col, grid.minor_evals, edges)
-        return ("ok", (means, counts, float(col.sum())))
+        return means, counts, float(col.sum())
 
-    results, aborted, used = _run_trials(config.trials, config.threads, worker)
-    kept = [r[1] for r in results if r is not None and r[0] == "ok"]
-    flagged = sum(1 for r in results if r is not None and r[0] == "absorbed")
+    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
     if len(kept) < 2:
         raise NumericError("no usable spike-bulk trials (spike absorbed everywhere)")
-    per_means = np.array([k[0] for k in kept])
-    per_counts = np.array([k[1] for k in kept])
     totals = np.array([k[2] for k in kept])
 
-    mean, half, n_samples = _per_bin_stats(per_means, per_counts)
     theory, rho_bar = _binned_semicircle_average(
         lambda m_: spike_bulk_overlap(spike, q, t, m_), edges, q * t)
-    rows = _bin_rows(centers, mean, half, n_samples)
-    interior = _interior_mask(centers, t, radius_scale=np.sqrt(q))
-    coverage = _coverage(rows, theory, interior)
-
-    mass_half = Z_99 * totals.std(ddof=1) / np.sqrt(totals.size)
-    mass_row = OverlapEstimate(center=float(spike), mean=float(totals.mean()),
-                               ci_low=float(totals.mean() - mass_half),
-                               ci_high=float(totals.mean() + mass_half),
-                               n_samples=int(totals.size), kind="total_mass")
+    radius = 2.0 * np.sqrt(t) * np.sqrt(q)
+    interior = _interior_mask(centers, -radius, radius)
+    rows, coverage = _binned(kept, edges, theory, interior)
+    mass_row = _estimate(spike, totals.mean(), totals.std(ddof=1), totals.size, "total_mass",
+                         np.sqrt(totals.size))
 
     return ExperimentReport(
         config=config,
@@ -638,9 +625,7 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
             "bin_edges": edges.tolist(),
             "rho_bin": rho_bar.tolist(),
             "interior": interior.tolist(),
-            "aborted_trials": aborted,
-            "absorbed_trials": flagged,
-            **used,
+            **run,
         },
     )
 
@@ -672,7 +657,6 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("bernoulli bulk mode needs p in (0, 1)")
     if not 0.0 < q < 1.0 or not 1 <= n <= n_dim - 1:
         raise ValueError("need q in (0,1) with 1 <= round(qN) <= N-1")
-    _require_ci_trials(config.trials)
     t_eff = p * (1.0 - p)
 
     edges = _bulk_bin_edges(t_eff, config.bins, config.bin_range, radius_scale=np.sqrt(q))
@@ -680,10 +664,7 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     full_window = (_bulk_bin_edges(t_eff, config.bins, None)[1]
                    - _bulk_bin_edges(t_eff, config.bins, None)[0])
 
-    def worker(m):
-        seed = derive_stream(config.master_seed, m)
-        x_mat = sample_bernoulli(n_dim, p, seed)
-        _, grid = _decompose_pair(x_mat, n)
+    def trial(_, grid):
         # rows/columns 0 are the diverging spikes of each matrix
         bulk_vals = grid.values[1:, 1:]
         bulk_mu = grid.minor_evals[1:]
@@ -694,11 +675,7 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         row_means = n_dim * bulk_vals[:, jsel].mean(axis=1)
         return _bin_means(row_means, bulk_mu, edges)
 
-    results, aborted, used = _run_trials(config.trials, config.threads, worker)
-    kept = [r for r in results if r is not None]
-    per_means = np.array([r[0] for r in kept])
-    per_counts = np.array([r[1] for r in kept])
-    mean, half, n_samples = _per_bin_stats(per_means, per_counts)
+    kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed), trial)
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
     nodes, weights = np.polynomial.legendre.leggauss(5)
@@ -708,9 +685,9 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         return float(np.sum(weights * kernel_goe_value(m_, lam_nodes, t_eff, q)) / weights.sum())
 
     theory, rho_bar = _binned_semicircle_average(window_kernel, edges, q * t_eff)
-    rows = _bin_rows(centers, mean, half, n_samples)
-    interior = _interior_mask(centers, t_eff, radius_scale=np.sqrt(q))
-    coverage = _coverage(rows, theory, interior)
+    radius = 2.0 * np.sqrt(t_eff) * np.sqrt(q)
+    interior = _interior_mask(centers, -radius, radius)
+    rows, coverage = _binned(kept, edges, theory, interior)
 
     return ExperimentReport(
         config=config,
@@ -724,8 +701,7 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
             "rho_bin": rho_bar.tolist(),
             "interior": interior.tolist(),
             "lambda_window": float(full_window),
-            "aborted_trials": aborted,
-            **used,
+            **run,
         },
     )
 
@@ -743,30 +719,22 @@ def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     if not 0.0 < p <= 1.0:
         raise ValueError("bernoulli spike mode needs p in (0, 1]")
     sizes = tuple(config.n_dims) or (config.n_dim,)
-    _require_ci_trials(config.trials)
 
     rows = []
     theory = []
-    aborted_total = 0
+    aborted = 0
     for idx, n_dim in enumerate(sizes):
-        n = int(round(q * n_dim))
+        n = minor_size(q, n_dim)
         if not 1 <= n <= n_dim - 1:
             raise ValueError(f"size {n_dim}: round(qN) out of range")
-
-        def worker(m, idx=idx, n_dim=n_dim, n=n):
-            seed = derive_stream(config.master_seed, idx * config.trials + m)
-            x_mat = sample_bernoulli(n_dim, p, seed)
-            _, grid = _decompose_pair(x_mat, n)
-            return n / n_dim - float(grid.values[0, 0])
-
-        results, aborted, used = _run_trials(config.trials, config.threads, worker)
-        aborted_total += aborted
-        vals = np.array([r for r in results if r is not None])
-        half = Z_99 * vals.std(ddof=1) / np.sqrt(vals.size)
-        rows.append(OverlapEstimate(center=float(n_dim), mean=float(vals.mean()),
-                                    ci_low=float(vals.mean() - half),
-                                    ci_high=float(vals.mean() + half),
-                                    n_samples=int(vals.size), kind="deficit"))
+        # both callables run to completion inside this iteration
+        kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed),
+                                    lambda _, grid: n / n_dim - float(grid.values[0, 0]),
+                                    n=n, first_stream=idx * config.trials)
+        aborted += run["aborted_trials"]
+        vals = np.array(kept)
+        rows.append(_estimate(n_dim, vals.mean(), vals.std(ddof=1), vals.size, "deficit",
+                              np.sqrt(vals.size)))
         theory.append((1.0 - n / n_dim) * (1.0 / p - 1.0) / n_dim)
 
     hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
@@ -776,5 +744,5 @@ def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
         theory=tuple(theory),
         coverage=hits / len(rows),
         wall_time_s=time.perf_counter() - start,
-        extras={"sizes": list(sizes), "aborted_trials": aborted_total, **used},
+        extras={"sizes": list(sizes), **run, "aborted_trials": aborted},
     )

@@ -29,7 +29,6 @@ from .freeprob import (
     semicircle_quantile,
 )
 from .spectral import eig_sym, overlap_grid
-from .ensembles import ensure_symmetric, minor_truncate
 
 _POLE_TOL = 1e-12
 
@@ -54,8 +53,9 @@ class FiniteInitialTransform:
     """Rational double transform built from one representative finite matrix.
 
     The transform is the double resolvent sum of the matrix's eigenpairs and
-    its embedded minor's nonzero eigenpairs at reference size ``n_dim``:
-    a finite-rank discretization of the exactly-known initial condition.
+    the eigenpairs of its leading ``n x n`` block at reference size
+    ``n_dim``: a finite-rank discretization of the exactly-known initial
+    condition.
     """
 
     def __init__(self, minor_evals, full_evals, overlaps, n_dim: int):
@@ -68,10 +68,10 @@ class FiniteInitialTransform:
 
     @classmethod
     def from_matrix(cls, a: np.ndarray, n: int) -> "FiniteInitialTransform":
-        a = ensure_symmetric(a)
-        full = eig_sym(a)
-        minor = eig_sym(minor_truncate(a, n))
-        grid = overlap_grid(full, minor, n)
+        a = np.asarray(a, dtype=float)
+        if not 1 <= n <= a.shape[0]:
+            raise ValueError(f"minor size n={n} out of range [1, {a.shape[0]}]")
+        grid = overlap_grid(eig_sym(a), eig_sym(a[:n, :n]))
         return cls(grid.minor_evals, grid.full_evals, grid.values, a.shape[0])
 
     def __call__(self, z: complex, z_tilde: complex) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensembles import derive_stream, sample_goe
 from .errors import NumericError
-from .montecarlo import ExperimentReport, OverlapEstimate, Z_99
+from .montecarlo import Z_99, ExperimentReport, _estimate, _one_blas_thread
 from .spectral import eig_sym
 
 _CHUNK = 2000
@@ -28,9 +28,9 @@ _CHUNK = 2000
 def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     """Frozen noisy matrix with its full/minor eigenpairs and signed overlaps.
 
-    The minor is diagonalized as the bare ``n x n`` block: its nonzero-rank
-    eigenpairs coincide with the embedded ones, and the probes never touch
-    the null space.
+    The minor is the bare leading ``n x n`` block, as everywhere in the
+    package; its eigenvectors meet the first ``n`` coordinates of the full
+    ones.
     """
     x_mat = sample_goe(n_dim, t, derive_stream(seed, 0))
     full = eig_sym(x_mat)
@@ -39,22 +39,23 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     return x_mat, full.eigenvalues, full.eigenvectors, block.eigenvalues, block.eigenvectors, signed
 
 
-def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float,
-                           iu, limit: int | None = None):
+def _mean_se(total: float, total_sq: float, count: int):
+    """Mean and standard error of ``count`` draws from their sum and sum of squares."""
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0)
+    return mean, np.sqrt(var / count)
+
+
+def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, iu):
     """Coefficients c with ``u^T dX w = c . z`` for standard-normal entries z.
 
     ``z`` enumerates the upper triangle (off-diagonal first, then diagonal)
     of a symmetric increment with entry variances ``dt/N`` off the diagonal
-    and ``2 dt/N`` on it.  ``limit`` truncates the vectors to the minor block
-    convention (vectors supported on the first ``limit`` coordinates).
+    and ``2 dt/N`` on it.  Vectors shorter than ``n_dim``, such as minor
+    eigenvectors, live on the first coordinates.
     """
-    if limit is not None:
-        full_u = np.zeros(n_dim)
-        full_u[:limit] = u
-        full_w = np.zeros(n_dim)
-        full_w[:limit] = w
-        u, w = full_u, full_w
-    outer = np.outer(u, w)
+    outer = np.zeros((n_dim, n_dim))
+    outer[:u.size, :w.size] = np.outer(u, w)
     sym = outer + outer.T
     off = np.sqrt(dt / n_dim) * sym[iu]
     diag = np.sqrt(2.0 * dt / n_dim) * np.diag(outer)
@@ -92,7 +93,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     # eig_sym columns are already in descending eigenvalue order
     iu = np.triu_indices(n_dim, k=1)
     minor_coeffs = np.array([
-        _quadratic_form_coeffs(block_vecs[:, i], block_vecs[:, l], n_dim, dt, iu, limit=n)
+        _quadratic_form_coeffs(block_vecs[:, i], block_vecs[:, l], n_dim, dt, iu)
         for (i, l) in minor_pairs
     ])
     full_coeffs = np.array([
@@ -122,14 +123,8 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     rows = []
     theory = []
     for idx, (i, l, j, k) in enumerate(quads):
-        mean = sums[idx] / samples
-        var = max(sq_sums[idx] / samples - mean * mean, 0.0)
-        se = np.sqrt(var / samples)
-        est, se = mean / dt, se / dt
-        half = Z_99 * se
-        rows.append(OverlapEstimate(center=float(idx), mean=float(est),
-                                    ci_low=float(est - half), ci_high=float(est + half),
-                                    n_samples=samples, kind="correlation"))
+        mean, se = _mean_se(sums[idx], sq_sums[idx], samples)
+        rows.append(_estimate(idx, mean / dt, se / dt, samples, "correlation"))
         theory.append(float((signed[i, j] * signed[l, k] + signed[i, k] * signed[l, j]) / n_dim))
 
     hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
@@ -204,6 +199,26 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
+def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, pair):
+    """Frozen state of the drift probes and the probed pair ``(i, j)``."""
+    if n_dim > 100:
+        raise ValueError("drift probe is restricted to n_dim <= 100")
+    x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
+    if pair is None:
+        pair = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
+    return x_mat, lam, full_vecs, mu, block_vecs, signed, pair
+
+
+def _stepped_overlaps(x_mat: np.ndarray, dh: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Signed overlap of minor eigenvector ``i`` and full eigenvector ``j`` of each ``x_mat + dh[c]``."""
+    n_dim = x_mat.shape[0]
+    xp = x_mat[None, :, :] + dh
+    _, vecs = np.linalg.eigh(xp)
+    _, bvecs = np.linalg.eigh(xp[:, :n, :n])
+    # eigh is ascending: descending index i maps to column n-1-i
+    return np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i], vecs[:, :n, n_dim - 1 - j])
+
+
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 trials: int = 100_000, seed: int = 0, pair=None,
                 chunk: int = 500) -> ExperimentReport:
@@ -212,18 +227,14 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Rows: drift estimate against the formula value, then the two martingale
     term averages against zero.  The probed pair is mid-bulk; by default the
     one with the largest-magnitude formula drift, so the relative comparison
-    is well conditioned.
+    is well conditioned.  The batched decompositions run with one BLAS
+    thread; the caller's count is restored afterwards.
     """
     start = time.perf_counter()
-    if n_dim > 100:
-        raise ValueError("drift probe is restricted to n_dim <= 100")
     if trials < 1000:
         raise ValueError("drift probe needs at least 1000 trials")
-    x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
-    if pair is None:
-        i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
-    else:
-        i, j = pair
+    x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
+        n_dim, n, t, seed, dt, pair)
     d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
     drift_theory = d1 + d2 + d3
     s0 = signed[i, j] ** 2
@@ -241,39 +252,30 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     rng = derive_stream(seed, 1).generator()
     remaining = trials
     scale = np.sqrt(dt / (2.0 * n_dim))
-    while remaining > 0:
-        size = min(chunk, remaining)
-        z = rng.standard_normal((size, n_dim, n_dim))
-        dh = (z + np.transpose(z, (0, 2, 1))) * scale
-        xp = x_mat[None, :, :] + dh
-        _, vecs = np.linalg.eigh(xp)
-        _, bvecs = np.linalg.eigh(xp[:, :n, :n])
-        # eigh is ascending: descending index i maps to column n-1-i
-        a = np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i], vecs[:, :n, n_dim - 1 - j])
-        delta = a * a - s0
+    with _one_blas_thread():
+        while remaining > 0:
+            size = min(chunk, remaining)
+            z = rng.standard_normal((size, n_dim, n_dim))
+            dh = (z + np.transpose(z, (0, 2, 1))) * scale
+            a = _stepped_overlaps(x_mat, dh, n, i, j)
+            delta = a * a - s0
 
-        dh_psi = np.einsum("cab,b->ca", dh, psi_j)
-        beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
-        mart_full = 2.0 * beta_full @ w_full
-        dh_phi = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i)
-        beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
-        mart_minor = 2.0 * beta_minor @ w_minor
+            dh_psi = np.einsum("cab,b->ca", dh, psi_j)
+            beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
+            mart_full = 2.0 * beta_full @ w_full
+            dh_phi = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i)
+            beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
+            mart_minor = 2.0 * beta_minor @ w_minor
 
-        for slot, vals in enumerate((delta, mart_full, mart_minor)):
-            sums[slot] += vals.sum()
-            sq_sums[slot] += (vals * vals).sum()
-        remaining -= size
+            for slot, vals in enumerate((delta, mart_full, mart_minor)):
+                sums[slot] += vals.sum()
+                sq_sums[slot] += (vals * vals).sum()
+            remaining -= size
 
     rows = []
     for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
-        mean = sums[slot] / trials
-        var = max(sq_sums[slot] / trials - mean * mean, 0.0)
-        se = np.sqrt(var / trials)
-        est, se = mean / dt, se / dt
-        half = Z_99 * se
-        rows.append(OverlapEstimate(center=float(slot), mean=float(est),
-                                    ci_low=float(est - half), ci_high=float(est + half),
-                                    n_samples=trials, kind=kind))
+        mean, se = _mean_se(sums[slot], sq_sums[slot], trials)
+        rows.append(_estimate(slot, mean / dt, se / dt, trials, kind))
     theory = (float(drift_theory), 0.0, 0.0)
     hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
     return ExperimentReport(
@@ -296,15 +298,10 @@ def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Measures the drift estimator at ``dt``, ``2 dt`` and ``4 dt`` with common
     random increments and returns the mean and standard error of the per-draw
     combination ``est(4dt) - 3 est(2dt) + 2 est(dt)``, which vanishes when
-    the bias is linear in the step.
+    the bias is linear in the step.  The batched decompositions run with one
+    BLAS thread, as in :func:`drift_probe`.
     """
-    if n_dim > 100:
-        raise ValueError("drift probe is restricted to n_dim <= 100")
-    x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
-    if pair is None:
-        i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
-    else:
-        i, j = pair
+    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, pair)
     s0 = signed[i, j] ** 2
 
     total = 0.0
@@ -312,25 +309,21 @@ def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
     rng = derive_stream(seed, 2).generator()
     remaining = trials
     base_scale = np.sqrt(dt / (2.0 * n_dim))
-    while remaining > 0:
-        size = min(chunk, remaining)
-        z = rng.standard_normal((size, n_dim, n_dim))
-        dh = (z + np.transpose(z, (0, 2, 1))) * base_scale
-        ests = []
-        for mult in (1.0, 2.0, 4.0):
-            xp = x_mat[None, :, :] + np.sqrt(mult) * dh
-            _, vecs = np.linalg.eigh(xp)
-            _, bvecs = np.linalg.eigh(xp[:, :n, :n])
-            a = np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i], vecs[:, :n, n_dim - 1 - j])
-            ests.append((a * a - s0) / (mult * dt))
-        combo = ests[2] - 3.0 * ests[1] + 2.0 * ests[0]
-        total += combo.sum()
-        total_sq += (combo * combo).sum()
-        remaining -= size
+    with _one_blas_thread():
+        while remaining > 0:
+            size = min(chunk, remaining)
+            z = rng.standard_normal((size, n_dim, n_dim))
+            dh = (z + np.transpose(z, (0, 2, 1))) * base_scale
+            ests = []
+            for mult in (1.0, 2.0, 4.0):
+                a = _stepped_overlaps(x_mat, np.sqrt(mult) * dh, n, i, j)
+                ests.append((a * a - s0) / (mult * dt))
+            combo = ests[2] - 3.0 * ests[1] + 2.0 * ests[0]
+            total += combo.sum()
+            total_sq += (combo * combo).sum()
+            remaining -= size
 
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    se = np.sqrt(var / trials)
+    mean, se = _mean_se(total, total_sq, trials)
     if se == 0.0:
         raise NumericError("degenerate step-consistency probe (zero variance)")
     return float(mean), float(se), (i, j)

@@ -21,6 +21,8 @@ import json
 
 import numpy as np
 
+from .spectral import minor_size
+
 TOOL_VERSION = "0.1.0"
 
 BULK_CURVE_HEADER = "lambda,mu,t,q,theory_W,theory_W_rho,mc_mean,mc_ci_low,mc_ci_high,n_samples"
@@ -111,7 +113,7 @@ def bernoulli_spike_report_csv(report) -> str:
     rows = []
     for est, th in zip(report.estimates, report.theory):
         n_dim = int(est.center)
-        rows.append((n_dim, int(round(cfg.q * n_dim)), cfg.p, cfg.q,
+        rows.append((n_dim, minor_size(cfg.q, n_dim), cfg.p, cfg.q,
                      est.mean, est.ci_low, est.ci_high, th, est.n_samples))
     return _lines(BERNOULLI_SPIKE_HEADER, rows)
 

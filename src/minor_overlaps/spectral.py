@@ -2,7 +2,9 @@
 
 Eigenvalues are kept in descending order everywhere (index 1 = largest),
 matching the convention that quantile ``x`` measures spectral mass *above*
-the value.
+the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
+block, decomposed at size ``n``; its eigenvectors live on the first ``n``
+coordinates.
 """
 
 from __future__ import annotations
@@ -11,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError
-
-# Tolerances for identifying the embedded minor's null space.
-_NULL_EIGENVALUE_TOL = 1e-9
-_NULL_SUPPORT_TOL = 1e-8
-_AMBIGUOUS_EIGENVALUE_TOL = 1e-12
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,10 @@ class OverlapGrid:
     """Squared overlaps between minor eigenvectors (rows) and full ones (columns).
 
     ``values[i, j]`` is the squared inner product of the minor's i-th
-    eigenvector (nonzero spectrum, descending) with the full matrix's j-th
-    eigenvector.  Every row sums to 1 (a unit vector expanded in a complete
-    orthonormal basis); every column sums to at most 1.
+    eigenvector (descending) with the first ``n`` coordinates of the full
+    matrix's j-th eigenvector ``psi_j``.  Every row sums to 1 (a unit vector
+    expanded in a complete orthonormal basis); column ``j`` sums to
+    ``||psi_j[:n]||^2``, at most 1.
     """
 
     n: int
@@ -92,54 +90,19 @@ class OverlapGrid:
         return float(np.max(np.abs(self.values.sum(axis=1) - 1.0)))
 
 
-def _split_minor_null_space(minor: SpectralDecomposition, n: int):
-    """Indices of the minor's nonzero-rank eigenpairs, null space excluded.
-
-    The embedded minor carries ``N - n`` exact-zero eigenvalues whose
-    eigenvectors live on coordinates ``> n``.  They are identified by
-    eigenvector support, not by eigenvalue magnitude alone, because genuine
-    bulk eigenvalues may sit near zero.
-    """
-    n_dim = minor.dim
-    head_weight = np.linalg.norm(minor.eigenvectors[:n, :], axis=0)
-    near_zero = np.abs(minor.eigenvalues) <= _NULL_EIGENVALUE_TOL
-    null_mask = near_zero & (head_weight <= _NULL_SUPPORT_TOL)
-
-    if null_mask.sum() != n_dim - n:
-        ambiguous = (np.abs(minor.eigenvalues) <= _AMBIGUOUS_EIGENVALUE_TOL) & (
-            head_weight > _NULL_SUPPORT_TOL
-        )
-        if ambiguous.any():
-            raise DegenerateInputError(
-                "minor eigenvalue within 1e-12 of 0 has mixed support; "
-                "null space cannot be identified unambiguously"
-            )
-        raise DegenerateInputError(
-            f"expected {n_dim - n} null-space eigenpairs in the embedded minor, "
-            f"found {int(null_mask.sum())}"
-        )
-    return ~null_mask
-
-
-def overlap_grid(full: SpectralDecomposition, minor: SpectralDecomposition, n: int) -> OverlapGrid:
+def overlap_grid(full: SpectralDecomposition, minor: SpectralDecomposition) -> OverlapGrid:
     """Build the ``n x N`` squared-overlap grid from two decompositions.
 
-    ``minor`` must come from an embedded minor matrix (same size as the full
-    matrix); its ``N - n`` null-space pairs are dropped and the remaining
-    rows keep descending eigenvalue order.
+    ``minor`` decomposes the bare leading ``n x n`` block of the full matrix,
+    so ``n`` is ``minor.dim``; its eigenvectors meet the first ``n``
+    coordinates of the full eigenvectors.
     """
-    n_dim = full.dim
-    if minor.dim != n_dim:
-        raise ValueError("full and minor decompositions have different sizes")
+    n_dim, n = full.dim, minor.dim
     if not 1 <= n <= n_dim:
-        raise ValueError(f"minor rank n={n} out of range [1, {n_dim}]")
-
-    keep = _split_minor_null_space(minor, n)
-    minor_vecs = minor.eigenvectors[:, keep]
-    minor_evals = minor.eigenvalues[keep]
-    values = (minor_vecs.T @ full.eigenvectors) ** 2
+        raise ValueError(f"minor of size {n} does not fit a {n_dim}x{n_dim} matrix")
+    values = (minor.eigenvectors.T @ full.eigenvectors[:n, :]) ** 2
     return OverlapGrid(n=n, n_dim=n_dim, values=values,
-                       minor_evals=minor_evals, full_evals=full.eigenvalues)
+                       minor_evals=minor.eigenvalues, full_evals=full.eigenvalues)
 
 
 def check_interlacing(full_evals: np.ndarray, minor_evals: np.ndarray):
@@ -166,10 +129,23 @@ def quantile_index(x: float, size: int) -> int:
 
     Index 1 is the LARGEST eigenvalue; ``x`` counts mass from the top, so
     ``x = 0`` maps to the top eigenvalue and ``x = 1`` to the bottom one.
-    Rounding is half-up, clamped to ``[1, size]``.
+    Rounding is half-up, as in :func:`minor_size`, clamped to ``[1, size]``.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("quantile x must lie in [0, 1]")
     if size < 1:
         raise ValueError("size must be >= 1")
-    return int(np.clip(int(np.floor(x * size + 0.5)), 1, size))
+    return int(np.clip(_round_half_up(x * size), 1, size))
+
+
+def minor_size(q: float, n_dim: int) -> int:
+    """Minor size ``n = round(q N)`` for minor fraction ``q``.
+
+    Rounding is half-up, as in :func:`quantile_index`: ``q = 0.5`` at
+    ``N = 81`` gives ``n = 41``.  Callers check that ``n`` fits their run.
+    """
+    return _round_half_up(q * n_dim)
+
+
+def _round_half_up(v: float) -> int:
+    return int(np.floor(v + 0.5))

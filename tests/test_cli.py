@@ -119,13 +119,16 @@ def test_spike_bulk_command(capsys, tmp_path):
     assert code == 0
     assert out.read_text().startswith(MINOR_CURVE_HEADER)
     assert "total_mass" in stderr
+    assert "absorbed=" in stderr and "aborted=0 pool_threads=" in stderr
+    assert "trial_blas_threads=" in stderr
 
 
 def test_bernoulli_spike_command(capsys):
-    code, stdout, _ = _run(capsys, [
+    code, stdout, stderr = _run(capsys, [
         "bernoulli", "--mode", "spike", "--p", "1.0", "--qfrac", "0.5",
-        "--sizes", "60,80", "--trials", "100", "--seed", "4"])
+        "--sizes", "60,80", "--trials", "100", "--seed", "4", "--threads", "2"])
     assert code == 0
+    assert "aborted=0 pool_threads=2 trial_blas_threads=" in stderr
     lines = stdout.strip().split("\n")
     assert lines[0].startswith("N,n,p,q,")
     assert len(lines) == 3
@@ -153,6 +156,31 @@ def test_model_atom_without_entries_exits_two(capsys, tmp_path):
         "--model", str(model_path)])
     assert code == 2
     assert "atom at 5.0" in stderr and "size 200" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--t", "0.05",
+     "--N", "100"],
+    ["bernoulli", "--mode", "bulk", "--p", "0.5", "--qfrac", "0.5", "--N", "80",
+     "--bins", "7"],
+])
+def test_monte_carlo_run_fields_on_stderr(capsys, argv):
+    code, _, stderr = _run(capsys, argv + ["--trials", "100", "--seed", "2", "--threads", "2"])
+    assert code == 0
+    assert "aborted=0 pool_threads=2 trial_blas_threads=" in stderr
+    assert ("absorbed=" in stderr) == (argv[0] == "spike")
+
+
+def test_model_atom_outside_minor_block_exits_two(capsys, tmp_path):
+    # the only entry at 5 sits at index 100, just outside the leading 100x100 block
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"atoms": [[0.0, 0.995], [5.0, 0.005]], "spikes": [], "q": 0.5}')
+    for argv in (["theory", "--kernel", "general", "--qfrac", "0.5", "--t", "1",
+                  "--mu", "0.5", "--lambda-range", "-1", "1", "--n0", "200"],
+                 ["simulate", "--N", "200", "--qfrac", "0.5", "--trials", "100"]):
+        code, _, stderr = _run(capsys, argv + ["--model", str(model_path)])
+        assert code == 2
+        assert "atom at 5.0" in stderr and "leading 100x100 block at size 200" in stderr
 
 
 def test_theory_general_kernel_curve(capsys, tmp_path):

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from minor_overlaps import (
-    EnsembleKind,
-    EnsembleSpec,
     SeedSpec,
     derive_stream,
-    minor_truncate,
     rank_one,
     sample_bernoulli,
     sample_goe,
@@ -85,30 +82,6 @@ def test_path_rejects_non_increasing_grid():
         sample_path(5, [0.0, 0.5, 0.5], SEED)
     with pytest.raises(ValueError):
         sample_path(5, [-0.1, 0.5], SEED)
-
-
-def test_minor_truncate_identity_and_single_entry():
-    x = sample_goe(6, 1.0, SEED)
-    assert np.array_equal(minor_truncate(x, 6), x)
-    one = minor_truncate(x, 1)
-    assert one[0, 0] == x[0, 0]
-    one[0, 0] = 0.0
-    assert np.all(one == 0.0)
-
-
-def test_minor_truncate_ones_block():
-    x = np.ones((3, 3))
-    out = minor_truncate(x, 2)
-    expected = np.zeros((3, 3))
-    expected[:2, :2] = 1.0
-    assert np.array_equal(out, expected)
-
-
-def test_minor_truncate_range_check():
-    x = np.ones((3, 3))
-    for bad in (0, 4):
-        with pytest.raises(ValueError):
-            minor_truncate(x, bad)
 
 
 def test_rank_one_basis_vector():
@@ -196,10 +169,3 @@ def test_derive_stream_master_seed_collisions():
         draw = tuple(derive_stream(s, 7).generator().standard_normal(2))
         assert draw not in seen
         seen.add(draw)
-
-
-def test_ensemble_spec_dispatch():
-    spec = EnsembleSpec(kind=EnsembleKind.BERNOULLI, n_dim=12, p=1.0)
-    assert np.all(spec.sample(SEED) == 1.0 / np.sqrt(12))
-    spec = EnsembleSpec(kind=EnsembleKind.GOE_SNAPSHOT, n_dim=12, t_or_dt=0.0)
-    assert np.all(spec.sample(SEED) == 0.0)

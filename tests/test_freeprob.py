@@ -6,6 +6,7 @@ from minor_overlaps import (
     SpectrumModel,
     boundary_values,
     derive_stream,
+    leading_block_model,
     representative_matrix,
     sample_goe,
     scan_support_edge,
@@ -241,3 +242,19 @@ def test_representative_matrix_refuses_atoms_without_entries():
     with pytest.raises(ValueError, match=r"atom at 5.0 .* size 200"):
         representative_matrix(model, 200)
     assert np.count_nonzero(np.diag(representative_matrix(model, 1000)) == 5.0) == 1
+
+
+def test_representative_matrix_refuses_atoms_outside_the_minor_block():
+    model = SpectrumModel(atoms=((0.0, 0.995), (5.0, 0.005)))
+    diag = np.diag(representative_matrix(model, 200))
+    assert np.flatnonzero(diag == 5.0).tolist() == [100]
+    assert np.array_equal(np.diag(representative_matrix(model, 200, 101)), diag)
+    with pytest.raises(ValueError, match=r"atom at 5.0 .* leading 100x100 block at size 200"):
+        representative_matrix(model, 200, 100)
+
+
+def test_leading_block_model_of_two_atoms():
+    model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
+    minor = leading_block_model(representative_matrix(model, 200, 100), 100, 0.5)
+    assert minor.atoms == ((-1.0, 0.5), (1.0, 0.5))
+    assert minor.q == 0.5

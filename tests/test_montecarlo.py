@@ -142,6 +142,8 @@ def test_bernoulli_spike_deterministic_p_one():
     assert est.kind == "deficit"
     assert abs(est.mean) < 1e-10
     assert report.theory[0] == 0.0
+    assert {"aborted_trials", "absorbed_trials", "pool_threads",
+            "trial_blas_threads"} <= report.extras.keys()
 
 
 def test_bernoulli_bulk_report_shape():
@@ -217,6 +219,23 @@ def test_blas_count_restored_after_failed_run(blas_threads):
     assert get_threads() == 2
     with pytest.raises(RuntimeError):
         _run_trials(8, 2, worker_bug)
+    assert get_threads() == 2
+
+
+def test_drift_probe_steps_with_one_blas_thread_and_restores(blas_threads, monkeypatch):
+    get_threads, _ = blas_threads
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        seen.append(get_threads())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    drift_probe(20, 10, 1.0, trials=1000, seed=3)
+    # the frozen state is decomposed first, with the caller's count
+    assert seen[:2] == [2, 2]
+    assert set(seen[2:]) == {1}
     assert get_threads() == 2
 
 

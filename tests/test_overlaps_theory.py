@@ -16,7 +16,6 @@ from minor_overlaps import (
     interlace_interval,
     kernel_goe_value,
     kernel_peak_location,
-    minor_truncate,
     overlap_grid,
     overlap_kernel,
     overlap_kernel_goe,
@@ -110,7 +109,7 @@ def test_evolved_transform_against_finite_size_average():
     vals = np.empty(trials, dtype=complex)
     for m in range(trials):
         x = sample_goe(n_dim, t, derive_stream(909, m))
-        grid = overlap_grid(eig_sym(x), eig_sym(minor_truncate(x, n)), n)
+        grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
         u = 1.0 / (zt - grid.minor_evals)
         v = 1.0 / (z - grid.full_evals)
         vals[m] = (u @ grid.values @ v) / n_dim
@@ -198,7 +197,7 @@ def test_general_kernel_against_binned_monte_carlo():
     diffs = []
     for m in range(trials):
         x = a + sample_goe(n_dim, t, derive_stream(404, m))
-        grid = overlap_grid(eig_sym(x), eig_sym(minor_truncate(x, n)), n)
+        grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
         isel = np.flatnonzero(np.abs(grid.minor_evals - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(grid.full_evals - lam0) <= window / 2)
         pair_diffs = []
