@@ -54,7 +54,6 @@ from .montecarlo import (
 from .overlaps_theory import (
     FiniteInitialTransform,
     NullInitialTransform,
-    OverlapKernelPoint,
     bernoulli_spike_overlap,
     evolve_double_stieltjes,
     initial_minor_spike_from_position,
@@ -63,7 +62,6 @@ from .overlaps_theory import (
     kernel_goe_value,
     kernel_peak_location,
     overlap_kernel,
-    overlap_kernel_goe,
     spike_bulk_mass,
     spike_bulk_overlap,
     spike_spike_overlap,

@@ -68,8 +68,9 @@ def _emit_report(args, report, to_csv):
 
 
 def _fmt_run(extras) -> str:
+    refused = f" refused={extras['refused_nodes']}" if "refused_nodes" in extras else ""
     return (f"aborted={extras['aborted_trials']} pool_threads={extras['pool_threads']} "
-            f"trial_blas_threads={extras['trial_blas_threads']}")
+            f"trial_blas_threads={extras['trial_blas_threads']}{refused}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,19 @@ def _theory_grid(t: float, bins: int, radius_scale: float = 1.0) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
+_THEORY_FLAGS = {"q": "--q", "spike": "--lambda", "mu": "--mu"}
+
+
+def _require(args, mode: str, *dests):
+    """Raise ``ValueError`` naming each flag of ``dests`` that ``mode`` needs and lacks."""
+    missing = [_THEORY_FLAGS[d] for d in dests if getattr(args, d) is None]
+    if missing:
+        raise ValueError(f"theory {mode} needs {' and '.join(missing)}")
+
+
 def cmd_theory(args) -> int:
     if args.kernel == "goe":
+        _require(args, "--kernel goe", "q")
         q, t = args.q, args.t
         mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
         lams = _theory_grid(t, args.bins)
@@ -94,10 +106,12 @@ def cmd_theory(args) -> int:
     if args.kernel == "general":
         return _cmd_theory_general(args)
     if args.spike_f:
+        _require(args, "--spike-f", "spike", "mu", "q")
         val = overlaps_theory.spike_spike_overlap(args.spike, args.mu, args.q, args.t)
         _emit(args, reports.value_csv(val))
         return 0
     if args.spike_g:
+        _require(args, "--spike-g", "spike", "q")
         q, t, spike = args.q, args.t, args.spike
         if args.mu is not None:
             _emit(args, reports.value_csv(
@@ -110,19 +124,24 @@ def cmd_theory(args) -> int:
                                              leading="mu"))
         return 0
     if args.lambda_star:
+        _require(args, "--lambda-star", "mu", "q")
         _emit(args, reports.value_csv(
             overlaps_theory.kernel_peak_location(args.mu, args.t, args.q)))
         return 0
     if args.interlace:
+        _require(args, "--interlace", "q")
         lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
         _emit(args, reports.simple_csv("x,t,q,lower,upper",
                                         [(args.x, args.t, args.q, lo, hi)]))
         return 0
     if args.spike_mass:
+        _require(args, "--spike-mass", "spike", "q")
         _emit(args, reports.value_csv(
             overlaps_theory.spike_bulk_mass(args.spike, args.q, args.t)))
         return 0
     if args.bernoulli_expansion:
+        if args.n is None and args.q is None:
+            raise ValueError("theory --bernoulli-expansion needs --n or --q")
         n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
         _emit(args, reports.value_csv(
             overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
@@ -136,29 +155,35 @@ def _cmd_theory_general(args) -> int:
         raise ValueError("theory --kernel general needs --model <spectrum json>")
     model = SpectrumModel.from_json(Path(args.model).read_text())
     q, t = (args.q if args.q is not None else model.q), args.t
-    if args.mu is None:
-        raise ValueError("theory --kernel general needs --mu")
+    _require(args, "--kernel general", "mu")
     if args.lambda_range is None:
         raise ValueError("theory --kernel general needs --lambda-range LO HI")
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
     n0_minor = minor_size(q, args.n0)
     a_mat = representative_matrix(model, args.n0, n0_minor)
     s0 = FiniteInitialTransform.from_matrix(a_mat, n0_minor)
     minor_model = leading_block_model(a_mat, n0_minor, q)
     full_ev = lambda z: solve_stieltjes(model, z, t)
     minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
+    minor_b = boundary_values(minor_ev, args.mu, t)
+    if minor_b.edge_flagged:
+        raise DomainError(f"mu={args.mu} lies outside the minor bulk or at its edge "
+                          f"(minor rho={minor_b.rho:.3e}); every point would be refused")
 
     lo, hi = args.lambda_range
     lams, ws, wrhos = [], [], []
     for lam in np.linspace(lo, hi, args.bins):
+        full_b = boundary_values(full_ev, lam, t)
         try:
-            point = overlaps_theory.overlap_kernel(s0, args.mu, lam, t, q, full_ev, minor_ev)
+            w = overlaps_theory.overlap_kernel(s0, minor_b, full_b, t, q)
         except DomainError:
             continue
-        rho = boundary_values(full_ev, lam, t).rho
         lams.append(lam)
-        ws.append(point.value)
-        wrhos.append(point.value * rho)
+        ws.append(w)
+        wrhos.append(w * full_b.rho)
     _emit(args, reports.theory_curve_csv(lams, args.mu, t, q, ws, wrhos))
+    _note(f"refused={args.bins - len(lams)}")
     return 0
 
 

@@ -29,6 +29,10 @@ from .errors import ConvergenceError
 DEFAULT_BOUNDARY_EPS = 1e-6
 #: densities below this are considered too close to a spectral edge to invert
 EDGE_DENSITY_THRESHOLD = 1e-3
+#: residual a solver root must reach on the Herglotz branch
+SOLVER_TOL = 1e-10
+#: damped Picard steps before the Newton polish
+SOLVER_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -227,8 +231,7 @@ def _newton_refine(model, z, t_shift, g, max_iter=60, tol=1e-13):
     return g
 
 
-def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float,
-                   tol: float, max_iter: int) -> complex:
+def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float) -> complex:
     """Solve ``G = G0(z - t_shift G)`` on the Herglotz branch.
 
     Damped Picard iteration from ``G0(z)`` with Newton polish; if the result
@@ -242,7 +245,7 @@ def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float,
         return stieltjes_atomic(model, z)
 
     g = stieltjes_atomic(model, z)
-    for _ in range(max_iter):
+    for _ in range(SOLVER_MAX_ITER):
         g_next = 0.5 * g + 0.5 * stieltjes_atomic(model, z - t_shift * g)
         if abs(g_next - g) < 1e-15:
             g = g_next
@@ -250,7 +253,7 @@ def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float,
         g = g_next
     g = _newton_refine(model, z, t_shift, g)
     residual = abs(g - stieltjes_atomic(model, z - t_shift * g))
-    if residual < tol and _herglotz_ok(z, g):
+    if residual < SOLVER_TOL and _herglotz_ok(z, g):
         return g
 
     # continuation from far off the axis, same half-plane as z
@@ -266,7 +269,7 @@ def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float,
         g = _newton_refine(model, complex(np.real(z), sign * y), t_shift, g)
     g = _newton_refine(model, z, t_shift, g)
     residual = abs(g - stieltjes_atomic(model, z - t_shift * g))
-    if residual < tol and _herglotz_ok(z, g):
+    if residual < SOLVER_TOL and _herglotz_ok(z, g):
         return g
     raise ConvergenceError(
         f"implicit Stieltjes solve failed at z={z}, shift={t_shift}: "
@@ -275,16 +278,14 @@ def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float,
     )
 
 
-def solve_stieltjes(model: SpectrumModel, z: complex, t: float,
-                    tol: float = 1e-10, max_iter: int = 500) -> complex:
+def solve_stieltjes(model: SpectrumModel, z: complex, t: float) -> complex:
     """Transform of ``A + noise(t)`` for an initial spectrum given by ``model``."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _solve_shifted(model, z, t, tol, max_iter)
+    return _solve_shifted(model, z, t)
 
 
-def solve_minor_stieltjes(model: SpectrumModel, z: complex, t: float, q: float,
-                          tol: float = 1e-10, max_iter: int = 500) -> complex:
+def solve_minor_stieltjes(model: SpectrumModel, z: complex, t: float, q: float) -> complex:
     """Minor-side transform: same equation with characteristic shift ``q * t``.
 
     ``model`` describes the minor's *nonzero* initial spectrum (normalized to
@@ -294,7 +295,7 @@ def solve_minor_stieltjes(model: SpectrumModel, z: complex, t: float, q: float,
         raise ValueError("t must be >= 0")
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
-    return _solve_shifted(model, z, q * t, tol, max_iter)
+    return _solve_shifted(model, z, q * t)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +308,8 @@ class BoundaryValues:
 
     ``warn_extrapolation`` is set when the two-epsilon Richardson step
     disagrees with itself by more than 1e-4 relative; ``edge_flagged`` marks
-    points whose density is too small (or too close to a known support edge)
-    for downstream inversion to divide by it.
+    points whose density is below ``EDGE_DENSITY_THRESHOLD``, too small for
+    downstream inversion to divide by it.
     """
 
     v: float
@@ -320,8 +321,7 @@ class BoundaryValues:
 
 
 def boundary_values(evaluator, lam: float, t: float,
-                    eps0: float = DEFAULT_BOUNDARY_EPS,
-                    support_edges=None) -> BoundaryValues:
+                    eps0: float = DEFAULT_BOUNDARY_EPS) -> BoundaryValues:
     """Extract ``(v, rho)`` at ``lam`` from an evaluator of ``z -> G(z)``.
 
     Evaluates at ``lam - i*eps0`` and ``lam - i*eps0/2`` and Richardson
@@ -334,11 +334,9 @@ def boundary_values(evaluator, lam: float, t: float,
     v = float(np.real(g))
     rho = max(float(np.imag(g)) / np.pi, 0.0)
     warn = abs(g1 - g2) > 1e-4 * max(1.0, abs(g))
-    edge = rho < EDGE_DENSITY_THRESHOLD
-    if support_edges is not None and len(support_edges):
-        edge = edge or min(abs(lam - e) for e in support_edges) < 1e-3
     return BoundaryValues(v=v, rho=rho, lam=float(lam), t=float(t),
-                          warn_extrapolation=bool(warn), edge_flagged=bool(edge))
+                          warn_extrapolation=bool(warn),
+                          edge_flagged=rho < EDGE_DENSITY_THRESHOLD)
 
 
 def scan_support_edge(evaluator, inside: float, outside: float,

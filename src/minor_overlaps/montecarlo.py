@@ -359,25 +359,29 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     Five-point Gauss nodes per bin, weighted by the boundary density; bins
     inside spectral gaps or edge zones (all nodes refused) get NaN theory and
     drop out of coverage, matching the absence of eigenvalues there.
+    Returns ``(theory, rho_bar, refused_nodes)``.
     """
     nodes, gauss_w = np.polynomial.legendre.leggauss(5)
+    minor_b = boundary_values(minor_ev, mu_hat, t)
     theory = np.full(edges.size - 1, np.nan)
     rho_bar = np.zeros(edges.size - 1)
+    refused = 0
     for b, (a, c) in enumerate(zip(edges[:-1], edges[1:])):
         lams = 0.5 * (a + c) + 0.5 * (c - a) * nodes
-        rhos = np.array([boundary_values(full_ev, lam, t).rho for lam in lams])
-        rho_bar[b] = float(gauss_w @ rhos / gauss_w.sum())
+        full_bs = [boundary_values(full_ev, lam, t) for lam in lams]
+        rho_bar[b] = float(gauss_w @ np.array([fb.rho for fb in full_bs]) / gauss_w.sum())
         weights, values = [], []
-        for lam, rho, gw in zip(lams, rhos, gauss_w):
+        for full_b, gw in zip(full_bs, gauss_w):
             try:
-                point = overlap_kernel(s0, mu_hat, lam, t, q, full_ev, minor_ev)
+                value = overlap_kernel(s0, minor_b, full_b, t, q)
             except DomainError:
+                refused += 1
                 continue
-            weights.append(gw * rho)
-            values.append(point.value)
+            weights.append(gw * full_b.rho)
+            values.append(value)
         if len(values) >= 2 and sum(weights) > 0:
             theory[b] = float(np.dot(weights, values) / np.sum(weights))
-    return theory, rho_bar
+    return theory, rho_bar, refused
 
 
 def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = None,
@@ -473,8 +477,8 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         theory, rho_bar = _binned_semicircle_average(
             lambda l: kernel_goe_value(mu_hat, l, t, q), edges, t)
     else:
-        theory, rho_bar = _binned_general_theory(s0, mu_hat, t, q,
-                                                 full_ev, minor_ev, edges)
+        theory, rho_bar, refused = _binned_general_theory(s0, mu_hat, t, q,
+                                                          full_ev, minor_ev, edges)
     interior = _interior_mask(centers, lo_edge, hi_edge)
     rows, coverage = _binned(kept, edges, theory, interior)
 
@@ -496,6 +500,8 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         lo, hi = interlace_interval(config.x, t, q)
         extras["interlace_lo"] = float(lo)
         extras["interlace_hi"] = float(hi)
+    else:
+        extras["refused_nodes"] = refused
 
     return ExperimentReport(
         config=config,

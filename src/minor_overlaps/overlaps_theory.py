@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .freeprob import (
-    DEFAULT_BOUNDARY_EPS,
-    EDGE_DENSITY_THRESHOLD,
-    boundary_values,
-    semicircle_quantile,
-)
+from .freeprob import BoundaryValues, semicircle_quantile
 from .spectral import eig_sym, overlap_grid
 
 _POLE_TOL = 1e-12
@@ -113,17 +108,6 @@ def evolve_double_stieltjes(s0, z: complex, z_tilde: complex, t: float, q: float
     return s_init / denom
 
 
-@dataclass(frozen=True)
-class OverlapKernelPoint:
-    """One evaluation of the limiting rescaled mean squared overlap."""
-
-    mu: float
-    lam: float
-    t: float
-    q: float
-    value: float
-
-
 def _riccati(s0_val: complex, t: float) -> complex:
     denom = 1.0 - t * s0_val
     if abs(denom) < _POLE_TOL:
@@ -131,38 +115,36 @@ def _riccati(s0_val: complex, t: float) -> complex:
     return s0_val / denom
 
 
-def overlap_kernel(s0, mu: float, lam: float, t: float, q: float,
-                   full_ev, minor_ev,
-                   eps0: float = DEFAULT_BOUNDARY_EPS) -> OverlapKernelPoint:
-    """General-spectrum kernel via double inversion on the real axis.
+def overlap_kernel(s0, minor_b: BoundaryValues, full_b: BoundaryValues,
+                   t: float, q: float) -> float:
+    """General-spectrum kernel ``W(mu, lam, t)`` via double inversion on the real axis.
 
-    Requires both evaluation points strictly inside their bulks; points whose
-    extracted density falls below the edge threshold are refused rather than
-    divided by.  No extra epsilon enters the final evaluation: the
-    characteristic endpoints already carry imaginary parts ``-pi t rho`` and
-    ``-+ q pi t rho_tilde`` that keep ``s0`` away from its real poles.
+    ``minor_b`` holds the minor transform's boundary values at ``mu =
+    minor_b.lam`` and ``full_b`` the full transform's at ``lam = full_b.lam``,
+    both at time ``t``.  Both points must lie strictly inside their bulks:
+    an edge-flagged side is refused rather than divided by.  No extra epsilon
+    enters the final evaluation: the characteristic endpoints already carry
+    imaginary parts ``-pi t rho`` and ``-+ q pi t rho_tilde`` that keep
+    ``s0`` away from its real poles.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
     if not 0.0 < q < 1.0:
         raise DomainError("kernel inversion requires 0 < q < 1")
-    full_b = boundary_values(full_ev, lam, t, eps0=eps0)
-    minor_b = boundary_values(minor_ev, mu, t, eps0=eps0)
-    if full_b.edge_flagged or full_b.rho < EDGE_DENSITY_THRESHOLD:
+    if full_b.edge_flagged:
         raise DomainError(
-            f"lam={lam} is edge-flagged (rho={full_b.rho:.3e}); kernel undefined there"
+            f"lam={full_b.lam} is edge-flagged (rho={full_b.rho:.3e}); kernel undefined there"
         )
-    if minor_b.edge_flagged or minor_b.rho < EDGE_DENSITY_THRESHOLD:
+    if minor_b.edge_flagged:
         raise DomainError(
-            f"mu={mu} is edge-flagged (minor rho={minor_b.rho:.3e}); kernel undefined there"
+            f"mu={minor_b.lam} is edge-flagged (minor rho={minor_b.rho:.3e}); "
+            "kernel undefined there"
         )
-    y = complex(lam - t * full_b.v, -np.pi * t * full_b.rho)
-    y_tilde = complex(mu - q * t * minor_b.v, -q * np.pi * t * minor_b.rho)
+    y = complex(full_b.lam - t * full_b.v, -np.pi * t * full_b.rho)
+    y_tilde = complex(minor_b.lam - q * t * minor_b.v, -q * np.pi * t * minor_b.rho)
     plus = _riccati(s0(y, np.conj(y_tilde)), t)
     minus = _riccati(s0(y, y_tilde), t)
-    value = float(np.real(plus - minus)) / (2.0 * q * np.pi ** 2 * full_b.rho * minor_b.rho)
-    return OverlapKernelPoint(mu=float(mu), lam=float(lam), t=float(t), q=float(q),
-                              value=value)
+    return float(np.real(plus - minus)) / (2.0 * q * np.pi ** 2 * full_b.rho * minor_b.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +164,6 @@ def kernel_goe_value(mu, lam, t: float, q: float):
         raise DomainError("kernel denominator is not positive; point outside the bulk box")
     val = (1.0 - q) * t / denom
     return val if val.ndim else float(val)
-
-
-def overlap_kernel_goe(mu: float, lam: float, t: float, q: float) -> OverlapKernelPoint:
-    """Closed-form kernel point ``(1-q) t / ((1-q)^2 t + (lam-mu)(q lam-mu))``."""
-    return OverlapKernelPoint(mu=float(mu), lam=float(lam), t=float(t), q=float(q),
-                              value=kernel_goe_value(mu, lam, t, q))
 
 
 def kernel_peak_location(mu: float, t: float, q: float) -> float:

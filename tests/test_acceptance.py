@@ -16,6 +16,7 @@ from minor_overlaps import (
     ASpec,
     ExperimentConfig,
     NullInitialTransform,
+    boundary_values,
     cli,
     correlation_probe,
     derive_stream,
@@ -109,10 +110,11 @@ def test_criterion_3_formula_consistency():
 
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
+    minor_bs = [boundary_values(minor_ev, mu, t) for mu in mus]
+    full_bs = [boundary_values(full_ev, lam, t) for lam in lams]
     worst_kernel = max(
-        abs(overlap_kernel(s0, mu, lam, t, q, full_ev, minor_ev).value
-            - kernel_goe_value(mu, lam, t, q))
-        for mu in mus for lam in lams)
+        abs(overlap_kernel(s0, mb, fb, t, q) - kernel_goe_value(mb.lam, fb.lam, t, q))
+        for mb in minor_bs for fb in full_bs)
 
     rng = np.random.default_rng(33)
     worst_s0 = 0.0

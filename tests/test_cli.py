@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,7 @@ def test_compare_runs_and_gates(capsys, tmp_path):
     code, _, stderr = _run(capsys, args + ["--min-coverage", "0.0"])
     assert code == 0
     assert "coverage=" in stderr and "aborted=0 pool_threads=" in stderr
+    assert "refused=" not in stderr  # closed-form theory refuses no node
     code, _, _ = _run(capsys, args + ["--min-coverage", "1.5"])
     assert code == 3
 
@@ -138,14 +140,16 @@ def test_simulate_with_spectrum_model(capsys, tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     out = tmp_path / "general.csv"
-    code, _, stderr = _run(capsys, [
-        "simulate", "--N", "120", "--qfrac", "0.5", "--t", "1", "--trials", "100",
-        "--bins", "15", "--seed", "12", "--model", str(model_path), "--out", str(out)])
-    assert code == 0
-    assert "aborted=0 pool_threads=" in stderr and "trial_blas_threads=" in stderr
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == BULK_CURVE_HEADER
-    assert len(lines) == 16
+    for command in (["simulate"], ["compare", "--min-coverage", "0"]):
+        code, _, stderr = _run(capsys, command + [
+            "--N", "120", "--qfrac", "0.5", "--t", "1", "--trials", "100",
+            "--bins", "15", "--seed", "12", "--model", str(model_path), "--out", str(out)])
+        assert code == 0
+        assert "aborted=0 pool_threads=" in stderr and "trial_blas_threads=" in stderr
+        assert re.search(r"trial_blas_threads=\S+ refused=\d+$", stderr.strip())
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == BULK_CURVE_HEADER
+        assert len(lines) == 16
 
 
 def test_model_atom_without_entries_exits_two(capsys, tmp_path):
@@ -183,10 +187,21 @@ def test_model_atom_outside_minor_block_exits_two(capsys, tmp_path):
         assert "atom at 5.0" in stderr and "leading 100x100 block at size 200" in stderr
 
 
-def test_theory_general_kernel_curve(capsys, tmp_path):
+def _counting(calls, key, fn):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+    return counted
+
+
+def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
-    code, stdout, _ = _run(capsys, [
+    calls = {"full": 0, "minor": 0}
+    monkeypatch.setattr(cli, "solve_stieltjes", _counting(calls, "full", cli.solve_stieltjes))
+    monkeypatch.setattr(cli, "solve_minor_stieltjes",
+                        _counting(calls, "minor", cli.solve_minor_stieltjes))
+    code, stdout, stderr = _run(capsys, [
         "theory", "--kernel", "general", "--model", str(model_path), "--qfrac", "0.5",
         "--t", "1", "--mu", "0.5", "--lambda-range", "-1.5", "1.5",
         "--bins", "12", "--n0", "200"])
@@ -196,6 +211,41 @@ def test_theory_general_kernel_curve(capsys, tmp_path):
     assert len(lines) >= 6  # gap rows are skipped
     for line in lines[1:]:
         assert float(line.split(",")[4]) > 0
+    assert stderr.strip() == f"refused={12 - (len(lines) - 1)}"
+    # one Richardson pair for the minor value at mu, one per lambda on the full side
+    assert calls == {"full": 2 * 12, "minor": 2}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--qfrac", "1"], "0 < q < 1"),
+    (["--qfrac", "0.5", "--mu", "5"], "mu=5.0 lies outside the minor bulk"),
+], ids=["q-one", "mu-outside-minor-bulk"])
+def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
+    code, stdout, stderr = _run(capsys, [
+        "theory", "--kernel", "general", "--model", str(model_path), "--mu", "0.3",
+        "--lambda-range", "-2.5", "2.5", "--bins", "8", "--n0", "200"] + flags)
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--kernel", "goe", "--t", "1"], "--q"),
+    (["--spike-f", "--t", "0.2", "--q", "0.3"], "--lambda"),
+    (["--spike-g", "--t", "1", "--q", "0.5"], "--lambda"),
+    (["--lambda-star", "--t", "1", "--q", "0.5"], "--mu"),
+    (["--interlace", "--t", "1"], "--q"),
+    (["--spike-mass", "--q", "0.5"], "--lambda"),
+    (["--bernoulli-expansion", "--N", "100"], "--q"),
+], ids=["kernel-goe", "spike-f", "spike-g", "lambda-star", "interlace", "spike-mass",
+        "bernoulli-expansion"])
+def test_theory_missing_flag_exits_two(capsys, argv, flag):
+    code, stdout, stderr = _run(capsys, ["theory"] + argv)
+    assert code == 2
+    assert stdout == ""
+    assert flag in stderr
 
 
 def test_probe_correlation_command(capsys):

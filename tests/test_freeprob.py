@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from minor_overlaps import (
@@ -111,6 +113,44 @@ def test_solver_residual_and_herglotz_property():
         residual = abs(g - stieltjes_atomic(model, z - t * g))
         assert residual < 1e-10
         assert (z.imag > 0) == (g.imag < 0)
+
+
+@st.composite
+def _atomic_models(draw):
+    k = draw(st.integers(1, 6))
+    locs = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return SpectrumModel(atoms=tuple(zip(locs, weights / weights.sum())))
+
+
+def _both_solvers(model, z, t, q):
+    """(root, characteristic shift) of the full and of the minor solver."""
+    return ((solve_stieltjes(model, z, t), t),
+            (solve_minor_stieltjes(model, z, t, q), q * t))
+
+
+@settings(max_examples=200)
+@given(model=_atomic_models(), t=st.floats(0.05, 2.0), q=st.floats(0.05, 1.0),
+       re=st.floats(-6.0, 6.0), im=st.floats(1e-4, 2.0), upper=st.booleans())
+def test_solvers_return_herglotz_roots_on_random_models(model, t, q, re, im, upper):
+    z = complex(re, im if upper else -im)
+    for g, shift in _both_solvers(model, z, t, q):
+        assert abs(g - stieltjes_atomic(model, z - shift * g)) < 1e-10
+        assert np.sign(g.imag) == -np.sign(z.imag)
+
+
+@settings(max_examples=200)
+@given(model=_atomic_models(), t=st.floats(0.05, 2.0), q=st.floats(0.05, 1.0),
+       scale=st.floats(100.0, 1e4), angle=st.floats(0.01, np.pi - 0.01),
+       upper=st.booleans())
+def test_solvers_decay_like_one_over_z(model, t, q, scale, angle, upper):
+    # both evolved measures live in [-R, R], so |z G(z) - 1| <= R / (|z| - R)
+    # <= 2R/|z| once |z| >= 100 R
+    radius = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t)
+    z = scale * radius * np.exp(1j * angle)
+    z = z if upper else np.conj(z)
+    for g, _ in _both_solvers(model, z, t, q):
+        assert abs(z * g - 1.0) <= 2.0 * radius / abs(z)
 
 
 def test_solver_against_cubic_oracle_near_cusp():

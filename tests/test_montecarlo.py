@@ -7,6 +7,7 @@ import pytest
 from minor_overlaps import (
     ASpec,
     ExperimentConfig,
+    NullInitialTransform,
     correlation_probe,
     drift_probe,
     drift_step_consistency,
@@ -14,10 +15,16 @@ from minor_overlaps import (
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
+    semicircle_stieltjes,
     spike_path_series,
 )
 from minor_overlaps.errors import NumericError
-from minor_overlaps.montecarlo import Z_99, _openblas_threads, _run_trials
+from minor_overlaps.montecarlo import (
+    Z_99,
+    _binned_general_theory,
+    _openblas_threads,
+    _run_trials,
+)
 
 
 def _small_bulk_config(**overrides):
@@ -33,6 +40,7 @@ def test_bulk_report_structure_and_audits():
     assert len(report.theory) == 15
     assert report.extras["aborted_trials"] == 0
     assert report.extras["worst_row_sum_error"] < 1e-10
+    assert "refused_nodes" not in report.extras  # the closed form refuses nothing
     assert 0.0 <= report.coverage <= 1.0
     for est, th in zip(report.estimates, report.theory):
         assert th > 0
@@ -171,10 +179,34 @@ def test_bulk_general_spectrum_run():
     assert comparable.sum() >= 8
     assert np.nanmin(theory) > 0
     assert report.coverage >= 0.5
+    # a bin gets NaN theory only when at least four of its five nodes are refused
+    assert report.extras["refused_nodes"] >= 4 * np.isnan(theory).sum()
     # support scan found the symmetric edges of the evolved density
     edges = report.extras["bin_edges"]
     assert edges[0] == pytest.approx(-edges[-1], abs=1e-4)
     assert 2.2 < edges[-1] < 2.7
+
+
+@pytest.mark.parametrize("mu_hat, refused", [(0.2, 0), (5.0, 5 * 6)])
+def test_general_theory_computes_each_boundary_value_once(mu_hat, refused):
+    q, t, bins = 0.5, 1.0, 6
+    calls = {"full": 0, "minor": 0}
+
+    def counting(key, t_eff):
+        def evaluator(z):
+            calls[key] += 1
+            return semicircle_stieltjes(z, t_eff)
+        return evaluator
+
+    theory, rho_bar, got_refused = _binned_general_theory(
+        NullInitialTransform(q), mu_hat, t, q, counting("full", t), counting("minor", q * t),
+        np.linspace(-1.8, 1.8, bins + 1))
+    # one Richardson pair at mu_hat, one per Gauss node on the full side
+    assert calls == {"full": 2 * 5 * bins, "minor": 2}
+    assert got_refused == refused
+    assert np.all(rho_bar > 0)
+    # a refused minor point refuses every node: all theory is NaN
+    assert np.all(np.isnan(theory)) == (refused > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from minor_overlaps import (
     kernel_peak_location,
     overlap_grid,
     overlap_kernel,
-    overlap_kernel_goe,
     sample_goe,
     semicircle_density,
     semicircle_quantile,
@@ -28,7 +27,12 @@ from minor_overlaps import (
     spike_spike_overlap,
     spike_trajectories,
 )
-from minor_overlaps.freeprob import SpectrumModel, solve_minor_stieltjes, solve_stieltjes
+from minor_overlaps.freeprob import (
+    SpectrumModel,
+    boundary_values,
+    solve_minor_stieltjes,
+    solve_stieltjes,
+)
 
 TWO_ATOMS = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
 
@@ -127,8 +131,6 @@ def test_evolved_transform_against_finite_size_average():
 def test_kernel_goe_direct_values():
     assert kernel_goe_value(0.0, 0.0, 1.0, 0.5) == pytest.approx(2.0)
     assert kernel_goe_value(0.0, 1.0, 1.0, 0.5) == pytest.approx(0.5 / 0.75)
-    point = overlap_kernel_goe(0.3, -0.2, 1.0, 0.9)
-    assert point.value == pytest.approx(kernel_goe_value(0.3, -0.2, 1.0, 0.9))
 
 
 def test_kernel_goe_symmetry_and_peaking_limit():
@@ -151,9 +153,10 @@ def test_general_kernel_matches_closed_form_on_grid():
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
     worst = 0.0
     for mu in mus:
+        minor_b = boundary_values(minor_ev, mu, t)
         for lam in lams:
-            point = overlap_kernel(s0, mu, lam, t, q, full_ev, minor_ev)
-            worst = max(worst, abs(point.value - kernel_goe_value(mu, lam, t, q)))
+            value = overlap_kernel(s0, minor_b, boundary_values(full_ev, lam, t), t, q)
+            worst = max(worst, abs(value - kernel_goe_value(mu, lam, t, q)))
     assert worst < 1e-8
 
 
@@ -161,8 +164,9 @@ def test_general_kernel_refuses_edge_points():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
     s0 = NullInitialTransform(q)
+    edge = boundary_values(full_ev, 2.0 * np.sqrt(t) - 1e-9, t)
     with pytest.raises(DomainError):
-        overlap_kernel(s0, 0.0, 2.0 * np.sqrt(t) - 1e-9, t, q, full_ev, minor_ev)
+        overlap_kernel(s0, boundary_values(minor_ev, 0.0, t), edge, t, q)
 
 
 def test_kernel_row_normalization_by_quadrature():
@@ -200,12 +204,13 @@ def test_general_kernel_against_binned_monte_carlo():
         grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
         isel = np.flatnonzero(np.abs(grid.minor_evals - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(grid.full_evals - lam0) <= window / 2)
+        minor_bs = {i: boundary_values(minor_ev, grid.minor_evals[i], t) for i in isel}
+        full_bs = {j: boundary_values(full_ev, grid.full_evals[j], t) for j in jsel}
         pair_diffs = []
         for i in isel:
             for j in jsel:
                 try:
-                    theory = overlap_kernel(s0, grid.minor_evals[i], grid.full_evals[j],
-                                            t, q, full_ev, minor_ev).value
+                    theory = overlap_kernel(s0, minor_bs[i], full_bs[j], t, q)
                 except DomainError:
                     continue
                 pair_diffs.append(n_dim * grid.values[i, j] - theory)
