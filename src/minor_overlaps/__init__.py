@@ -28,7 +28,6 @@ from .freeprob import (
     BoundaryValues,
     SpectrumModel,
     boundary_values,
-    leading_block_model,
     representative_matrix,
     scan_support_edge,
     semicircle_density,

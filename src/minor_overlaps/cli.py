@@ -23,7 +23,6 @@ from .errors import DomainError, NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
-    leading_block_model,
     representative_matrix,
     semicircle_density,
     semicircle_quantile,
@@ -35,12 +34,18 @@ from .overlaps_theory import FiniteInitialTransform
 from .spectral import minor_size
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+def _add_out(parser):
     parser.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
+
+
+def _add_report(parser, threads=True):
+    """Flags of the seeded subcommands; ``threads`` for those that run a trial pool."""
+    _add_out(parser)
+    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="pool worker threads, 0 = one per available core")
+    if threads:
+        parser.add_argument("--threads", type=int, default=0,
+                            help="pool worker threads, 0 = one per available core")
 
 
 def _add_q(parser, required=False):
@@ -161,29 +166,21 @@ def _cmd_theory_general(args) -> int:
     if not 0.0 < q < 1.0:
         raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
     n0_minor = minor_size(q, args.n0)
-    a_mat = representative_matrix(model, args.n0, n0_minor)
-    s0 = FiniteInitialTransform.from_matrix(a_mat, n0_minor)
-    minor_model = leading_block_model(a_mat, n0_minor, q)
+    s0 = FiniteInitialTransform.from_matrix(
+        representative_matrix(model, args.n0, n0_minor), n0_minor)
+    minor_model = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
     full_ev = lambda z: solve_stieltjes(model, z, t)
     minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
-    minor_b = boundary_values(minor_ev, args.mu, t)
+    minor_b = boundary_values(minor_ev, args.mu)
     if minor_b.edge_flagged:
         raise DomainError(f"mu={args.mu} lies outside the minor bulk or at its edge "
                           f"(minor rho={minor_b.rho:.3e}); every point would be refused")
 
-    lo, hi = args.lambda_range
-    lams, ws, wrhos = [], [], []
-    for lam in np.linspace(lo, hi, args.bins):
-        full_b = boundary_values(full_ev, lam, t)
-        try:
-            w = overlaps_theory.overlap_kernel(s0, minor_b, full_b, t, q)
-        except DomainError:
-            continue
-        lams.append(lam)
-        ws.append(w)
-        wrhos.append(w * full_b.rho)
-    _emit(args, reports.theory_curve_csv(lams, args.mu, t, q, ws, wrhos))
-    _note(f"refused={args.bins - len(lams)}")
+    lams = np.linspace(*args.lambda_range, args.bins)
+    w, rho = montecarlo._kernel_curve(s0, minor_b, full_ev, lams, t, q)
+    ok = ~np.isnan(w)
+    _emit(args, reports.theory_curve_csv(lams[ok], args.mu, t, q, w[ok], w[ok] * rho[ok]))
+    _note(f"refused={args.bins - ok.sum()}")
     return 0
 
 
@@ -231,6 +228,8 @@ def cmd_compare(args) -> int:
 
 def cmd_spike(args) -> int:
     if args.mode == "spike" and args.path:
+        if args.format != "csv":
+            raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
         config = ExperimentConfig(
             n_dim=args.n_dim, q=args.q, t=args.t_max, trials=montecarlo.MIN_CI_TRIALS,
             master_seed=args.seed, target="spike_path",
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="closed-form curves and values")
-    _add_common(p)
+    _add_out(p)
     _add_q(p)
     p.add_argument("--kernel", choices=("goe", "general"), default=None)
     p.add_argument("--spike-f", action="store_true", dest="spike_f")
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("simulate", help="bulk Monte Carlo experiment")
-    _add_common(p)
+    _add_report(p)
     _add_q(p, required=True)
     p.add_argument("--N", type=int, required=True, dest="n_dim")
     p.add_argument("--t", type=float, default=1.0)
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="bulk experiment with coverage gate")
-    _add_common(p)
+    _add_report(p)
     _add_q(p, required=True)
     p.add_argument("--bulk", action="store_true", help="bulk kernel comparison (default)")
     p.add_argument("--N", type=int, required=True, dest="n_dim")
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("spike", help="spike-spike / spike-bulk experiments")
-    _add_common(p)
+    _add_report(p)
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("spike", "bulk"), required=True)
     p.add_argument("--lambda", type=float, required=True, dest="spike")
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spike)
 
     p = sub.add_parser("bernoulli", help="Bernoulli-ensemble experiments")
-    _add_common(p)
+    _add_report(p)
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("bulk", "spike"), required=True)
     p.add_argument("--p", type=float, required=True)
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("probe", help="SDE-level identity probes")
-    _add_common(p)
+    _add_report(p, threads=False)
     p.add_argument("--kind", choices=("correlation", "drift"), required=True)
     p.add_argument("--N", type=int, default=50, dest="n_dim")
     p.add_argument("--n", type=int, default=25)

@@ -31,8 +31,6 @@ DEFAULT_BOUNDARY_EPS = 1e-6
 EDGE_DENSITY_THRESHOLD = 1e-3
 #: residual a solver root must reach on the Herglotz branch
 SOLVER_TOL = 1e-10
-#: damped Picard steps before the Newton polish
-SOLVER_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,6 @@ def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None
                 raise ValueError(f"atom at {loc} with weight {weight} gets no entry in the "
                                  f"leading {n}x{n} block at size {n_dim}; use a larger size")
     return np.diag(diag)
-
-
-def leading_block_model(a: np.ndarray, n: int, q: float) -> SpectrumModel:
-    """Spectrum model of the leading ``n x n`` block of ``a``, the minor's initial spectrum."""
-    return SpectrumModel.from_eigenvalues(np.linalg.eigvalsh(a[:n, :n]), q=q)
 
 
 def stieltjes_atomic(model: SpectrumModel, w: complex) -> complex:
@@ -234,24 +227,17 @@ def _newton_refine(model, z, t_shift, g, max_iter=60, tol=1e-13):
 def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float) -> complex:
     """Solve ``G = G0(z - t_shift G)`` on the Herglotz branch.
 
-    Damped Picard iteration from ``G0(z)`` with Newton polish; if the result
-    misses the tolerance or lands on a non-Herglotz root (this happens near
-    cusps and edges), restart Newton from deep in the half-plane and walk the
-    imaginary part down to the target as a continuation.
+    Newton from ``G0(z)``.  If that root misses ``SOLVER_TOL`` or lies off
+    the Herglotz branch (this happens near cusps and edges), restart Newton
+    from deep in the same half-plane and walk the imaginary part down to the
+    target as a continuation.  Raises ``ConvergenceError`` when both fail.
     """
     if np.imag(z) == 0:
         raise ValueError("solver requires Im(z) != 0; pass lam - i*eps for boundary points")
     if t_shift == 0.0:
         return stieltjes_atomic(model, z)
 
-    g = stieltjes_atomic(model, z)
-    for _ in range(SOLVER_MAX_ITER):
-        g_next = 0.5 * g + 0.5 * stieltjes_atomic(model, z - t_shift * g)
-        if abs(g_next - g) < 1e-15:
-            g = g_next
-            break
-        g = g_next
-    g = _newton_refine(model, z, t_shift, g)
+    g = _newton_refine(model, z, t_shift, stieltjes_atomic(model, z))
     residual = abs(g - stieltjes_atomic(model, z - t_shift * g))
     if residual < SOLVER_TOL and _herglotz_ok(z, g):
         return g
@@ -315,18 +301,17 @@ class BoundaryValues:
     v: float
     rho: float
     lam: float
-    t: float
     warn_extrapolation: bool = False
     edge_flagged: bool = False
 
 
-def boundary_values(evaluator, lam: float, t: float,
+def boundary_values(evaluator, lam: float,
                     eps0: float = DEFAULT_BOUNDARY_EPS) -> BoundaryValues:
     """Extract ``(v, rho)`` at ``lam`` from an evaluator of ``z -> G(z)``.
 
     Evaluates at ``lam - i*eps0`` and ``lam - i*eps0/2`` and Richardson
     extrapolates to the axis.  ``evaluator`` must already be bound to the
-    time of interest; ``t`` is recorded for context only.
+    time of interest.
     """
     g1 = evaluator(complex(lam, -eps0))
     g2 = evaluator(complex(lam, -eps0 / 2.0))
@@ -334,7 +319,7 @@ def boundary_values(evaluator, lam: float, t: float,
     v = float(np.real(g))
     rho = max(float(np.imag(g)) / np.pi, 0.0)
     warn = abs(g1 - g2) > 1e-4 * max(1.0, abs(g))
-    return BoundaryValues(v=v, rho=rho, lam=float(lam), t=float(t),
+    return BoundaryValues(v=v, rho=rho, lam=float(lam),
                           warn_extrapolation=bool(warn),
                           edge_flagged=rho < EDGE_DENSITY_THRESHOLD)
 
@@ -347,10 +332,7 @@ def scan_support_edge(evaluator, inside: float, outside: float,
     ``inside`` must have density above ``threshold`` and ``outside`` below.
     A small ``eps`` keeps the epsilon-smearing of the edge below ``tol``.
     """
-    def rho_at(lam):
-        g1 = evaluator(complex(lam, -eps))
-        g2 = evaluator(complex(lam, -eps / 2.0))
-        return np.imag(2.0 * g2 - g1) / np.pi
+    rho_at = lambda lam: boundary_values(evaluator, lam, eps0=eps).rho
 
     if rho_at(inside) <= threshold:
         raise ValueError("'inside' point does not sit inside the support")

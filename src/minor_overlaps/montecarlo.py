@@ -50,7 +50,6 @@ from .errors import DomainError, NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
-    leading_block_model,
     scan_support_edge,
     semicircle_density,
     solve_minor_stieltjes,
@@ -344,13 +343,29 @@ def _bin_means(values: np.ndarray, positions: np.ndarray, edges: np.ndarray):
 
 def _scan_general_support(full_ev, model: SpectrumModel, t: float):
     """Support bounds of the evolved density for a general initial spectrum."""
-    span = float(np.max(np.abs(model._locs))) + 2.0 * np.sqrt(t) + 1.0
+    span = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t) + 1.0
     grid = np.linspace(-span, span, 61)
     dens = [np.imag(full_ev(complex(x, -1e-6))) / np.pi for x in grid]
     inside = float(grid[int(np.argmax(dens))])
     hi = scan_support_edge(full_ev, inside, span)
     lo = scan_support_edge(full_ev, inside, -span)
     return lo, hi
+
+
+def _kernel_curve(s0, minor_b, full_ev, lams, t, q):
+    """General kernel at ``mu = minor_b.lam`` over ``lams``, with the full density there.
+
+    Returns ``(w, rho)``: ``w`` is NaN where :func:`overlap_kernel` refuses
+    the point (edge or gap), ``rho`` the full boundary density at every point.
+    """
+    full_bs = [boundary_values(full_ev, lam) for lam in lams]
+    w = np.full(len(full_bs), np.nan)
+    for k, full_b in enumerate(full_bs):
+        try:
+            w[k] = overlap_kernel(s0, minor_b, full_b, t, q)
+        except DomainError:
+            pass
+    return w, np.array([b.rho for b in full_bs])
 
 
 def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
@@ -362,26 +377,17 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     Returns ``(theory, rho_bar, refused_nodes)``.
     """
     nodes, gauss_w = np.polynomial.legendre.leggauss(5)
-    minor_b = boundary_values(minor_ev, mu_hat, t)
+    centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    lams = centers[:, None] + halves[:, None] * nodes
+    w, rho = _kernel_curve(s0, boundary_values(minor_ev, mu_hat), full_ev, lams.ravel(), t, q)
+    w, rho = w.reshape(lams.shape), rho.reshape(lams.shape)
     theory = np.full(edges.size - 1, np.nan)
-    rho_bar = np.zeros(edges.size - 1)
-    refused = 0
-    for b, (a, c) in enumerate(zip(edges[:-1], edges[1:])):
-        lams = 0.5 * (a + c) + 0.5 * (c - a) * nodes
-        full_bs = [boundary_values(full_ev, lam, t) for lam in lams]
-        rho_bar[b] = float(gauss_w @ np.array([fb.rho for fb in full_bs]) / gauss_w.sum())
-        weights, values = [], []
-        for full_b, gw in zip(full_bs, gauss_w):
-            try:
-                value = overlap_kernel(s0, minor_b, full_b, t, q)
-            except DomainError:
-                refused += 1
-                continue
-            weights.append(gw * full_b.rho)
-            values.append(value)
-        if len(values) >= 2 and sum(weights) > 0:
-            theory[b] = float(np.dot(weights, values) / np.sum(weights))
-    return theory, rho_bar, refused
+    for b, ok in enumerate(~np.isnan(w)):
+        weights = gauss_w[ok] * rho[b, ok]
+        if ok.sum() >= 2 and weights.sum() > 0:
+            theory[b] = float(np.dot(weights, w[b, ok]) / np.sum(weights))
+    rho_bar = np.array([gauss_w @ r / gauss_w.sum() for r in rho])
+    return theory, rho_bar, int(np.isnan(w).sum())
 
 
 def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = None,
@@ -445,11 +451,11 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         hi_edge = 2.0 * np.sqrt(t)
         lo_edge = -hi_edge
     else:
-        full_model = SpectrumModel.from_eigenvalues(np.linalg.eigvalsh(a_mat))
-        minor_model = leading_block_model(a_mat, n, q)
+        s0 = FiniteInitialTransform.from_matrix(a_mat, n)
+        full_model = SpectrumModel.from_eigenvalues(s0.full_evals)
+        minor_model = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
         full_ev = lambda z: solve_stieltjes(full_model, z, t)
         minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
-        s0 = FiniteInitialTransform.from_matrix(a_mat, n)
         if config.bin_range is not None:
             lo_edge, hi_edge = config.bin_range
             edges = np.linspace(lo_edge, hi_edge, config.bins + 1)

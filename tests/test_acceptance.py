@@ -110,8 +110,8 @@ def test_criterion_3_formula_consistency():
 
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
-    minor_bs = [boundary_values(minor_ev, mu, t) for mu in mus]
-    full_bs = [boundary_values(full_ev, lam, t) for lam in lams]
+    minor_bs = [boundary_values(minor_ev, mu) for mu in mus]
+    full_bs = [boundary_values(full_ev, lam) for lam in lams]
     worst_kernel = max(
         abs(overlap_kernel(s0, mb, fb, t, q) - kernel_goe_value(mb.lam, fb.lam, t, q))
         for mb in minor_bs for fb in full_bs)

@@ -262,6 +262,24 @@ def test_unknown_flag_rejected():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", "--kernel", "goe", "--q", "0.5", "--format", "json"],
+    ["theory", "--kernel", "goe", "--q", "0.5", "--seed", "3"],
+    ["theory", "--kernel", "goe", "--q", "0.5", "--threads", "2"],
+    ["probe", "--kind", "correlation", "--N", "40", "--n", "20", "--samples", "10000",
+     "--threads", "2"],
+    ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "60",
+     "--steps", "2", "--format", "json"],
+], ids=["theory-format", "theory-seed", "theory-threads", "probe-threads", "spike-path-json"])
+def test_flag_the_subcommand_would_ignore_exits_two(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the subcommand does not declare
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
     def boom(config):
         raise NumericError("forced failure")

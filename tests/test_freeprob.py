@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from minor_overlaps import (
+    FiniteInitialTransform,
     SpectrumModel,
     boundary_values,
     derive_stream,
-    leading_block_model,
     representative_matrix,
     sample_goe,
     scan_support_edge,
@@ -163,12 +163,21 @@ def test_solver_against_cubic_oracle_near_cusp():
             assert abs(got - ref) < 1e-9
 
 
+def test_solver_accuracy_at_two_atom_cusp():
+    # |G| is about 8e-3 at the cusp, so a 5e-11 miss is a 6e-9 relative error
+    z, t = complex(0.0, -5e-7), 1.0
+    roots = np.roots([t * t, -2 * z * t, z * z - 1.0 + t, -z])
+    herglotz = roots[roots.imag > 0]
+    assert herglotz.size == 1
+    assert abs(solve_stieltjes(TWO_ATOMS, z, t) - herglotz[0]) < 5e-11
+
+
 def test_two_atom_density_mass_and_histogram():
     t = 1.0
     ev = lambda z: solve_stieltjes(TWO_ATOMS, z, t)
 
     def rho(lam):
-        return boundary_values(ev, lam, t, eps0=1e-7).rho
+        return boundary_values(ev, lam, eps0=1e-7).rho
 
     hi_edge = scan_support_edge(ev, 2.0, 3.5)
     lo_edge = scan_support_edge(ev, -2.0, -3.5)
@@ -219,12 +228,12 @@ def test_minor_support_edge_scan():
 
 def test_boundary_values_semicircle():
     ev = lambda z: semicircle_stieltjes(z, 1.0)
-    b = boundary_values(ev, 0.0, 1.0)
+    b = boundary_values(ev, 0.0)
     assert b.v == pytest.approx(0.0, abs=1e-10)
     assert b.rho == pytest.approx(1 / np.pi, abs=1e-8)
     assert not b.edge_flagged
 
-    outside = boundary_values(ev, 3.0, 1.0)
+    outside = boundary_values(ev, 3.0)
     assert outside.rho <= 1e-8
     assert outside.v == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-8)
     assert outside.edge_flagged  # no density there: unusable for inversion
@@ -233,8 +242,8 @@ def test_boundary_values_semicircle():
 def test_boundary_values_two_atom_symmetry():
     ev = lambda z: solve_stieltjes(TWO_ATOMS, z, 1.0)
     for lam in (0.3, 0.9, 1.7):
-        left = boundary_values(ev, -lam, 1.0)
-        right = boundary_values(ev, lam, 1.0)
+        left = boundary_values(ev, -lam)
+        right = boundary_values(ev, lam)
         assert left.rho == pytest.approx(right.rho, abs=1e-8)
         assert left.v == pytest.approx(-right.v, abs=1e-8)
 
@@ -243,7 +252,7 @@ def test_boundary_reproduces_closed_forms_inside_bulk():
     t = 1.0
     ev = lambda z: semicircle_stieltjes(z, t)
     for lam in np.linspace(-2 * np.sqrt(t) + 0.05, 2 * np.sqrt(t) - 0.05, 17):
-        b = boundary_values(ev, lam, t)
+        b = boundary_values(ev, lam)
         assert b.rho == pytest.approx(semicircle_density(lam, t), abs=1e-6)
         assert b.v == pytest.approx(semicircle_hilbert(lam, t), abs=1e-6)
 
@@ -293,8 +302,10 @@ def test_representative_matrix_refuses_atoms_outside_the_minor_block():
         representative_matrix(model, 200, 100)
 
 
-def test_leading_block_model_of_two_atoms():
+def test_minor_model_of_two_atoms():
+    # the minor's initial spectrum is read off the initial transform's block eigenvalues
     model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
-    minor = leading_block_model(representative_matrix(model, 200, 100), 100, 0.5)
+    s0 = FiniteInitialTransform.from_matrix(representative_matrix(model, 200, 100), 100)
+    minor = SpectrumModel.from_eigenvalues(s0.minor_evals, q=0.5)
     assert minor.atoms == ((-1.0, 0.5), (1.0, 0.5))
     assert minor.q == 0.5

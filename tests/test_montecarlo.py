@@ -3,28 +3,38 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minor_overlaps import (
     ASpec,
     ExperimentConfig,
+    FiniteInitialTransform,
     NullInitialTransform,
+    SpectrumModel,
+    boundary_values,
     correlation_probe,
     drift_probe,
     drift_step_consistency,
+    representative_matrix,
     run_bernoulli,
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
     semicircle_stieltjes,
+    solve_minor_stieltjes,
+    solve_stieltjes,
     spike_path_series,
 )
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
     _binned_general_theory,
+    _kernel_curve,
     _openblas_threads,
     _run_trials,
 )
+from minor_overlaps.reports import bulk_report_csv
 
 
 def _small_bulk_config(**overrides):
@@ -68,6 +78,15 @@ def test_bulk_determinism_across_thread_counts():
     assert a.extras["mu_hat"] == b.extras["mu_hat"]
     assert (a.extras["pool_threads"], b.extras["pool_threads"]) == (1, 4)
     assert a.extras["trial_blas_threads"] == b.extras["trial_blas_threads"]
+
+
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bulk_report_csv_is_thread_independent(seed):
+    config = _small_bulk_config(n_dim=40, bins=7, master_seed=seed)
+    one = bulk_report_csv(run_bulk_experiment(config))
+    three = bulk_report_csv(run_bulk_experiment(dataclasses.replace(config, threads=3)))
+    assert one == three
 
 
 def test_bulk_argmax_lies_in_interlacing_interval():
@@ -207,6 +226,32 @@ def test_general_theory_computes_each_boundary_value_once(mu_hat, refused):
     assert np.all(rho_bar > 0)
     # a refused minor point refuses every node: all theory is NaN
     assert np.all(np.isnan(theory)) == (refused > 0)
+
+
+def test_general_kernel_is_positive_where_accepted():
+    rng = np.random.default_rng(5)
+    q, n0 = 0.5, 200
+    accepted = []
+    for _ in range(30):
+        k = int(rng.integers(1, 5))
+        weights = rng.uniform(0.2, 1.0, k)
+        model = SpectrumModel(atoms=tuple(zip(rng.uniform(-2.0, 2.0, k),
+                                              weights / weights.sum())))
+        t = rng.uniform(0.2, 1.5)
+        s0 = FiniteInitialTransform.from_matrix(representative_matrix(model, n0, n0 // 2),
+                                                n0 // 2)
+        minor = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
+        # an initial atom of the minor sits inside its evolved bulk
+        mu = minor.atoms[int(rng.integers(len(minor.atoms)))][0]
+        minor_b = boundary_values(lambda z: solve_minor_stieltjes(minor, z, t, q), mu)
+        if minor_b.edge_flagged:
+            continue
+        span = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t)
+        w, _ = _kernel_curve(s0, minor_b, lambda z: solve_stieltjes(model, z, t),
+                             np.linspace(-span, span, 7), t, q)
+        accepted.extend(w[~np.isnan(w)])
+    assert len(accepted) >= 60
+    assert min(accepted) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from minor_overlaps import (
@@ -153,9 +155,9 @@ def test_general_kernel_matches_closed_form_on_grid():
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
     worst = 0.0
     for mu in mus:
-        minor_b = boundary_values(minor_ev, mu, t)
+        minor_b = boundary_values(minor_ev, mu)
         for lam in lams:
-            value = overlap_kernel(s0, minor_b, boundary_values(full_ev, lam, t), t, q)
+            value = overlap_kernel(s0, minor_b, boundary_values(full_ev, lam), t, q)
             worst = max(worst, abs(value - kernel_goe_value(mu, lam, t, q)))
     assert worst < 1e-8
 
@@ -164,9 +166,9 @@ def test_general_kernel_refuses_edge_points():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
     s0 = NullInitialTransform(q)
-    edge = boundary_values(full_ev, 2.0 * np.sqrt(t) - 1e-9, t)
+    edge = boundary_values(full_ev, 2.0 * np.sqrt(t) - 1e-9)
     with pytest.raises(DomainError):
-        overlap_kernel(s0, boundary_values(minor_ev, 0.0, t), edge, t, q)
+        overlap_kernel(s0, boundary_values(minor_ev, 0.0), edge, t, q)
 
 
 def test_kernel_row_normalization_by_quadrature():
@@ -177,6 +179,22 @@ def test_kernel_row_normalization_by_quadrature():
         val, _ = quad(lambda l: kernel_goe_value(mu, l, t, q) * semicircle_density(l, t),
                       -r, r, limit=200)
         assert val == pytest.approx(1.0, abs=1e-5)
+
+
+@settings(max_examples=40)
+@given(q=st.floats(0.05, 0.95), t=st.floats(0.2, 3.0),
+       mu_frac=st.floats(-0.95, 0.95), lam_frac=st.floats(-0.95, 0.95))
+def test_kernel_rows_and_columns_normalize(q, t, mu_frac, lam_frac):
+    # a full eigenvector spreads its whole mass over the minor's, and back:
+    # int W(mu, .) rho_t = 1 over the full bulk, int W(., lam) rho_qt = 1 over the minor's
+    r, rm = 2 * np.sqrt(t), 2 * np.sqrt(q * t)
+    mu, lam = mu_frac * rm, lam_frac * r
+    row, _ = quad(lambda l: kernel_goe_value(mu, l, t, q) * semicircle_density(l, t),
+                  -r, r, limit=200)
+    column, _ = quad(lambda m: kernel_goe_value(m, lam, t, q) * semicircle_density(m, q * t),
+                     -rm, rm, limit=200)
+    assert row == pytest.approx(1.0, abs=1e-9)
+    assert column == pytest.approx(1.0, abs=1e-9)
 
 
 def test_general_kernel_against_binned_monte_carlo():
@@ -204,8 +222,8 @@ def test_general_kernel_against_binned_monte_carlo():
         grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
         isel = np.flatnonzero(np.abs(grid.minor_evals - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(grid.full_evals - lam0) <= window / 2)
-        minor_bs = {i: boundary_values(minor_ev, grid.minor_evals[i], t) for i in isel}
-        full_bs = {j: boundary_values(full_ev, grid.full_evals[j], t) for j in jsel}
+        minor_bs = {i: boundary_values(minor_ev, grid.minor_evals[i]) for i in isel}
+        full_bs = {j: boundary_values(full_ev, grid.full_evals[j]) for j in jsel}
         pair_diffs = []
         for i in isel:
             for j in jsel:
