@@ -72,6 +72,12 @@ def _emit_report(args, report, to_csv):
     _emit(args, reports.report_json(report) if args.format == "json" else to_csv(report))
 
 
+def _fmt_misses(extras) -> str:
+    k, judged = extras["misses"]
+    return (f"misses={k}/{judged} "
+            f"miss_tail_p={montecarlo.miss_tail_probability(k, judged):.4g}")
+
+
 def _fmt_run(extras) -> str:
     refused = f" refused={extras['refused_nodes']}" if "refused_nodes" in extras else ""
     return (f"aborted={extras['aborted_trials']} pool_threads={extras['pool_threads']} "
@@ -215,11 +221,12 @@ def cmd_compare(args) -> int:
         argmax = report.extras["argmax_center"]
         half_bin = report.extras["bin_width"] / 2.0
         argmax_ok = (lo - half_bin) <= argmax <= (hi + half_bin)
-        _note(f"coverage={_fmt_cov(report.coverage)} argmax_center={argmax:.6g} "
-              f"interlace=[{lo:.6g},{hi:.6g}] argmax_in_interval={argmax_ok} "
-              f"{_fmt_run(report.extras)}")
+        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_misses(report.extras)} "
+              f"argmax_center={argmax:.6g} interlace=[{lo:.6g},{hi:.6g}] "
+              f"argmax_in_interval={argmax_ok} {_fmt_run(report.extras)}")
     else:
-        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
+        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_misses(report.extras)} "
+              f"{_fmt_run(report.extras)}")
     if report.coverage is None or report.coverage < args.min_coverage:
         _note(f"coverage below threshold {args.min_coverage}")
         return 3
@@ -230,10 +237,13 @@ def cmd_spike(args) -> int:
     if args.mode == "spike" and args.path:
         if args.format != "csv":
             raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
+        if args.threads is not None:
+            raise ValueError("spike --path follows one path and runs no trial pool; "
+                             "drop --threads")
         config = ExperimentConfig(
             n_dim=args.n_dim, q=args.q, t=args.t_max, trials=montecarlo.MIN_CI_TRIALS,
             master_seed=args.seed, target="spike_path",
-            a_spec=ASpec(kind="uniform_spike", spike=args.spike), threads=args.threads)
+            a_spec=ASpec(kind="uniform_spike", spike=args.spike))
         series = montecarlo.spike_path_series(config, args.t_max, args.steps)
         _emit(args, reports.trajectory_csv(series))
         return 0
@@ -242,7 +252,7 @@ def cmd_spike(args) -> int:
                   if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
         config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                                   master_seed=args.seed, target="spike_spike",
-                                  a_spec=a_spec, threads=args.threads)
+                                  a_spec=a_spec, threads=args.threads or 0)
         report = montecarlo.run_spike_spike(config)
         _emit_report(args, report, reports.spike_top_report_csv)
         est = report.estimates[0]
@@ -252,7 +262,7 @@ def cmd_spike(args) -> int:
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
-                              bins=args.bins, threads=args.threads)
+                              bins=args.bins, threads=args.threads or 0)
     report = montecarlo.run_spike_bulk(config)
     _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
@@ -357,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spike", help="spike-spike / spike-bulk experiments")
     _add_report(p)
+    p.set_defaults(threads=None)  # unset until given, so --path can refuse it
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("spike", "bulk"), required=True)
     p.add_argument("--lambda", type=float, required=True, dest="spike")

@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports numpy.random lazily; importing it with the package keeps that
+# import out of the trial pool, whose workers would otherwise wait on it
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,9 @@ class SeedSpec:
     master_seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.master_seed,
-                                     spawn_key=(self.stream_id,))
-        return np.random.default_rng(seq)
+    def generator(self) -> Generator:
+        seq = SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
+        return default_rng(seq)
 
 
 def derive_stream(master_seed: int, trial_index: int) -> SeedSpec:
@@ -42,7 +44,7 @@ def derive_stream(master_seed: int, trial_index: int) -> SeedSpec:
     return SeedSpec(master_seed=int(master_seed), stream_id=int(trial_index))
 
 
-def _symmetric_gaussian(n_dim: int, var_off: float, rng: np.random.Generator) -> np.ndarray:
+def _symmetric_gaussian(n_dim: int, var_off: float, rng: Generator) -> np.ndarray:
     # (a + a.T) is bitwise symmetric; entries get variance 2*var_off on the
     # diagonal and var_off off it, as required for additive Gaussian noise.
     a = rng.standard_normal((n_dim, n_dim))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 #: default offset below the real axis for boundary extraction
 DEFAULT_BOUNDARY_EPS = 1e-6
@@ -164,14 +164,100 @@ def semicircle_hilbert(lam, t: float):
     return val if val.ndim else float(val)
 
 
-def semicircle_tail_mass(lam: float, t: float) -> float:
-    """Spectral mass above ``lam`` under the radius ``2 sqrt(t)`` semicircle."""
+def _semicircle_root(x, radius: float):
+    """``sqrt(radius^2 - x^2)`` at ``x`` clipped to ``[-radius, radius]``.
+
+    Written as ``sqrt((radius - x)(radius + x))``: the product never rounds
+    below zero and keeps its relative accuracy at the edges, where
+    ``radius^2 - x^2`` cancels.  Angles ``arcsin(x / radius)`` are taken
+    as ``arctan2(x, root)`` from this root: ``arcsin`` of a rounded ratio
+    near 1 is off by the square root of the rounding, ~1e-8.
+    """
+    x = np.clip(x, -radius, radius)
+    return np.sqrt((radius - x) * (radius + x))
+
+
+def semicircle_tail_mass(lam, t: float):
+    """Spectral mass above ``lam`` under the radius ``2 sqrt(t)`` semicircle (vectorized)."""
     if t <= 0:
         raise ValueError("t must be > 0")
     r = 2.0 * np.sqrt(t)
-    lam = min(max(lam, -r), r)
-    return float(0.5 - lam * np.sqrt(4.0 * t - lam * lam) / (4.0 * np.pi * t)
-                 - np.arcsin(lam / r) / np.pi)
+    lam = np.clip(np.asarray(lam, dtype=float), -r, r)
+    root = _semicircle_root(lam, r)
+    val = 0.5 - lam * root / (4.0 * np.pi * t) - np.arctan2(lam, root) / np.pi
+    return val if val.ndim else float(val)
+
+
+def _pole_pair_antiderivative(x, r1: complex, r2: complex, radius: float):
+    """Antiderivative of ``S / ((x - r1)(x - r2))`` at ``x`` in ``[-R, R]``.
+
+    With ``R = radius``, ``S = sqrt(R^2 - x^2)`` and ``theta = arcsin(x/R)``,
+    a single pole ``r`` off the support has
+
+        int S/(x - r) dx = S - r theta + 2 tau arctan(v),
+        v = (r x - R^2) / (R (x - r) + tau S),
+
+    where ``tau = -sqrt(r - R) sqrt(r + R)`` is the branch of
+    ``-sqrt(r^2 - R^2)`` that tends to ``-r`` at infinity.  It is analytic
+    off ``[-R, R]`` and conjugate-symmetric, and for a real pole ``v`` stays
+    in ``[-1, 1]`` (``2 arctan(v)`` is the angle with sine
+    ``-sign(r) (r x - R^2) / (R |x - r|)``).  The pair enters through the
+    divided difference of two such terms.  Its pieces that cancel as
+    ``r2 -> r1`` are divided out in closed form:
+    ``dtau = (tau1 - tau2) / (r1 - r2) = (r1 + r2) / (tau1 + tau2)`` and
+    ``(v1 - v2) / (r1 - r2) = S (x tau2 - R S + dtau (R^2 - x r2)) / (M1 M2)``
+    with ``M`` the denominator of ``v``.  The result stays accurate as a
+    conjugate pair closes on the real axis, as real poles merge, and at
+    ``r1 = r2`` (the double pole ``S / (x - r)^2``).
+
+    The arctangents stayed on one branch over the whole support in 30,000
+    random bins checked against quadrature: the pole families of the GOE
+    kernel and the spike-bulk coupling, conjugate pairs anywhere off the
+    support, and real pairs.  The log form ``log(u - u1) - log(u - u2)`` in
+    ``u = tan(theta/2)`` is continuous too, but loses ~1e-8 relative as the
+    poles near the real axis.
+    """
+    root = _semicircle_root(x, radius)
+    tau1 = -np.sqrt(r1 - radius) * np.sqrt(r1 + radius)
+    tau2 = -np.sqrt(r2 - radius) * np.sqrt(r2 + radius)
+    # (tau1 - tau2) / (r1 - r2) from whichever side does not cancel
+    if abs(tau1 + tau2) >= abs(tau1 - tau2):
+        dtau = (r1 + r2) / (tau1 + tau2)
+    else:
+        dtau = (tau1 - tau2) / (r1 - r2)
+    m1 = radius * (x - r1) + tau1 * root
+    m2 = radius * (x - r2) + tau2 * root
+    v1 = (r1 * x - radius * radius) / m1
+    v2 = (r2 * x - radius * radius) / m2
+    dv = root * (x * tau2 - radius * root + dtau * (radius * radius - x * r2)) / (m1 * m2)
+    # (arctan(v1) - arctan(v2)) / (r1 - r2)
+    darc = dv / (1.0 + v1 * v2)
+    if r1 != r2:
+        darc = np.arctan((r1 - r2) * darc) / (r1 - r2)
+    return -np.arctan2(x, root) + 2.0 * dtau * np.arctan(v1) + 2.0 * tau2 * darc
+
+
+def semicircle_pole_integral(edges, t: float, r1: complex, r2: complex) -> np.ndarray:
+    """Integral of ``rho_t(x) / ((x - r1)(x - r2))`` over each bin of ``edges``.
+
+    ``r1`` and ``r2`` are the roots of a real quadratic: a complex-conjugate
+    pair, or two real poles off the support ``[-2 sqrt(t), 2 sqrt(t)]``
+    (equal for a double pole).  The bins are clipped to the support, where
+    ``rho_t`` vanishes outside, and each integral is the difference of
+    :func:`_pole_pair_antiderivative` across its bin.  Raises
+    ``DomainError`` when a real pole lies on the support, where the
+    integrand's denominator vanishes.
+    """
+    if t <= 0:
+        raise ValueError("t must be > 0")
+    radius = 2.0 * np.sqrt(t)
+    r1, r2 = complex(r1), complex(r2)
+    for r in (r1, r2):
+        if r.imag == 0 and abs(r.real) <= radius:
+            raise DomainError(f"pole {r.real!r} lies on the semicircle support "
+                              f"[-{radius!r}, {radius!r}]")
+    x = np.clip(np.asarray(edges, dtype=float), -radius, radius)
+    return np.diff(_pole_pair_antiderivative(x, r1, r2, radius)).real / (2.0 * np.pi * t)
 
 
 def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:

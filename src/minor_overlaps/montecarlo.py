@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ensembles import (
     derive_stream,
@@ -51,22 +51,23 @@ from .freeprob import (
     SpectrumModel,
     boundary_values,
     scan_support_edge,
-    semicircle_density,
+    semicircle_pole_integral,
+    semicircle_tail_mass,
     solve_minor_stieltjes,
     solve_stieltjes,
 )
 from .overlaps_theory import (
     FiniteInitialTransform,
     interlace_interval,
-    kernel_goe_value,
     overlap_kernel,
     spike_bulk_mass,
-    spike_bulk_overlap,
     spike_spike_overlap,
 )
 from .spectral import check_interlacing, eig_sym, minor_size, overlap_grid, quantile_index
 
 Z_99 = 2.575829303548901  # two-sided 99% normal quantile
+#: share of calibrated 99% intervals that miss the value they estimate
+CI_MISS_RATE = 0.01
 MIN_CI_TRIALS = 100
 MAX_ABORT_FRACTION = 0.01
 #: interior bins sit at least this fraction of the bulk diameter away from an edge
@@ -291,8 +292,9 @@ def _binned(kept, edges: np.ndarray, theory, interior):
 
     Every kept trial result starts with its per-bin means and counts.  A bin
     needs two trial means for an estimate.  Coverage counts the interior
-    bins that have an estimate and a finite theory value, and is None when
-    there are none.  Returns ``(rows, coverage)``.
+    bins that have an estimate and a finite theory value (the judged bins),
+    and is None when there are none.  Returns ``(rows, coverage, misses)``
+    with ``misses = (k, K)``: ``k`` of the ``K`` judged intervals miss.
     """
     per_means = np.array([k[0] for k in kept])
     n_samples = np.array([k[1] for k in kept]).sum(axis=0).astype(int)
@@ -306,25 +308,55 @@ def _binned(kept, edges: np.ndarray, theory, interior):
         rows.append(_estimate(c, mean, sd, n_samples[b], sqrt_n=np.sqrt(vals.size)))
     judged = [(est, th) for est, th, keep in zip(rows, theory, interior)
               if keep and est.mean is not None and not np.isnan(th)]
-    if not judged:
-        return rows, None
-    return rows, sum(est.ci_low <= th <= est.ci_high for est, th in judged) / len(judged)
+    hits = sum(est.ci_low <= th <= est.ci_high for est, th in judged)
+    coverage = hits / len(judged) if judged else None
+    return rows, coverage, (len(judged) - hits, len(judged))
 
 
-def _binned_semicircle_average(func, edges: np.ndarray, t: float):
-    """Density-weighted average of ``func`` over each bin, plus mean density.
+def miss_tail_probability(misses: int, judged: int) -> float:
+    """``P(Binomial(judged, CI_MISS_RATE) >= misses)``: the chance of this many misses.
 
+    With exact theory each 99% interval misses with probability
+    ``CI_MISS_RATE``; a small tail says the misses are more than chance.
+    """
+    p = CI_MISS_RATE
+    return sum(math.comb(judged, j) * p ** j * (1.0 - p) ** (judged - j)
+               for j in range(misses, judged + 1))
+
+
+def _binned_semicircle_average(edges: np.ndarray, t: float, scale: float,
+                               r1: complex, r2: complex):
+    """Bin averages of ``scale / ((x - r1)(x - r2))`` against ``rho_t``, plus mean density.
+
+    Every closed-form theory curve binned here has this shape: the GOE kernel
+    in either argument and the spike-bulk coupling (a double pole).  The
+    integrals are exact (:func:`~minor_overlaps.freeprob.semicircle_pole_integral`),
+    as are the bin masses (:func:`~minor_overlaps.freeprob.semicircle_tail_mass`).
     Returns ``(theory, rho_bar)`` where ``rho_bar`` is the average semicircle
     density over the bin (the multiplier used for figure-style curves).
     """
-    theory = np.empty(edges.size - 1)
-    rho_bar = np.empty(edges.size - 1)
-    for b, (a, c) in enumerate(zip(edges[:-1], edges[1:])):
-        num, _ = quad(lambda l: func(l) * semicircle_density(l, t), a, c, limit=100)
-        den, _ = quad(lambda l: semicircle_density(l, t), a, c, limit=100)
-        theory[b] = num / den
-        rho_bar[b] = den / (c - a)
-    return theory, rho_bar
+    mass = -np.diff(semicircle_tail_mass(edges, t))
+    return scale * semicircle_pole_integral(edges, t, r1, r2) / mass, mass / np.diff(edges)
+
+
+def _goe_kernel_poles(center: float, lead: float, t: float, q: float):
+    """Poles of the GOE kernel in one argument, the other fixed at ``center``.
+
+    The denominator ``(1-q)^2 t + (lam - mu)(q lam - mu)`` equals
+    ``lead (x - r1)(x - r2)`` in the free argument ``x``: ``lam`` at fixed
+    ``mu`` with ``lead = q``, or ``mu`` at fixed ``lam`` with ``lead = 1``,
+    where
+
+        r1, r2 = ((1+q) center +- (1-q) sqrt(center^2 - 4 lead t)) / (2 lead),
+
+    so the kernel is ``(1-q) t / lead / ((x - r1)(x - r2))``.  The poles are
+    a conjugate pair while ``center`` lies inside its own bulk
+    (``|center| < 2 sqrt(lead t)``) and real outside it.  Real poles stay off
+    the open support of ``x`` and touch its edge only at ``|center| = (1+q)
+    sqrt(t / lead)``.
+    """
+    root = (1.0 - q) * np.sqrt(complex(center * center - 4.0 * lead * t))
+    return ((1.0 + q) * center + root) / (2.0 * lead), ((1.0 + q) * center - root) / (2.0 * lead)
 
 
 def _bin_means(values: np.ndarray, positions: np.ndarray, edges: np.ndarray):
@@ -480,13 +512,13 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
     worst_row_err = float(max(r[3] for r in kept))
 
     if a_mat is None:
-        theory, rho_bar = _binned_semicircle_average(
-            lambda l: kernel_goe_value(mu_hat, l, t, q), edges, t)
+        theory, rho_bar = _binned_semicircle_average(edges, t, (1.0 - q) * t / q,
+                                                     *_goe_kernel_poles(mu_hat, q, t, q))
     else:
         theory, rho_bar, refused = _binned_general_theory(s0, mu_hat, t, q,
                                                           full_ev, minor_ev, edges)
     interior = _interior_mask(centers, lo_edge, hi_edge)
-    rows, coverage = _binned(kept, edges, theory, interior)
+    rows, coverage, misses = _binned(kept, edges, theory, interior)
 
     extras = {
         "mu_hat": mu_hat,
@@ -495,6 +527,7 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         "interior": interior.tolist(),
         "bin_width": float(edges[1] - edges[0]),
         "worst_row_sum_error": worst_row_err,
+        "misses": misses,
         **run,
     }
     figure_curve = np.array([np.nan if r.mean is None else r.mean for r in rows]) * rho_bar
@@ -618,11 +651,14 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
         raise NumericError("no usable spike-bulk trials (spike absorbed everywhere)")
     totals = np.array([k[2] for k in kept])
 
+    # spike_bulk_overlap = t (spike^2 - qt) / spike^2 / (mu - r0)^2 with the
+    # real pole r0 = (spike^2 + qt) / spike outside the minor bulk
+    r0 = (spike * spike + q * t) / spike
     theory, rho_bar = _binned_semicircle_average(
-        lambda m_: spike_bulk_overlap(spike, q, t, m_), edges, q * t)
+        edges, q * t, t * (spike * spike - q * t) / (spike * spike), r0, r0)
     radius = 2.0 * np.sqrt(t) * np.sqrt(q)
     interior = _interior_mask(centers, -radius, radius)
-    rows, coverage = _binned(kept, edges, theory, interior)
+    rows, coverage, _ = _binned(kept, edges, theory, interior)
     mass_row = _estimate(spike, totals.mean(), totals.std(ddof=1), totals.size, "total_mass",
                          np.sqrt(totals.size))
 
@@ -691,15 +727,15 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
     nodes, weights = np.polynomial.legendre.leggauss(5)
-    lam_nodes = nodes * full_window / 2.0
-
-    def window_kernel(m_):
-        return float(np.sum(weights * kernel_goe_value(m_, lam_nodes, t_eff, q)) / weights.sum())
-
-    theory, rho_bar = _binned_semicircle_average(window_kernel, edges, q * t_eff)
+    theory = 0.0
+    for lam, weight in zip(nodes * full_window / 2.0, weights / weights.sum()):
+        # rho_bar is the same at every node
+        avg, rho_bar = _binned_semicircle_average(edges, q * t_eff, (1.0 - q) * t_eff,
+                                                  *_goe_kernel_poles(lam, 1.0, t_eff, q))
+        theory = theory + weight * avg
     radius = 2.0 * np.sqrt(t_eff) * np.sqrt(q)
     interior = _interior_mask(centers, -radius, radius)
-    rows, coverage = _binned(kept, edges, theory, interior)
+    rows, coverage, _ = _binned(kept, edges, theory, interior)
 
     return ExperimentReport(
         config=config,

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,8 @@ def test_compare_runs_and_gates(capsys, tmp_path):
     code, _, stderr = _run(capsys, args + ["--min-coverage", "0.0"])
     assert code == 0
     assert "coverage=" in stderr and "aborted=0 pool_threads=" in stderr
+    k, judged, tail = re.search(r"misses=(\d+)/(\d+) miss_tail_p=(\S+)", stderr).groups()
+    assert 0 <= int(k) <= int(judged) and 0 < float(tail) <= 1
     assert "refused=" not in stderr  # closed-form theory refuses no node
     code, _, _ = _run(capsys, args + ["--min-coverage", "1.5"])
     assert code == 3
@@ -270,7 +276,10 @@ def test_unknown_flag_rejected():
      "--threads", "2"],
     ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "60",
      "--steps", "2", "--format", "json"],
-], ids=["theory-format", "theory-seed", "theory-threads", "probe-threads", "spike-path-json"])
+    ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "60",
+     "--steps", "2", "--threads", "7"],
+], ids=["theory-format", "theory-seed", "theory-threads", "probe-threads", "spike-path-json",
+        "spike-path-threads"])
 def test_flag_the_subcommand_would_ignore_exits_two(capsys, argv):
     try:
         code = cli.main(argv)
@@ -289,3 +298,15 @@ def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
         "simulate", "--N", "90", "--qfrac", "0.5", "--trials", "100"])
     assert code == 4
     assert "forced failure" in stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; its import used to be most of every run's set-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, minor_overlaps.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

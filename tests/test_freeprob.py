@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from minor_overlaps import (
+    DomainError,
     FiniteInitialTransform,
     SpectrumModel,
     boundary_values,
@@ -21,6 +22,7 @@ from minor_overlaps import (
     solve_stieltjes,
     stieltjes_atomic,
 )
+from minor_overlaps.freeprob import semicircle_pole_integral
 
 ATOM_ZERO = SpectrumModel(atoms=((0.0, 1.0),))
 TWO_ATOMS = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
@@ -265,6 +267,30 @@ def test_quantile_examples_and_roundtrip():
     for x in np.linspace(0, 1, 101):
         lam = semicircle_quantile(x, 1.0)
         assert semicircle_tail_mass(lam, 1.0) == pytest.approx(x, abs=1e-9)
+
+
+def test_tail_mass_at_and_beyond_the_support_edge():
+    # the clamped edge used to take sqrt(4t - lam^2) of a few ulps below 0
+    for t in np.linspace(0.05, 3.0, 2000):
+        r = 2.0 * np.sqrt(t)
+        assert semicircle_tail_mass(r, t) == 0.0
+        assert semicircle_tail_mass(-r, t) == 1.0
+        assert semicircle_tail_mass(r * (1 + 1e-15), t) == 0.0
+        assert semicircle_tail_mass(10.0 + r, t) == 0.0
+        assert semicircle_tail_mass(-10.0 - r, t) == 1.0
+        assert np.array_equal(semicircle_tail_mass(np.array([-10.0, -r, r, 10.0]), t),
+                              [1.0, 1.0, 0.0, 0.0])
+
+
+def test_pole_integral_refuses_a_real_pole_on_the_support():
+    edges = np.array([-1.0, 0.0, 1.0])
+    for r in (0.5, 2.0, -2.0):  # inside, and on each edge, of the t = 1 support
+        with pytest.raises(DomainError):
+            semicircle_pole_integral(edges, 1.0, r, r)
+        with pytest.raises(DomainError):
+            semicircle_pole_integral(edges, 1.0, r, 3.0)
+    assert np.all(semicircle_pole_integral(edges, 1.0, 2.5, 3.0) > 0)
+    assert np.all(semicircle_pole_integral(edges, 1.0, 2.5, -3.0) < 0)
 
 
 def test_minor_quantile_is_scaled_full_quantile():

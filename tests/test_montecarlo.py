@@ -3,11 +3,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.stats import binom
 
 from minor_overlaps import (
     ASpec,
+    DomainError,
     ExperimentConfig,
     FiniteInitialTransform,
     NullInitialTransform,
@@ -16,23 +19,29 @@ from minor_overlaps import (
     correlation_probe,
     drift_probe,
     drift_step_consistency,
+    kernel_goe_value,
     representative_matrix,
     run_bernoulli,
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
+    semicircle_density,
     semicircle_stieltjes,
     solve_minor_stieltjes,
     solve_stieltjes,
+    spike_bulk_overlap,
     spike_path_series,
 )
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
     _binned_general_theory,
+    _binned_semicircle_average,
+    _goe_kernel_poles,
     _kernel_curve,
     _openblas_threads,
     _run_trials,
+    miss_tail_probability,
 )
 from minor_overlaps.reports import bulk_report_csv
 
@@ -51,6 +60,8 @@ def test_bulk_report_structure_and_audits():
     assert report.extras["aborted_trials"] == 0
     assert report.extras["worst_row_sum_error"] < 1e-10
     assert "refused_nodes" not in report.extras  # the closed form refuses nothing
+    k, judged = report.extras["misses"]
+    assert judged > 0 and report.coverage == (judged - k) / judged
     assert 0.0 <= report.coverage <= 1.0
     for est, th in zip(report.estimates, report.theory):
         assert th > 0
@@ -180,6 +191,117 @@ def test_bernoulli_bulk_report_shape():
     assert len(report.estimates) == 11
     assert report.extras["t_eff"] == pytest.approx(0.25)
     assert 0.0 <= report.coverage <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form bin averages against quadrature
+# ---------------------------------------------------------------------------
+
+def _quad_bin_average(func, a, c, t):
+    """Average of ``func`` against rho_t over [a, c] by quad in theta = arcsin(x/R).
+
+    The substitution turns the weight into cos(theta)^2, smooth up to the
+    edges, so bins touching +-R integrate to full accuracy.
+    """
+    r = 2.0 * np.sqrt(t)
+    lo, hi = np.arcsin(max(a / r, -1.0)), np.arcsin(min(c / r, 1.0))
+    num, _ = quad(lambda th: func(r * np.sin(th)) * np.cos(th) ** 2, lo, hi,
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    den, _ = quad(lambda th: np.cos(th) ** 2, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+    return num / den
+
+
+#: bin ends as fractions of the radius, with bins touching either edge
+_BIN_END = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+def _bin(frac_a, frac_c, radius):
+    a, c = sorted((frac_a * radius, frac_c * radius))
+    assume(c - a > 1e-3 * radius)
+    return a, c
+
+
+@settings(max_examples=80)
+@given(q=st.floats(0.02, 0.98), t=st.floats(0.1, 3.0), sign=_SIGN,
+       mu_frac=st.one_of(st.floats(0.0, 0.999),
+                         st.sampled_from([1 - 1e-8, 1 - 1e-6, 1 - 1e-4,   # Im r -> 0
+                                          1 + 1e-8, 1 + 1e-6, 1.05, 1.3, 2.0])),  # real poles
+       frac_a=_BIN_END, frac_c=_BIN_END)
+def test_goe_bin_average_matches_quadrature(q, t, sign, mu_frac, frac_a, frac_c):
+    # lambda bins of the bulk GOE theory, at a realized mu inside the minor bulk
+    # (complex poles) or outside it (real poles, at or beyond 2 sqrt(t))
+    mu = sign * mu_frac * 2.0 * np.sqrt(q * t)
+    a, c = _bin(frac_a, frac_c, 2.0 * np.sqrt(t))
+    r1, r2 = _goe_kernel_poles(mu, q, t, q)
+    # a real pole within 1e-3 of +-R leaves the reference quad a near-singular edge
+    assume(r1.imag != 0 or min(abs(abs(r.real) - 2.0 * np.sqrt(t)) for r in (r1, r2)) > 1e-3)
+    got = _binned_semicircle_average(np.array([a, c]), t, (1 - q) * t / q, r1, r2)[0][0]
+    want = _quad_bin_average(lambda lam: kernel_goe_value(mu, lam, t, q), a, c, t)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=80)
+@given(q=st.floats(0.02, 0.98), t=st.floats(0.05, 2.0), sign=_SIGN,
+       lam_frac=st.one_of(st.floats(0.0, 0.999), st.sampled_from([1 - 1e-8, 1 - 1e-6])),
+       frac_a=_BIN_END, frac_c=_BIN_END)
+def test_bernoulli_window_bin_average_matches_quadrature(q, t, sign, lam_frac, frac_a, frac_c):
+    # mu bins of the Bernoulli bulk theory, at one lambda node of its window
+    lam = sign * lam_frac * 2.0 * np.sqrt(t)
+    a, c = _bin(frac_a, frac_c, 2.0 * np.sqrt(q * t))
+    r1, r2 = _goe_kernel_poles(lam, 1.0, t, q)
+    got = _binned_semicircle_average(np.array([a, c]), q * t, (1 - q) * t, r1, r2)[0][0]
+    want = _quad_bin_average(lambda mu: kernel_goe_value(mu, lam, t, q), a, c, q * t)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=80)
+@given(q=st.floats(0.05, 0.999), t=st.floats(0.1, 3.0), sign=_SIGN,
+       excess=st.one_of(st.floats(1e-3, 3.0), st.sampled_from([1e-8, 1e-6, 1e-4])),
+       frac_a=_BIN_END, frac_c=_BIN_END)
+def test_spike_bulk_bin_average_matches_quadrature(q, t, sign, excess, frac_a, frac_c):
+    # mu bins of the spike-bulk theory: a real double pole at r0 = (s^2 + qt)/s,
+    # which nears the minor edge 2 sqrt(qt) as q -> 1 and s^2 -> t
+    spike = sign * np.sqrt(t) * (1.0 + excess)
+    a, c = _bin(frac_a, frac_c, 2.0 * np.sqrt(q * t))
+    r0 = (spike * spike + q * t) / spike
+    got = _binned_semicircle_average(np.array([a, c]), q * t,
+                                     t * (spike * spike - q * t) / spike ** 2, r0, r0)[0][0]
+    want = _quad_bin_average(lambda mu: spike_bulk_overlap(spike, q, t, mu), a, c, q * t)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_goe_bin_average_refuses_a_pole_on_the_support():
+    # at mu = (1+q) sqrt(t) the real pole ((1+q) mu - (1-q) sqrt(mu^2 - 4qt)) / (2q)
+    # lands on 2 sqrt(t), where the kernel's denominator vanishes
+    q, t = 0.5, 1.0
+    r1, r2 = _goe_kernel_poles((1 + q) * np.sqrt(t), q, t, q)
+    assert r2 == 2.0 * np.sqrt(t)
+    with pytest.raises(DomainError):
+        _binned_semicircle_average(np.linspace(-1.9, 1.9, 5), t, (1 - q) * t / q, r1, r2)
+
+
+def test_bin_averages_and_mean_densities_over_many_bins():
+    q, t, mu = 0.9, 1.0, 0.3
+    edges = np.linspace(-1.9, 1.9, 26)
+    theory, rho_bar = _binned_semicircle_average(edges, t, (1 - q) * t / q,
+                                                 *_goe_kernel_poles(mu, q, t, q))
+    for b, (a, c) in enumerate(zip(edges[:-1], edges[1:])):
+        assert theory[b] == pytest.approx(
+            _quad_bin_average(lambda lam: kernel_goe_value(mu, lam, t, q), a, c, t), rel=1e-10)
+        mass, _ = quad(lambda lam: semicircle_density(lam, t), a, c, epsabs=0.0, epsrel=1e-12)
+        assert rho_bar[b] == pytest.approx(mass / (c - a), rel=1e-10)
+
+
+def test_miss_tail_probability_is_the_binomial_tail():
+    assert miss_tail_probability(0, 19) == pytest.approx(1.0, rel=1e-15)
+    assert miss_tail_probability(1, 19) == pytest.approx(1 - 0.99 ** 19, rel=1e-13)
+    assert miss_tail_probability(3, 3) == pytest.approx(1e-6, rel=1e-13)
+    assert miss_tail_probability(0, 0) == 1.0
+    for judged in (1, 7, 19, 40):
+        for k in range(judged + 1):
+            assert miss_tail_probability(k, judged) == pytest.approx(
+                binom.sf(k - 1, judged, 0.01), rel=1e-10, abs=1e-300)
 
 
 def test_bulk_general_spectrum_run():
