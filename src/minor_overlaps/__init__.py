@@ -31,7 +31,6 @@ from .freeprob import (
     representative_matrix,
     scan_support_edge,
     semicircle_density,
-    semicircle_hilbert,
     semicircle_quantile,
     semicircle_stieltjes,
     semicircle_tail_mass,

@@ -11,12 +11,6 @@ class NumericError(RuntimeError):
 class ConvergenceError(NumericError):
     """A fixed-point or root-finding solve did not reach its tolerance."""
 
-    def __init__(self, message, *, z=None, t=None, residual=None):
-        super().__init__(message)
-        self.z = z
-        self.t = t
-        self.residual = residual
-
 
 class PoleError(NumericError):
     """An evaluation landed on (or within tolerance of) a pole."""

@@ -115,25 +115,24 @@ def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None
     return np.diag(diag)
 
 
-def stieltjes_atomic(model: SpectrumModel, w: complex) -> complex:
-    """Stieltjes transform of the atomic measure: sum of weight/(w - atom)."""
-    if np.imag(w) == 0:
+def stieltjes_atomic(model: SpectrumModel, w, deriv: bool = False):
+    """Transform ``sum weight/(w - atom)`` of the atomic measure at scalar or array ``w``.
+
+    A scalar gives a Python ``complex``.  ``deriv`` adds the derivative
+    ``-sum weight/(w - atom)^2``: ``(transform, derivative)``.
+    """
+    w = np.asarray(w, dtype=complex)
+    if np.any(w.imag == 0):
         raise ValueError("stieltjes_atomic requires Im(w) != 0")
-    return complex(np.sum(model._weights / (w - model._locs)))
-
-
-def _stieltjes_atomic_deriv(model: SpectrumModel, w: complex) -> complex:
-    return complex(-np.sum(model._weights / (w - model._locs) ** 2))
+    diff = w[..., None] - model._locs
+    g = np.sum(model._weights / diff, axis=-1)
+    g = g if w.ndim else complex(g)
+    return (g, -np.sum(model._weights / diff ** 2, axis=-1)) if deriv else g
 
 
 # ---------------------------------------------------------------------------
 # closed-form semicircle quantities
 # ---------------------------------------------------------------------------
-
-def _branch_sqrt(z: complex, radius: float) -> complex:
-    # sqrt(z^2 - radius^2) with cut on [-radius, radius]; Im follows Im(z)
-    return np.sqrt(z - radius) * np.sqrt(z + radius)
-
 
 def semicircle_stieltjes(z: complex, t: float) -> complex:
     """Transform of the semicircle of radius ``2 sqrt(t)``.
@@ -143,7 +142,9 @@ def semicircle_stieltjes(z: complex, t: float) -> complex:
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    return (z - _branch_sqrt(z, 2.0 * np.sqrt(t))) / (2.0 * t)
+    # sqrt(z^2 - R^2) with its cut on [-R, R]: Im follows Im(z)
+    radius = 2.0 * np.sqrt(t)
+    return (z - np.sqrt(z - radius) * np.sqrt(z + radius)) / (2.0 * t)
 
 
 def semicircle_density(lam, t: float):
@@ -152,15 +153,6 @@ def semicircle_density(lam, t: float):
         raise ValueError("t must be > 0")
     lam = np.asarray(lam, dtype=float)
     val = np.sqrt(np.maximum(4.0 * t - lam * lam, 0.0)) / (2.0 * np.pi * t)
-    return val if val.ndim else float(val)
-
-
-def semicircle_hilbert(lam, t: float):
-    """Hilbert transform ``lam / (2t)``, valid inside the bulk."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    lam = np.asarray(lam, dtype=float)
-    val = lam / (2.0 * t)
     return val if val.ndim else float(val)
 
 
@@ -188,8 +180,8 @@ def semicircle_tail_mass(lam, t: float):
     return val if val.ndim else float(val)
 
 
-def _pole_pair_antiderivative(x, r1: complex, r2: complex, radius: float):
-    """Antiderivative of ``S / ((x - r1)(x - r2))`` at ``x`` in ``[-R, R]``.
+def _pole_pair_bin_integrals(x, r1: complex, r2: complex, radius: float):
+    """Integral of ``S / ((x - r1)(x - r2))`` over each bin of ``x`` in ``[-R, R]``.
 
     With ``R = radius``, ``S = sqrt(R^2 - x^2)`` and ``theta = arcsin(x/R)``,
     a single pole ``r`` off the support has
@@ -209,6 +201,11 @@ def _pole_pair_antiderivative(x, r1: complex, r2: complex, radius: float):
     with ``M`` the denominator of ``v``.  The result stays accurate as a
     conjugate pair closes on the real axis, as real poles merge, and at
     ``r1 = r2`` (the double pole ``S / (x - r)^2``).
+
+    Near a real pole just outside the support the terms grow like
+    ``r / tau``, so across a bin ``[a, c]`` the angle and the ``arctan(v1)``
+    term are not differenced but taken as one arctangent each, with the
+    factor ``c - a`` divided out in closed form.
 
     The arctangents stayed on one branch over the whole support in 30,000
     random bins checked against quadrature: the pole families of the GOE
@@ -234,7 +231,22 @@ def _pole_pair_antiderivative(x, r1: complex, r2: complex, radius: float):
     darc = dv / (1.0 + v1 * v2)
     if r1 != r2:
         darc = np.arctan((r1 - r2) * darc) / (r1 - r2)
-    return -np.arctan2(x, root) + 2.0 * dtau * np.arctan(v1) + 2.0 * tau2 * darc
+
+    a, c, s_a, s_c = x[:-1], x[1:], root[:-1], root[1:]
+    # S_a - S_c = (c - a) ds and c S_a - a S_c = (c - a) (c ds + S_c)
+    ds = np.divide(c + a, s_a + s_c, out=np.zeros_like(a), where=s_a + s_c > 0)
+    dtheta = np.arctan2((c - a) * (c * ds + s_c), s_a * s_c + a * c)
+    # arctan(v1) across a bin: arctan((v_c - v_a) / (1 + v_a v_c)) with
+    # v_c - v_a = (c - a) dv1, moved onto the plain difference's branch;
+    # that difference stays where 1 + v_a v_c is small and nothing cancels
+    dv1 = ((tau1 * (r1 * (c * ds + s_c) - radius * radius * ds) - radius * tau1 * tau1)
+           / (m1[:-1] * m1[1:]))
+    plain = np.diff(np.arctan(v1))
+    den = 1.0 + v1[:-1] * v1[1:]
+    usable = np.abs(den) > 0.5
+    arc1 = np.arctan((c - a) * dv1 / np.where(usable, den, 1.0))
+    arc1 = np.where(usable, arc1 + np.pi * np.round((plain - arc1).real / np.pi), plain)
+    return -dtheta + 2.0 * dtau * arc1 + 2.0 * tau2 * np.diff(darc)
 
 
 def semicircle_pole_integral(edges, t: float, r1: complex, r2: complex) -> np.ndarray:
@@ -243,8 +255,8 @@ def semicircle_pole_integral(edges, t: float, r1: complex, r2: complex) -> np.nd
     ``r1`` and ``r2`` are the roots of a real quadratic: a complex-conjugate
     pair, or two real poles off the support ``[-2 sqrt(t), 2 sqrt(t)]``
     (equal for a double pole).  The bins are clipped to the support, where
-    ``rho_t`` vanishes outside, and each integral is the difference of
-    :func:`_pole_pair_antiderivative` across its bin.  Raises
+    ``rho_t`` vanishes outside, and integrated in closed form
+    (:func:`_pole_pair_bin_integrals`).  Raises
     ``DomainError`` when a real pole lies on the support, where the
     integrand's denominator vanishes.
     """
@@ -257,7 +269,7 @@ def semicircle_pole_integral(edges, t: float, r1: complex, r2: complex) -> np.nd
             raise DomainError(f"pole {r.real!r} lies on the semicircle support "
                               f"[-{radius!r}, {radius!r}]")
     x = np.clip(np.asarray(edges, dtype=float), -radius, radius)
-    return np.diff(_pole_pair_antiderivative(x, r1, r2, radius)).real / (2.0 * np.pi * t)
+    return _pole_pair_bin_integrals(x, r1, r2, radius).real / (2.0 * np.pi * t)
 
 
 def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
@@ -290,74 +302,80 @@ def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
 # implicit-equation solvers
 # ---------------------------------------------------------------------------
 
-def _herglotz_ok(z: complex, g: complex) -> bool:
-    if np.imag(z) > 0:
-        return np.imag(g) < 0
-    return np.imag(g) > 0
-
-
-def _newton_refine(model, z, t_shift, g, max_iter=60, tol=1e-13):
-    # Newton on F(g) = g - G0(z - t_shift * g)
+def _newton(model, z, t_shift, g, max_iter=60, tol=1e-13):
+    # Newton on F(g) = g - G0(z - t_shift g) from a copy of g; each point
+    # stops once |F| < tol or F' = 0
+    g = g.copy()
+    live = np.arange(g.size)
     for _ in range(max_iter):
-        w = z - t_shift * g
-        f = g - stieltjes_atomic(model, w)
-        if abs(f) < tol:
+        g0, dg0 = stieltjes_atomic(model, z[live] - t_shift * g[live], deriv=True)
+        f = g[live] - g0
+        fp = 1.0 + t_shift * dg0
+        step = ~(np.abs(f) < tol) & (fp != 0)
+        live = live[step]
+        if not live.size:
             break
-        fp = 1.0 + t_shift * _stieltjes_atomic_deriv(model, w)
-        if fp == 0:
-            break
-        g = g - f / fp
+        g[live] -= f[step] / fp[step]
     return g
 
 
-def _solve_shifted(model: SpectrumModel, z: complex, t_shift: float) -> complex:
-    """Solve ``G = G0(z - t_shift G)`` on the Herglotz branch.
+def _misses(model, z, t_shift, g):
+    """Residual of each root, and whether it misses ``SOLVER_TOL`` or the Herglotz sign."""
+    residual = np.abs(g - stieltjes_atomic(model, z - t_shift * g))
+    return residual, ~((residual < SOLVER_TOL) & (np.sign(g.imag) == -np.sign(z.imag)))
 
-    Newton from ``G0(z)``.  If that root misses ``SOLVER_TOL`` or lies off
-    the Herglotz branch (this happens near cusps and edges), restart Newton
-    from deep in the same half-plane and walk the imaginary part down to the
-    target as a continuation.  Raises ``ConvergenceError`` when both fail.
+
+def _solve_shifted(model: SpectrumModel, z, t_shift: float):
+    """Solve ``G = G0(z - t_shift G)`` on the Herglotz branch at each point of ``z``.
+
+    ``z`` is a scalar (giving a Python ``complex``) or an array.  Masked
+    Newton runs from ``G0(z)`` at all points at once.  The points whose root
+    misses ``SOLVER_TOL`` or the Herglotz sign (near cusps and edges) restart
+    from deep in their half-plane and walk ``Im z`` down to the target in 30
+    geometric steps, one masked Newton solve per step for all of them.
+    ``ConvergenceError`` names the first point that still fails and counts
+    them all.
     """
-    if np.imag(z) == 0:
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    if np.any(flat.imag == 0):
         raise ValueError("solver requires Im(z) != 0; pass lam - i*eps for boundary points")
-    if t_shift == 0.0:
-        return stieltjes_atomic(model, z)
+    g = stieltjes_atomic(model, flat)
+    if t_shift != 0.0:
+        g = _newton(model, flat, t_shift, g)
+        _, bad = _misses(model, flat, t_shift, g)
+        if bad.any():
+            g[bad] = _continuation(model, flat[bad], t_shift)
+            residual, bad = _misses(model, flat, t_shift, g)
+            if bad.any():
+                k = np.argmax(bad)
+                raise ConvergenceError(
+                    f"implicit Stieltjes solve failed at {bad.sum()} of {flat.size} points, first "
+                    f"at z={complex(flat[k])}, shift={t_shift}: residual={residual[k]:.3e}")
+    return complex(g[0]) if z.ndim == 0 else g.reshape(z.shape)
 
-    g = _newton_refine(model, z, t_shift, stieltjes_atomic(model, z))
-    residual = abs(g - stieltjes_atomic(model, z - t_shift * g))
-    if residual < SOLVER_TOL and _herglotz_ok(z, g):
-        return g
 
-    # continuation from far off the axis, same half-plane as z
-    sign = -1.0 if np.imag(z) < 0 else 1.0
-    span = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t_shift) + 1.0
-    target = abs(np.imag(z))
-    steps = 30
-    ratio = (max(target, 1e-300) / span) ** (1.0 / steps)
-    y = span
-    g = stieltjes_atomic(model, complex(np.real(z), sign * y))
+def _continuation(model, z, t_shift, steps=30):
+    # from far off the axis, same half-plane as z, down to |Im z|
+    sign = np.sign(z.imag)
+    span = np.max(np.abs(model._locs)) + 2.0 * np.sqrt(t_shift) + 1.0
+    ratio = (np.maximum(np.abs(z.imag), 1e-300) / span) ** (1.0 / steps)
+    y = np.full(z.shape, span)
+    g = stieltjes_atomic(model, z.real + 1j * (sign * y))
     for _ in range(steps):
         y *= ratio
-        g = _newton_refine(model, complex(np.real(z), sign * y), t_shift, g)
-    g = _newton_refine(model, z, t_shift, g)
-    residual = abs(g - stieltjes_atomic(model, z - t_shift * g))
-    if residual < SOLVER_TOL and _herglotz_ok(z, g):
-        return g
-    raise ConvergenceError(
-        f"implicit Stieltjes solve failed at z={z}, shift={t_shift}: "
-        f"residual={residual:.3e}, herglotz={_herglotz_ok(z, g)}",
-        z=z, t=t_shift, residual=residual,
-    )
+        g = _newton(model, z.real + 1j * (sign * y), t_shift, g)
+    return _newton(model, z, t_shift, g)
 
 
-def solve_stieltjes(model: SpectrumModel, z: complex, t: float) -> complex:
-    """Transform of ``A + noise(t)`` for an initial spectrum given by ``model``."""
+def solve_stieltjes(model: SpectrumModel, z, t: float):
+    """Transform of ``A + noise(t)`` at scalar or array ``z`` for an initial spectrum ``model``."""
     if t < 0:
         raise ValueError("t must be >= 0")
     return _solve_shifted(model, z, t)
 
 
-def solve_minor_stieltjes(model: SpectrumModel, z: complex, t: float, q: float) -> complex:
+def solve_minor_stieltjes(model: SpectrumModel, z, t: float, q: float):
     """Minor-side transform: same equation with characteristic shift ``q * t``.
 
     ``model`` describes the minor's *nonzero* initial spectrum (normalized to
@@ -378,57 +396,53 @@ def solve_minor_stieltjes(model: SpectrumModel, z: complex, t: float, q: float) 
 class BoundaryValues:
     """Real-axis limit of a Stieltjes evaluator: Hilbert transform and density.
 
-    ``warn_extrapolation`` is set when the two-epsilon Richardson step
-    disagrees with itself by more than 1e-4 relative; ``edge_flagged`` marks
-    points whose density is below ``EDGE_DENSITY_THRESHOLD``, too small for
-    downstream inversion to divide by it.
+    Fields are floats for one point or arrays shaped like the points.
+    ``edge_flagged`` marks densities below ``EDGE_DENSITY_THRESHOLD``, too
+    small for downstream inversion to divide by.
     """
 
-    v: float
-    rho: float
-    lam: float
-    warn_extrapolation: bool = False
-    edge_flagged: bool = False
+    v: float | np.ndarray
+    rho: float | np.ndarray
+    lam: float | np.ndarray
+    edge_flagged: bool | np.ndarray = False
 
 
-def boundary_values(evaluator, lam: float,
-                    eps0: float = DEFAULT_BOUNDARY_EPS) -> BoundaryValues:
-    """Extract ``(v, rho)`` at ``lam`` from an evaluator of ``z -> G(z)``.
+def boundary_values(evaluator, lam, eps0: float = DEFAULT_BOUNDARY_EPS) -> BoundaryValues:
+    """Extract ``(v, rho)`` at each point of ``lam`` from an evaluator of ``z -> G(z)``.
 
     Evaluates at ``lam - i*eps0`` and ``lam - i*eps0/2`` and Richardson
     extrapolates to the axis.  ``evaluator`` must already be bound to the
-    time of interest.
+    time of interest and take an array: it is called once, on both offsets
+    of every point stacked.
     """
-    g1 = evaluator(complex(lam, -eps0))
-    g2 = evaluator(complex(lam, -eps0 / 2.0))
+    lam = np.asarray(lam, dtype=float)
+    g1, g2 = evaluator(np.stack([lam - 1j * eps0, lam - 0.5j * eps0]))
     g = 2.0 * g2 - g1
-    v = float(np.real(g))
-    rho = max(float(np.imag(g)) / np.pi, 0.0)
-    warn = abs(g1 - g2) > 1e-4 * max(1.0, abs(g))
-    return BoundaryValues(v=v, rho=rho, lam=float(lam),
-                          warn_extrapolation=bool(warn),
-                          edge_flagged=rho < EDGE_DENSITY_THRESHOLD)
+    rho = np.maximum(g.imag / np.pi, 0.0)
+    fields = (g.real, rho, lam, rho < EDGE_DENSITY_THRESHOLD)
+    return BoundaryValues(*(f if lam.ndim else f.item() for f in fields))
 
 
-def scan_support_edge(evaluator, inside: float, outside: float,
-                      eps: float = 1e-9, threshold: float = 1e-4,
-                      tol: float = 1e-8) -> float:
-    """Locate a support edge of the boundary density by bisection.
+def scan_support_edge(evaluator, inside: float, outside,
+                      eps: float = 1e-9, threshold: float = 1e-4, tol: float = 1e-8):
+    """Locate support edges of the boundary density by bisection.
 
-    ``inside`` must have density above ``threshold`` and ``outside`` below.
-    A small ``eps`` keeps the epsilon-smearing of the edge below ``tol``.
+    ``inside`` must have density above ``threshold`` and each point of
+    ``outside`` (scalar or array) below.  The outside points are bisected in
+    lockstep, one evaluator call per step, each until its bracket is below
+    ``tol``.  A small ``eps`` keeps the edge's epsilon-smearing below ``tol``.
     """
-    rho_at = lambda lam: boundary_values(evaluator, lam, eps0=eps).rho
-
-    if rho_at(inside) <= threshold:
+    hi = np.array(outside, dtype=float, ndmin=1)
+    rho = boundary_values(evaluator, np.append(inside, hi), eps0=eps).rho
+    if rho[0] <= threshold:
         raise ValueError("'inside' point does not sit inside the support")
-    if rho_at(outside) > threshold:
+    if np.any(rho[1:] > threshold):
         raise ValueError("'outside' point does not sit outside the support")
-    lo, hi = inside, outside
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if rho_at(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo = np.full(hi.shape, float(inside))
+    live = np.abs(hi - lo) > tol
+    while live.any():
+        mid = 0.5 * (lo[live] + hi[live])
+        up = boundary_values(evaluator, mid, eps0=eps).rho > threshold
+        lo[live], hi[live] = np.where(up, mid, lo[live]), np.where(up, hi[live], mid)
+        live = np.abs(hi - lo) > tol
+    return 0.5 * (lo + hi) if np.ndim(outside) else float(0.5 * (lo[0] + hi[0]))

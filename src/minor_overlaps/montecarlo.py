@@ -46,7 +46,7 @@ from .ensembles import (
     tail_spike_vector,
     uniform_spike_vector,
 )
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
@@ -333,10 +333,14 @@ def _binned_semicircle_average(edges: np.ndarray, t: float, scale: float,
     integrals are exact (:func:`~minor_overlaps.freeprob.semicircle_pole_integral`),
     as are the bin masses (:func:`~minor_overlaps.freeprob.semicircle_tail_mass`).
     Returns ``(theory, rho_bar)`` where ``rho_bar`` is the average semicircle
-    density over the bin (the multiplier used for figure-style curves).
+    density over the bin (the multiplier used for figure-style curves).  A
+    bin without mass gets NaN theory and drops out of coverage.
     """
-    mass = -np.diff(semicircle_tail_mass(edges, t))
-    return scale * semicircle_pole_integral(edges, t, r1, r2) / mass, mass / np.diff(edges)
+    tail = semicircle_tail_mass(edges, t)
+    mass = tail[:-1] - tail[1:]
+    theory = np.divide(scale * semicircle_pole_integral(edges, t, r1, r2), mass,
+                       out=np.full(mass.shape, np.nan), where=mass > 0)
+    return theory, mass / np.diff(edges)
 
 
 def _goe_kernel_poles(center: float, lead: float, t: float, q: float):
@@ -360,28 +364,23 @@ def _goe_kernel_poles(center: float, lead: float, t: float, q: float):
 
 
 def _bin_means(values: np.ndarray, positions: np.ndarray, edges: np.ndarray):
-    """Mean of ``values`` per bin of ``positions`` (NaN for empty bins)."""
+    """Mean of ``values`` per bin of ``positions`` (NaN for empty bins, outside ones dropped)."""
     bins = edges.size - 1
     which = np.digitize(positions, edges) - 1
-    means = np.full(bins, np.nan)
-    counts = np.zeros(bins)
-    for b in range(bins):
-        sel = which == b
-        if sel.any():
-            means[b] = values[sel].mean()
-            counts[b] = sel.sum()
-    return means, counts
+    inside = (which >= 0) & (which < bins)
+    counts = np.bincount(which[inside], minlength=bins).astype(float)
+    sums = np.bincount(which[inside], weights=values[inside], minlength=bins)
+    return np.divide(sums, counts, out=np.full(bins, np.nan), where=counts > 0), counts
 
 
 def _scan_general_support(full_ev, model: SpectrumModel, t: float):
     """Support bounds of the evolved density for a general initial spectrum."""
     span = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t) + 1.0
     grid = np.linspace(-span, span, 61)
-    dens = [np.imag(full_ev(complex(x, -1e-6))) / np.pi for x in grid]
+    dens = np.imag(full_ev(grid - 1e-6j)) / np.pi
     inside = float(grid[int(np.argmax(dens))])
-    hi = scan_support_edge(full_ev, inside, span)
-    lo = scan_support_edge(full_ev, inside, -span)
-    return lo, hi
+    lo, hi = scan_support_edge(full_ev, inside, (-span, span))
+    return float(lo), float(hi)
 
 
 def _kernel_curve(s0, minor_b, full_ev, lams, t, q):
@@ -390,14 +389,8 @@ def _kernel_curve(s0, minor_b, full_ev, lams, t, q):
     Returns ``(w, rho)``: ``w`` is NaN where :func:`overlap_kernel` refuses
     the point (edge or gap), ``rho`` the full boundary density at every point.
     """
-    full_bs = [boundary_values(full_ev, lam) for lam in lams]
-    w = np.full(len(full_bs), np.nan)
-    for k, full_b in enumerate(full_bs):
-        try:
-            w[k] = overlap_kernel(s0, minor_b, full_b, t, q)
-        except DomainError:
-            pass
-    return w, np.array([b.rho for b in full_bs])
+    full_b = boundary_values(full_ev, lams)
+    return overlap_kernel(s0, minor_b, full_b, t, q), full_b.rho
 
 
 def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
@@ -411,8 +404,7 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     nodes, gauss_w = np.polynomial.legendre.leggauss(5)
     centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     lams = centers[:, None] + halves[:, None] * nodes
-    w, rho = _kernel_curve(s0, boundary_values(minor_ev, mu_hat), full_ev, lams.ravel(), t, q)
-    w, rho = w.reshape(lams.shape), rho.reshape(lams.shape)
+    w, rho = _kernel_curve(s0, boundary_values(minor_ev, mu_hat), full_ev, lams, t, q)
     theory = np.full(edges.size - 1, np.nan)
     for b, ok in enumerate(~np.isnan(w)):
         weights = gauss_w[ok] * rho[b, ok]

@@ -69,10 +69,12 @@ class FiniteInitialTransform:
         grid = overlap_grid(eig_sym(a), eig_sym(a[:n, :n]))
         return cls(grid.minor_evals, grid.full_evals, grid.values, a.shape[0])
 
-    def __call__(self, z: complex, z_tilde: complex) -> complex:
-        u = 1.0 / (z_tilde - self.minor_evals)
-        v = 1.0 / (z - self.full_evals)
-        return (u @ self.overlaps @ v) / self.n_dim
+    def __call__(self, z, z_tilde):
+        """Transform at scalars, or at arrays that broadcast together (one grid product)."""
+        u = 1.0 / (np.asarray(z_tilde)[..., None] - self.minor_evals)
+        v = 1.0 / (np.asarray(z)[..., None] - self.full_evals)
+        val = np.sum((u @ self.overlaps) * v, axis=-1) / self.n_dim
+        return val if val.ndim else complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -99,52 +101,49 @@ def evolve_double_stieltjes(s0, z: complex, z_tilde: complex, t: float, q: float
         raise ValueError("t > 0 requires full and minor transform evaluators")
     y = z - t * full_ev(z)
     y_tilde = z_tilde - q * t * minor_ev(z_tilde)
-    s_init = s0(y, y_tilde)
-    denom = 1.0 - t * s_init
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(
-            f"double transform pole: |1 - t*s0| = {abs(denom):.3e} at z={z}, zt={z_tilde}"
-        )
-    return s_init / denom
+    return _riccati(s0(y, y_tilde), t)
 
 
-def _riccati(s0_val: complex, t: float) -> complex:
+def _riccati(s0_val, t: float):
     denom = 1.0 - t * s0_val
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(f"double transform pole during inversion: |1 - t*s0| = {abs(denom):.3e}")
+    if np.any(np.abs(denom) < _POLE_TOL):
+        raise PoleError(f"double transform pole: |1 - t*s0| = {np.min(np.abs(denom)):.3e}")
     return s0_val / denom
 
 
 def overlap_kernel(s0, minor_b: BoundaryValues, full_b: BoundaryValues,
-                   t: float, q: float) -> float:
+                   t: float, q: float):
     """General-spectrum kernel ``W(mu, lam, t)`` via double inversion on the real axis.
 
     ``minor_b`` holds the minor transform's boundary values at ``mu =
     minor_b.lam`` and ``full_b`` the full transform's at ``lam = full_b.lam``,
-    both at time ``t``.  Both points must lie strictly inside their bulks:
-    an edge-flagged side is refused rather than divided by.  No extra epsilon
-    enters the final evaluation: the characteristic endpoints already carry
-    imaginary parts ``-pi t rho`` and ``-+ q pi t rho_tilde`` that keep
-    ``s0`` away from its real poles.
+    both at time ``t``, as floats or as arrays that broadcast together.  Both
+    points must lie strictly inside their bulks: an edge-flagged side is
+    refused rather than divided by (``DomainError`` for floats, NaN at the
+    refused pairs of arrays).  No extra epsilon enters the final evaluation:
+    the characteristic endpoints already carry imaginary parts ``-pi t rho``
+    and ``-+ q pi t rho_tilde`` that keep ``s0`` away from its real poles.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
     if not 0.0 < q < 1.0:
         raise DomainError("kernel inversion requires 0 < q < 1")
-    if full_b.edge_flagged:
-        raise DomainError(
-            f"lam={full_b.lam} is edge-flagged (rho={full_b.rho:.3e}); kernel undefined there"
-        )
-    if minor_b.edge_flagged:
-        raise DomainError(
-            f"mu={minor_b.lam} is edge-flagged (minor rho={minor_b.rho:.3e}); "
-            "kernel undefined there"
-        )
-    y = complex(full_b.lam - t * full_b.v, -np.pi * t * full_b.rho)
-    y_tilde = complex(minor_b.lam - q * t * minor_b.v, -q * np.pi * t * minor_b.rho)
+    refused = np.logical_or(full_b.edge_flagged, minor_b.edge_flagged)
+    if refused.ndim == 0 and refused:
+        raise DomainError(f"edge-flagged point at lam={full_b.lam} (rho={full_b.rho:.3e}) "
+                          f"or mu={minor_b.lam} (minor rho={minor_b.rho:.3e}); "
+                          "kernel undefined there")
+    y = full_b.lam - t * full_b.v + 1j * (-np.pi * t * full_b.rho)
+    y_tilde = minor_b.lam - q * t * minor_b.v + 1j * (-q * np.pi * t * minor_b.rho)
+    ok, y, rho, rho_tilde = np.broadcast_arrays(~refused, y, full_b.rho, minor_b.rho)
+    y = y[ok]
+    if np.ndim(y_tilde):  # a scalar stays one: one vector-grid product serves every lam
+        y_tilde = np.broadcast_to(y_tilde, ok.shape)[ok]
     plus = _riccati(s0(y, np.conj(y_tilde)), t)
     minus = _riccati(s0(y, y_tilde), t)
-    return float(np.real(plus - minus)) / (2.0 * q * np.pi ** 2 * full_b.rho * minor_b.rho)
+    w = np.full(ok.shape, np.nan)
+    w[ok] = np.real(plus - minus) / (2.0 * q * np.pi ** 2 * rho[ok] * rho_tilde[ok])
+    return w if w.ndim else float(w)
 
 
 # ---------------------------------------------------------------------------

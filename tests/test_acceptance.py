@@ -110,11 +110,11 @@ def test_criterion_3_formula_consistency():
 
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
-    minor_bs = [boundary_values(minor_ev, mu) for mu in mus]
-    full_bs = [boundary_values(full_ev, lam) for lam in lams]
-    worst_kernel = max(
-        abs(overlap_kernel(s0, mb, fb, t, q) - kernel_goe_value(mb.lam, fb.lam, t, q))
-        for mb in minor_bs for fb in full_bs)
+    # every (mu, lam) pair at once: mu down the rows, lam along the columns
+    minor_b = boundary_values(minor_ev, mus[:, None])
+    full_b = boundary_values(full_ev, lams)
+    worst_kernel = np.max(np.abs(overlap_kernel(s0, minor_b, full_b, t, q)
+                                 - kernel_goe_value(mus[:, None], lams, t, q)))
 
     rng = np.random.default_rng(33)
     worst_s0 = 0.0

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minor_overlaps import cli
@@ -194,8 +195,10 @@ def test_model_atom_outside_minor_block_exits_two(capsys, tmp_path):
 
 
 def _counting(calls, key, fn):
+    """Wrap a solver ``fn(model, z, ...)``: count its calls and the points it solves."""
     def counted(*args):
         calls[key] += 1
+        calls[key + "_points"] += np.size(args[1])
         return fn(*args)
     return counted
 
@@ -203,7 +206,7 @@ def _counting(calls, key, fn):
 def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
-    calls = {"full": 0, "minor": 0}
+    calls = dict.fromkeys(("full", "full_points", "minor", "minor_points"), 0)
     monkeypatch.setattr(cli, "solve_stieltjes", _counting(calls, "full", cli.solve_stieltjes))
     monkeypatch.setattr(cli, "solve_minor_stieltjes",
                         _counting(calls, "minor", cli.solve_minor_stieltjes))
@@ -218,8 +221,9 @@ def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
     for line in lines[1:]:
         assert float(line.split(",")[4]) > 0
     assert stderr.strip() == f"refused={12 - (len(lines) - 1)}"
-    # one Richardson pair for the minor value at mu, one per lambda on the full side
-    assert calls == {"full": 2 * 12, "minor": 2}
+    # one Richardson pair for the minor value at mu, one per lambda on the full
+    # side, and one solver call for each side
+    assert calls == {"full": 1, "full_points": 2 * 12, "minor": 1, "minor_points": 2}
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from minor_overlaps import (
+    ConvergenceError,
     DomainError,
     FiniteInitialTransform,
     SpectrumModel,
@@ -14,7 +15,6 @@ from minor_overlaps import (
     sample_goe,
     scan_support_edge,
     semicircle_density,
-    semicircle_hilbert,
     semicircle_quantile,
     semicircle_stieltjes,
     semicircle_tail_mass,
@@ -22,7 +22,8 @@ from minor_overlaps import (
     solve_stieltjes,
     stieltjes_atomic,
 )
-from minor_overlaps.freeprob import semicircle_pole_integral
+from minor_overlaps import freeprob
+from minor_overlaps.freeprob import SOLVER_TOL, semicircle_pole_integral
 
 ATOM_ZERO = SpectrumModel(atoms=((0.0, 1.0),))
 TWO_ATOMS = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
@@ -86,7 +87,6 @@ def test_semicircle_density_values():
     assert semicircle_density(-2 * np.sqrt(0.5), 0.5) == 0.0
     mass, _ = quad(lambda l: semicircle_density(l, 1.0), -2, 2)
     assert mass == pytest.approx(1.0, abs=1e-10)
-    assert semicircle_hilbert(0.6, 1.5) == pytest.approx(0.2)
 
 
 def test_solver_matches_closed_form_on_grid():
@@ -153,6 +153,63 @@ def test_solvers_decay_like_one_over_z(model, t, q, scale, angle, upper):
     z = z if upper else np.conj(z)
     for g, _ in _both_solvers(model, z, t, q):
         assert abs(z * g - 1.0) <= 2.0 * radius / abs(z)
+
+
+@st.composite
+def _z_arrays(draw, size=20):
+    """Mixed half-planes, |Im z| log-uniform from 1e-9 to 2."""
+    re = draw(st.lists(st.floats(-6.0, 6.0), min_size=size, max_size=size))
+    log_im = draw(st.lists(st.floats(-9.0, np.log10(2.0)), min_size=size, max_size=size))
+    upper = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array(re) + 1j * np.where(upper, 1.0, -1.0) * 10.0 ** np.array(log_im)
+
+
+@settings(max_examples=60)
+@given(model=_atomic_models(), t=st.floats(0.05, 3.0), q=st.floats(0.05, 1.0),
+       z=_z_arrays())
+def test_array_solvers_return_herglotz_roots_at_every_point(model, t, q, z):
+    for g, shift in _both_solvers(model, z, t, q):
+        assert g.shape == z.shape
+        assert np.all(np.abs(g - stieltjes_atomic(model, z - shift * g)) < SOLVER_TOL)
+        assert np.all(np.sign(g.imag) == -np.sign(z.imag))
+
+
+@settings(max_examples=30)
+@given(model=_atomic_models(), t=st.floats(0.05, 3.0), q=st.floats(0.05, 1.0),
+       z=_z_arrays(size=8))
+def test_scalar_solve_is_the_array_solve_at_that_point(model, t, q, z):
+    # every point takes the same Newton steps and fallback alone as in a batch
+    full = solve_stieltjes(model, z, t)
+    minor = solve_minor_stieltjes(model, z.reshape(2, 4), t, q).ravel()
+    for k, zk in enumerate(z):
+        got = solve_stieltjes(model, complex(zk), t)
+        assert type(got) is complex
+        assert got == full[k]
+        assert solve_minor_stieltjes(model, complex(zk), t, q) == minor[k]
+
+
+def test_solver_failure_names_the_first_point_and_counts_the_rest(monkeypatch):
+    # no root meets a zero tolerance, so every point fails after its fallback
+    monkeypatch.setattr(freeprob, "SOLVER_TOL", 0.0)
+    z = np.array([0.5 - 1e-3j, 1.5 + 0.2j, -0.3 - 1e-7j])
+    with pytest.raises(ConvergenceError,
+                       match=r"failed at 3 of 3 points, first at z=\(0\.5-0\.001j\), "
+                             r"shift=0\.7: residual="):
+        solve_stieltjes(TWO_ATOMS, z, 0.7)
+
+
+def test_boundary_values_and_edge_scan_take_arrays():
+    ev = lambda z: solve_stieltjes(TWO_ATOMS, z, 1.0)
+    lams = np.array([-3.0, -1.2, 0.0, 0.4, 2.0, 2.7])
+    batch = boundary_values(ev, lams)
+    for k, lam in enumerate(lams):
+        one = boundary_values(ev, lam)
+        assert (one.v, one.rho, one.lam, one.edge_flagged) == (
+            batch.v[k], batch.rho[k], batch.lam[k], batch.edge_flagged[k])
+    assert batch.edge_flagged.tolist() == [True, False, False, False, False, True]
+    # the lockstep bisection of two edges ends where each edge's own bisection does
+    both = scan_support_edge(ev, 0.5, np.array([-3.5, 3.5]))
+    assert both.tolist() == [scan_support_edge(ev, 0.5, -3.5), scan_support_edge(ev, 0.5, 3.5)]
 
 
 def test_solver_against_cubic_oracle_near_cusp():
@@ -256,7 +313,8 @@ def test_boundary_reproduces_closed_forms_inside_bulk():
     for lam in np.linspace(-2 * np.sqrt(t) + 0.05, 2 * np.sqrt(t) - 0.05, 17):
         b = boundary_values(ev, lam)
         assert b.rho == pytest.approx(semicircle_density(lam, t), abs=1e-6)
-        assert b.v == pytest.approx(semicircle_hilbert(lam, t), abs=1e-6)
+        # the semicircle's Hilbert transform inside its bulk is lam / (2t)
+        assert b.v == pytest.approx(lam / (2 * t), abs=1e-6)
 
 
 def test_quantile_examples_and_roundtrip():
@@ -291,6 +349,20 @@ def test_pole_integral_refuses_a_real_pole_on_the_support():
             semicircle_pole_integral(edges, 1.0, r, 3.0)
     assert np.all(semicircle_pole_integral(edges, 1.0, 2.5, 3.0) > 0)
     assert np.all(semicircle_pole_integral(edges, 1.0, 2.5, -3.0) < 0)
+
+
+def test_pole_integral_keeps_its_accuracy_far_from_a_pole_at_the_edge():
+    # a real double pole 4.5e-5 beyond the edge, and a bin 0.0036 R wide at
+    # the far edge: the antiderivative differenced across it loses ~1e-10 relative
+    t = 0.989
+    radius = 2.0 * np.sqrt(t)
+    r0 = radius + 4.5e-5
+    a, c = -radius, -radius + 0.0036 * radius
+    want, _ = quad(lambda th: (radius * np.cos(th)) ** 2 / (2 * np.pi * t)
+                   / (radius * np.sin(th) - r0) ** 2,
+                   np.arcsin(a / radius), np.arcsin(c / radius), epsabs=0.0, epsrel=1e-13)
+    got = semicircle_pole_integral(np.array([a, c]), t, r0, r0)[0]
+    assert abs(got - want) < 1e-12 * want
 
 
 def test_minor_quantile_is_scaled_full_quantile():

@@ -36,9 +36,11 @@ from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
     _binned_general_theory,
+    _bin_means,
     _binned_semicircle_average,
     _goe_kernel_poles,
     _kernel_curve,
+    _scan_general_support,
     _openblas_threads,
     _run_trials,
     miss_tail_probability,
@@ -293,6 +295,77 @@ def test_bin_averages_and_mean_densities_over_many_bins():
         assert rho_bar[b] == pytest.approx(mass / (c - a), rel=1e-10)
 
 
+def test_zero_mass_bin_gets_nan_theory_and_no_density():
+    # [2.5, 3.0] lies beyond the t = 1 support: no mass to average over
+    edges = np.array([1.5, 2.5, 3.0])
+    theory, rho_bar = _binned_semicircle_average(edges, 1.0, 0.5,
+                                                 *_goe_kernel_poles(0.1, 0.5, 1.0, 0.5))
+    assert np.isfinite(theory[0]) and rho_bar[0] > 0
+    assert np.isnan(theory[1]) and rho_bar[1] == 0.0
+    report = run_bulk_experiment(_small_bulk_config(bins=2, bin_range=(1.5, 3.0)))
+    assert np.isnan(report.theory[1])
+    assert report.extras["rho_bin"][1] == 0.0
+
+
+def test_bin_means_match_a_loop_over_bins_and_drop_outside_positions():
+    rng = np.random.default_rng(9)
+    edges = np.linspace(-1.0, 1.0, 9)
+    positions = np.concatenate([rng.uniform(-1.5, 0.5, 200), edges[[0, 4, -1]]])
+    values = rng.normal(size=positions.size)
+    means, counts = _bin_means(values, positions, edges)
+    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        sel = (positions >= lo) & (positions < hi)
+        assert counts[b] == sel.sum()
+        if sel.any():
+            assert means[b] == pytest.approx(values[sel].mean(), rel=1e-13)
+        else:
+            assert np.isnan(means[b])
+    assert counts.sum() < positions.size  # the top edge and beyond are dropped
+    assert np.isnan(means[-1]) and counts[-1] == 0
+
+
+#: ``_binned_general_theory`` on the ``bulk-model`` benchmark configuration
+#: (atoms at -1 and +1, N = 200, q = 0.5, t = 1, 25 bins) at the seed-1
+#: realized mu_hat, recorded from the scalar solver this batched path replaced
+_PINNED_MU_HAT = 0.2148973554626798
+_PINNED_THEORY = np.array([
+    0.1024233311385435, 0.11676024263679938, 0.13461520509232008, 0.1570762533360925,
+    0.18587019868723442, 0.22368501087786452, 0.2748817814005373, 0.34697708190415444,
+    0.45404305847275955, 0.6257585305836902, 0.9378565795686323, 1.6723127746763262,
+    8.646590017858543, 7.718164355181148, 3.4066703372447, 1.8397133989531462,
+    1.1426802481745806, 0.7771278312494223, 0.5624984619402731, 0.42596202085809115,
+    0.33378805767837705, 0.26866059578078755, 0.2209651103569003, 0.18504093666352,
+    0.1575023684077118,
+])
+_PINNED_RHO_BAR = np.array([
+    0.12710090636706536, 0.16820996188154175, 0.1956508546663573, 0.21483289472140515,
+    0.2278223678969114, 0.23557697656700816, 0.23850165337774373, 0.23661223120969715,
+    0.2295213782747987, 0.2162236008729994, 0.19434652036464783, 0.15661991398950884,
+    0.07910445736342618, 0.15661991398950884, 0.19434652036464783, 0.21622360087299936,
+    0.22952137827479874, 0.23661223120969718, 0.23850165337774376, 0.23557697656700816,
+    0.2278223678969114, 0.21483289472140515, 0.19565085466635726, 0.16820996188154175,
+    0.1271009063670653,
+])
+
+
+def test_general_theory_on_the_bulk_model_configuration_is_pinned():
+    model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
+    q, t = 0.5, 1.0
+    s0 = FiniteInitialTransform.from_matrix(representative_matrix(model, 200, 100), 100)
+    full = SpectrumModel.from_eigenvalues(s0.full_evals)
+    minor = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
+    full_ev = lambda z: solve_stieltjes(full, z, t)
+    lo, hi = _scan_general_support(full_ev, full, t)
+    assert (lo, hi) == (-2.598076080903412, 2.598076080903412)
+    margin = 0.025 * (hi - lo)
+    theory, rho_bar, refused = _binned_general_theory(
+        s0, _PINNED_MU_HAT, t, q, full_ev, lambda z: solve_minor_stieltjes(minor, z, t, q),
+        np.linspace(lo + margin, hi - margin, 26))
+    assert refused == 0
+    np.testing.assert_allclose(theory, _PINNED_THEORY, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(rho_bar, _PINNED_RHO_BAR, rtol=1e-10, atol=0)
+
+
 def test_miss_tail_probability_is_the_binomial_tail():
     assert miss_tail_probability(0, 19) == pytest.approx(1.0, rel=1e-15)
     assert miss_tail_probability(1, 19) == pytest.approx(1 - 0.99 ** 19, rel=1e-13)
@@ -332,18 +405,22 @@ def test_bulk_general_spectrum_run():
 def test_general_theory_computes_each_boundary_value_once(mu_hat, refused):
     q, t, bins = 0.5, 1.0, 6
     calls = {"full": 0, "minor": 0}
+    points = {"full": 0, "minor": 0}
 
     def counting(key, t_eff):
         def evaluator(z):
             calls[key] += 1
+            points[key] += np.size(z)
             return semicircle_stieltjes(z, t_eff)
         return evaluator
 
     theory, rho_bar, got_refused = _binned_general_theory(
         NullInitialTransform(q), mu_hat, t, q, counting("full", t), counting("minor", q * t),
         np.linspace(-1.8, 1.8, bins + 1))
-    # one Richardson pair at mu_hat, one per Gauss node on the full side
-    assert calls == {"full": 2 * 5 * bins, "minor": 2}
+    # one Richardson pair at mu_hat, one per Gauss node on the full side, all
+    # in one evaluator call per side
+    assert points == {"full": 2 * 5 * bins, "minor": 2}
+    assert calls == {"full": 1, "minor": 1}
     assert got_refused == refused
     assert np.all(rho_bar > 0)
     # a refused minor point refuses every node: all theory is NaN

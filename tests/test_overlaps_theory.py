@@ -153,13 +153,10 @@ def test_general_kernel_matches_closed_form_on_grid():
     s0 = NullInitialTransform(q)
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
-    worst = 0.0
-    for mu in mus:
-        minor_b = boundary_values(minor_ev, mu)
-        for lam in lams:
-            value = overlap_kernel(s0, minor_b, boundary_values(full_ev, lam), t, q)
-            worst = max(worst, abs(value - kernel_goe_value(mu, lam, t, q)))
-    assert worst < 1e-8
+    values = overlap_kernel(s0, boundary_values(minor_ev, mus[:, None]),
+                            boundary_values(full_ev, lams), t, q)
+    assert values.shape == (mus.size, lams.size)
+    assert np.max(np.abs(values - kernel_goe_value(mus[:, None], lams, t, q))) < 1e-8
 
 
 def test_general_kernel_refuses_edge_points():
@@ -169,6 +166,11 @@ def test_general_kernel_refuses_edge_points():
     edge = boundary_values(full_ev, 2.0 * np.sqrt(t) - 1e-9)
     with pytest.raises(DomainError):
         overlap_kernel(s0, boundary_values(minor_ev, 0.0), edge, t, q)
+    # an array of points is not refused as a whole: NaN at the edge point only
+    both = boundary_values(full_ev, np.array([0.5, 2.0 * np.sqrt(t) - 1e-9]))
+    w = overlap_kernel(s0, boundary_values(minor_ev, 0.0), both, t, q)
+    assert w[0] == pytest.approx(kernel_goe_value(0.0, 0.5, t, q), rel=1e-8)
+    assert np.isnan(w[1])
 
 
 def test_kernel_row_normalization_by_quadrature():
@@ -222,17 +224,12 @@ def test_general_kernel_against_binned_monte_carlo():
         grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
         isel = np.flatnonzero(np.abs(grid.minor_evals - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(grid.full_evals - lam0) <= window / 2)
-        minor_bs = {i: boundary_values(minor_ev, grid.minor_evals[i]) for i in isel}
-        full_bs = {j: boundary_values(full_ev, grid.full_evals[j]) for j in jsel}
-        pair_diffs = []
-        for i in isel:
-            for j in jsel:
-                try:
-                    theory = overlap_kernel(s0, minor_bs[i], full_bs[j], t, q)
-                except DomainError:
-                    continue
-                pair_diffs.append(n_dim * grid.values[i, j] - theory)
-        if pair_diffs:
+        # every (i, j) pair at once; refused pairs come back NaN and drop out
+        theory = overlap_kernel(s0, boundary_values(minor_ev, grid.minor_evals[isel, None]),
+                                boundary_values(full_ev, grid.full_evals[jsel]), t, q)
+        pair_diffs = n_dim * grid.values[np.ix_(isel, jsel)] - theory
+        pair_diffs = pair_diffs[~np.isnan(pair_diffs)]
+        if pair_diffs.size:
             diffs.append(np.mean(pair_diffs))
     diffs = np.array(diffs)
     assert diffs.size > trials // 2
