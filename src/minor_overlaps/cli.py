@@ -78,10 +78,14 @@ def _fmt_misses(extras) -> str:
             f"miss_tail_p={montecarlo.miss_tail_probability(k, judged):.4g}")
 
 
+def _fmt_threads(extras) -> str:
+    return (f"pool_threads={extras['pool_threads']} "
+            f"trial_blas_threads={extras['trial_blas_threads']}")
+
+
 def _fmt_run(extras) -> str:
     refused = f" refused={extras['refused_nodes']}" if "refused_nodes" in extras else ""
-    return (f"aborted={extras['aborted_trials']} pool_threads={extras['pool_threads']} "
-            f"trial_blas_threads={extras['trial_blas_threads']}{refused}")
+    return f"aborted={extras['aborted_trials']} {_fmt_threads(extras)}{refused}"
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +305,9 @@ def cmd_probe(args) -> int:
         report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
                                     trials=args.trials, seed=args.seed)
     _emit_report(args, report, reports.probe_report_csv)
-    _note(f"coverage={_fmt_cov(report.coverage)}")
+    # only the drift probe runs on the trial pool; the correlation probe is serial
+    threads = f" {_fmt_threads(report.extras)}" if "pool_threads" in report.extras else ""
+    _note(f"coverage={_fmt_cov(report.coverage)}{threads}")
     return 0
 
 

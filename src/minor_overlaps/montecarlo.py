@@ -13,7 +13,8 @@ setting is restored afterwards.  Reports therefore
 reproduce bit for bit for a fixed master seed, independent of worker count
 and of the caller's BLAS thread count.  Set-up decompositions outside the
 trials (such as the initial transform of an explicit deterministic part)
-still run with the caller's BLAS setting.
+still run with the caller's BLAS setting.  The drift probes run their
+increment chunks on the same pool (:func:`_pool_map`).
 
 Binned comparisons use the density-weighted average of the theory curve over
 each bin rather than its value at the bin center: the Monte Carlo bin mean
@@ -224,14 +225,37 @@ def _one_blas_thread():
         set_threads(previous)
 
 
-def _run_trials(trials: int, threads: int, worker):
-    """Run trials concurrently, preserving trial order; None marks an abort.
+def _pool_map(threads: int, fn, count: int):
+    """Map ``fn`` over ``range(count)`` on the trial pool; results come in index order.
 
-    Returns ``(results, aborted, used)`` where ``used`` holds the resolved
-    ``pool_threads`` and the ``trial_blas_threads`` the trials ran with (None
-    when the BLAS count could not be set).  Each pool worker gets one BLAS
-    thread, so the pool never oversubscribes the cores and the arithmetic, and
-    hence the output bytes, do not depend on ``threads``.
+    ``threads=0`` means one worker per core this process may run on.  While
+    ``fn`` runs, OpenBLAS is held at one thread, so each pool worker gets one
+    BLAS thread, the pool never oversubscribes the cores and the arithmetic,
+    and hence the output bytes, do not depend on ``threads``.  Returns
+    ``(results, used)`` where ``used`` holds the resolved ``pool_threads`` and
+    the ``trial_blas_threads`` ``fn`` ran with (None when the BLAS count could
+    not be set).  A worker starts the next index only when it is free, so at
+    most ``threads`` calls are in flight.
+    """
+    if threads == 0:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    threads = max(threads, 1)
+    with _one_blas_thread() as blas_threads:
+        if threads == 1:
+            results = [fn(m) for m in range(count)]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(fn, range(count)))
+    return results, {"pool_threads": threads, "trial_blas_threads": blas_threads}
+
+
+def _run_trials(trials: int, threads: int, worker):
+    """Run trials on :func:`_pool_map`, preserving trial order; None marks an abort.
+
+    Returns ``(results, aborted, used)`` with ``used`` as from
+    :func:`_pool_map`.  A run with more than ``MAX_ABORT_FRACTION`` aborted
+    trials is rejected.
     """
 
     def safe(m):
@@ -240,20 +264,11 @@ def _run_trials(trials: int, threads: int, worker):
         except NumericError:
             return None
 
-    if threads == 0:  # one worker per core this process may run on
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    threads = max(threads, 1)
-    with _one_blas_thread() as blas_threads:
-        if threads == 1:
-            results = [safe(m) for m in range(trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(safe, range(trials)))
+    results, used = _pool_map(threads, safe, trials)
     aborted = sum(r is None for r in results)
     if aborted > MAX_ABORT_FRACTION * trials:
         raise NumericError(f"{aborted}/{trials} trials aborted; run rejected")
-    return results, aborted, {"pool_threads": threads, "trial_blas_threads": blas_threads}
+    return results, aborted, used
 
 
 def _bulk_bin_edges(t: float, bins: int, bin_range, radius_scale: float = 1.0) -> np.ndarray:

@@ -9,20 +9,34 @@ independent Gaussian increments through the frozen state:
 * :func:`drift_probe` estimates the conditional drift of a squared overlap by
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
+
+The drift probes step the frozen matrix by chunks of increments on the trial
+pool (:func:`minor_overlaps.montecarlo._pool_map`), one BLAS thread per
+worker.  Each probe draws from one generator: a worker takes the next chunk
+index and draws that chunk's normals under a lock, so chunk ``k`` always
+holds the ``k``-th draw, and the sums are reduced in chunk order.  The
+results are therefore the same bit for bit at every worker count.  The
+correlation probe runs serially; its matrix products use the caller's BLAS
+threads.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 
 import numpy as np
 
 from .ensembles import derive_stream, sample_goe
 from .errors import NumericError
-from .montecarlo import Z_99, ExperimentReport, _estimate, _one_blas_thread
+from .montecarlo import Z_99, ExperimentReport, _estimate, _pool_map
 from .spectral import eig_sym
 
 _CHUNK = 2000
+#: matrices per batched ``eigh`` in :func:`_stepped_overlaps`; it bounds each
+#: pool worker's decomposition memory, and per-matrix results do not depend on it
+_EIGH_BATCH = 100
 
 
 def _frozen_state(n_dim: int, n: int, t: float, seed: int):
@@ -37,6 +51,16 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     block = eig_sym(x_mat[:n, :n])
     signed = block.eigenvectors.T @ full.eigenvectors[:n, :]
     return x_mat, full.eigenvalues, full.eigenvectors, block.eigenvalues, block.eigenvectors, signed
+
+
+def _check_probe(n_dim: int, n: int, dt: float, chunk: int):
+    """Refuse a minor size, increment size or chunk size no probe can use."""
+    if not 1 <= n < n_dim:
+        raise ValueError(f"need 1 <= n < n_dim, got n={n}, n_dim={n_dim}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite dt > 0, got {dt}")
+    if chunk < 1:
+        raise ValueError(f"need chunk >= 1, got {chunk}")
 
 
 def _mean_se(total: float, total_sq: float, count: int):
@@ -76,8 +100,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     start = time.perf_counter()
     if samples < 10_000:
         raise ValueError("correlation probe needs at least 1e4 samples")
-    if not 1 <= n < n_dim:
-        raise ValueError("need 1 <= n < n_dim")
+    _check_probe(n_dim, n, dt, chunk)
     _, _, full_vecs, _, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
 
     if minor_indices is None:
@@ -199,10 +222,16 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
-def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, pair):
+def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, pair, chunk: int):
     """Frozen state of the drift probes and the probed pair ``(i, j)``."""
     if n_dim > 100:
         raise ValueError("drift probe is restricted to n_dim <= 100")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
+                         f"levels are degenerate), got {t}")
+    _check_probe(n_dim, n, dt, chunk)
+    if pair is None and n < 3:
+        raise ValueError(f"a mid-bulk pair needs n >= 3, got n={n}")
     x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
     if pair is None:
         pair = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
@@ -212,11 +241,41 @@ def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, pair):
 def _stepped_overlaps(x_mat: np.ndarray, dh: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     """Signed overlap of minor eigenvector ``i`` and full eigenvector ``j`` of each ``x_mat + dh[c]``."""
     n_dim = x_mat.shape[0]
-    xp = x_mat[None, :, :] + dh
-    _, vecs = np.linalg.eigh(xp)
-    _, bvecs = np.linalg.eigh(xp[:, :n, :n])
-    # eigh is ascending: descending index i maps to column n-1-i
-    return np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i], vecs[:, :n, n_dim - 1 - j])
+    out = np.empty(len(dh))
+    for s in range(0, len(dh), _EIGH_BATCH):
+        xp = x_mat + dh[s:s + _EIGH_BATCH]
+        _, vecs = np.linalg.eigh(xp)
+        _, bvecs = np.linalg.eigh(xp[:, :n, :n])
+        # eigh is ascending: descending index i maps to column n-1-i
+        out[s:s + _EIGH_BATCH] = np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i],
+                                           vecs[:, :n, n_dim - 1 - j])
+    return out
+
+
+def _map_increments(rng, n_dim: int, scale: float, total: int, chunk: int, work):
+    """``work(dh)`` over ``total`` symmetric increments in chunks, on the trial pool.
+
+    A worker takes the next chunk index and draws that chunk's standard
+    normals ``z`` from ``rng`` under one lock, so chunk ``k`` always holds the
+    ``k``-th draw whichever worker runs it; ``dh = (z + z^T) * scale``.  The
+    pool has one worker per core.  Returns the results in chunk order and the
+    pool's thread counts.
+    """
+    lock = threading.Lock()
+    taken = itertools.count()
+
+    def run(_):
+        with lock:
+            k = next(taken)
+            z = rng.standard_normal((min(chunk, total - k * chunk), n_dim, n_dim))
+        dh = z + np.transpose(z, (0, 2, 1))
+        del z
+        dh *= scale
+        return k, work(dh)
+
+    results, used = _pool_map(0, run, -(-total // chunk))
+    results.sort(key=lambda r: r[0])
+    return [r for _, r in results], used
 
 
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
@@ -227,14 +286,19 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Rows: drift estimate against the formula value, then the two martingale
     term averages against zero.  The probed pair is mid-bulk; by default the
     one with the largest-magnitude formula drift, so the relative comparison
-    is well conditioned.  The batched decompositions run with one BLAS
-    thread; the caller's count is restored afterwards.
+    is well conditioned.  The frozen state is decomposed with the caller's
+    BLAS threads.  The ``trials`` increments run in chunks of ``chunk`` on
+    the trial pool, one worker per core, each worker with one BLAS thread;
+    the caller's count is restored afterwards.  Chunk ``k`` holds the
+    ``k``-th draw of the probe's generator and the sums reduce in chunk
+    order, so the report is the same bit for bit at every worker count.  Its
+    extras record ``pool_threads`` and ``trial_blas_threads``.
     """
     start = time.perf_counter()
     if trials < 1000:
         raise ValueError("drift probe needs at least 1000 trials")
     x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
-        n_dim, n, t, seed, dt, pair)
+        n_dim, n, t, seed, dt, pair, chunk)
     d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
     drift_theory = d1 + d2 + d3
     s0 = signed[i, j] ** 2
@@ -247,30 +311,22 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
         w_minor[i] = 0.0
 
+    def chunk_terms(dh):
+        a = _stepped_overlaps(x_mat, dh, n, i, j)
+        dh_psi = np.einsum("cab,b->ca", dh, psi_j)
+        beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
+        dh_phi = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i)
+        beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
+        return a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor
+
+    chunks, used = _map_increments(derive_stream(seed, 1).generator(), n_dim,
+                                   np.sqrt(dt / (2.0 * n_dim)), trials, chunk, chunk_terms)
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    rng = derive_stream(seed, 1).generator()
-    remaining = trials
-    scale = np.sqrt(dt / (2.0 * n_dim))
-    with _one_blas_thread():
-        while remaining > 0:
-            size = min(chunk, remaining)
-            z = rng.standard_normal((size, n_dim, n_dim))
-            dh = (z + np.transpose(z, (0, 2, 1))) * scale
-            a = _stepped_overlaps(x_mat, dh, n, i, j)
-            delta = a * a - s0
-
-            dh_psi = np.einsum("cab,b->ca", dh, psi_j)
-            beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
-            mart_full = 2.0 * beta_full @ w_full
-            dh_phi = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i)
-            beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
-            mart_minor = 2.0 * beta_minor @ w_minor
-
-            for slot, vals in enumerate((delta, mart_full, mart_minor)):
-                sums[slot] += vals.sum()
-                sq_sums[slot] += (vals * vals).sum()
-            remaining -= size
+    for terms in chunks:
+        for slot, vals in enumerate(terms):
+            sums[slot] += vals.sum()
+            sq_sums[slot] += (vals * vals).sum()
 
     rows = []
     for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
@@ -286,7 +342,7 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         coverage=hits / len(rows),
         wall_time_s=time.perf_counter() - start,
         extras={"pair": (i, j), "drift_terms": (float(d1), float(d2), float(d3)),
-                "frozen_overlap": float(s0)},
+                "frozen_overlap": float(s0), **used},
     )
 
 
@@ -298,30 +354,27 @@ def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Measures the drift estimator at ``dt``, ``2 dt`` and ``4 dt`` with common
     random increments and returns the mean and standard error of the per-draw
     combination ``est(4dt) - 3 est(2dt) + 2 est(dt)``, which vanishes when
-    the bias is linear in the step.  The batched decompositions run with one
-    BLAS thread, as in :func:`drift_probe`.
+    the bias is linear in the step.  The increments run on the trial pool with
+    ordered draws, as in :func:`drift_probe`, so the result is the same bit
+    for bit at every worker count.
     """
-    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, pair)
+    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, pair, chunk)
     s0 = signed[i, j] ** 2
 
+    def chunk_combo(dh):
+        ests = []
+        for mult in (1.0, 2.0, 4.0):
+            a = _stepped_overlaps(x_mat, np.sqrt(mult) * dh, n, i, j)
+            ests.append((a * a - s0) / (mult * dt))
+        return ests[2] - 3.0 * ests[1] + 2.0 * ests[0]
+
+    combos, _ = _map_increments(derive_stream(seed, 2).generator(), n_dim,
+                                np.sqrt(dt / (2.0 * n_dim)), trials, chunk, chunk_combo)
     total = 0.0
     total_sq = 0.0
-    rng = derive_stream(seed, 2).generator()
-    remaining = trials
-    base_scale = np.sqrt(dt / (2.0 * n_dim))
-    with _one_blas_thread():
-        while remaining > 0:
-            size = min(chunk, remaining)
-            z = rng.standard_normal((size, n_dim, n_dim))
-            dh = (z + np.transpose(z, (0, 2, 1))) * base_scale
-            ests = []
-            for mult in (1.0, 2.0, 4.0):
-                a = _stepped_overlaps(x_mat, np.sqrt(mult) * dh, n, i, j)
-                ests.append((a * a - s0) / (mult * dt))
-            combo = ests[2] - 3.0 * ests[1] + 2.0 * ests[0]
-            total += combo.sum()
-            total_sq += (combo * combo).sum()
-            remaining -= size
+    for combo in combos:
+        total += combo.sum()
+        total_sq += (combo * combo).sum()
 
     mean, se = _mean_se(total, total_sq, trials)
     if se == 0.0:

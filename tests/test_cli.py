@@ -259,11 +259,49 @@ def test_theory_missing_flag_exits_two(capsys, argv, flag):
 
 
 def test_probe_correlation_command(capsys):
-    code, stdout, _ = _run(capsys, [
+    code, stdout, stderr = _run(capsys, [
         "probe", "--kind", "correlation", "--N", "40", "--n", "20",
         "--samples", "10000", "--seed", "8"])
     assert code == 0
     assert stdout.startswith("row,kind,")
+    assert re.fullmatch(r"coverage=\S+\n", stderr)  # serial: no pool to report
+
+
+def test_probe_drift_reports_its_threads(capsys):
+    code, stdout, stderr = _run(capsys, [
+        "probe", "--kind", "drift", "--N", "20", "--n", "10", "--trials", "1000"])
+    assert code == 0
+    assert stdout.startswith("row,kind,")
+    cores = len(os.sched_getaffinity(0))
+    assert re.fullmatch(rf"coverage=\S+ pool_threads={cores} trial_blas_threads=(1|None)\n",
+                        stderr)
+
+
+_DRIFT = ["probe", "--kind", "drift", "--N", "20", "--n", "10", "--trials", "1000"]
+_CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
+                "--samples", "10000"]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (_DRIFT + ["--n", "0"], "1 <= n < n_dim"),
+    (_DRIFT + ["--n", "2"], "n >= 3"),
+    (_DRIFT + ["--n", "20"], "1 <= n < n_dim"),
+    (_DRIFT + ["--n", "25"], "1 <= n < n_dim"),
+    (_CORRELATION + ["--n", "20"], "1 <= n < n_dim"),
+    (_DRIFT + ["--dt", "0"], "dt > 0"),
+    (_CORRELATION + ["--dt", "0"], "dt > 0"),
+    (_CORRELATION + ["--dt=-1"], "dt > 0"),
+    (_DRIFT + ["--dt=-1e-4"], "dt > 0"),
+    (_DRIFT + ["--dt", "nan"], "dt > 0"),
+    (_DRIFT + ["--t", "0"], "t > 0"),
+], ids=["drift-n-0", "drift-n-2", "drift-n-equals-N", "drift-n-above-N", "correlation-n-equals-N",
+        "drift-dt-0", "correlation-dt-0", "correlation-dt-negative", "drift-dt-negative",
+        "drift-dt-nan", "drift-t-0"])
+def test_probe_invalid_input_exits_two(capsys, argv, fragment):
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and fragment in stderr
 
 
 def test_unknown_flag_rejected():

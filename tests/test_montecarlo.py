@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import sys
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from minor_overlaps import (
     spike_bulk_overlap,
     spike_path_series,
 )
+from minor_overlaps import probes
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
@@ -569,3 +573,93 @@ def test_drift_step_consistency_is_first_order():
     mean, se, pair = drift_step_consistency(40, 20, 1.0, dt=2e-4, trials=20_000, seed=1234)
     assert abs(mean) < 3 * se + 1e-3
     assert all(isinstance(v, int) for v in pair)
+
+
+def _drift_fields(report):
+    return [(e.center, e.kind, e.mean, e.ci_low, e.ci_high, e.n_samples)
+            for e in report.estimates]
+
+
+def _drift_workers(threads):
+    """Run the drift probes' chunks on ``threads`` pool workers (0 = one per core)."""
+    pool_map = probes._pool_map
+    return mock.patch.object(probes, "_pool_map",
+                             lambda _, fn, count: pool_map(threads, fn, count))
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(8, 24),
+       frac=st.floats(0.2, 0.8), trials=st.integers(1000, 2000), chunk=st.integers(150, 700))
+def test_drift_probes_are_thread_independent(seed, n_dim, frac, trials, chunk):
+    n = min(max(int(frac * n_dim), 3), n_dim - 1)
+    runs, steps = [], []
+    for k in (1, 2, 0):
+        with _drift_workers(k):
+            runs.append(drift_probe(n_dim, n, 1.0, trials=trials, seed=seed, chunk=chunk))
+            steps.append(drift_step_consistency(n_dim, n, 1.0, trials=trials, seed=seed,
+                                                chunk=chunk))
+    assert _drift_fields(runs[1]) == _drift_fields(runs[0])
+    assert _drift_fields(runs[2]) == _drift_fields(runs[0])
+    assert [r.extras["pool_threads"] for r in runs] == [1, 2, len(os.sched_getaffinity(0))]
+    assert steps[1] == steps[0] and steps[2] == steps[0]
+
+
+def test_drift_probe_reproduces_pinned_benchmark_values():
+    # the benchmark's probe-drift run at seed 1, recorded before the increments
+    # moved onto the trial pool
+    report = drift_probe(60, 30, 1.0, dt=1e-4, trials=5000, seed=1)
+    assert _drift_fields(report) == [
+        (0.0, "drift", -12.252508308240067, -14.90874189293837, -9.596274723541764, 5000),
+        (1.0, "martingale_full", -0.6731168406776191, -2.75472175856377, 1.408488077208532,
+         5000),
+        (2.0, "martingale_minor", -1.6217195148416754, -3.2406433134179666,
+         -0.002795716265383996, 5000),
+    ]
+    assert report.theory == (-9.91870755099672, 0.0, 0.0)
+    assert report.extras["pair"] == (15, 34)
+
+
+def test_drift_chunks_keep_draw_order_when_a_worker_lags(monkeypatch):
+    with _drift_workers(1):
+        serial = drift_probe(20, 10, 1.0, trials=2000, seed=5)
+    pool_map = probes._pool_map
+    drawn = {}
+
+    def first_task_sleeps(_, fn, count):
+        def run(m):
+            if m == 0:
+                time.sleep(0.2)
+            k, result = fn(m)
+            drawn[m] = k
+            return k, result
+
+        return pool_map(2, run, count)
+
+    monkeypatch.setattr(probes, "_pool_map", first_task_sleeps)
+    lagged = drift_probe(20, 10, 1.0, trials=2000, seed=5)
+    assert drawn[0] != 0  # the lagging task drew a later chunk than its index
+    assert _drift_fields(lagged) == _drift_fields(serial)
+
+
+def test_drift_draws_hold_with_more_workers_than_cores_and_fast_switching():
+    with _drift_workers(1):
+        serial = drift_probe(16, 8, 1.0, trials=3000, seed=11, chunk=100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _drift_workers(8):
+            crowded = drift_probe(16, 8, 1.0, trials=3000, seed=11, chunk=100)
+    finally:
+        sys.setswitchinterval(interval)
+    assert crowded.extras["pool_threads"] == 8
+    assert _drift_fields(crowded) == _drift_fields(serial)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: correlation_probe(20, 10, 1.0, samples=10_000, seed=0, chunk=0),
+    lambda: drift_probe(20, 10, 1.0, trials=1000, seed=0, chunk=0),
+    lambda: drift_step_consistency(20, 10, 1.0, trials=1000, seed=0, chunk=-1),
+], ids=["correlation", "drift", "step-consistency"])
+def test_probes_refuse_empty_chunks(probe):
+    with pytest.raises(ValueError, match="chunk"):
+        probe()
