@@ -43,7 +43,8 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentReport,
     OverlapEstimate,
-    run_bernoulli,
+    run_bernoulli_bulk,
+    run_bernoulli_spike,
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,

@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: ``theory`` (closed-form curves and values), ``simulate`` (bulk
-Monte Carlo), ``compare`` (simulate + coverage gate), ``spike`` (spike-spike,
-spike-bulk, trajectory path), ``bernoulli`` (bulk/spike universality runs),
-``probe`` (SDE-level checks).
+Subcommands: ``theory`` (closed-form curves and values, one mode flag per
+call), ``simulate`` (bulk Monte Carlo), ``compare`` (simulate + coverage
+gate), ``spike`` (spike-spike, spike-bulk, trajectory path), ``bernoulli``
+(bulk/spike universality runs), ``probe`` (SDE-level checks).
 
 Exit codes: 0 success; 2 invalid configuration or domain error; 3 coverage
 below threshold (``compare``); 4 runtime numeric failure.  When ``--out`` is
@@ -92,12 +92,6 @@ def _fmt_run(extras) -> str:
 # theory
 # ---------------------------------------------------------------------------
 
-def _theory_grid(t: float, bins: int, radius_scale: float = 1.0) -> np.ndarray:
-    root = np.sqrt(t) * radius_scale
-    edges = np.linspace(-2.0 * root + 0.1 * root, 2.0 * root - 0.1 * root, bins + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
-
-
 _THEORY_FLAGS = {"q": "--q", "spike": "--lambda", "mu": "--mu"}
 
 
@@ -113,7 +107,8 @@ def cmd_theory(args) -> int:
         _require(args, "--kernel goe", "q")
         q, t = args.q, args.t
         mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
-        lams = _theory_grid(t, args.bins)
+        edges = montecarlo._bulk_bin_edges(t, args.bins)
+        lams = 0.5 * (edges[:-1] + edges[1:])
         w = overlaps_theory.kernel_goe_value(mu, lams, t, q)
         _emit(args, reports.theory_curve_csv(lams, mu, t, q, w,
                                              w * semicircle_density(lams, t)))
@@ -132,7 +127,8 @@ def cmd_theory(args) -> int:
             _emit(args, reports.value_csv(
                 overlaps_theory.spike_bulk_overlap(spike, q, t, args.mu)))
             return 0
-        mus = _theory_grid(t, args.bins, radius_scale=np.sqrt(q))
+        edges = montecarlo._bulk_bin_edges(t, args.bins, radius_scale=np.sqrt(q))
+        mus = 0.5 * (edges[:-1] + edges[1:])
         g = overlaps_theory.spike_bulk_overlap(spike, q, t, mus)
         _emit(args, reports.theory_curve_csv(mus, spike, t, q, g,
                                              g * semicircle_density(mus, q * t),
@@ -154,15 +150,13 @@ def cmd_theory(args) -> int:
         _emit(args, reports.value_csv(
             overlaps_theory.spike_bulk_mass(args.spike, args.q, args.t)))
         return 0
-    if args.bernoulli_expansion:
-        if args.n is None and args.q is None:
-            raise ValueError("theory --bernoulli-expansion needs --n or --q")
-        n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
-        _emit(args, reports.value_csv(
-            overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
-        return 0
-    raise ValueError("theory: select one of --kernel/--spike-f/--spike-g/"
-                     "--lambda-star/--interlace/--spike-mass/--bernoulli-expansion")
+    # --bernoulli-expansion, the last mode of the required group
+    if args.n is None and args.q is None:
+        raise ValueError("theory --bernoulli-expansion needs --n or --q")
+    n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
+    _emit(args, reports.value_csv(
+        overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
+    return 0
 
 
 def _cmd_theory_general(args) -> int:
@@ -173,6 +167,8 @@ def _cmd_theory_general(args) -> int:
     _require(args, "--kernel general", "mu")
     if args.lambda_range is None:
         raise ValueError("theory --kernel general needs --lambda-range LO HI")
+    if args.bins < 1:
+        raise ValueError(f"need bins >= 1, got {args.bins}")
     if not 0.0 < q < 1.0:
         raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
     n0_minor = minor_size(q, args.n0)
@@ -220,17 +216,16 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
     _emit_report(args, report, reports.bulk_report_csv)
+    peak = ""
     if "interlace_lo" in report.extras:
         lo, hi = report.extras["interlace_lo"], report.extras["interlace_hi"]
         argmax = report.extras["argmax_center"]
         half_bin = report.extras["bin_width"] / 2.0
         argmax_ok = (lo - half_bin) <= argmax <= (hi + half_bin)
-        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_misses(report.extras)} "
-              f"argmax_center={argmax:.6g} interlace=[{lo:.6g},{hi:.6g}] "
-              f"argmax_in_interval={argmax_ok} {_fmt_run(report.extras)}")
-    else:
-        _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_misses(report.extras)} "
-              f"{_fmt_run(report.extras)}")
+        peak = (f"argmax_center={argmax:.6g} interlace=[{lo:.6g},{hi:.6g}] "
+                f"argmax_in_interval={argmax_ok} ")
+    _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_misses(report.extras)} "
+          f"{peak}{_fmt_run(report.extras)}")
     if report.coverage is None or report.coverage < args.min_coverage:
         _note(f"coverage below threshold {args.min_coverage}")
         return 3
@@ -244,11 +239,8 @@ def cmd_spike(args) -> int:
         if args.threads is not None:
             raise ValueError("spike --path follows one path and runs no trial pool; "
                              "drop --threads")
-        config = ExperimentConfig(
-            n_dim=args.n_dim, q=args.q, t=args.t_max, trials=montecarlo.MIN_CI_TRIALS,
-            master_seed=args.seed, target="spike_path",
-            a_spec=ASpec(kind="uniform_spike", spike=args.spike))
-        series = montecarlo.spike_path_series(config, args.t_max, args.steps)
+        series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
+                                              args.steps, args.seed)
         _emit(args, reports.trajectory_csv(series))
         return 0
     if args.mode == "spike":
@@ -281,7 +273,7 @@ def cmd_bernoulli(args) -> int:
         config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
                                   master_seed=args.seed, target="bernoulli_bulk",
                                   p=args.p, bins=args.bins, threads=args.threads)
-        report = montecarlo.run_bernoulli(config)
+        report = montecarlo.run_bernoulli_bulk(config)
         _emit_report(args, report, reports.bernoulli_bulk_report_csv)
         _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
               f"{_fmt_run(report.extras)}")
@@ -290,7 +282,7 @@ def cmd_bernoulli(args) -> int:
     config = ExperimentConfig(n_dim=sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
                               p=args.p, n_dims=sizes, threads=args.threads)
-    report = montecarlo.run_bernoulli(config)
+    report = montecarlo.run_bernoulli_spike(config)
     _emit_report(args, report, reports.bernoulli_spike_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
     return 0
@@ -325,13 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="closed-form curves and values")
     _add_out(p)
     _add_q(p)
-    p.add_argument("--kernel", choices=("goe", "general"), default=None)
-    p.add_argument("--spike-f", action="store_true", dest="spike_f")
-    p.add_argument("--spike-g", action="store_true", dest="spike_g")
-    p.add_argument("--lambda-star", action="store_true", dest="lambda_star")
-    p.add_argument("--interlace", action="store_true")
-    p.add_argument("--spike-mass", action="store_true", dest="spike_mass")
-    p.add_argument("--bernoulli-expansion", action="store_true", dest="bernoulli_expansion")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--kernel", choices=("goe", "general"), default=None)
+    mode.add_argument("--spike-f", action="store_true", dest="spike_f")
+    mode.add_argument("--spike-g", action="store_true", dest="spike_g")
+    mode.add_argument("--lambda-star", action="store_true", dest="lambda_star")
+    mode.add_argument("--interlace", action="store_true")
+    mode.add_argument("--spike-mass", action="store_true", dest="spike_mass")
+    mode.add_argument("--bernoulli-expansion", action="store_true", dest="bernoulli_expansion")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=None)

@@ -1,15 +1,23 @@
 """Finite-size experiments that estimate overlaps and compare against theory.
 
-Every experiment runs its trials through :func:`_run_decomposed`: one
+The runners :func:`run_bulk_experiment`, :func:`run_spike_spike`,
+:func:`run_spike_bulk`, :func:`run_bernoulli_bulk` and
+:func:`run_bernoulli_spike` each take an :class:`ExperimentConfig` and return
+an :class:`ExperimentReport`; :func:`spike_path_series` ``(n_dim, q, spike,
+t_max, steps, seed)`` follows one noise path instead.
+
+Every runner runs its trials through :func:`_run_decomposed`: one
 independent random stream per trial
 (:func:`minor_overlaps.ensembles.derive_stream`), each trial decomposes its
 matrix and the bare leading ``n x n`` block and audits Cauchy interlacing,
 and trials run concurrently but reduce in trial-index order.  99% confidence
-intervals use the normal approximation over per-trial statistics
-(:func:`_estimate`).  The trial pool has one worker per available core
-(``threads=0``), and while trials run numpy's OpenBLAS is held at one
-thread, so each worker decomposes single-threaded and the caller's BLAS
-setting is restored afterwards.  Reports therefore
+intervals use the normal approximation over per-trial values
+(:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
+three binned runners supply edges, sampler, per-trial selection and theory,
+and share one report tail (:func:`_binned_report`).  The trial pool has one
+worker per available core (``threads=0``), and while trials run numpy's
+OpenBLAS is held at one thread, so each worker decomposes single-threaded
+and the caller's BLAS setting is restored afterwards.  Reports therefore
 reproduce bit for bit for a fixed master seed, independent of worker count
 and of the caller's BLAS thread count.  Set-up decompositions outside the
 trials (such as the initial transform of an explicit deterministic part)
@@ -123,7 +131,10 @@ class ASpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment parameters; runners validate the fields they use."""
+    """Shared experiment parameters; runners validate the fields they use.
+
+    ``target`` names the experiment in the JSON config; no runner reads it.
+    """
 
     n_dim: int
     q: float
@@ -271,61 +282,92 @@ def _run_trials(trials: int, threads: int, worker):
     return results, aborted, used
 
 
-def _bulk_bin_edges(t: float, bins: int, bin_range, radius_scale: float = 1.0) -> np.ndarray:
-    if bin_range is not None:
-        lo, hi = bin_range
-    else:
-        root = np.sqrt(t) * radius_scale
-        lo, hi = -2.0 * root + 0.1 * root, 2.0 * root - 0.1 * root
+def _bin_edges(bins: int, lo: float, hi: float) -> np.ndarray:
+    """``bins`` equal bins over ``[lo, hi]``; every binned curve's edges come from here."""
+    if bins < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
     if not lo < hi:
         raise ValueError("empty bin range")
     return np.linspace(lo, hi, bins + 1)
 
 
-def _interior_mask(centers: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    margin = INTERIOR_EDGE_FRACTION * (hi - lo)
-    return ((centers - lo) >= margin) & ((hi - centers) >= margin)
+def _bulk_bin_edges(t: float, bins: int, bin_range=None, radius_scale: float = 1.0) -> np.ndarray:
+    """Edges over ``bin_range``, by default ``|x| < 2 sqrt(t) radius_scale`` less 5% per end."""
+    if bin_range is None:
+        root = np.sqrt(t) * radius_scale
+        bin_range = (-2.0 * root + 0.1 * root, 2.0 * root - 0.1 * root)
+    return _bin_edges(bins, *bin_range)
 
 
-def _estimate(center, mean, sd, n_samples, kind="bin", sqrt_n=1.0) -> OverlapEstimate:
-    """Estimate with its 99% normal interval ``mean +- Z_99 * sd / sqrt_n``.
-
-    ``sd`` is a sample standard deviation with ``sqrt_n`` the root of its
-    sample count, or a ready standard error with ``sqrt_n = 1``.  A NaN
-    ``mean`` gives a row without estimate.
-    """
-    if np.isnan(mean):
-        return OverlapEstimate(center=float(center), mean=None, ci_low=None, ci_high=None,
-                               n_samples=int(n_samples), kind=kind)
-    half = Z_99 * sd / sqrt_n
+def _estimate(center, mean, se, n_samples, kind) -> OverlapEstimate:
+    """Estimate with its 99% normal interval ``mean +- Z_99 * se`` from a ready standard error."""
+    half = Z_99 * se
     return OverlapEstimate(center=float(center), mean=float(mean), ci_low=float(mean - half),
                            ci_high=float(mean + half), n_samples=int(n_samples), kind=kind)
 
 
-def _binned(kept, edges: np.ndarray, theory, interior):
-    """Across-trial bin estimates and the share of them that cover ``theory``.
+def _trial_estimate(center, values, kind="bin", n_samples=None) -> OverlapEstimate:
+    """Across-trial estimate: the mean of ``values`` with ``+- Z_99 * sd / sqrt(count)``.
 
-    Every kept trial result starts with its per-bin means and counts.  A bin
-    needs two trial means for an estimate.  Coverage counts the interior
-    bins that have an estimate and a finite theory value (the judged bins),
-    and is None when there are none.  Returns ``(rows, coverage, misses)``
-    with ``misses = (k, K)``: ``k`` of the ``K`` judged intervals miss.
+    NaN values (a bin a trial left empty) are dropped; fewer than two
+    remaining values give a row without estimate.  ``n_samples`` defaults to
+    the count of values.
+    """
+    values = np.asarray(values, dtype=float)
+    values = values[~np.isnan(values)]
+    n_samples = values.size if n_samples is None else n_samples
+    if values.size < 2:
+        return OverlapEstimate(center=float(center), mean=None, ci_low=None, ci_high=None,
+                               n_samples=int(n_samples), kind=kind)
+    mean = values.mean()
+    half = Z_99 * values.std(ddof=1) / np.sqrt(values.size)
+    return OverlapEstimate(center=float(center), mean=float(mean), ci_low=float(mean - half),
+                           ci_high=float(mean + half), n_samples=int(n_samples), kind=kind)
+
+
+def _coverage(rows, theory, judged=None):
+    """Share of the judged ``rows`` whose interval covers ``theory``, and ``(k, K)``.
+
+    A row is judged where ``judged`` (default: everywhere) is true, it has an
+    estimate and its theory value is finite; ``k`` of the ``K`` judged
+    intervals miss.  The share is None when no row is judged.
+    """
+    judged = [True] * len(rows) if judged is None else judged
+    pairs = [(est, th) for est, th, keep in zip(rows, theory, judged)
+             if keep and est.mean is not None and not np.isnan(th)]
+    hits = sum(est.ci_low <= th <= est.ci_high for est, th in pairs)
+    return (hits / len(pairs) if pairs else None), (len(pairs) - hits, len(pairs))
+
+
+def _binned_report(config, start: float, kept, run: dict, edges: np.ndarray, support,
+                   theory, rho_bar: np.ndarray, extras: dict, tail=()) -> ExperimentReport:
+    """Report of a binned runner, timed from ``start``, from its trials and binned theory.
+
+    Each kept trial result starts with its per-bin means and counts
+    (:func:`_bin_means`); a bin's row estimates across its trial means.  Bins
+    at least ``INTERIOR_EDGE_FRACTION`` of the ``support = (lo, hi)`` width
+    from both ends are judged.  ``tail`` holds unjudged ``(estimate, theory)``
+    rows that follow the bins.  ``extras`` gains ``bin_edges``, ``rho_bin``,
+    ``interior``, ``misses`` and the ``run`` counts.
     """
     per_means = np.array([k[0] for k in kept])
     n_samples = np.array([k[1] for k in kept]).sum(axis=0).astype(int)
-    rows = []
-    for b, c in enumerate(0.5 * (edges[:-1] + edges[1:])):
-        vals = per_means[:, b]
-        vals = vals[~np.isnan(vals)]
-        mean = sd = np.nan
-        if vals.size >= 2:
-            mean, sd = vals.mean(), vals.std(ddof=1)
-        rows.append(_estimate(c, mean, sd, n_samples[b], sqrt_n=np.sqrt(vals.size)))
-    judged = [(est, th) for est, th, keep in zip(rows, theory, interior)
-              if keep and est.mean is not None and not np.isnan(th)]
-    hits = sum(est.ci_low <= th <= est.ci_high for est, th in judged)
-    coverage = hits / len(judged) if judged else None
-    return rows, coverage, (len(judged) - hits, len(judged))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    rows = [_trial_estimate(c, per_means[:, b], n_samples=n_samples[b])
+            for b, c in enumerate(centers)]
+    lo, hi = support
+    margin = INTERIOR_EDGE_FRACTION * (hi - lo)
+    interior = ((centers - lo) >= margin) & ((hi - centers) >= margin)
+    coverage, misses = _coverage(rows, theory, interior)
+    return ExperimentReport(
+        config=config,
+        estimates=tuple(rows) + tuple(est for est, _ in tail),
+        theory=tuple(float(v) for v in theory) + tuple(float(th) for _, th in tail),
+        coverage=coverage,
+        wall_time_s=time.perf_counter() - start,
+        extras={**extras, "bin_edges": edges.tolist(), "rho_bin": rho_bar.tolist(),
+                "interior": interior.tolist(), "misses": misses, **run},
+    )
 
 
 def miss_tail_probability(misses: int, judged: int) -> float:
@@ -485,10 +527,9 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
     a_mat = config.a_spec.build(n_dim, n)
 
     if a_mat is None:
-        full_ev = minor_ev = s0 = None
         edges = _bulk_bin_edges(t, config.bins, config.bin_range)
         hi_edge = 2.0 * np.sqrt(t)
-        lo_edge = -hi_edge
+        support = (-hi_edge, hi_edge)
     else:
         s0 = FiniteInitialTransform.from_matrix(a_mat, n)
         full_model = SpectrumModel.from_eigenvalues(s0.full_evals)
@@ -496,13 +537,12 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         full_ev = lambda z: solve_stieltjes(full_model, z, t)
         minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
         if config.bin_range is not None:
-            lo_edge, hi_edge = config.bin_range
-            edges = np.linspace(lo_edge, hi_edge, config.bins + 1)
+            support = config.bin_range
+            edges = _bin_edges(config.bins, *support)
         else:
-            lo_edge, hi_edge = _scan_general_support(full_ev, full_model, t)
-            margin = 0.025 * (hi_edge - lo_edge)
-            edges = np.linspace(lo_edge + margin, hi_edge - margin, config.bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+            support = _scan_general_support(full_ev, full_model, t)
+            margin = 0.025 * (support[1] - support[0])
+            edges = _bin_edges(config.bins, support[0] + margin, support[1] - margin)
     row_idx = quantile_index(config.x, n) - 1
 
     def sample(seed):
@@ -516,47 +556,24 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     kept, run = _run_decomposed(config, sample, trial)
     mu_hat = float(np.mean([r[2] for r in kept]))
-    worst_row_err = float(max(r[3] for r in kept))
-
+    extras = {"mu_hat": mu_hat, "bin_width": float(edges[1] - edges[0]),
+              "worst_row_sum_error": float(max(r[3] for r in kept))}
     if a_mat is None:
         theory, rho_bar = _binned_semicircle_average(edges, t, (1.0 - q) * t / q,
                                                      *_goe_kernel_poles(mu_hat, q, t, q))
-    else:
-        theory, rho_bar, refused = _binned_general_theory(s0, mu_hat, t, q,
-                                                          full_ev, minor_ev, edges)
-    interior = _interior_mask(centers, lo_edge, hi_edge)
-    rows, coverage, misses = _binned(kept, edges, theory, interior)
-
-    extras = {
-        "mu_hat": mu_hat,
-        "bin_edges": edges.tolist(),
-        "rho_bin": rho_bar.tolist(),
-        "interior": interior.tolist(),
-        "bin_width": float(edges[1] - edges[0]),
-        "worst_row_sum_error": worst_row_err,
-        "misses": misses,
-        **run,
-    }
-    figure_curve = np.array([np.nan if r.mean is None else r.mean for r in rows]) * rho_bar
-    interior_idx = np.flatnonzero(interior & ~np.isnan(figure_curve))
-    if interior_idx.size:
-        extras["argmax_center"] = float(
-            centers[interior_idx[np.argmax(figure_curve[interior_idx])]])
-    if a_mat is None:
         lo, hi = interlace_interval(config.x, t, q)
-        extras["interlace_lo"] = float(lo)
-        extras["interlace_hi"] = float(hi)
+        extras["interlace_lo"], extras["interlace_hi"] = float(lo), float(hi)
     else:
-        extras["refused_nodes"] = refused
+        theory, rho_bar, extras["refused_nodes"] = _binned_general_theory(
+            s0, mu_hat, t, q, full_ev, minor_ev, edges)
+    report = _binned_report(config, start, kept, run, edges, support, theory, rho_bar, extras)
 
-    return ExperimentReport(
-        config=config,
-        estimates=tuple(rows),
-        theory=tuple(float(v) for v in theory),
-        coverage=coverage,
-        wall_time_s=time.perf_counter() - start,
-        extras=extras,
-    )
+    # the interior bin where the figure-style curve mc_mean * rho peaks
+    figure = np.array([np.nan if r.mean is None else r.mean for r in report.estimates]) * rho_bar
+    peaks = np.flatnonzero(np.array(report.extras["interior"]) & ~np.isnan(figure))
+    if peaks.size:
+        report.extras["argmax_center"] = report.estimates[peaks[np.argmax(figure[peaks])]].center
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +605,11 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
         return float(grid.values[0, 0])
 
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
-    vals = np.array(kept)
-    if vals.size < 2:
+    if len(kept) < 2:
         raise NumericError("no usable spike-spike trials (spike absorbed everywhere)")
-    est = _estimate(t, vals.mean(), vals.std(ddof=1), vals.size, "top_overlap",
-                    np.sqrt(vals.size))
     return ExperimentReport(
         config=config,
-        estimates=(est,),
+        estimates=(_trial_estimate(t, kept, "top_overlap"),),
         theory=(float(theory),),
         coverage=None,
         wall_time_s=time.perf_counter() - start,
@@ -603,16 +617,21 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def spike_path_series(config: ExperimentConfig, t_max: float, steps: int) -> TrajectorySeries:
-    """One noise path: spike positions and bulk tops on a uniform time grid."""
-    n_dim, n = config.n_dim, config.n
+def spike_path_series(n_dim: int, q: float, spike: float, t_max: float, steps: int,
+                      seed: int) -> TrajectorySeries:
+    """One noise path under the uniform spike: spike positions and bulk tops.
+
+    The times are ``steps + 1`` equal steps over ``[0, t_max]``; the path
+    draws from ``derive_stream(seed, 0)``.
+    """
+    n = minor_size(q, n_dim)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    a_mat = config.a_spec.build(n_dim, n)
-    if a_mat is None:
-        raise ValueError("path mode needs a deterministic part with a spike")
+    if not 2 <= n <= n_dim:
+        raise ValueError(f"path mode needs 2 <= round(qN) <= N, got n={n}, N={n_dim}")
+    a_mat = rank_one(uniform_spike_vector(n_dim, spike))
     t_grid = np.linspace(0.0, t_max, steps + 1)
-    path = sample_path(n_dim, t_grid, derive_stream(config.master_seed, 0))
+    path = sample_path(n_dim, t_grid, derive_stream(seed, 0))
     lam1 = np.empty(t_grid.size)
     lam2 = np.empty(t_grid.size)
     mu1 = np.empty(t_grid.size)
@@ -642,9 +661,7 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     spike = config.a_spec.spike
     mass_theory = spike_bulk_mass(spike, q, t)  # validates t < spike^2
     a_mat = config.a_spec.build(n_dim, n)
-
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
-    centers = 0.5 * (edges[:-1] + edges[1:])
 
     def trial(full, grid):
         if _spike_absorbed(full.eigenvalues[0], t):
@@ -656,7 +673,6 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
     if len(kept) < 2:
         raise NumericError("no usable spike-bulk trials (spike absorbed everywhere)")
-    totals = np.array([k[2] for k in kept])
 
     # spike_bulk_overlap = t (spike^2 - qt) / spike^2 / (mu - r0)^2 with the
     # real pole r0 = (spike^2 + qt) / spike outside the minor bulk
@@ -664,41 +680,16 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     theory, rho_bar = _binned_semicircle_average(
         edges, q * t, t * (spike * spike - q * t) / (spike * spike), r0, r0)
     radius = 2.0 * np.sqrt(t) * np.sqrt(q)
-    interior = _interior_mask(centers, -radius, radius)
-    rows, coverage, _ = _binned(kept, edges, theory, interior)
-    mass_row = _estimate(spike, totals.mean(), totals.std(ddof=1), totals.size, "total_mass",
-                         np.sqrt(totals.size))
-
-    return ExperimentReport(
-        config=config,
-        estimates=tuple(rows) + (mass_row,),
-        theory=tuple(float(v) for v in theory) + (float(mass_theory),),
-        coverage=coverage,
-        wall_time_s=time.perf_counter() - start,
-        extras={
-            "spike": spike,
-            "bin_edges": edges.tolist(),
-            "rho_bin": rho_bar.tolist(),
-            "interior": interior.tolist(),
-            **run,
-        },
-    )
+    mass_row = _trial_estimate(spike, [k[2] for k in kept], "total_mass")
+    return _binned_report(config, start, kept, run, edges, (-radius, radius), theory, rho_bar,
+                          {"spike": spike}, tail=((mass_row, mass_theory),))
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli experiments
 # ---------------------------------------------------------------------------
 
-def run_bernoulli(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on ``config.target``: ``bernoulli_bulk`` or ``bernoulli_spike``."""
-    if config.target == "bernoulli_bulk":
-        return _run_bernoulli_bulk(config)
-    if config.target == "bernoulli_spike":
-        return _run_bernoulli_spike(config)
-    raise ValueError(f"unknown Bernoulli target {config.target!r}")
-
-
-def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
+def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     """Bulk-pair overlaps of a Bernoulli matrix against the Gaussian kernel.
 
     The effective noise variance is ``p (1 - p)``; the top eigenpair of each
@@ -713,11 +704,10 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     if not 0.0 < q < 1.0 or not 1 <= n <= n_dim - 1:
         raise ValueError("need q in (0,1) with 1 <= round(qN) <= N-1")
     t_eff = p * (1.0 - p)
-
     edges = _bulk_bin_edges(t_eff, config.bins, config.bin_range, radius_scale=np.sqrt(q))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    full_window = (_bulk_bin_edges(t_eff, config.bins, None)[1]
-                   - _bulk_bin_edges(t_eff, config.bins, None)[0])
+    # the lambda window is one bin of the full bulk's default grid
+    full_edges = _bulk_bin_edges(t_eff, config.bins)
+    full_window = full_edges[1] - full_edges[0]
 
     def trial(_, grid):
         # rows/columns 0 are the diverging spikes of each matrix
@@ -741,44 +731,27 @@ def _run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
                                                   *_goe_kernel_poles(lam, 1.0, t_eff, q))
         theory = theory + weight * avg
     radius = 2.0 * np.sqrt(t_eff) * np.sqrt(q)
-    interior = _interior_mask(centers, -radius, radius)
-    rows, coverage, _ = _binned(kept, edges, theory, interior)
-
-    return ExperimentReport(
-        config=config,
-        estimates=tuple(rows),
-        theory=tuple(float(v) for v in theory),
-        coverage=coverage,
-        wall_time_s=time.perf_counter() - start,
-        extras={
-            "t_eff": t_eff,
-            "bin_edges": edges.tolist(),
-            "rho_bin": rho_bar.tolist(),
-            "interior": interior.tolist(),
-            "lambda_window": float(full_window),
-            **run,
-        },
-    )
+    return _binned_report(config, start, kept, run, edges, (-radius, radius), theory, rho_bar,
+                          {"t_eff": t_eff})
 
 
-def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
+def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     """Deficit of the top-top overlap below ``n/N`` across matrix sizes.
 
-    For each size the estimate is ``n/N - mean overlap^2`` of the two top
-    eigenvectors, matched against the 1/N term of the finite-size expansion.
-    Stream ids advance as ``size_index * trials + trial`` so the sweep is
-    reproducible as a whole.
+    For each size of ``config.n_dims`` (default: ``config.n_dim`` alone) the
+    estimate is ``n/N - mean overlap^2`` of the two top eigenvectors, matched
+    against the 1/N term of the finite-size expansion.  Stream ids advance as
+    ``size_index * trials + trial`` so the sweep is reproducible as a whole.
     """
     start = time.perf_counter()
     q, p = config.q, config.p
     if not 0.0 < p <= 1.0:
         raise ValueError("bernoulli spike mode needs p in (0, 1]")
-    sizes = tuple(config.n_dims) or (config.n_dim,)
 
     rows = []
     theory = []
     aborted = 0
-    for idx, n_dim in enumerate(sizes):
+    for idx, n_dim in enumerate(tuple(config.n_dims) or (config.n_dim,)):
         n = minor_size(q, n_dim)
         if not 1 <= n <= n_dim - 1:
             raise ValueError(f"size {n_dim}: round(qN) out of range")
@@ -787,17 +760,14 @@ def _run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
                                     lambda _, grid: n / n_dim - float(grid.values[0, 0]),
                                     n=n, first_stream=idx * config.trials)
         aborted += run["aborted_trials"]
-        vals = np.array(kept)
-        rows.append(_estimate(n_dim, vals.mean(), vals.std(ddof=1), vals.size, "deficit",
-                              np.sqrt(vals.size)))
+        rows.append(_trial_estimate(n_dim, kept, "deficit"))
         theory.append((1.0 - n / n_dim) * (1.0 / p - 1.0) / n_dim)
 
-    hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
     return ExperimentReport(
         config=config,
         estimates=tuple(rows),
         theory=tuple(theory),
-        coverage=hits / len(rows),
+        coverage=_coverage(rows, theory)[0],
         wall_time_s=time.perf_counter() - start,
-        extras={"sizes": list(sizes), **run, "aborted_trials": aborted},
+        extras={**run, "aborted_trials": aborted},
     )

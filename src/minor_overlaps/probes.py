@@ -17,7 +17,7 @@ index and draws that chunk's normals under a lock, so chunk ``k`` always
 holds the ``k``-th draw, and the sums are reduced in chunk order.  The
 results are therefore the same bit for bit at every worker count.  The
 correlation probe runs serially; its matrix products use the caller's BLAS
-threads.
+threads.  Every probe refuses ``n_dim > MAX_PROBE_DIM``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ import numpy as np
 
 from .ensembles import derive_stream, sample_goe
 from .errors import NumericError
-from .montecarlo import Z_99, ExperimentReport, _estimate, _pool_map
+from .montecarlo import ExperimentReport, _coverage, _estimate, _pool_map
 from .spectral import eig_sym
 
 _CHUNK = 2000
+#: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
+MAX_PROBE_DIM = 100
 #: matrices per batched ``eigh`` in :func:`_stepped_overlaps`; it bounds each
 #: pool worker's decomposition memory, and per-matrix results do not depend on it
 _EIGH_BATCH = 100
@@ -54,7 +56,9 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
 
 
 def _check_probe(n_dim: int, n: int, dt: float, chunk: int):
-    """Refuse a minor size, increment size or chunk size no probe can use."""
+    """Refuse a matrix, minor, increment or chunk size no probe can use."""
+    if n_dim > MAX_PROBE_DIM:
+        raise ValueError(f"probes are restricted to n_dim <= {MAX_PROBE_DIM}, got {n_dim}")
     if not 1 <= n < n_dim:
         raise ValueError(f"need 1 <= n < n_dim, got n={n}, n_dim={n_dim}")
     if not (np.isfinite(dt) and dt > 0):
@@ -87,12 +91,12 @@ def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, 
 
 
 def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
-                      dt: float = 1.0, minor_indices=None, full_indices=None,
-                      chunk: int = _CHUNK) -> ExperimentReport:
+                      dt: float = 1.0, chunk: int = _CHUNK) -> ExperimentReport:
     """Check the increment correlation identity on a frozen state.
 
-    For every quadruple ``(i, l, j, k)`` built from the index lists, the
-    probe estimates ``E[<phi_i| dXm |phi_l> <psi_j| dX |psi_k>] / dt`` over
+    The index lists are the three middle levels of the minor and of the full
+    matrix.  For every quadruple ``(i, l, j, k)`` built from them, the probe
+    estimates ``E[<phi_i| dXm |phi_l> <psi_j| dX |psi_k>] / dt`` over
     fresh increments (``dXm`` is the minor truncation of ``dX``) and matches
     it against ``(P_ij P_lk + P_ik P_lj) / N`` with ``P`` the frozen signed
     overlaps.  Estimate rows are ordered by quadruple; centers index them.
@@ -103,12 +107,8 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     _check_probe(n_dim, n, dt, chunk)
     _, _, full_vecs, _, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
 
-    if minor_indices is None:
-        mid = n // 2
-        minor_indices = (mid - 1, mid, mid + 1)
-    if full_indices is None:
-        mid = n_dim // 2
-        full_indices = (mid - 1, mid, mid + 1)
+    minor_indices = (n // 2 - 1, n // 2, n // 2 + 1)
+    full_indices = (n_dim // 2 - 1, n_dim // 2, n_dim // 2 + 1)
     minor_pairs = [(i, l) for i in minor_indices for l in minor_indices]
     full_pairs = [(j, k) for j in full_indices for k in full_indices]
     quads = [(i, l, j, k) for (i, l) in minor_pairs for (j, k) in full_pairs]
@@ -150,17 +150,14 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
         rows.append(_estimate(idx, mean / dt, se / dt, samples, "correlation"))
         theory.append(float((signed[i, j] * signed[l, k] + signed[i, k] * signed[l, j]) / n_dim))
 
-    hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
-    ses = [(r.ci_high - r.ci_low) / (2 * Z_99) for r in rows]
     return ExperimentReport(
         config={"probe": "correlation", "n_dim": n_dim, "n": n, "t": t,
                 "samples": samples, "seed": seed, "dt": dt,
                 "minor_indices": list(minor_indices), "full_indices": list(full_indices)},
         estimates=tuple(rows),
         theory=tuple(theory),
-        coverage=hits / len(rows),
+        coverage=_coverage(rows, theory)[0],
         wall_time_s=time.perf_counter() - start,
-        extras={"quadruples": quads, "standard_errors": ses},
     )
 
 
@@ -222,20 +219,17 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
-def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, pair, chunk: int):
-    """Frozen state of the drift probes and the probed pair ``(i, j)``."""
-    if n_dim > 100:
-        raise ValueError("drift probe is restricted to n_dim <= 100")
+def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, chunk: int):
+    """Frozen state of the drift probes and the probed mid-bulk pair ``(i, j)``."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
                          f"levels are degenerate), got {t}")
     _check_probe(n_dim, n, dt, chunk)
-    if pair is None and n < 3:
+    if n < 3:
         raise ValueError(f"a mid-bulk pair needs n >= 3, got n={n}")
     x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
-    if pair is None:
-        pair = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
-    return x_mat, lam, full_vecs, mu, block_vecs, signed, pair
+    return (x_mat, lam, full_vecs, mu, block_vecs, signed,
+            _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt))
 
 
 def _stepped_overlaps(x_mat: np.ndarray, dh: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -279,28 +273,28 @@ def _map_increments(rng, n_dim: int, scale: float, total: int, chunk: int, work)
 
 
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
-                trials: int = 100_000, seed: int = 0, pair=None,
+                trials: int = 100_000, seed: int = 0,
                 chunk: int = 500) -> ExperimentReport:
     """Finite-difference drift of one squared overlap vs the drift formula.
 
     Rows: drift estimate against the formula value, then the two martingale
-    term averages against zero.  The probed pair is mid-bulk; by default the
-    one with the largest-magnitude formula drift, so the relative comparison
-    is well conditioned.  The frozen state is decomposed with the caller's
+    term averages against zero.  The probed pair is the mid-bulk one with
+    the largest-magnitude formula drift among well-separated levels, so the
+    relative comparison is well conditioned.  The frozen state is decomposed with the caller's
     BLAS threads.  The ``trials`` increments run in chunks of ``chunk`` on
     the trial pool, one worker per core, each worker with one BLAS thread;
     the caller's count is restored afterwards.  Chunk ``k`` holds the
     ``k``-th draw of the probe's generator and the sums reduce in chunk
     order, so the report is the same bit for bit at every worker count.  Its
-    extras record ``pool_threads`` and ``trial_blas_threads``.
+    extras record the ``pair`` and the ``pool_threads`` and
+    ``trial_blas_threads``.
     """
     start = time.perf_counter()
     if trials < 1000:
         raise ValueError("drift probe needs at least 1000 trials")
     x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
-        n_dim, n, t, seed, dt, pair, chunk)
+        n_dim, n, t, seed, dt, chunk)
     d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
-    drift_theory = d1 + d2 + d3
     s0 = signed[i, j] ** 2
 
     psi_j = full_vecs[:, j]
@@ -332,23 +326,20 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
         mean, se = _mean_se(sums[slot], sq_sums[slot], trials)
         rows.append(_estimate(slot, mean / dt, se / dt, trials, kind))
-    theory = (float(drift_theory), 0.0, 0.0)
-    hits = sum(r.ci_low <= th <= r.ci_high for r, th in zip(rows, theory))
+    theory = (float(d1 + d2 + d3), 0.0, 0.0)
     return ExperimentReport(
         config={"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt,
                 "trials": trials, "seed": seed},
         estimates=tuple(rows),
         theory=theory,
-        coverage=hits / len(rows),
+        coverage=_coverage(rows, theory)[0],
         wall_time_s=time.perf_counter() - start,
-        extras={"pair": (i, j), "drift_terms": (float(d1), float(d2), float(d3)),
-                "frozen_overlap": float(s0), **used},
+        extras={"pair": (i, j), **used},
     )
 
 
 def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
-                           trials: int = 20_000, seed: int = 0, pair=None,
-                           chunk: int = 500):
+                           trials: int = 20_000, seed: int = 0, chunk: int = 500):
     """First-order check: the finite-step bias doubles when the step doubles.
 
     Measures the drift estimator at ``dt``, ``2 dt`` and ``4 dt`` with common
@@ -358,7 +349,7 @@ def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
     ordered draws, as in :func:`drift_probe`, so the result is the same bit
     for bit at every worker count.
     """
-    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, pair, chunk)
+    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, chunk)
     s0 = signed[i, j] ** 2
 
     def chunk_combo(dh):

@@ -70,16 +70,10 @@ def theory_curve_csv(centers, other_coord, t, q, theory_w, theory_w_rho,
 
 
 def _curve_rows(report, other_coord, t, q):
-    rho_bin = report.extras["rho_bin"]
-    rows = []
-    bin_idx = 0
-    for est, th in zip(report.estimates, report.theory):
-        if est.kind != "bin":
-            continue
-        rows.append((est.center, other_coord, t, q, th, th * rho_bin[bin_idx],
-                     est.mean, est.ci_low, est.ci_high, est.n_samples))
-        bin_idx += 1
-    return rows
+    # zip stops at the last bin; rows after the bins (spike-bulk's total mass) stay out
+    return [(est.center, other_coord, t, q, th, th * rho, est.mean, est.ci_low, est.ci_high,
+             est.n_samples)
+            for est, th, rho in zip(report.estimates, report.theory, report.extras["rho_bin"])]
 
 
 def bulk_report_csv(report) -> str:

@@ -28,7 +28,8 @@ from minor_overlaps import (
     kernel_peak_location,
     overlap_grid,
     overlap_kernel,
-    run_bernoulli,
+    run_bernoulli_bulk,
+    run_bernoulli_spike,
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
@@ -218,7 +219,7 @@ def test_criterion_6_spike_bulk():
 def test_criterion_7_bernoulli_bulk():
     config = ExperimentConfig(n_dim=300, q=0.5, t=0.0, trials=200, master_seed=42,
                               target="bernoulli_bulk", p=0.5, bins=25, threads=0)
-    report = run_bernoulli(config)
+    report = run_bernoulli_bulk(config)
     ok = report.coverage >= 0.90
     _criterion("criterion 7 (bulk)", ok,
                f"coverage={report.coverage:.3f} (need >=0.90) with t=p(1-p)={report.extras['t_eff']}")
@@ -228,7 +229,7 @@ def test_criterion_7_bernoulli_spike():
     config = ExperimentConfig(n_dim=100, q=0.5, t=0.0, trials=200, master_seed=42,
                               target="bernoulli_spike", p=0.7,
                               n_dims=(100, 200, 400), threads=0)
-    report = run_bernoulli(config)
+    report = run_bernoulli_spike(config)
     details = []
     ok = True
     for est, th in zip(report.estimates, report.theory):

@@ -294,14 +294,58 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
     (_DRIFT + ["--dt=-1e-4"], "dt > 0"),
     (_DRIFT + ["--dt", "nan"], "dt > 0"),
     (_DRIFT + ["--t", "0"], "t > 0"),
+    (_CORRELATION + ["--N", "101"], "n_dim <= 100"),
+    (_DRIFT + ["--N", "101"], "n_dim <= 100"),
 ], ids=["drift-n-0", "drift-n-2", "drift-n-equals-N", "drift-n-above-N", "correlation-n-equals-N",
         "drift-dt-0", "correlation-dt-0", "correlation-dt-negative", "drift-dt-negative",
-        "drift-dt-nan", "drift-t-0"])
+        "drift-dt-nan", "drift-t-0", "correlation-N-101", "drift-N-101"])
 def test_probe_invalid_input_exits_two(capsys, argv, fragment):
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and fragment in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100"],
+    ["compare", "--N", "40", "--qfrac", "0.5", "--trials", "100"],
+    ["bernoulli", "--mode", "bulk", "--p", "0.5", "--N", "40", "--qfrac", "0.5",
+     "--trials", "100"],
+    ["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.7", "--N", "40",
+     "--trials", "100"],
+    ["theory", "--kernel", "goe", "--q", "0.5"],
+    ["theory", "--spike-g", "--lambda", "3", "--q", "0.7"],
+    ["theory", "--kernel", "general", "--model", "MODEL", "--mu", "0.3", "--q", "0.5",
+     "--lambda-range", "-2", "2"],
+], ids=["simulate", "compare", "bernoulli-bulk", "spike-bulk", "theory-goe", "theory-spike-g",
+        "theory-general"])
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_bins_below_one_exits_two_before_any_trial(capsys, tmp_path, monkeypatch, argv, bins):
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(cli.montecarlo, "_run_decomposed", no_trials)
+    argv = [str(model_path) if a == "MODEL" else a for a in argv]
+    code, stdout, stderr = _run(capsys, argv + ["--bins", bins])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: need bins >= 1, got {bins}\n"
+
+
+@pytest.mark.parametrize("modes", [
+    [],
+    ["--spike-f", "--interlace"],
+    ["--kernel", "goe", "--spike-mass"],
+], ids=["none", "spike-f-and-interlace", "kernel-and-spike-mass"])
+def test_theory_needs_exactly_one_mode(capsys, modes):
+    argv = ["theory", "--lambda", "1", "--mu", "0.3", "--qfrac", "0.3", "--t", "0.2"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + modes)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_flag_rejected():

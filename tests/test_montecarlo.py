@@ -24,7 +24,8 @@ from minor_overlaps import (
     drift_step_consistency,
     kernel_goe_value,
     representative_matrix,
-    run_bernoulli,
+    run_bernoulli_bulk,
+    run_bernoulli_spike,
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
@@ -39,6 +40,8 @@ from minor_overlaps import probes
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
+    _coverage,
+    _trial_estimate,
     _binned_general_theory,
     _bin_means,
     _binned_semicircle_average,
@@ -143,16 +146,20 @@ def test_split_spike_reaches_larger_minor_mass():
 
 
 def test_spike_path_series_tracks_linear_trajectory():
-    config = ExperimentConfig(n_dim=300, q=0.3, t=1.2, trials=100, master_seed=303,
-                              target="spike_path",
-                              a_spec=ASpec(kind="uniform_spike", spike=1.0))
-    series = spike_path_series(config, t_max=1.2, steps=24)
+    series = spike_path_series(300, 0.3, 1.0, t_max=1.2, steps=24, seed=303)
     assert series.t.size == 25
     early = series.t <= 0.7
     assert np.max(np.abs(series.lambda1[early] - (1.0 + series.t[early]))) < 0.15
     assert np.max(np.abs(series.mu1[early] - (0.3 + series.t[early]))) < 0.15
     # bulk tops stay below the spikes while the spikes are alive
     assert np.all(series.edge_full[early] < series.lambda1[early])
+
+
+def test_spike_path_series_refuses_a_minor_without_a_second_level():
+    with pytest.raises(ValueError, match="round"):
+        spike_path_series(40, 0.03, 1.0, t_max=1.0, steps=4, seed=0)  # n = 1
+    with pytest.raises(ValueError, match="steps"):
+        spike_path_series(40, 0.5, 1.0, t_max=1.0, steps=0, seed=0)
 
 
 def test_spike_bulk_report_shape_and_mass_row():
@@ -181,7 +188,7 @@ def test_spike_bulk_empirical_curve_ordering():
 def test_bernoulli_spike_deterministic_p_one():
     config = ExperimentConfig(n_dim=100, q=0.5, t=0.0, trials=100, master_seed=5,
                               target="bernoulli_spike", p=1.0, n_dims=(100,))
-    report = run_bernoulli(config)
+    report = run_bernoulli_spike(config)
     est = report.estimates[0]
     assert est.kind == "deficit"
     assert abs(est.mean) < 1e-10
@@ -193,7 +200,7 @@ def test_bernoulli_spike_deterministic_p_one():
 def test_bernoulli_bulk_report_shape():
     config = ExperimentConfig(n_dim=120, q=0.5, t=0.0, trials=100, master_seed=6,
                               target="bernoulli_bulk", p=0.5, bins=11, threads=2)
-    report = run_bernoulli(config)
+    report = run_bernoulli_bulk(config)
     assert len(report.estimates) == 11
     assert report.extras["t_eff"] == pytest.approx(0.25)
     assert 0.0 <= report.coverage <= 1.0
@@ -567,6 +574,36 @@ def test_drift_probe_mechanics_and_martingales():
 def test_drift_probe_rejects_large_matrices():
     with pytest.raises(ValueError):
         drift_probe(150, 60, 1.0)
+
+
+def test_correlation_probe_shares_the_size_cap():
+    # its normals are (chunk, N(N+1)/2): memory grows as N^2
+    with pytest.raises(ValueError, match="n_dim <= 100"):
+        correlation_probe(101, 50, 1.0, samples=10_000, seed=0)
+
+
+def test_trial_estimate_is_the_normal_interval_over_trials():
+    values = np.array([0.3, np.nan, 0.5, 0.1, 0.4])
+    est = _trial_estimate(2.0, values, "top_overlap")
+    kept = values[~np.isnan(values)]
+    half = Z_99 * kept.std(ddof=1) / np.sqrt(kept.size)
+    assert (est.center, est.kind, est.n_samples) == (2.0, "top_overlap", 4)
+    assert est.mean == kept.mean()
+    assert (est.ci_low, est.ci_high) == (kept.mean() - half, kept.mean() + half)
+    assert _trial_estimate(0.5, values, n_samples=37).n_samples == 37
+    for few in ([], [0.2], [np.nan, 0.2, np.nan]):
+        empty = _trial_estimate(1.0, few, n_samples=5)
+        assert (empty.mean, empty.ci_low, empty.ci_high, empty.n_samples) == (None, None, None, 5)
+
+
+def test_coverage_judges_rows_with_estimate_finite_theory_and_mask():
+    rows = [_trial_estimate(c, [c - 0.1, c + 0.1, c]) for c in range(5)]
+    rows.append(_trial_estimate(5, [1.0]))                 # no estimate: not judged
+    theory = [0.0, 1.0, 5.0, np.nan, 4.0, 5.0]             # row 2 misses, row 3 has no theory
+    assert _coverage(rows, theory) == (0.75, (1, 4))
+    mask = [True, False, True, True, False, True]
+    assert _coverage(rows, theory, mask) == (0.5, (1, 2))
+    assert _coverage(rows, theory, [False] * 6) == (None, (0, 0))
 
 
 def test_drift_step_consistency_is_first_order():
