@@ -88,19 +88,37 @@ def _fmt_run(extras) -> str:
     return f"aborted={extras['aborted_trials']} {_fmt_threads(extras)}{refused}"
 
 
-# ---------------------------------------------------------------------------
-# theory
-# ---------------------------------------------------------------------------
-
-_THEORY_FLAGS = {"q": "--q", "spike": "--lambda", "mu": "--mu"}
+#: the flag of each argparse dest that a message names
+_FLAGS = {"q": "--q", "spike": "--lambda", "mu": "--mu", "path": "--path", "t_max": "--t-max",
+          "steps": "--steps", "t": "--t", "trials": "--trials", "bins": "--bins",
+          "threads": "--threads", "sizes": "--sizes", "n_dim": "--N", "samples": "--samples"}
 
 
 def _require(args, mode: str, *dests):
     """Raise ``ValueError`` naming each flag of ``dests`` that ``mode`` needs and lacks."""
-    missing = [_THEORY_FLAGS[d] for d in dests if getattr(args, d) is None]
+    missing = [_FLAGS[d] for d in dests if getattr(args, d) is None]
     if missing:
         raise ValueError(f"theory {mode} needs {' and '.join(missing)}")
 
+
+def _mode_flags(args, mode: str, foreign: tuple, **defaults):
+    """Refuse the ``foreign`` flags given to ``mode``; fill in ``defaults`` for its unset ones.
+
+    A flag that only some modes of a subcommand read defaults to None in the
+    parser, so the mode can tell a given flag from an absent one.
+    """
+    given = [_FLAGS[d] for d in foreign
+             if getattr(args, d) is not None and getattr(args, d) is not False]
+    if given:
+        raise ValueError(f"{mode} does not read {' or '.join(given)}")
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
+# ---------------------------------------------------------------------------
+# theory
+# ---------------------------------------------------------------------------
 
 def cmd_theory(args) -> int:
     if args.kernel == "goe":
@@ -236,29 +254,32 @@ def cmd_spike(args) -> int:
     if args.mode == "spike" and args.path:
         if args.format != "csv":
             raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
-        if args.threads is not None:
-            raise ValueError("spike --path follows one path and runs no trial pool; "
-                             "drop --threads")
+        _mode_flags(args, "spike --path", ("mu", "t", "trials", "bins", "threads"),
+                    t_max=1.2, steps=60)
         series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
                                               args.steps, args.seed)
         _emit(args, reports.trajectory_csv(series))
         return 0
     if args.mode == "spike":
+        _mode_flags(args, "spike --mode spike", ("bins", "t_max", "steps"),
+                    t=1.0, trials=200, threads=0)
         a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
                   if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
         config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                                   master_seed=args.seed, target="spike_spike",
-                                  a_spec=a_spec, threads=args.threads or 0)
+                                  a_spec=a_spec, threads=args.threads)
         report = montecarlo.run_spike_spike(config)
         _emit_report(args, report, reports.spike_top_report_csv)
         est = report.estimates[0]
         _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
               f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
         return 0
+    _mode_flags(args, "spike --mode bulk", ("path", "mu", "t_max", "steps"),
+                t=1.0, trials=200, bins=25, threads=0)
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
-                              bins=args.bins, threads=args.threads or 0)
+                              bins=args.bins, threads=args.threads)
     report = montecarlo.run_spike_bulk(config)
     _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
@@ -270,6 +291,7 @@ def cmd_spike(args) -> int:
 
 def cmd_bernoulli(args) -> int:
     if args.mode == "bulk":
+        _mode_flags(args, "bernoulli --mode bulk", ("sizes",), n_dim=300, bins=25)
         config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
                                   master_seed=args.seed, target="bernoulli_bulk",
                                   p=args.p, bins=args.bins, threads=args.threads)
@@ -278,6 +300,7 @@ def cmd_bernoulli(args) -> int:
         _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
               f"{_fmt_run(report.extras)}")
         return 0
+    _mode_flags(args, "bernoulli --mode spike", ("bins", "n_dim"), sizes="100,200,400")
     sizes = tuple(int(v) for v in args.sizes.split(","))
     config = ExperimentConfig(n_dim=sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
@@ -290,16 +313,19 @@ def cmd_bernoulli(args) -> int:
 
 def cmd_probe(args) -> int:
     if args.kind == "correlation":
+        _mode_flags(args, "probe --kind correlation", ("trials",), samples=100_000)
         report = probes.correlation_probe(args.n_dim, args.n, args.t,
                                           samples=args.samples, seed=args.seed,
                                           dt=args.dt)
     else:
+        _mode_flags(args, "probe --kind drift", ("samples",), trials=100_000)
         report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
                                     trials=args.trials, seed=args.seed)
     _emit_report(args, report, reports.probe_report_csv)
     # only the drift probe runs on the trial pool; the correlation probe is serial
-    threads = f" {_fmt_threads(report.extras)}" if "pool_threads" in report.extras else ""
-    _note(f"coverage={_fmt_cov(report.coverage)}{threads}")
+    pool = (f" {_fmt_threads(report.extras)} stepper={report.extras['stepper']}"
+            if args.kind == "drift" else "")
+    _note(f"coverage={_fmt_cov(report.coverage)}{pool}")
     return 0
 
 
@@ -366,18 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spike", help="spike-spike / spike-bulk experiments")
     _add_report(p)
-    p.set_defaults(threads=None)  # unset until given, so --path can refuse it
+    p.set_defaults(threads=None)  # unset until given, so --path can refuse it; default 0
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("spike", "bulk"), required=True)
     p.add_argument("--lambda", type=float, required=True, dest="spike")
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=float, default=None, help="minor spike (spike mode)")
     p.add_argument("--N", type=int, required=True, dest="n_dim")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--bins", type=int, default=25)
-    p.add_argument("--path", action="store_true", help="emit one trajectory time series")
-    p.add_argument("--t-max", type=float, default=1.2, dest="t_max")
-    p.add_argument("--steps", type=int, default=60)
+    # the flags below are read by some modes only; a mode refuses the others
+    p.add_argument("--t", type=float, default=None, help="default 1 (not with --path)")
+    p.add_argument("--trials", type=int, default=None, help="default 200 (not with --path)")
+    p.add_argument("--bins", type=int, default=None, help="default 25 (bulk mode)")
+    p.add_argument("--path", action="store_true",
+                   help="emit one trajectory time series (spike mode)")
+    p.add_argument("--t-max", type=float, default=None, dest="t_max",
+                   help="default 1.2 (--path)")
+    p.add_argument("--steps", type=int, default=None, help="default 60 (--path)")
     p.set_defaults(func=cmd_spike)
 
     p = sub.add_parser("bernoulli", help="Bernoulli-ensemble experiments")
@@ -385,11 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("bulk", "spike"), required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--N", type=int, default=300, dest="n_dim")
-    p.add_argument("--sizes", type=str, default="100,200,400",
-                   help="comma list of sizes for spike mode")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--bins", type=int, default=25)
+    # the flags below are read by one mode only; the other mode refuses them
+    p.add_argument("--N", type=int, default=None, dest="n_dim",
+                   help="default 300 (bulk mode)")
+    p.add_argument("--bins", type=int, default=None, help="default 25 (bulk mode)")
+    p.add_argument("--sizes", type=str, default=None,
+                   help="comma list of sizes, default 100,200,400 (spike mode)")
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("probe", help="SDE-level identity probes")
@@ -398,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=50, dest="n_dim")
     p.add_argument("--n", type=int, default=25)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dt", type=float, default=1e-4)
+    # each kind reads one of these and refuses the other
+    p.add_argument("--samples", type=int, default=None, help="default 100000 (correlation)")
+    p.add_argument("--trials", type=int, default=None, help="default 100000 (drift)")
     p.set_defaults(func=cmd_probe)
 
     return parser

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import glob
 import math
 import os
 import time
@@ -72,7 +71,14 @@ from .overlaps_theory import (
     spike_bulk_mass,
     spike_spike_overlap,
 )
-from .spectral import check_interlacing, eig_sym, minor_size, overlap_grid, quantile_index
+from .spectral import (
+    _openblas,
+    check_interlacing,
+    eig_sym,
+    minor_size,
+    overlap_grid,
+    quantile_index,
+)
 
 Z_99 = 2.575829303548901  # two-sided 99% normal quantile
 #: share of calibrated 99% intervals that miss the value they estimate
@@ -204,13 +210,11 @@ class TrajectorySeries:
 @functools.cache
 def _openblas_threads():
     """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
-                                  "libscipy_openblas64_*.so"))
+    lib = _openblas()
     try:
-        lib = ctypes.CDLL(libs[0])
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:  # no library (None), or one without these symbols
         return None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None

@@ -12,12 +12,18 @@ independent Gaussian increments through the frozen state:
 
 The drift probes step the frozen matrix by chunks of increments on the trial
 pool (:func:`minor_overlaps.montecarlo._pool_map`), one BLAS thread per
-worker.  Each probe draws from one generator: a worker takes the next chunk
-index and draws that chunk's normals under a lock, so chunk ``k`` always
-holds the ``k``-th draw, and the sums are reduced in chunk order.  The
-results are therefore the same bit for bit at every worker count.  The
-correlation probe runs serially; its matrix products use the caller's BLAS
-threads.  Every probe refuses ``n_dim > MAX_PROBE_DIM``.
+worker.  Each increment reads one number, the overlap of minor eigenvector
+``i`` with full eigenvector ``j`` of the stepped matrix, so each step solves
+for those two eigenvectors alone
+(:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or
+a full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
+names the one used as ``stepper``).  Each probe draws from one generator: a
+worker takes the next chunk index and draws that chunk's normals under a
+lock, so chunk ``k`` always holds the ``k``-th draw, and the sums are
+reduced in chunk order.  The results are therefore the same bit for bit at
+every worker count.  The correlation probe runs serially; its matrix
+products use the caller's BLAS threads.  Every probe refuses
+``n_dim > MAX_PROBE_DIM``.
 """
 
 from __future__ import annotations
@@ -31,14 +37,11 @@ import numpy as np
 from .ensembles import derive_stream, sample_goe
 from .errors import NumericError
 from .montecarlo import ExperimentReport, _coverage, _estimate, _pool_map
-from .spectral import eig_sym
+from .spectral import eig_sym, eigpair_at, eigpair_backend
 
 _CHUNK = 2000
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
 MAX_PROBE_DIM = 100
-#: matrices per batched ``eigh`` in :func:`_stepped_overlaps`; it bounds each
-#: pool worker's decomposition memory, and per-matrix results do not depend on it
-_EIGH_BATCH = 100
 
 
 def _frozen_state(n_dim: int, n: int, t: float, seed: int):
@@ -233,16 +236,24 @@ def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, chunk: int)
 
 
 def _stepped_overlaps(x_mat: np.ndarray, dh: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Signed overlap of minor eigenvector ``i`` and full eigenvector ``j`` of each ``x_mat + dh[c]``."""
+    """Signed overlap of minor eigenvector ``i`` and full eigenvector ``j`` of each ``x_mat + dh[c]``.
+
+    Each matrix is solved for those two eigenvectors alone
+    (:func:`minor_overlaps.spectral.eigpair_at`).  The solvers and their
+    buffers are made per call, so every pool worker has its own.
+    """
     n_dim = x_mat.shape[0]
+    full_pair, minor_pair = eigpair_at(n_dim), eigpair_at(n)
+    full = np.empty((n_dim, n_dim))
+    block = full[:n, :n]
+    minor = np.empty((n, n))
     out = np.empty(len(dh))
-    for s in range(0, len(dh), _EIGH_BATCH):
-        xp = x_mat + dh[s:s + _EIGH_BATCH]
-        _, vecs = np.linalg.eigh(xp)
-        _, bvecs = np.linalg.eigh(xp[:, :n, :n])
-        # eigh is ascending: descending index i maps to column n-1-i
-        out[s:s + _EIGH_BATCH] = np.einsum("cs,cs->c", bvecs[:, :, n - 1 - i],
-                                           vecs[:, :n, n_dim - 1 - j])
+    for c in range(len(dh)):
+        np.add(x_mat, dh[c], out=full)
+        minor[:] = block  # before the full solve overwrites full
+        _, psi = full_pair(full, j)
+        _, phi = minor_pair(minor, i)
+        out[c] = phi @ psi[:n]
     return out
 
 
@@ -286,8 +297,9 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     the caller's count is restored afterwards.  Chunk ``k`` holds the
     ``k``-th draw of the probe's generator and the sums reduce in chunk
     order, so the report is the same bit for bit at every worker count.  Its
-    extras record the ``pair`` and the ``pool_threads`` and
-    ``trial_blas_threads``.
+    extras record the ``pair``, the ``pool_threads`` and
+    ``trial_blas_threads``, and the ``stepper`` (``dsyevr`` or ``eigh``) that
+    solved the stepped matrices.
     """
     start = time.perf_counter()
     if trials < 1000:
@@ -334,7 +346,7 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         theory=theory,
         coverage=_coverage(rows, theory)[0],
         wall_time_s=time.perf_counter() - start,
-        extras={"pair": (i, j), **used},
+        extras={"pair": (i, j), **used, "stepper": eigpair_backend()},
     )
 
 

@@ -5,15 +5,32 @@ matching the convention that quantile ``x`` measures spectral mass *above*
 the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
 block, decomposed at size ``n``; its eigenvectors live on the first ``n``
 coordinates.
+
+:func:`eigpair_at` computes one eigenpair of a symmetric matrix by index
+with LAPACK's ``dsyevr`` from numpy's bundled OpenBLAS (loaded on first use
+by :func:`_openblas`), and falls back to a full ``eigh`` where that library
+does not export it; :func:`eigpair_backend` names the one in use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
+
+_I64, _PTR, _DBL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+#: ``LAPACKE_dsyevr_work`` of an ILP64 build: layout, jobz, range, uplo, n, a, lda,
+#: vl, vu, il, iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork
+_DSYEVR_ARGTYPES = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, _I64, _PTR,
+                    _I64, _DBL, _DBL, _I64, _I64, _DBL, _PTR, _PTR, _PTR, _I64, _PTR, _PTR,
+                    _I64, _PTR, _I64]
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in either layout
 
 
 @dataclass(frozen=True)
@@ -54,6 +71,99 @@ def eig_sym(x: np.ndarray) -> SpectralDecomposition:
         ) from exc
     return SpectralDecomposition(eigenvalues=w[::-1].copy(),
                                  eigenvectors=v[:, ::-1].copy())
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas, 64-bit integers) as a CDLL, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        return ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+
+
+def _dsyevr():
+    """LAPACKE ``dsyevr_work`` of numpy's OpenBLAS, or None where it cannot be reached."""
+    fn = getattr(_openblas(), "scipy_LAPACKE_dsyevr_work64_", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = _DSYEVR_ARGTYPES, _I64
+    return fn
+
+
+def eigpair_backend() -> str:
+    """``"dsyevr"`` when :func:`eigpair_at` solvers call LAPACK directly, else ``"eigh"``."""
+    return "eigh" if _dsyevr() is None else "dsyevr"
+
+
+def eigpair_at(size: int):
+    """Solver for one eigenpair of symmetric ``size x size`` matrices.
+
+    Returns ``eigpair(a, desc) -> (value, vector)``: the eigenvalue at
+    descending index ``desc`` (0 = largest) and a unit eigenvector for it.
+    LAPACK's ``dsyevr`` computes that pair alone (``RANGE='I'``), to machine
+    precision; its workspace is sized and allocated here, once, so each
+    solver serves one thread.  ``a`` must be a writeable C-contiguous float64
+    array; ``dsyevr`` overwrites it, and the returned vector is the solver's
+    buffer, overwritten by its next call.  Where numpy's OpenBLAS does not
+    export ``dsyevr`` (see :func:`eigpair_backend`), the pair is read off a
+    full ``np.linalg.eigh`` of ``a`` instead.
+    """
+    if size < 1:
+        raise ValueError(f"need size >= 1, got {size}")
+    dsyevr = _dsyevr()
+    if dsyevr is None:
+        def eigpair(a, desc):
+            _check_eigpair_input(a, desc, size)
+            w, v = np.linalg.eigh(a)
+            return w[size - 1 - desc], v[:, size - 1 - desc]
+        return eigpair
+
+    w, z = np.empty(size), np.empty(size)
+    isuppz, m = np.empty(2, dtype=np.int64), np.empty(1, dtype=np.int64)
+
+    def arguments(a_address, work, iwork, lwork, liwork):
+        """dsyevr's arguments as ctypes objects: a call passes them unconverted."""
+        values = (_COL_MAJOR, b"V", b"I", b"L", size, a_address, size, 0.0, 0.0, 1, 1, 0.0,
+                  m.ctypes.data, w.ctypes.data, z.ctypes.data, size, isuppz.ctypes.data,
+                  work.ctypes.data, lwork, iwork.ctypes.data, liwork)
+        return [kind(value) for kind, value in zip(_DSYEVR_ARGTYPES, values)]
+
+    # workspace query: dsyevr reports its optimal sizes and reads no matrix
+    work, iwork, query = np.empty(1), np.empty(1, dtype=np.int64), np.zeros((size, size))
+    info = dsyevr(*arguments(query.ctypes.data, work, iwork, -1, -1))
+    if info != 0:
+        raise NumericError(f"dsyevr workspace query failed at size {size}: info={info}")
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    args = arguments(None, work, iwork, work.size, iwork.size)
+    a_arg, il_arg, iu_arg = args[5], args[9], args[10]
+    last = None  # the last input, whose address a_arg holds: reading it costs ~2 us
+
+    def eigpair(a, desc):
+        nonlocal last
+        _check_eigpair_input(a, desc, size)
+        if a is not last:
+            last, a_arg.value = a, a.ctypes.data
+        il_arg.value = iu_arg.value = size - desc
+        info = dsyevr(*args)
+        if info != 0 or m[0] != 1:
+            raise NumericError(f"dsyevr failed on a {size}x{size} matrix at descending "
+                               f"index {desc}: info={info}, eigenvalues found={m[0]}")
+        return w[0], z
+
+    # every buffer whose address LAPACK receives must live as long as the solver
+    eigpair.buffers = (w, z, isuppz, m, work, iwork)
+    return eigpair
+
+
+def _check_eigpair_input(a: np.ndarray, desc: int, size: int):
+    if (a.shape != (size, size) or a.dtype != np.float64 or not a.flags.c_contiguous
+            or not a.flags.writeable):
+        raise ValueError(f"expected a writeable C-contiguous float64 {size}x{size} array, "
+                         f"got {a.dtype} {a.shape}")
+    if not 0 <= desc < size:
+        raise ValueError(f"descending index {desc} outside [0, {size})")
 
 
 @dataclass(frozen=True)

@@ -273,8 +273,8 @@ def test_probe_drift_reports_its_threads(capsys):
     assert code == 0
     assert stdout.startswith("row,kind,")
     cores = len(os.sched_getaffinity(0))
-    assert re.fullmatch(rf"coverage=\S+ pool_threads={cores} trial_blas_threads=(1|None)\n",
-                        stderr)
+    assert re.fullmatch(rf"coverage=\S+ pool_threads={cores} trial_blas_threads=(1|None) "
+                        r"stepper=(dsyevr|eigh)\n", stderr)
 
 
 _DRIFT = ["probe", "--kind", "drift", "--N", "20", "--n", "10", "--trials", "1000"]
@@ -373,6 +373,53 @@ def test_flag_the_subcommand_would_ignore_exits_two(capsys, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+_SPIKE_PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3",
+               "--N", "60", "--steps", "2"]
+_SPIKE_SPIKE = ["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--N", "60",
+                "--trials", "100"]
+_SPIKE_BULK = ["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.7", "--N", "40",
+               "--trials", "100"]
+_BERNOULLI_BULK = ["bernoulli", "--mode", "bulk", "--p", "0.5", "--qfrac", "0.5", "--N", "40",
+                   "--trials", "100"]
+_BERNOULLI_SPIKE = ["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5",
+                    "--sizes", "30,40", "--trials", "100"]
+
+
+@pytest.mark.parametrize("argv, mode, flag", [
+    (_SPIKE_BULK + ["--path"], "spike --mode bulk", "--path"),
+    (_SPIKE_BULK + ["--t-max", "1"], "spike --mode bulk", "--t-max"),
+    (_SPIKE_BULK + ["--steps", "5"], "spike --mode bulk", "--steps"),
+    (_SPIKE_BULK + ["--mu", "0.2"], "spike --mode bulk", "--mu"),
+    (_SPIKE_SPIKE + ["--t-max", "1"], "spike --mode spike", "--t-max"),
+    (_SPIKE_SPIKE + ["--steps", "5"], "spike --mode spike", "--steps"),
+    (_SPIKE_SPIKE + ["--bins", "5"], "spike --mode spike", "--bins"),
+    (_SPIKE_PATH + ["--t", "0.5"], "spike --path", "--t"),
+    (_SPIKE_PATH + ["--trials", "100"], "spike --path", "--trials"),
+    (_SPIKE_PATH + ["--bins", "5"], "spike --path", "--bins"),
+    (_SPIKE_PATH + ["--mu", "0.2"], "spike --path", "--mu"),
+    (_SPIKE_PATH + ["--threads", "7"], "spike --path", "--threads"),
+    (_BERNOULLI_SPIKE + ["--bins", "3"], "bernoulli --mode spike", "--bins"),
+    (_BERNOULLI_SPIKE + ["--bins", "0"], "bernoulli --mode spike", "--bins"),
+    (_BERNOULLI_SPIKE + ["--N", "50"], "bernoulli --mode spike", "--N"),
+    (_BERNOULLI_BULK + ["--sizes", "30,40"], "bernoulli --mode bulk", "--sizes"),
+    (_CORRELATION + ["--trials", "5"], "probe --kind correlation", "--trials"),
+    (_DRIFT + ["--samples", "5"], "probe --kind drift", "--samples"),
+], ids=["spike-bulk-path", "spike-bulk-t-max", "spike-bulk-steps", "spike-bulk-mu",
+        "spike-spike-t-max", "spike-spike-steps", "spike-spike-bins", "spike-path-t",
+        "spike-path-trials", "spike-path-bins", "spike-path-mu", "spike-path-threads",
+        "bernoulli-spike-bins", "bernoulli-spike-bins-zero", "bernoulli-spike-N",
+        "bernoulli-bulk-sizes", "correlation-trials", "drift-samples"])
+def test_flag_of_another_mode_exits_two(capsys, monkeypatch, argv, mode, flag):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(cli.montecarlo, "_run_decomposed", no_trials)
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {mode} does not read {flag}\n"
 
 
 def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):

@@ -36,7 +36,7 @@ from minor_overlaps import (
     spike_bulk_overlap,
     spike_path_series,
 )
-from minor_overlaps import probes
+from minor_overlaps import probes, spectral
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
@@ -53,6 +53,7 @@ from minor_overlaps.montecarlo import (
     miss_tail_probability,
 )
 from minor_overlaps.reports import bulk_report_csv
+from minor_overlaps.spectral import eigpair_backend
 
 
 def _small_bulk_config(**overrides):
@@ -511,18 +512,30 @@ def test_blas_count_restored_after_failed_run(blas_threads):
 
 def test_drift_probe_steps_with_one_blas_thread_and_restores(blas_threads, monkeypatch):
     get_threads, _ = blas_threads
-    seen = []
+    frozen, steps = [], []
     eigh = np.linalg.eigh
+    make_solver = probes.eigpair_at
 
     def recording_eigh(a):
-        seen.append(get_threads())
+        frozen.append(get_threads())
         return eigh(a)
 
+    def recording_solver(size):
+        solve = make_solver(size)
+
+        def recorded(a, desc):
+            steps.append(get_threads())
+            return solve(a, desc)
+        return recorded
+
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(probes, "eigpair_at", recording_solver)
     drift_probe(20, 10, 1.0, trials=1000, seed=3)
-    # the frozen state is decomposed first, with the caller's count
-    assert seen[:2] == [2, 2]
-    assert set(seen[2:]) == {1}
+    # the frozen state is decomposed first, with the caller's count, and
+    # each increment's full and minor solve with one thread
+    assert frozen[:2] == [2, 2]
+    assert set(frozen[2:]) <= {1}  # the solver's eigh, where dsyevr is out of reach
+    assert len(steps) == 2 * 1000 and set(steps) == {1}
     assert get_threads() == 2
 
 
@@ -642,11 +655,17 @@ def test_drift_probes_are_thread_independent(seed, n_dim, frac, trials, chunk):
 
 
 def test_drift_probe_reproduces_pinned_benchmark_values():
-    # the benchmark's probe-drift run at seed 1, recorded before the increments
-    # moved onto the trial pool
+    # the benchmark's probe-drift run at seed 1, recorded with dsyevr stepping
+    # the increments; only the drift row reads the stepped overlaps
     report = drift_probe(60, 30, 1.0, dt=1e-4, trials=5000, seed=1)
-    assert _drift_fields(report) == [
-        (0.0, "drift", -12.252508308240067, -14.90874189293837, -9.596274723541764, 5000),
+    fields = _drift_fields(report)
+    if report.extras["stepper"] == "dsyevr":
+        assert fields[0] == (0.0, "drift", -12.25250830823963, -14.908741892937927,
+                             -9.596274723541333, 5000)
+    # recorded when each increment was a full batched eigh (measured 3.6e-14 apart)
+    np.testing.assert_allclose(fields[0][2:5], (-12.252508308240067, -14.90874189293837,
+                                                -9.596274723541764), rtol=1e-12, atol=0)
+    assert fields[1:] == [
         (1.0, "martingale_full", -0.6731168406776191, -2.75472175856377, 1.408488077208532,
          5000),
         (2.0, "martingale_minor", -1.6217195148416754, -3.2406433134179666,
@@ -654,6 +673,25 @@ def test_drift_probe_reproduces_pinned_benchmark_values():
     ]
     assert report.theory == (-9.91870755099672, 0.0, 0.0)
     assert report.extras["pair"] == (15, 34)
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(4, 24), frac=st.floats(0.2, 0.8))
+def test_drift_probe_eigh_fallback_agrees_with_dsyevr(seed, n_dim, frac):
+    n = min(max(int(frac * n_dim), 3), n_dim - 1)
+    if eigpair_backend() != "dsyevr":
+        pytest.skip("numpy's OpenBLAS does not export dsyevr")
+    lapack = drift_probe(n_dim, n, 1.0, trials=1000, seed=seed)
+    with mock.patch.object(spectral, "_openblas", lambda: None):
+        fallback = drift_probe(n_dim, n, 1.0, trials=1000, seed=seed)
+    assert (lapack.extras["stepper"], fallback.extras["stepper"]) == ("dsyevr", "eigh")
+    for new, old in zip(_drift_fields(lapack), _drift_fields(fallback)):
+        assert new[:2] == old[:2] and new[5] == old[5]
+        # to 1e-12 of the row's scale, its larger interval end: a mean near zero
+        # is the sum of much larger per-draw terms, and carries their rounding
+        scale = max(abs(old[3]), abs(old[4]))
+        assert np.abs(np.subtract(new[2:5], old[2:5])).max() <= 1e-12 * scale
+    assert lapack.theory == fallback.theory
 
 
 def test_drift_chunks_keep_draw_order_when_a_worker_lags(monkeypatch):

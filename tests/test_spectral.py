@@ -13,6 +13,9 @@ from minor_overlaps import (
     quantile_index,
     sample_goe,
 )
+from minor_overlaps import spectral
+from minor_overlaps.errors import NumericError
+from minor_overlaps.spectral import eigpair_at, eigpair_backend
 
 
 def test_eig_identity():
@@ -154,3 +157,84 @@ def test_minor_size_rounds_half_up():
     assert minor_size(0.3, 100) == 30
     config = ExperimentConfig(n_dim=81, q=0.5, t=1.0, trials=100, master_seed=0)
     assert config.n == 41
+
+
+# ---------------------------------------------------------------------------
+# one eigenpair by index
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _planted_spectra(draw):
+    """A random rotation of a spread spectrum with some pairs planted 1e-10 apart.
+
+    Returns the matrix, a minor size and descending indices that include the
+    first and the last.
+    """
+    n_dim = draw(st.integers(3, 100))
+    n = draw(st.integers(1, n_dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.cumsum(rng.uniform(0.5, 1.5, n_dim)) * (4.0 / n_dim) - 2.0
+    for k in draw(st.lists(st.integers(0, n_dim - 2), max_size=3, unique=True)):
+        lam[k + 1] = lam[k] + 1e-10
+    lam = np.sort(lam)
+    q, _ = np.linalg.qr(rng.standard_normal((n_dim, n_dim)))
+    x = (q * lam) @ q.T
+    x = 0.5 * (x + x.T)
+    middle = draw(st.lists(st.integers(0, n_dim - 1), max_size=3))
+    return x, n, sorted({0, n_dim - 1, *middle})
+
+
+def _check_eigpairs(x, descs):
+    """The solver's pairs against eigh's: values always, vectors where the level is isolated."""
+    size = x.shape[0]
+    w, v = np.linalg.eigh(x)
+    norm = np.abs(w).max()
+    solve = eigpair_at(size)
+    for desc in descs:
+        k = size - 1 - desc
+        value, vector = solve(x.copy(), desc)
+        assert abs(value - w[k]) <= 1e-13 * norm
+        gap = np.min(np.abs(np.delete(w, k) - w[k]), initial=np.inf)
+        if gap >= 1e-6:
+            col = v[:, k]
+            assert min(np.abs(vector - col).max(), np.abs(vector + col).max()) <= 1e-12
+
+
+@given(case=_planted_spectra())
+def test_eigpair_matches_eigh(case):
+    x, n, descs = case
+    _check_eigpairs(x, descs)
+    _check_eigpairs(np.ascontiguousarray(x[:n, :n]), [d for d in descs if d < n] + [n - 1])
+
+
+def test_eigpair_refuses_bad_input():
+    solve = eigpair_at(4)
+    x = np.diag([4.0, 3.0, 2.0, 1.0])
+    assert solve(x.copy(), 1)[0] == pytest.approx(3.0)
+    for bad in (np.eye(3), np.eye(4, dtype=np.float32), np.asfortranarray(x[:, ::-1]),
+                np.broadcast_to(x, (4, 4))):
+        with pytest.raises(ValueError, match="C-contiguous float64 4x4"):
+            solve(bad, 0)
+    for desc in (-1, 4):
+        with pytest.raises(ValueError, match="descending index"):
+            solve(x.copy(), desc)
+    with pytest.raises(ValueError):
+        eigpair_at(0)
+
+
+def test_eigpair_reports_lapack_failure():
+    if eigpair_backend() != "dsyevr":
+        pytest.skip("numpy's OpenBLAS does not export dsyevr")
+    x = np.diag([1.0, np.nan, 2.0])
+    with pytest.raises(NumericError, match="dsyevr failed on a 3x3 matrix"):
+        eigpair_at(3)(x, 0)
+
+
+def test_eigpair_falls_back_to_eigh_without_the_library(monkeypatch):
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    assert eigpair_backend() == "eigh"
+    x = sample_goe(12, 1.0, derive_stream(3, 0))
+    w, v = np.linalg.eigh(x)
+    value, vector = eigpair_at(12)(x.copy(), 2)
+    assert value == w[9]
+    assert np.array_equal(vector, v[:, 9])
