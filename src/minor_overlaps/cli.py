@@ -13,6 +13,7 @@ given, stdout stays silent and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -34,22 +35,32 @@ from .overlaps_theory import FiniteInitialTransform
 from .spectral import minor_size
 
 
+def _finite(text: str) -> float:
+    """Type of every float flag: ``nan``, ``inf`` and non-numbers exit 2 at parse time."""
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+
+
 def _add_out(parser):
     parser.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
 
 
-def _add_report(parser, threads=True):
-    """Flags of the seeded subcommands; ``threads`` for those that run a trial pool."""
+def _add_report(parser, pool=True, threads=0):
+    """Flags of the seeded subcommands; ``--threads`` (parser default ``threads``) with a pool."""
     _add_out(parser)
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if threads:
-        parser.add_argument("--threads", type=int, default=0,
+    if pool:
+        parser.add_argument("--threads", type=int, default=threads,
                             help="pool worker threads, 0 = one per available core")
 
 
 def _add_q(parser, required=False):
-    parser.add_argument("--qfrac", "--q", dest="q", type=float, required=required,
+    parser.add_argument("--qfrac", "--q", dest="q", type=_finite, required=required,
                         help="minor fraction q")
 
 
@@ -88,103 +99,34 @@ def _fmt_run(extras) -> str:
     return f"aborted={extras['aborted_trials']} {_fmt_threads(extras)}{refused}"
 
 
-#: the flag of each argparse dest that a message names
-_FLAGS = {"q": "--q", "spike": "--lambda", "mu": "--mu", "path": "--path", "t_max": "--t-max",
-          "steps": "--steps", "t": "--t", "trials": "--trials", "bins": "--bins",
-          "threads": "--threads", "sizes": "--sizes", "n_dim": "--N", "samples": "--samples"}
-
-
-def _require(args, mode: str, *dests):
-    """Raise ``ValueError`` naming each flag of ``dests`` that ``mode`` needs and lacks."""
-    missing = [_FLAGS[d] for d in dests if getattr(args, d) is None]
-    if missing:
-        raise ValueError(f"theory {mode} needs {' and '.join(missing)}")
-
-
-def _mode_flags(args, mode: str, foreign: tuple, **defaults):
-    """Refuse the ``foreign`` flags given to ``mode``; fill in ``defaults`` for its unset ones.
-
-    A flag that only some modes of a subcommand read defaults to None in the
-    parser, so the mode can tell a given flag from an absent one.
-    """
-    given = [_FLAGS[d] for d in foreign
-             if getattr(args, d) is not None and getattr(args, d) is not False]
-    if given:
-        raise ValueError(f"{mode} does not read {' or '.join(given)}")
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def _read_model(path: str, mode: str) -> SpectrumModel:
+    try:
+        return SpectrumModel.from_json(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # an unread or refused model names the mode and flag
+        raise ValueError(f"{mode} --model {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # theory
 # ---------------------------------------------------------------------------
 
-def cmd_theory(args) -> int:
-    if args.kernel == "goe":
-        _require(args, "--kernel goe", "q")
-        q, t = args.q, args.t
-        mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
-        edges = montecarlo._bulk_bin_edges(t, args.bins)
-        lams = 0.5 * (edges[:-1] + edges[1:])
-        w = overlaps_theory.kernel_goe_value(mu, lams, t, q)
-        _emit(args, reports.theory_curve_csv(lams, mu, t, q, w,
-                                             w * semicircle_density(lams, t)))
-        return 0
-    if args.kernel == "general":
-        return _cmd_theory_general(args)
-    if args.spike_f:
-        _require(args, "--spike-f", "spike", "mu", "q")
-        val = overlaps_theory.spike_spike_overlap(args.spike, args.mu, args.q, args.t)
-        _emit(args, reports.value_csv(val))
-        return 0
-    if args.spike_g:
-        _require(args, "--spike-g", "spike", "q")
-        q, t, spike = args.q, args.t, args.spike
-        if args.mu is not None:
-            _emit(args, reports.value_csv(
-                overlaps_theory.spike_bulk_overlap(spike, q, t, args.mu)))
-            return 0
-        edges = montecarlo._bulk_bin_edges(t, args.bins, radius_scale=np.sqrt(q))
-        mus = 0.5 * (edges[:-1] + edges[1:])
-        g = overlaps_theory.spike_bulk_overlap(spike, q, t, mus)
-        _emit(args, reports.theory_curve_csv(mus, spike, t, q, g,
-                                             g * semicircle_density(mus, q * t),
-                                             leading="mu"))
-        return 0
-    if args.lambda_star:
-        _require(args, "--lambda-star", "mu", "q")
-        _emit(args, reports.value_csv(
-            overlaps_theory.kernel_peak_location(args.mu, args.t, args.q)))
-        return 0
-    if args.interlace:
-        _require(args, "--interlace", "q")
-        lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
-        _emit(args, reports.simple_csv("x,t,q,lower,upper",
-                                        [(args.x, args.t, args.q, lo, hi)]))
-        return 0
-    if args.spike_mass:
-        _require(args, "--spike-mass", "spike", "q")
-        _emit(args, reports.value_csv(
-            overlaps_theory.spike_bulk_mass(args.spike, args.q, args.t)))
-        return 0
-    # --bernoulli-expansion, the last mode of the required group
-    if args.n is None and args.q is None:
-        raise ValueError("theory --bernoulli-expansion needs --n or --q")
-    n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
-    _emit(args, reports.value_csv(
-        overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
-    return 0
+def _theory_value(fn, *dests):
+    """Mode that prints ``fn`` of the flags ``dests`` as a one-value CSV."""
+    return lambda args: _emit(args, reports.value_csv(fn(*(getattr(args, d) for d in dests))))
 
 
-def _cmd_theory_general(args) -> int:
-    if not args.model:
-        raise ValueError("theory --kernel general needs --model <spectrum json>")
-    model = SpectrumModel.from_json(Path(args.model).read_text())
+def _theory_kernel_goe(args):
+    q, t = args.q, args.t
+    mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
+    edges = montecarlo._bulk_bin_edges(t, args.bins)
+    lams = 0.5 * (edges[:-1] + edges[1:])
+    w = overlaps_theory.kernel_goe_value(mu, lams, t, q)
+    _emit(args, reports.theory_curve_csv(lams, mu, t, q, w, w * semicircle_density(lams, t)))
+
+
+def _theory_kernel_general(args):
+    model = _read_model(args.model, "theory --kernel general")
     q, t = (args.q if args.q is not None else model.q), args.t
-    _require(args, "--kernel general", "mu")
-    if args.lambda_range is None:
-        raise ValueError("theory --kernel general needs --lambda-range LO HI")
     if args.bins < 1:
         raise ValueError(f"need bins >= 1, got {args.bins}")
     if not 0.0 < q < 1.0:
@@ -199,13 +141,32 @@ def _cmd_theory_general(args) -> int:
     if minor_b.edge_flagged:
         raise DomainError(f"mu={args.mu} lies outside the minor bulk or at its edge "
                           f"(minor rho={minor_b.rho:.3e}); every point would be refused")
-
     lams = np.linspace(*args.lambda_range, args.bins)
     w, rho = montecarlo._kernel_curve(s0, minor_b, full_ev, lams, t, q)
     ok = ~np.isnan(w)
     _emit(args, reports.theory_curve_csv(lams[ok], args.mu, t, q, w[ok], w[ok] * rho[ok]))
     _note(f"refused={args.bins - ok.sum()}")
-    return 0
+
+
+def _theory_spike_g(args):
+    q, t, spike = args.q, args.t, args.spike
+    if args.mu is not None:
+        return _theory_value(overlaps_theory.spike_bulk_overlap, "spike", "q", "t", "mu")(args)
+    edges = montecarlo._bulk_bin_edges(t, args.bins, radius_scale=np.sqrt(q))
+    mus = 0.5 * (edges[:-1] + edges[1:])
+    g = overlaps_theory.spike_bulk_overlap(spike, q, t, mus)
+    _emit(args, reports.theory_curve_csv(mus, spike, t, q, g, g * semicircle_density(mus, q * t),
+                                         leading="mu"))
+
+
+def _theory_interlace(args):
+    lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
+    _emit(args, reports.simple_csv("x,t,q,lower,upper", [(args.x, args.t, args.q, lo, hi)]))
+
+
+def _theory_bernoulli_expansion(args):
+    n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
+    _emit(args, reports.value_csv(overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +175,8 @@ def _cmd_theory_general(args) -> int:
 
 def _bulk_config(args) -> ExperimentConfig:
     a_spec = ASpec()
-    if getattr(args, "model", None):
-        model = SpectrumModel.from_json(Path(args.model).read_text())
+    if args.model:
+        model = _read_model(args.model, args.command)
         matrix = representative_matrix(model, args.n_dim, minor_size(args.q, args.n_dim))
         a_spec = ASpec(kind="explicit", matrix=matrix)
     return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
@@ -223,15 +184,14 @@ def _bulk_config(args) -> ExperimentConfig:
                             a_spec=a_spec, bins=args.bins, threads=args.threads)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
     _emit_report(args, report, reports.bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} mu_hat={report.extras['mu_hat']:.6g} "
           f"{_fmt_run(report.extras)}")
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
     _emit_report(args, report, reports.bulk_report_csv)
     peak = ""
@@ -247,35 +207,30 @@ def cmd_compare(args) -> int:
     if report.coverage is None or report.coverage < args.min_coverage:
         _note(f"coverage below threshold {args.min_coverage}")
         return 3
-    return 0
 
 
-def cmd_spike(args) -> int:
-    if args.mode == "spike" and args.path:
-        if args.format != "csv":
-            raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
-        _mode_flags(args, "spike --path", ("mu", "t", "trials", "bins", "threads"),
-                    t_max=1.2, steps=60)
-        series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
-                                              args.steps, args.seed)
-        _emit(args, reports.trajectory_csv(series))
-        return 0
-    if args.mode == "spike":
-        _mode_flags(args, "spike --mode spike", ("bins", "t_max", "steps"),
-                    t=1.0, trials=200, threads=0)
-        a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
-                  if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
-        config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
-                                  master_seed=args.seed, target="spike_spike",
-                                  a_spec=a_spec, threads=args.threads)
-        report = montecarlo.run_spike_spike(config)
-        _emit_report(args, report, reports.spike_top_report_csv)
-        est = report.estimates[0]
-        _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
-              f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
-        return 0
-    _mode_flags(args, "spike --mode bulk", ("path", "mu", "t_max", "steps"),
-                t=1.0, trials=200, bins=25, threads=0)
+def _spike_path(args):
+    if args.format != "csv":
+        raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
+    series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
+                                          args.steps, args.seed)
+    _emit(args, reports.trajectory_csv(series))
+
+
+def _spike_spike(args):
+    a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
+              if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
+    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
+                              master_seed=args.seed, target="spike_spike",
+                              a_spec=a_spec, threads=args.threads)
+    report = montecarlo.run_spike_spike(config)
+    _emit_report(args, report, reports.spike_top_report_csv)
+    est = report.estimates[0]
+    _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
+          f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
+
+
+def _spike_bulk(args):
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
@@ -286,21 +241,19 @@ def cmd_spike(args) -> int:
     _note(f"coverage={_fmt_cov(report.coverage)} total_mass={mass.mean:.6g} "
           f"theory_mass={report.theory[-1]:.6g} "
           f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
-    return 0
 
 
-def cmd_bernoulli(args) -> int:
-    if args.mode == "bulk":
-        _mode_flags(args, "bernoulli --mode bulk", ("sizes",), n_dim=300, bins=25)
-        config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
-                                  master_seed=args.seed, target="bernoulli_bulk",
-                                  p=args.p, bins=args.bins, threads=args.threads)
-        report = montecarlo.run_bernoulli_bulk(config)
-        _emit_report(args, report, reports.bernoulli_bulk_report_csv)
-        _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
-              f"{_fmt_run(report.extras)}")
-        return 0
-    _mode_flags(args, "bernoulli --mode spike", ("bins", "n_dim"), sizes="100,200,400")
+def _bernoulli_bulk(args):
+    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
+                              master_seed=args.seed, target="bernoulli_bulk",
+                              p=args.p, bins=args.bins, threads=args.threads)
+    report = montecarlo.run_bernoulli_bulk(config)
+    _emit_report(args, report, reports.bernoulli_bulk_report_csv)
+    _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
+          f"{_fmt_run(report.extras)}")
+
+
+def _bernoulli_spike(args):
     sizes = tuple(int(v) for v in args.sizes.split(","))
     config = ExperimentConfig(n_dim=sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
@@ -308,30 +261,98 @@ def cmd_bernoulli(args) -> int:
     report = montecarlo.run_bernoulli_spike(config)
     _emit_report(args, report, reports.bernoulli_spike_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
-    return 0
 
 
-def cmd_probe(args) -> int:
-    if args.kind == "correlation":
-        _mode_flags(args, "probe --kind correlation", ("trials",), samples=100_000)
-        report = probes.correlation_probe(args.n_dim, args.n, args.t,
-                                          samples=args.samples, seed=args.seed,
-                                          dt=args.dt)
-    else:
-        _mode_flags(args, "probe --kind drift", ("samples",), trials=100_000)
-        report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
-                                    trials=args.trials, seed=args.seed)
+def _probe_correlation(args):
+    report = probes.correlation_probe(args.n_dim, args.n, args.t, samples=args.samples,
+                                      seed=args.seed, dt=args.dt)
     _emit_report(args, report, reports.probe_report_csv)
-    # only the drift probe runs on the trial pool; the correlation probe is serial
-    pool = (f" {_fmt_threads(report.extras)} stepper={report.extras['stepper']}"
-            if args.kind == "drift" else "")
-    _note(f"coverage={_fmt_cov(report.coverage)}{pool}")
-    return 0
+    _note(f"coverage={_fmt_cov(report.coverage)}")  # serial: no pool to report
+
+
+def _probe_drift(args):
+    report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
+                                trials=args.trials, seed=args.seed)
+    _emit_report(args, report, reports.probe_report_csv)
+    _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_threads(report.extras)} "
+          f"stepper={report.extras['stepper']}")
 
 
 # ---------------------------------------------------------------------------
-# parser
+# modes and parser
 # ---------------------------------------------------------------------------
+
+#: default of a flag its mode cannot run without
+REQUIRED = object()
+
+#: subcommand -> (mode of the parsed arguments, {mode: (handler, row)}).  A row
+#: maps each flag the mode reads, by argparse dest, to its default or REQUIRED;
+#: ``"a|b"`` is a pair of which the mode reads at most one, with ``a``'s default
+#: applied when neither is given.  A flag named in some row defaults to None in
+#: the parser; a flag named in none is read by every mode of its subcommand.
+MODES = {
+    "theory": (lambda args: args.mode or f"--kernel {args.kernel}", {
+        "--kernel goe": (_theory_kernel_goe, {"q": REQUIRED, "t": 1.0, "x|mu": 0.5, "bins": 50}),
+        "--kernel general": (_theory_kernel_general,
+                             {"model": REQUIRED, "mu": REQUIRED, "lambda_range": REQUIRED,
+                              "q": None, "t": 1.0, "bins": 50, "n0": 400}),
+        "--spike-f": (_theory_value(overlaps_theory.spike_spike_overlap, "spike", "mu", "q", "t"),
+                      {"spike": REQUIRED, "mu": REQUIRED, "q": REQUIRED, "t": 1.0}),
+        "--spike-g": (_theory_spike_g,
+                      {"spike": REQUIRED, "q": REQUIRED, "t": 1.0, "bins|mu": 50}),
+        "--lambda-star": (_theory_value(overlaps_theory.kernel_peak_location, "mu", "t", "q"),
+                          {"mu": REQUIRED, "q": REQUIRED, "t": 1.0}),
+        "--interlace": (_theory_interlace, {"q": REQUIRED, "x": 0.5, "t": 1.0}),
+        "--spike-mass": (_theory_value(overlaps_theory.spike_bulk_mass, "spike", "q", "t"),
+                         {"spike": REQUIRED, "q": REQUIRED, "t": 1.0}),
+        "--bernoulli-expansion": (_theory_bernoulli_expansion,
+                                  {"n|q": REQUIRED, "n_dim": 400, "p": 0.5}),
+    }),
+    "spike": (lambda args: "--path" if args.path and args.mode == "spike"
+              else f"--mode {args.mode}", {
+        "--mode spike": (_spike_spike, {"mu": None, "t": 1.0, "trials": 200, "threads": 0}),
+        "--mode bulk": (_spike_bulk, {"t": 1.0, "trials": 200, "bins": 25, "threads": 0}),
+        "--path": (_spike_path, {"path": True, "t_max": 1.2, "steps": 60}),
+    }),
+    "bernoulli": (lambda args: f"--mode {args.mode}", {
+        "--mode bulk": (_bernoulli_bulk, {"n_dim": 300, "bins": 25}),
+        "--mode spike": (_bernoulli_spike, {"sizes": "100,200,400"}),
+    }),
+    "probe": (lambda args: f"--kind {args.kind}", {
+        "--kind correlation": (_probe_correlation, {"samples": 100_000}),
+        "--kind drift": (_probe_drift, {"trials": 100_000}),
+    }),
+}
+
+
+def _run_mode(flags: dict, args):
+    """Check ``args`` against its mode's row of :data:`MODES`, fill in the defaults, run it.
+
+    ``flags`` maps each dest to the flag a ``ValueError`` names, with the mode, on
+    a flag of another mode's row, both flags of a pair or an unset REQUIRED flag.
+    """
+    select, modes = MODES[args.command]
+    run, row = modes[mode := select(args)]
+    name = f"{args.command} {mode}"
+    read = {dest for key in row for dest in key.split("|")}
+    moded = dict.fromkeys(dest for _, other in modes.values()
+                          for key in other for dest in key.split("|"))
+    foreign = [flags[d] for d in moded if d not in read and getattr(args, d) is not None]
+    if foreign:
+        raise ValueError(f"{name} does not read {' or '.join(foreign)}")
+    needs = []
+    for key, default in row.items():
+        dests = key.split("|")
+        given = [flags[d] for d in dests if getattr(args, d) is not None]
+        if len(given) > 1:
+            raise ValueError(f"{name} does not read {' with '.join(given)}")
+        if not given and default is REQUIRED:
+            needs.append(" or ".join(flags[d] for d in dests))
+        elif not given:
+            setattr(args, dests[0], default)
+    if needs:
+        raise ValueError(f"{name} needs {' and '.join(needs)}")
+    return run(args)
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,103 +366,80 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--kernel", choices=("goe", "general"), default=None)
-    mode.add_argument("--spike-f", action="store_true", dest="spike_f")
-    mode.add_argument("--spike-g", action="store_true", dest="spike_g")
-    mode.add_argument("--lambda-star", action="store_true", dest="lambda_star")
-    mode.add_argument("--interlace", action="store_true")
-    mode.add_argument("--spike-mass", action="store_true", dest="spike_mass")
-    mode.add_argument("--bernoulli-expansion", action="store_true", dest="bernoulli_expansion")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--lambda", type=float, default=None, dest="spike")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--N", type=int, default=400, dest="n_dim")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--model", type=str, default=None)
-    p.add_argument("--n0", type=int, default=400)
-    p.add_argument("--lambda-range", type=float, nargs=2, default=None, dest="lambda_range")
-    p.set_defaults(func=cmd_theory)
+    for flag in ("--spike-f", "--spike-g", "--lambda-star", "--interlace", "--spike-mass",
+                 "--bernoulli-expansion"):
+        mode.add_argument(flag, action="store_const", const=flag, dest="mode")
+    for flag in ("--t", "--x", "--mu", "--p"):
+        p.add_argument(flag, type=_finite)
+    for flag in ("--n", "--bins", "--n0"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--lambda", type=_finite, dest="spike")
+    p.add_argument("--N", type=int, dest="n_dim")
+    p.add_argument("--model", type=str)
+    p.add_argument("--lambda-range", type=_finite, nargs=2, dest="lambda_range")
 
-    p = sub.add_parser("simulate", help="bulk Monte Carlo experiment")
-    _add_report(p)
-    _add_q(p, required=True)
-    p.add_argument("--N", type=int, required=True, dest="n_dim")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--bins", type=int, default=25)
-    p.add_argument("--model", type=str, default=None,
-                   help="spectrum-model JSON for a general deterministic part")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="bulk experiment with coverage gate")
-    _add_report(p)
-    _add_q(p, required=True)
+    for name, help_text, func in (("simulate", "bulk Monte Carlo experiment", cmd_simulate),
+                                  ("compare", "bulk experiment with coverage gate", cmd_compare)):
+        p = sub.add_parser(name, help=help_text)
+        _add_report(p)
+        _add_q(p, required=True)
+        p.add_argument("--N", type=int, required=True, dest="n_dim")
+        p.add_argument("--t", type=_finite, default=1.0)
+        p.add_argument("--x", type=_finite, default=0.5)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--bins", type=int, default=25)
+        p.add_argument("--model", type=str, default=None,
+                       help="spectrum-model JSON for a general deterministic part")
+        p.set_defaults(func=func)
     p.add_argument("--bulk", action="store_true", help="bulk kernel comparison (default)")
-    p.add_argument("--N", type=int, required=True, dest="n_dim")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--bins", type=int, default=25)
-    p.add_argument("--model", type=str, default=None,
-                   help="spectrum-model JSON for a general deterministic part")
-    p.add_argument("--min-coverage", type=float, default=0.95, dest="min_coverage")
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--min-coverage", type=_finite, default=0.95, dest="min_coverage")
 
     p = sub.add_parser("spike", help="spike-spike / spike-bulk experiments")
-    _add_report(p)
-    p.set_defaults(threads=None)  # unset until given, so --path can refuse it; default 0
+    _add_report(p, threads=None)
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("spike", "bulk"), required=True)
-    p.add_argument("--lambda", type=float, required=True, dest="spike")
-    p.add_argument("--mu", type=float, default=None, help="minor spike (spike mode)")
+    p.add_argument("--lambda", type=_finite, required=True, dest="spike")
     p.add_argument("--N", type=int, required=True, dest="n_dim")
-    # the flags below are read by some modes only; a mode refuses the others
-    p.add_argument("--t", type=float, default=None, help="default 1 (not with --path)")
-    p.add_argument("--trials", type=int, default=None, help="default 200 (not with --path)")
-    p.add_argument("--bins", type=int, default=None, help="default 25 (bulk mode)")
-    p.add_argument("--path", action="store_true",
-                   help="emit one trajectory time series (spike mode)")
-    p.add_argument("--t-max", type=float, default=None, dest="t_max",
-                   help="default 1.2 (--path)")
-    p.add_argument("--steps", type=int, default=None, help="default 60 (--path)")
-    p.set_defaults(func=cmd_spike)
+    p.add_argument("--mu", type=_finite, help="minor spike")
+    p.add_argument("--t", type=_finite)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--path", action="store_true", default=None,
+                   help="emit one trajectory time series (with --mode spike)")
+    p.add_argument("--t-max", type=_finite, dest="t_max")
+    p.add_argument("--steps", type=int)
 
     p = sub.add_parser("bernoulli", help="Bernoulli-ensemble experiments")
     _add_report(p)
     _add_q(p, required=True)
     p.add_argument("--mode", choices=("bulk", "spike"), required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--trials", type=int, default=200)
-    # the flags below are read by one mode only; the other mode refuses them
-    p.add_argument("--N", type=int, default=None, dest="n_dim",
-                   help="default 300 (bulk mode)")
-    p.add_argument("--bins", type=int, default=None, help="default 25 (bulk mode)")
-    p.add_argument("--sizes", type=str, default=None,
-                   help="comma list of sizes, default 100,200,400 (spike mode)")
-    p.set_defaults(func=cmd_bernoulli)
+    p.add_argument("--N", type=int, dest="n_dim")
+    p.add_argument("--bins", type=int)
+    p.add_argument("--sizes", type=str, help="comma list of sizes")
 
     p = sub.add_parser("probe", help="SDE-level identity probes")
-    _add_report(p, threads=False)
+    _add_report(p, pool=False)
     p.add_argument("--kind", choices=("correlation", "drift"), required=True)
     p.add_argument("--N", type=int, default=50, dest="n_dim")
     p.add_argument("--n", type=int, default=25)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-4)
-    # each kind reads one of these and refuses the other
-    p.add_argument("--samples", type=int, default=None, help="default 100000 (correlation)")
-    p.add_argument("--trials", type=int, default=None, help="default 100000 (drift)")
-    p.set_defaults(func=cmd_probe)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--dt", type=_finite, default=1e-4)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--trials", type=int)
 
+    for command in MODES:
+        p = sub.choices[command]
+        flags = {a.dest: min(a.option_strings, key=len) for a in p._actions}
+        p.set_defaults(func=functools.partial(_run_mode, flags))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0  # a command returns None on success
     except (DomainError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2

@@ -35,22 +35,19 @@ SOLVER_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectrumModel:
-    """Limiting spectrum: weighted real atoms plus optional isolated spikes.
+    """Limiting spectrum: weighted real atoms.
 
     ``atoms`` is a list of ``(location, weight)`` pairs with weights summing
-    to one; ``spikes`` are measure-null outliers (weight zero) tracked
-    separately by the spike formulas.  ``q`` records the minor fraction when
-    the model describes a minor's nonzero spectrum.
+    to one.  ``q`` records the minor fraction when the model describes a
+    minor's nonzero spectrum.
     """
 
     atoms: tuple
-    spikes: tuple = ()
     q: float = 1.0
 
     def __post_init__(self):
         atoms = tuple((float(a), float(w)) for a, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "spikes", tuple(float(s) for s in self.spikes))
         if not atoms:
             raise ValueError("model needs at least one atom")
         if any(w <= 0 for _, w in atoms):
@@ -58,9 +55,6 @@ class SpectrumModel:
         total = sum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights sum to {total!r}, expected 1")
-        locs = {a for a, _ in atoms}
-        if any(s in locs for s in self.spikes):
-            raise ValueError("spikes must be disjoint from atom locations")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         object.__setattr__(self, "_locs", np.array([a for a, _ in atoms]))
@@ -74,15 +68,15 @@ class SpectrumModel:
         return cls(atoms=tuple(zip(locs, counts / eigenvalues.size)), q=q)
 
     def to_json(self) -> str:
-        return json.dumps({"atoms": [[a, w] for a, w in self.atoms],
-                           "spikes": list(self.spikes), "q": self.q})
+        return json.dumps({"atoms": [[a, w] for a, w in self.atoms], "q": self.q})
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumModel":
+        """Parse a model; a non-empty ``"spikes"`` list is refused, since nothing reads it."""
         obj = json.loads(text)
-        return cls(atoms=tuple((a, w) for a, w in obj["atoms"]),
-                   spikes=tuple(obj.get("spikes", ())),
-                   q=obj.get("q", 1.0))
+        if obj.get("spikes"):
+            raise ValueError("model field 'spikes' is not supported; omit it or give []")
+        return cls(atoms=tuple((a, w) for a, w in obj.get("atoms", ())), q=obj.get("q", 1.0))
 
 
 def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:

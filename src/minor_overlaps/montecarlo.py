@@ -250,12 +250,13 @@ def _pool_map(threads: int, fn, count: int):
     ``(results, used)`` where ``used`` holds the resolved ``pool_threads`` and
     the ``trial_blas_threads`` ``fn`` ran with (None when the BLAS count could
     not be set).  A worker starts the next index only when it is free, so at
-    most ``threads`` calls are in flight.
+    most ``threads`` calls are in flight.  Raises ``ValueError`` for ``threads < 0``.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     if threads == 0:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    threads = max(threads, 1)
     with _one_blas_thread() as blas_threads:
         if threads == 1:
             results = [fn(m) for m in range(count)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -249,13 +250,21 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
     (["--interlace", "--t", "1"], "--q"),
     (["--spike-mass", "--q", "0.5"], "--lambda"),
     (["--bernoulli-expansion", "--N", "100"], "--q"),
+    (["--kernel", "general", "--mu", "0.3", "--lambda-range", "-1", "1"], "--model"),
+    (["--kernel", "general", "--model", "m.json", "--lambda-range", "-1", "1"], "--mu"),
+    (["--kernel", "general", "--model", "m.json", "--mu", "0.3"], "--lambda-range"),
+    (["--spike-f", "--q", "0.3"], "--lambda and --mu"),
+    (["--bernoulli-expansion", "--N", "100", "--p", "0.7"], "--n or --q"),
 ], ids=["kernel-goe", "spike-f", "spike-g", "lambda-star", "interlace", "spike-mass",
-        "bernoulli-expansion"])
+        "bernoulli-expansion", "kernel-general-model", "kernel-general-mu",
+        "kernel-general-lambda-range", "spike-f-lambda-and-mu", "bernoulli-expansion-n-or-q"])
 def test_theory_missing_flag_exits_two(capsys, argv, flag):
     code, stdout, stderr = _run(capsys, ["theory"] + argv)
     assert code == 2
     assert stdout == ""
     assert flag in stderr
+    mode = " ".join(argv[:2]) if argv[0] == "--kernel" else argv[0]
+    assert stderr.startswith(f"error: theory {mode} needs ")
 
 
 def test_probe_correlation_command(capsys):
@@ -292,13 +301,12 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
     (_CORRELATION + ["--dt", "0"], "dt > 0"),
     (_CORRELATION + ["--dt=-1"], "dt > 0"),
     (_DRIFT + ["--dt=-1e-4"], "dt > 0"),
-    (_DRIFT + ["--dt", "nan"], "dt > 0"),
     (_DRIFT + ["--t", "0"], "t > 0"),
     (_CORRELATION + ["--N", "101"], "n_dim <= 100"),
     (_DRIFT + ["--N", "101"], "n_dim <= 100"),
 ], ids=["drift-n-0", "drift-n-2", "drift-n-equals-N", "drift-n-above-N", "correlation-n-equals-N",
         "drift-dt-0", "correlation-dt-0", "correlation-dt-negative", "drift-dt-negative",
-        "drift-dt-nan", "drift-t-0", "correlation-N-101", "drift-N-101"])
+        "drift-t-0", "correlation-N-101", "drift-N-101"])
 def test_probe_invalid_input_exits_two(capsys, argv, fragment):
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2
@@ -385,6 +393,13 @@ _BERNOULLI_BULK = ["bernoulli", "--mode", "bulk", "--p", "0.5", "--qfrac", "0.5"
                    "--trials", "100"]
 _BERNOULLI_SPIKE = ["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5",
                     "--sizes", "30,40", "--trials", "100"]
+_SPIKE_F = ["theory", "--spike-f", "--lambda", "1", "--mu", "0.3", "--qfrac", "0.3",
+            "--t", "0.2"]
+_SPIKE_G = ["theory", "--spike-g", "--lambda", "3", "--qfrac", "0.7", "--t", "1"]
+_KERNEL_GOE = ["theory", "--kernel", "goe", "--q", "0.5"]
+_KERNEL_GENERAL = ["theory", "--kernel", "general", "--model", "m.json", "--mu", "0.3",
+                   "--lambda-range", "-2.5", "2.5"]
+_EXPANSION = ["theory", "--bernoulli-expansion", "--N", "200", "--p", "0.7"]
 
 
 @pytest.mark.parametrize("argv, mode, flag", [
@@ -406,11 +421,23 @@ _BERNOULLI_SPIKE = ["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.
     (_BERNOULLI_BULK + ["--sizes", "30,40"], "bernoulli --mode bulk", "--sizes"),
     (_CORRELATION + ["--trials", "5"], "probe --kind correlation", "--trials"),
     (_DRIFT + ["--samples", "5"], "probe --kind drift", "--samples"),
+    (_SPIKE_F + ["--bins", "3", "--x", "0.9", "--n0", "5"], "theory --spike-f",
+     "--x or --bins or --n0"),
+    (_KERNEL_GOE + ["--x", "0.2", "--mu", "0.3"], "theory --kernel goe", "--x with --mu"),
+    (_KERNEL_GOE + ["--model", "m.json"], "theory --kernel goe", "--model"),
+    (_KERNEL_GENERAL + ["--x", "0.2"], "theory --kernel general", "--x"),
+    (_EXPANSION + ["--q", "0.5", "--n", "10"], "theory --bernoulli-expansion",
+     "--n with --q"),
+    (_EXPANSION + ["--q", "0.5", "--t", "5"], "theory --bernoulli-expansion", "--t"),
+    (_SPIKE_G + ["--mu", "0.5", "--bins", "3"], "theory --spike-g", "--bins with --mu"),
 ], ids=["spike-bulk-path", "spike-bulk-t-max", "spike-bulk-steps", "spike-bulk-mu",
         "spike-spike-t-max", "spike-spike-steps", "spike-spike-bins", "spike-path-t",
         "spike-path-trials", "spike-path-bins", "spike-path-mu", "spike-path-threads",
         "bernoulli-spike-bins", "bernoulli-spike-bins-zero", "bernoulli-spike-N",
-        "bernoulli-bulk-sizes", "correlation-trials", "drift-samples"])
+        "bernoulli-bulk-sizes", "correlation-trials", "drift-samples",
+        "theory-spike-f-bins-x-n0", "theory-kernel-goe-x-with-mu", "theory-kernel-goe-model",
+        "theory-kernel-general-x", "theory-expansion-n-with-q", "theory-expansion-t",
+        "theory-spike-g-bins-with-mu"])
 def test_flag_of_another_mode_exits_two(capsys, monkeypatch, argv, mode, flag):
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
@@ -420,6 +447,90 @@ def test_flag_of_another_mode_exits_two(capsys, monkeypatch, argv, mode, flag):
     assert code == 2
     assert stdout == ""
     assert stderr == f"error: {mode} does not read {flag}\n"
+
+
+def test_mode_table_agrees_with_parser():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, (_, modes) in cli.MODES.items():
+        parser = subparsers.choices[command]
+        actions = {a.dest: a for a in parser._actions}
+        named = {dest for _, row in modes.values() for key in row for dest in key.split("|")}
+        assert named <= set(actions), command
+        for dest in named:  # the table holds the only default of a mode-dependent flag
+            assert actions[dest].default is None and not actions[dest].required, dest
+        selectors = {a.dest for group in parser._mutually_exclusive_groups if group.required
+                     for a in group._group_actions}
+        for dest, action in actions.items():  # every other flag is read by every mode
+            assert (dest in named or dest in selectors or dest in ("help", "out")
+                    or action.required or action.default is not None), (command, dest)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--bins", "3",
+     "--threads", "-5"],
+    ["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--t", "0.2", "--N", "60",
+     "--trials", "100", "--threads", "-1"],
+], ids=["simulate", "spike"])
+def test_negative_threads_exits_two(capsys, argv):
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: threads must be >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["theory", "--interlace", "--x", "0.3", "--t", "nan", "--qfrac", "0.9"], "--t"),
+    (["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--bins", "3",
+      "--t", "nan"], "--t"),
+    (_DRIFT + ["--dt", "nan"], "--dt"),
+    (["theory", "--kernel", "goe", "--q", "inf"], "--qfrac/--q"),
+    (["theory", "--spike-mass", "--lambda=-inf", "--q", "0.5"], "--lambda"),
+    (_KERNEL_GENERAL + ["--lambda-range", "-1", "inf"], "--lambda-range"),
+    (["compare", "--N", "40", "--qfrac", "0.5", "--min-coverage", "nan"], "--min-coverage"),
+    (["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "40",
+      "--t-max", "inf"], "--t-max"),
+    (["bernoulli", "--mode", "bulk", "--p", "NaN", "--qfrac", "0.5"], "--p"),
+], ids=["theory-interlace-t-nan", "simulate-t-nan", "drift-dt-nan", "theory-q-inf",
+        "theory-lambda-minus-inf", "theory-lambda-range-inf", "compare-min-coverage-nan",
+        "spike-t-max-inf", "bernoulli-p-nan"])
+def test_non_finite_float_exits_two_at_parse_time(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid finite float value: " in captured.err
+
+
+_SPIKES = '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [4.0], "q": 0.5}'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["simulate"], _SPIKES, "model field 'spikes' is not supported"),
+    (["compare"], _SPIKES, "model field 'spikes' is not supported"),
+    (["theory", "--kernel", "general"], _SPIKES, "model field 'spikes' is not supported"),
+    (["simulate"], None, "No such file or directory"),
+    (["simulate"], '{"q": 0.5}', "model needs at least one atom"),
+    (["simulate"], '{"atoms": [[0.0, 1.0]', "Expecting"),
+], ids=["simulate-spikes", "compare-spikes", "theory-kernel-general-spikes", "missing-file",
+        "no-atoms", "bad-json"])
+def test_refused_model_exits_two(capsys, tmp_path, monkeypatch, argv, text, message):
+    model_path = tmp_path / "model.json"
+    if text is not None:
+        model_path.write_text(text)
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(cli.montecarlo, "_run_decomposed", no_trials)
+    flags = (["--mu", "0.3", "--lambda-range", "-2.5", "2.5"] if argv[0] == "theory"
+             else ["--N", "40", "--qfrac", "0.5", "--trials", "100"])
+    code, stdout, stderr = _run(capsys, argv + flags + ["--model", str(model_path)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: {' '.join(argv)} --model {model_path}: ")
+    assert message in stderr
 
 
 def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):

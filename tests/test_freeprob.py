@@ -373,13 +373,15 @@ def test_minor_quantile_is_scaled_full_quantile():
 
 
 def test_spectrum_model_json_roundtrip_and_validation():
-    model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)), spikes=(3.0,), q=0.7)
+    model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)), q=0.7)
     again = SpectrumModel.from_json(model.to_json())
     assert again == model
+    assert SpectrumModel.from_json('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], '
+                                   '"q": 0.7}') == model
     with pytest.raises(ValueError):
         SpectrumModel(atoms=((0.0, 0.5),))
-    with pytest.raises(ValueError):
-        SpectrumModel(atoms=((0.0, 1.0),), spikes=(0.0,))
+    with pytest.raises(ValueError, match="spikes"):
+        SpectrumModel.from_json('{"atoms": [[0.0, 1.0]], "spikes": [4.0]}')
     with pytest.raises(ValueError):
         SpectrumModel(atoms=((0.0, 1.0),), q=0.0)
 

@@ -46,9 +46,13 @@ _DRIFT = ["--kind", "drift", "--N", "12", "--n", "6", "--trials", "1000"]
 CASES = {
     "theory-kernel-goe": ["theory", "--kernel", "goe", "--q", "0.5", "--t", "1", "--x", "0.3",
                           "--bins", "12"],
+    "theory-kernel-goe-mu": ["theory", "--kernel", "goe", "--q", "0.5", "--mu", "0.2"],
     "theory-kernel-general": ["theory", "--kernel", "general", "--model", MODEL, "--mu", "0.3",
                               "--q", "0.5", "--t", "1", "--lambda-range", "-2.5", "2.5",
                               "--bins", "20", "--n0", "100"],
+    "theory-kernel-general-model-q": ["theory", "--kernel", "general", "--model", MODEL,
+                                      "--mu", "0.3", "--lambda-range", "-2.5", "2.5",
+                                      "--bins", "20", "--n0", "100"],
     "theory-spike-f": ["theory", "--spike-f", "--lambda", "1", "--mu", "0.3", "--qfrac", "0.3",
                        "--t", "0.2"],
     "theory-spike-g-curve": ["theory", "--spike-g", "--lambda", "3", "--qfrac", "0.7",
@@ -58,10 +62,12 @@ CASES = {
     "theory-lambda-star": ["theory", "--lambda-star", "--mu", "0.4", "--t", "1",
                            "--qfrac", "0.5"],
     "theory-interlace": ["theory", "--interlace", "--x", "0.3", "--t", "1", "--qfrac", "0.9"],
+    "theory-interlace-defaults": ["theory", "--interlace", "--qfrac", "0.9"],
     "theory-spike-mass": ["theory", "--spike-mass", "--lambda", "3", "--qfrac", "0.7",
                           "--t", "1"],
     "theory-bernoulli-expansion": ["theory", "--bernoulli-expansion", "--N", "200",
                                    "--q", "0.5", "--p", "0.7"],
+    "theory-bernoulli-expansion-n": ["theory", "--bernoulli-expansion", "--n", "100"],
     "theory-no-mode": ["theory", "--q", "0.5"],
     "simulate-goe": ["simulate"] + _SIM + ["--seed", "3"],
     "simulate-goe-json": ["simulate"] + _SIM + ["--x", "0.2", "--seed", "4",
@@ -75,6 +81,8 @@ CASES = {
                                               "--format", "json"],
     "spike-path": ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3",
                    "--N", "40", "--t-max", "1.2", "--steps", "8", "--seed", "10"],
+    "spike-path-defaults": ["spike", "--mode", "spike", "--path", "--lambda", "1",
+                            "--qfrac", "0.3", "--N", "40", "--seed", "21"],
     "spike-bulk": ["spike"] + _SPIKE_BULK + ["--seed", "11"],
     "spike-bulk-json": ["spike"] + _SPIKE_BULK + ["--seed", "12", "--format", "json"],
     "bernoulli-bulk": ["bernoulli"] + _BERNOULLI_BULK + ["--seed", "13"],

@@ -49,6 +49,7 @@ from minor_overlaps.montecarlo import (
     _kernel_curve,
     _scan_general_support,
     _openblas_threads,
+    _pool_map,
     _run_trials,
     miss_tail_probability,
 )
@@ -491,6 +492,15 @@ def test_trials_run_with_one_blas_thread_and_restore(blas_threads, threads):
     assert used == {"pool_threads": threads or len(os.sched_getaffinity(0)),
                     "trial_blas_threads": 1}
     assert get_threads() == 2
+
+
+@pytest.mark.parametrize("threads", [-1, -5])
+def test_pool_map_refuses_negative_threads(threads):
+    def never(m):
+        raise AssertionError("fn ran")
+
+    with pytest.raises(ValueError, match=f"threads must be >= 0, got {threads}"):
+        _pool_map(threads, never, 3)
 
 
 def test_blas_count_restored_after_failed_run(blas_threads):
