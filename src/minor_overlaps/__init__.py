@@ -8,7 +8,6 @@ scale.
 from .reports import TOOL_VERSION as __version__
 
 from .ensembles import (
-    SeedSpec,
     derive_stream,
     rank_one,
     sample_bernoulli,

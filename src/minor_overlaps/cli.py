@@ -45,6 +45,14 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
 
 
+def _sizes(text: str) -> tuple:
+    """Type of ``--sizes``: a comma list of integers, refused at parse time otherwise."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma list of integers: {text!r}") from None
+
+
 def _add_out(parser):
     parser.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
 
@@ -66,7 +74,10 @@ def _add_q(parser, required=False):
 
 def _emit(args, text: str):
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # an unwritable path is invalid input: exit 2
+            raise ValueError(f"--out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -254,10 +265,9 @@ def _bernoulli_bulk(args):
 
 
 def _bernoulli_spike(args):
-    sizes = tuple(int(v) for v in args.sizes.split(","))
-    config = ExperimentConfig(n_dim=sizes[0], q=args.q, t=0.0, trials=args.trials,
+    config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
-                              p=args.p, n_dims=sizes, threads=args.threads)
+                              p=args.p, n_dims=args.sizes, threads=args.threads)
     report = montecarlo.run_bernoulli_spike(config)
     _emit_report(args, report, reports.bernoulli_spike_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
@@ -316,7 +326,7 @@ MODES = {
     }),
     "bernoulli": (lambda args: f"--mode {args.mode}", {
         "--mode bulk": (_bernoulli_bulk, {"n_dim": 300, "bins": 25}),
-        "--mode spike": (_bernoulli_spike, {"sizes": "100,200,400"}),
+        "--mode spike": (_bernoulli_spike, {"sizes": (100, 200, 400)}),
     }),
     "probe": (lambda args: f"--kind {args.kind}", {
         "--kind correlation": (_probe_correlation, {"samples": 100_000}),
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--N", type=int, dest="n_dim")
     p.add_argument("--bins", type=int)
-    p.add_argument("--sizes", type=str, help="comma list of sizes")
+    p.add_argument("--sizes", type=_sizes, help="comma list of sizes")
 
     p = sub.add_parser("probe", help="SDE-level identity probes")
     _add_report(p, pool=False)

@@ -8,9 +8,12 @@ t_max, steps, seed)`` follows one noise path instead.
 
 Every runner runs its trials through :func:`_run_decomposed`: one
 independent random stream per trial
-(:func:`minor_overlaps.ensembles.derive_stream`), each trial decomposes its
-matrix and the bare leading ``n x n`` block and audits Cauchy interlacing,
-and trials run concurrently but reduce in trial-index order.  99% confidence
+(:func:`minor_overlaps.ensembles.derive_stream`), each trial reduces its
+matrix and the bare leading ``n x n`` block to tridiagonal form once each
+(:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector back-transform),
+audits Cauchy interlacing on every eigenvalue, and reads only the overlaps
+its runner uses (a grid row, columns or one entry), audited as read; trials
+run concurrently but reduce in trial-index order.  99% confidence
 intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
 three binned runners supply edges, sampler, per-trial selection and theory,
@@ -74,10 +77,12 @@ from .overlaps_theory import (
 from .spectral import (
     _openblas,
     check_interlacing,
-    eig_sym,
     minor_size,
-    overlap_grid,
+    overlap_columns,
+    overlap_entry,
+    overlap_row,
     quantile_index,
+    reduced_eig,
 )
 
 Z_99 = 2.575829303548901  # two-sided 99% normal quantile
@@ -481,9 +486,11 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = Non
     """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
 
     Trial ``m`` draws ``x = sample(derive_stream(config.master_seed,
-    first_stream + m))``, decomposes ``x`` and its bare leading ``n x n``
-    block (``n`` defaults to ``config.n``), audits Cauchy interlacing, and
-    returns ``trial(full, grid)``, or None for an absorbed spike.  ``kept``
+    first_stream + m))``, reduces ``x`` and its bare leading ``n x n`` block
+    (``n`` defaults to ``config.n``) with :func:`~minor_overlaps.spectral.reduced_eig`,
+    audits Cauchy interlacing on every eigenvalue, and returns ``trial(full,
+    minor)``, or None for an absorbed spike.  ``trial`` reads the overlaps it
+    uses through the spectral readers, which audit what they read.  ``kept``
     holds the other results in trial order.  ``run`` holds the counts
     ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
     ``trial_blas_threads`` the trials ran with.
@@ -495,12 +502,11 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = Non
 
     def worker(m):
         x_mat = sample(derive_stream(config.master_seed, first_stream + m))
-        full = eig_sym(x_mat)
-        grid = overlap_grid(full, eig_sym(x_mat[:n, :n]))
-        ok, margin = check_interlacing(full.eigenvalues, grid.minor_evals)
+        full, minor = reduced_eig(x_mat), reduced_eig(x_mat[:n, :n])
+        ok, margin = check_interlacing(full.eigenvalues, minor.eigenvalues)
         if not ok:
             raise NumericError(f"interlacing violated by margin {margin:.3e}")
-        return (trial(full, grid),)
+        return (trial(full, minor),)
 
     results, aborted, used = _run_trials(config.trials, config.threads, worker)
     done = [r[0] for r in results if r is not None]
@@ -554,10 +560,10 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         x_mat = sample_goe(n_dim, t, seed)
         return x_mat if a_mat is None else x_mat + a_mat
 
-    def trial(full, grid):
-        row = n_dim * grid.values[row_idx]
-        means, counts = _bin_means(row, grid.full_evals, edges)
-        return means, counts, grid.minor_evals[row_idx], grid.row_sum_error()
+    def trial(full, minor):
+        row, row_sum_error = overlap_row(full, minor, row_idx)
+        means, counts = _bin_means(n_dim * row, full.eigenvalues, edges)
+        return means, counts, minor.eigenvalues[row_idx], row_sum_error
 
     kept, run = _run_decomposed(config, sample, trial)
     mu_hat = float(np.mean([r[2] for r in kept]))
@@ -604,10 +610,10 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     theory = spike_spike_overlap(spike, minor_spike, q, t)  # validates the time window
     a_mat = config.a_spec.build(n_dim, n)
 
-    def trial(full, grid):
+    def trial(full, minor):
         if _spike_absorbed(full.eigenvalues[0], t):
             return None
-        return float(grid.values[0, 0])
+        return overlap_entry(full, minor, 0, 0)
 
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
     if len(kept) < 2:
@@ -668,11 +674,11 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     a_mat = config.a_spec.build(n_dim, n)
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
 
-    def trial(full, grid):
+    def trial(full, minor):
         if _spike_absorbed(full.eigenvalues[0], t):
             return None
-        col = grid.values[:, 0]
-        means, counts = _bin_means(n_dim * col, grid.minor_evals, edges)
+        col = overlap_columns(full, minor, [0])[:, 0]
+        means, counts = _bin_means(n_dim * col, minor.eigenvalues, edges)
         return means, counts, float(col.sum())
 
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
@@ -714,16 +720,13 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     full_edges = _bulk_bin_edges(t_eff, config.bins)
     full_window = full_edges[1] - full_edges[0]
 
-    def trial(_, grid):
-        # rows/columns 0 are the diverging spikes of each matrix
-        bulk_vals = grid.values[1:, 1:]
-        bulk_mu = grid.minor_evals[1:]
-        bulk_lam = grid.full_evals[1:]
-        jsel = np.abs(bulk_lam) <= full_window / 2.0
-        if not jsel.any():
+    def trial(full, minor):
+        # index 0 of each spectrum is its diverging spike; the window picks full columns
+        cols = 1 + np.flatnonzero(np.abs(full.eigenvalues[1:]) <= full_window / 2.0)
+        if not cols.size:
             return (np.full(edges.size - 1, np.nan), np.zeros(edges.size - 1))
-        row_means = n_dim * bulk_vals[:, jsel].mean(axis=1)
-        return _bin_means(row_means, bulk_mu, edges)
+        row_means = n_dim * overlap_columns(full, minor, cols)[1:].mean(axis=1)
+        return _bin_means(row_means, minor.eigenvalues[1:], edges)
 
     kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed), trial)
 
@@ -762,7 +765,8 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
             raise ValueError(f"size {n_dim}: round(qN) out of range")
         # both callables run to completion inside this iteration
         kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed),
-                                    lambda _, grid: n / n_dim - float(grid.values[0, 0]),
+                                    lambda full, minor: n / n_dim - overlap_entry(
+                                        full, minor, 0, 0),
                                     n=n, first_stream=idx * config.trials)
         aborted += run["aborted_trials"]
         rows.append(_trial_estimate(n_dim, kept, "deficit"))

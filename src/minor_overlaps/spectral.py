@@ -6,10 +6,14 @@ the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
 block, decomposed at size ``n``; its eigenvectors live on the first ``n``
 coordinates.
 
-:func:`eigpair_at` computes one eigenpair of a symmetric matrix by index
-with LAPACK's ``dsyevr`` from numpy's bundled OpenBLAS (loaded on first use
-by :func:`_openblas`), and falls back to a full ``eigh`` where that library
-does not export it; :func:`eigpair_backend` names the one in use.
+Two routines call LAPACK directly, from numpy's bundled OpenBLAS (loaded on
+first use by :func:`_openblas`), and fall back to a full ``eigh`` where that
+library does not export what they need.  :func:`eigpair_at` computes one
+eigenpair by index with ``dsyevr`` (:func:`eigpair_backend` names the one in
+use).  :func:`reduced_eig` returns every eigenvalue and forms eigenvectors,
+or the coefficients of given vectors on them, only when asked; a Monte Carlo
+trial reads its overlaps through :func:`overlap_row`,
+:func:`overlap_columns` and :func:`overlap_entry`, which audit what they read.
 """
 
 from __future__ import annotations
@@ -24,13 +28,26 @@ import numpy as np
 
 from .errors import NumericError
 
-_I64, _PTR, _DBL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-#: ``LAPACKE_dsyevr_work`` of an ILP64 build: layout, jobz, range, uplo, n, a, lda,
-#: vl, vu, il, iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork
-_DSYEVR_ARGTYPES = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, _I64, _PTR,
-                    _I64, _DBL, _DBL, _I64, _I64, _DBL, _PTR, _PTR, _PTR, _I64, _PTR, _PTR,
-                    _I64, _PTR, _I64]
+_INT, _CHR, _I64, _PTR, _DBL = (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                                ctypes.c_double)
+#: argument types of the ``LAPACKE_<name>_work`` routines of an ILP64 build
+_ARGTYPES = {
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
+    # work, lwork, iwork, liwork
+    "dsyevr": [_INT, _CHR, _CHR, _CHR, _I64, _PTR, _I64, _DBL, _DBL, _I64, _I64, _DBL, _PTR,
+               _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64],
+    # layout, uplo, n, a, lda, d, e, tau, work, lwork
+    "dsytrd": [_INT, _CHR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64],
+    # layout, compz, n, d, e, z, ldz, work, lwork, iwork, liwork
+    "dstedc": [_INT, _CHR, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64],
+    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    "dormtr": [_INT, _CHR, _CHR, _CHR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64],
+}
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in either layout
+#: numpy's ``eigh`` (LAPACK ``dsyevd``) rescales a matrix whose largest entry lies
+#: outside ``[_RMIN, _RMAX]`` before reducing it
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN, _RMAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1.0 / _SMLNUM))
 
 
 @dataclass(frozen=True)
@@ -54,6 +71,14 @@ class SpectralDecomposition:
         err = np.max(np.abs((v * w) @ v.T - x))
         return float(err / max(1.0, np.max(np.abs(x))))
 
+    def vectors(self, idx):
+        """Eigenvectors at descending indices ``idx``: a vector for an int, columns for a list."""
+        return self.eigenvectors[:, idx].copy()
+
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
+        """``V^T w``: the coefficients of ``w`` (a vector, or columns) on the eigenvectors."""
+        return self.eigenvectors.T @ w
+
 
 def eig_sym(x: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -75,26 +100,52 @@ def eig_sym(x: np.ndarray) -> SpectralDecomposition:
 
 @functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS (scipy-openblas, 64-bit integers) as a CDLL, or None."""
+    """numpy's bundled OpenBLAS (scipy-openblas, 64-bit integers) as a CDLL, or None.
+
+    Each routine of ``_ARGTYPES`` it exports gets its argument types here, once.
+    """
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
                                   "libscipy_openblas64_*.so"))
     try:
-        return ctypes.CDLL(libs[0])
+        lib = ctypes.CDLL(libs[0])
     except (IndexError, OSError):
         return None
+    for name, argtypes in _ARGTYPES.items():
+        fn = getattr(lib, f"scipy_LAPACKE_{name}_work64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, _I64
+    return lib
 
 
-def _dsyevr():
-    """LAPACKE ``dsyevr_work`` of numpy's OpenBLAS, or None where it cannot be reached."""
-    fn = getattr(_openblas(), "scipy_LAPACKE_dsyevr_work64_", None)
-    if fn is not None:
-        fn.argtypes, fn.restype = _DSYEVR_ARGTYPES, _I64
-    return fn
+def _lapacke(name: str):
+    """Typed LAPACKE ``<name>_work`` of numpy's OpenBLAS, or None where it cannot be reached."""
+    return getattr(_openblas(), f"scipy_LAPACKE_{name}_work64_", None)
+
+
+def _lapack(name: str, size: int, *values, integer_work: bool = False):
+    """Call LAPACKE ``<name>_work`` in column-major layout, its workspace sized by a query.
+
+    ``values`` are the arguments between the layout and the workspace, which
+    is ``work, lwork`` and, with ``integer_work``, also ``iwork, liwork``.  A
+    nonzero ``info`` raises ``NumericError`` naming the routine and ``size``.
+    """
+    fn = _lapacke(name)
+
+    def call(lwork, liwork):
+        tail = (work.ctypes.data, lwork, iwork.ctypes.data, liwork)
+        info = fn(_COL_MAJOR, *values, *tail[:4 if integer_work else 2])
+        if info != 0:
+            raise NumericError(f"{name} failed on a {size}x{size} matrix: info={info}")
+
+    work, iwork = np.ones(1), np.ones(1, dtype=np.int64)
+    call(-1, -1)  # workspace query: the optimal lengths land in work[0] and iwork[0]
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    call(work.size, iwork.size)
 
 
 def eigpair_backend() -> str:
     """``"dsyevr"`` when :func:`eigpair_at` solvers call LAPACK directly, else ``"eigh"``."""
-    return "eigh" if _dsyevr() is None else "dsyevr"
+    return "eigh" if _lapacke("dsyevr") is None else "dsyevr"
 
 
 def eigpair_at(size: int):
@@ -112,7 +163,7 @@ def eigpair_at(size: int):
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
-    dsyevr = _dsyevr()
+    dsyevr = _lapacke("dsyevr")
     if dsyevr is None:
         def eigpair(a, desc):
             _check_eigpair_input(a, desc, size)
@@ -128,7 +179,7 @@ def eigpair_at(size: int):
         values = (_COL_MAJOR, b"V", b"I", b"L", size, a_address, size, 0.0, 0.0, 1, 1, 0.0,
                   m.ctypes.data, w.ctypes.data, z.ctypes.data, size, isuppz.ctypes.data,
                   work.ctypes.data, lwork, iwork.ctypes.data, liwork)
-        return [kind(value) for kind, value in zip(_DSYEVR_ARGTYPES, values)]
+        return [kind(value) for kind, value in zip(_ARGTYPES["dsyevr"], values)]
 
     # workspace query: dsyevr reports its optimal sizes and reads no matrix
     work, iwork, query = np.empty(1), np.empty(1, dtype=np.int64), np.zeros((size, size))
@@ -167,6 +218,79 @@ def _check_eigpair_input(a: np.ndarray, desc: int, size: int):
 
 
 @dataclass(frozen=True)
+class ReducedEig:
+    """A symmetric matrix ``X = Q T Q^T`` reduced to a tridiagonal ``T = S diag(w) S^T``.
+
+    ``Q`` stays as the Householder reflectors of LAPACK ``dsytrd``
+    (``reflectors``, ``tau``) and ``S`` as ``dstedc``'s eigenvectors of ``T``,
+    columns ascending.  The eigenvectors ``V = Q S`` are never formed whole:
+    :meth:`vectors` and :meth:`coefficients` apply ``Q`` (LAPACK ``dormtr``)
+    to the columns they are asked for.  ``eigenvalues`` are descending and
+    index both, as for :class:`SpectralDecomposition`.
+    """
+
+    eigenvalues: np.ndarray
+    tridiagonal_vectors: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    def vectors(self, idx):
+        """Eigenvectors ``Q S[:, k]`` at descending indices ``idx`` (an int or a list)."""
+        return self._apply_q(self.tridiagonal_vectors[:, self.dim - 1 - np.asarray(idx)], b"N")
+
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
+        """``V^T w = S^T Q^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
+        return (self.tridiagonal_vectors.T @ self._apply_q(w, b"T"))[::-1]
+
+    def _apply_q(self, c, trans: bytes) -> np.ndarray:
+        """``Q c`` (``trans=b"N"``) or ``Q^T c`` (``b"T"``) of a vector or of columns ``c``."""
+        size = self.dim
+        out = np.array(np.reshape(c, (size, -1)), dtype=float, order="F")
+        _lapack("dormtr", size, b"L", b"L", trans, size, out.shape[1], self.reflectors.ctypes.data,
+                size, self.tau.ctypes.data, out.ctypes.data, size)
+        return out.reshape(np.shape(c))
+
+
+def reduced_eig(x: np.ndarray):
+    """Every eigenvalue of a symmetric matrix, with eigenvectors formed only on request.
+
+    Runs LAPACK ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls,
+    in the order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues
+    equal :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the
+    ``N x N`` back-transform, is skipped: see :class:`ReducedEig`.  Where
+    numpy's OpenBLAS does not export these routines, or where ``eigh``
+    rescales ``x`` first (its largest entry is nonzero and outside
+    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition, which
+    answers ``vectors`` and ``coefficients`` from the whole ``V``.  A
+    non-square or inexactly symmetric ``x`` raises ``ValueError``; a
+    non-finite one, or a LAPACK failure, ``NumericError``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {x.shape}")
+    size, largest = x.shape[0], np.max(np.abs(x))
+    if not np.isfinite(largest):
+        raise NumericError(f"symmetric eigensolver got a non-finite {size}x{size} matrix")
+    if not np.array_equal(x, x.T):
+        raise ValueError("matrix is not exactly symmetric")
+    if (any(_lapacke(name) is None for name in ("dsytrd", "dstedc", "dormtr"))
+            or 0.0 < largest < _RMIN or largest > _RMAX):
+        return eig_sym(x)
+    a = np.array(x)  # symmetric, so its C order is its column-major order
+    d, e, tau = np.empty(size), np.empty(size), np.empty(size)
+    _lapack("dsytrd", size, b"L", size, a.ctypes.data, size, d.ctypes.data, e.ctypes.data,
+            tau.ctypes.data)
+    s = np.empty((size, size), order="F")
+    _lapack("dstedc", size, b"I", size, d.ctypes.data, e.ctypes.data, s.ctypes.data, size,
+            integer_work=True)
+    return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, reflectors=a, tau=tau)
+
+
+@dataclass(frozen=True)
 class OverlapGrid:
     """Squared overlaps between minor eigenvectors (rows) and full ones (columns).
 
@@ -184,17 +308,9 @@ class OverlapGrid:
     full_evals: np.ndarray
 
     def __post_init__(self):
-        vals = self.values
-        if vals.shape != (self.n, self.n_dim):
+        if self.values.shape != (self.n, self.n_dim):
             raise ValueError("overlap grid shape mismatch")
-        if vals.min() < 0 or vals.max() > 1 + 1e-12:
-            raise NumericError("overlap grid entries escape [0, 1]")
-        row_err = np.max(np.abs(vals.sum(axis=1) - 1.0))
-        if row_err > 1e-10:
-            raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
-        col_excess = vals.sum(axis=0).max() - 1.0
-        if col_excess > 1e-10:
-            raise NumericError(f"overlap grid column sum exceeds 1 by {col_excess:.3e}")
+        _audit_overlaps(self.values, whole_rows=True)
 
     def row_sum_error(self) -> float:
         return float(np.max(np.abs(self.values.sum(axis=1) - 1.0)))
@@ -213,6 +329,58 @@ def overlap_grid(full: SpectralDecomposition, minor: SpectralDecomposition) -> O
     values = (minor.eigenvectors.T @ full.eigenvectors[:n, :]) ** 2
     return OverlapGrid(n=n, n_dim=n_dim, values=values,
                        minor_evals=minor.eigenvalues, full_evals=full.eigenvalues)
+
+
+def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:
+    """Audit squared overlaps laid out as grid rows (minor vectors) by columns (full vectors).
+
+    Every entry must lie in ``[0, 1 + 1e-12]``, every column sum at most
+    ``1 + 1e-10`` and, when the rows are whole, every row sum within 1e-10
+    of 1.  A failed check raises ``NumericError``.  Returns the largest row
+    sum error, 0 for partial rows.
+    """
+    if values.min() < 0 or values.max() > 1 + 1e-12:
+        raise NumericError("overlap grid entries escape [0, 1]")
+    row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0
+    if row_err > 1e-10:
+        raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
+    col_excess = values.sum(axis=0).max() - 1.0
+    if col_excess > 1e-10:
+        raise NumericError(f"overlap grid column sum exceeds 1 by {col_excess:.3e}")
+    return row_err
+
+
+def overlap_row(full, minor, i: int):
+    """Row ``i`` of the overlap grid, from the minor's eigenvector ``i`` alone.
+
+    ``full`` and ``minor`` come from :func:`reduced_eig` (or :func:`eig_sym`)
+    of a matrix and of its leading block.  Returns ``(row, row_sum_error)``:
+    the squared overlaps of that vector with every full eigenvector, audited
+    as a whole row, and how far their sum lies from 1.
+    """
+    padded = np.zeros(full.dim)
+    padded[:minor.dim] = minor.vectors(i)
+    row = full.coefficients(padded) ** 2
+    return row, _audit_overlaps(row[None, :], whole_rows=True)
+
+
+def overlap_columns(full, minor, cols) -> np.ndarray:
+    """Columns ``cols`` (a list) of the overlap grid, from those full eigenvectors alone.
+
+    Returns the ``n x len(cols)`` squared overlaps of every minor eigenvector
+    (rows, descending) with the full eigenvectors ``cols``, audited as whole
+    columns.
+    """
+    values = minor.coefficients(full.vectors(cols)[:minor.dim]) ** 2
+    _audit_overlaps(values, whole_rows=False)
+    return values
+
+
+def overlap_entry(full, minor, i: int, j: int) -> float:
+    """Entry ``(i, j)`` of the overlap grid from two eigenvectors alone, audited."""
+    value = float(minor.vectors(i) @ full.vectors(j)[:minor.dim]) ** 2
+    _audit_overlaps(np.array([[value]]), whole_rows=False)
+    return value
 
 
 def check_interlacing(full_evals: np.ndarray, minor_evals: np.ndarray):

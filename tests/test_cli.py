@@ -503,6 +503,49 @@ def test_non_finite_float_exits_two_at_parse_time(capsys, argv, flag):
     assert f"error: argument {flag}: invalid finite float value: " in captured.err
 
 
+@pytest.mark.parametrize("sizes", ["30,x", "30,,40", "30,4.5", ""],
+                         ids=["letter", "empty-item", "float", "empty"])
+def test_malformed_sizes_exit_two_at_parse_time(capsys, sizes):
+    argv = ["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", sizes,
+            "--trials", "100"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument --sizes: invalid comma list of integers: {sizes!r}"
+            in captured.err)
+
+
+def test_sizes_list_keeps_its_accepted_forms(capsys, monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config.n_dims)
+        raise NumericError("stop after the config")
+
+    monkeypatch.setattr(cli.montecarlo, "run_bernoulli_spike", record)
+    base = ["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--trials", "100"]
+    for sizes in ("30,40", " 30, 40", "30"):
+        assert _run(capsys, base + ["--sizes", sizes])[0] == 4
+    assert seen == [(30, 40), (30, 40), (30,)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--interlace", "--qfrac", "0.9"],
+    ["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--bins", "3"],
+    _BERNOULLI_SPIKE,
+], ids=["theory-interlace", "simulate", "bernoulli-spike"])
+@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, argv, target):
+    out = tmp_path / target
+    code, stdout, stderr = _run(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    reason = "No such file or directory" if target != "." else "Is a directory"
+    assert stderr.endswith(f"error: --out {out}: {reason}\n")
+
+
 _SPIKES = '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [4.0], "q": 0.5}'
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from minor_overlaps import (
-    SeedSpec,
     derive_stream,
     rank_one,
     sample_bernoulli,
@@ -12,6 +11,7 @@ from minor_overlaps import (
     tail_spike_vector,
     uniform_spike_vector,
 )
+from minor_overlaps.ensembles import SeedSpec
 
 SEED = SeedSpec(master_seed=20240901, stream_id=0)
 

@@ -36,7 +36,7 @@ from minor_overlaps import (
     spike_bulk_overlap,
     spike_path_series,
 )
-from minor_overlaps import probes, spectral
+from minor_overlaps import montecarlo, probes, spectral
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
@@ -109,6 +109,64 @@ def test_bulk_report_csv_is_thread_independent(seed):
     one = bulk_report_csv(run_bulk_experiment(config))
     three = bulk_report_csv(run_bulk_experiment(dataclasses.replace(config, threads=3)))
     assert one == three
+
+
+#: one small configuration per runner: (runner, config at threads=1)
+_RUNNERS = {
+    "bulk": (run_bulk_experiment, _small_bulk_config(n_dim=40, bins=7)),
+    "spike-spike": (run_spike_spike, ExperimentConfig(
+        n_dim=60, q=0.3, t=0.2, trials=100, master_seed=8, target="spike_spike",
+        a_spec=ASpec(kind="uniform_spike", spike=1.0), threads=1)),
+    "spike-bulk": (run_spike_bulk, ExperimentConfig(
+        n_dim=40, q=0.7, t=1.0, trials=100, master_seed=11, target="spike_bulk", bins=7,
+        a_spec=ASpec(kind="tail_spike", spike=3.0), threads=1)),
+    "bernoulli-bulk": (run_bernoulli_bulk, ExperimentConfig(
+        n_dim=40, q=0.5, t=0.0, trials=100, master_seed=13, target="bernoulli_bulk", p=0.5,
+        bins=7, threads=1)),
+    "bernoulli-spike": (run_bernoulli_spike, ExperimentConfig(
+        n_dim=30, q=0.5, t=0.0, trials=100, master_seed=15, target="bernoulli_spike", p=0.7,
+        n_dims=(30, 40), threads=1)),
+}
+
+
+@pytest.mark.parametrize("name", [n for n in _RUNNERS if n != "bulk"])
+def test_runner_determinism_across_thread_counts(name):
+    runner, config = _RUNNERS[name]
+    a = runner(config)
+    b = runner(dataclasses.replace(config, threads=3))
+    assert a.estimates == b.estimates
+    assert a.theory == b.theory
+    assert (a.extras["pool_threads"], b.extras["pool_threads"]) == (1, 3)
+
+
+@pytest.mark.parametrize("name", list(_RUNNERS))
+def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
+    runner, config = _RUNNERS[name]
+    calls = []
+
+    class Inflated:
+        """A minor whose vectors and coefficients are ten times too long."""
+
+        def __init__(self, dec):
+            self.eigenvalues, self.dim, self.dec = dec.eigenvalues, dec.dim, dec
+
+        def vectors(self, idx):
+            return 10.0 * self.dec.vectors(idx)
+
+        def coefficients(self, w):
+            return 10.0 * self.dec.coefficients(w)
+
+    def reduce_once_inflated(x):
+        # on one pool thread the calls alternate full, minor; call 7 is trial 3's minor
+        calls.append(x.shape)
+        dec = spectral.reduced_eig(x)
+        return Inflated(dec) if len(calls) == 8 else dec
+
+    monkeypatch.setattr(montecarlo, "reduced_eig", reduce_once_inflated)
+    report = runner(config)
+    assert calls[7][0] < calls[6][0]  # the inflated one was a minor
+    assert report.extras["aborted_trials"] == 1
+    assert report.extras["absorbed_trials"] == 0
 
 
 def test_bulk_argmax_lies_in_interlacing_interval():

@@ -15,7 +15,16 @@ from minor_overlaps import (
 )
 from minor_overlaps import spectral
 from minor_overlaps.errors import NumericError
-from minor_overlaps.spectral import eigpair_at, eigpair_backend
+from minor_overlaps.spectral import (
+    ReducedEig,
+    SpectralDecomposition,
+    eigpair_at,
+    eigpair_backend,
+    overlap_columns,
+    overlap_entry,
+    overlap_row,
+    reduced_eig,
+)
 
 
 def test_eig_identity():
@@ -164,13 +173,13 @@ def test_minor_size_rounds_half_up():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _planted_spectra(draw):
+def _planted_spectra(draw, min_dim=3, max_dim=100):
     """A random rotation of a spread spectrum with some pairs planted 1e-10 apart.
 
     Returns the matrix, a minor size and descending indices that include the
     first and the last.
     """
-    n_dim = draw(st.integers(3, 100))
+    n_dim = draw(st.integers(min_dim, max_dim))
     n = draw(st.integers(1, n_dim - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = np.cumsum(rng.uniform(0.5, 1.5, n_dim)) * (4.0 / n_dim) - 2.0
@@ -238,3 +247,133 @@ def test_eigpair_falls_back_to_eigh_without_the_library(monkeypatch):
     value, vector = eigpair_at(12)(x.copy(), 2)
     assert value == w[9]
     assert np.array_equal(vector, v[:, 9])
+
+
+# ---------------------------------------------------------------------------
+# every eigenvalue from one reduction, eigenvectors on request
+# ---------------------------------------------------------------------------
+
+def _lapack_path() -> bool:
+    return all(spectral._lapacke(name) is not None for name in ("dsytrd", "dstedc", "dormtr"))
+
+
+def _isolated(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues at least 1e-6 from every other one."""
+    gaps = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(w.size, np.inf))
+    return gaps.min(axis=1, initial=np.inf) >= 1e-6
+
+
+def _check_reduced(x, n, descs):
+    """``reduced_eig`` of ``x`` and of its ``n x n`` block against ``eig_sym`` and the grid."""
+    full, minor = reduced_eig(x), reduced_eig(x[:n, :n])
+    ref_full, ref_minor = eig_sym(x), eig_sym(x[:n, :n])
+    assert isinstance(full, ReducedEig) == isinstance(minor, ReducedEig) == _lapack_path()
+    # the same LAPACK calls as eigh: the eigenvalues agree bit for bit on either path
+    assert np.array_equal(full.eigenvalues, ref_full.eigenvalues)
+    assert np.array_equal(minor.eigenvalues, ref_minor.eigenvalues)
+    # vectors: up to sign, on isolated levels; one at a time or as columns
+    iso_full, iso_minor = _isolated(ref_full.eigenvalues), _isolated(ref_minor.eigenvalues)
+    columns = full.vectors(descs)
+    for c, k in enumerate(descs):
+        vector, ref = full.vectors(k), ref_full.eigenvectors[:, k]
+        assert np.abs(vector - columns[:, c]).max() <= 1e-14
+        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+        if iso_full[k]:
+            assert min(np.abs(vector - ref).max(), np.abs(vector + ref).max()) <= 1e-12
+    # coefficients on any vectors: squared, so the sign of each eigenvector drops out
+    w = np.random.default_rng(n).standard_normal((x.shape[0], 3))
+    coef, ref_coef = full.coefficients(w), ref_full.eigenvectors.T @ w
+    assert coef.shape == (x.shape[0], 3)
+    assert np.abs(coef[iso_full] ** 2 - ref_coef[iso_full] ** 2).max(initial=0) <= 1e-12
+    # the readers against the grid, on entries whose two levels are isolated
+    grid = overlap_grid(ref_full, ref_minor).values
+    both = iso_minor[:, None] & iso_full[None, :]
+    i = descs[-1] % n
+    row, row_error = overlap_row(full, minor, i)
+    assert abs(row.sum() - 1.0) == row_error <= 1e-10
+    assert np.abs(row - grid[i])[both[i]].max(initial=0) <= 1e-12
+    cols = overlap_columns(full, minor, descs)
+    assert cols.shape == (n, len(descs))
+    assert np.abs(cols - grid[:, descs])[both[:, descs]].max(initial=0) <= 1e-12
+    for j in descs:
+        if both[0, j]:
+            assert abs(overlap_entry(full, minor, 0, j) - grid[0, j]) <= 1e-12
+
+
+@given(case=_planted_spectra(min_dim=2, max_dim=120))
+def test_reduced_eig_matches_eig_sym_and_the_grid(case):
+    x, n, descs = case
+    _check_reduced(x, n, descs)
+
+
+@given(case=_planted_spectra(min_dim=2, max_dim=60))
+def test_reduced_eig_falls_back_to_eigh_without_the_library(case):
+    x, n, descs = case
+    lapack_full, lapack_minor = reduced_eig(x), reduced_eig(x[:n, :n])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_openblas", lambda: None)
+        full, minor = reduced_eig(x), reduced_eig(x[:n, :n])
+        assert isinstance(full, SpectralDecomposition)
+        _check_reduced(x, n, descs)
+    assert np.array_equal(full.eigenvalues, lapack_full.eigenvalues)
+    assert np.array_equal(minor.eigenvalues, lapack_minor.eigenvalues)
+    iso = _isolated(full.eigenvalues)
+    for k in descs:
+        if iso[k]:
+            a, b = full.vectors(k), lapack_full.vectors(k)
+            assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-12
+    i = descs[-1] % n
+    assert np.abs(overlap_row(full, minor, i)[0]
+                  - overlap_row(lapack_full, lapack_minor, i)[0])[iso].max(initial=0) <= 1e-12
+
+
+def test_reduced_eig_takes_eighs_path_where_eigh_rescales():
+    # dsyevd scales a matrix whose largest entry is beyond ~1e146 (or below ~1e-146) first
+    x = sample_goe(30, 1.0, derive_stream(5, 0))
+    for scale in (1e150, 1e-150):
+        dec = reduced_eig(x * scale)
+        assert isinstance(dec, SpectralDecomposition)
+        assert np.array_equal(dec.eigenvalues, eig_sym(x * scale).eigenvalues)
+    zero = reduced_eig(np.zeros((4, 4)))
+    assert np.array_equal(zero.eigenvalues, np.zeros(4))
+    assert np.abs(np.abs(zero.coefficients(np.eye(4))).sum(axis=0) - 1.0).max() <= 1e-15
+
+
+def test_reduced_eig_refuses_bad_input():
+    for bad in (np.eye(3)[:2], np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="square"):
+            reduced_eig(bad)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        reduced_eig(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
+    for value in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="non-finite 3x3"):
+            reduced_eig(np.diag([1.0, value, 2.0]))
+
+
+def test_readers_audit_what_they_read():
+    x = sample_goe(20, 1.0, derive_stream(9, 0))
+    full, minor = reduced_eig(x), reduced_eig(x[:8, :8])
+
+    class Inflated:
+        """The minor with every vector and coefficient ``factor`` times too long."""
+        eigenvalues, dim = minor.eigenvalues, minor.dim
+
+        def __init__(self, factor):
+            self.factor = factor
+
+        def vectors(self, idx):
+            return self.factor * minor.vectors(idx)
+
+        def coefficients(self, w):
+            return self.factor * minor.coefficients(w)
+
+    # each factor squared breaks only the sum it is aimed at, not the entries
+    row = overlap_row(full, minor, 2)[0]
+    with pytest.raises(NumericError, match="row sums deviate"):
+        overlap_row(full, Inflated(np.sqrt(2.0 / (1.0 + row.max()))), 2)
+    cols = overlap_columns(full, minor, list(range(20)))
+    widest, largest = cols.sum(axis=0).max(), cols.max()
+    with pytest.raises(NumericError, match="column sum exceeds 1"):
+        overlap_columns(full, Inflated(np.sqrt(2.0 / (widest + largest))), list(range(20)))
+    with pytest.raises(NumericError, match="entries escape"):
+        overlap_entry(full, Inflated(2.0 / np.sqrt(cols[0, 5])), 0, 5)
