@@ -24,8 +24,8 @@ and the caller's BLAS setting is restored afterwards.  Reports therefore
 reproduce bit for bit for a fixed master seed, independent of worker count
 and of the caller's BLAS thread count.  Set-up decompositions outside the
 trials (such as the initial transform of an explicit deterministic part)
-still run with the caller's BLAS setting.  The drift probes run their
-increment chunks on the same pool (:func:`_pool_map`).
+still run with the caller's BLAS setting.  The drift probes stream their
+increment blocks through the same pool (:func:`_pool_map`).
 
 Binned comparisons use the density-weighted average of the theory curve over
 each bin rather than its value at the bin center: the Monte Carlo bin mean
@@ -36,6 +36,7 @@ more than a confidence interval.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import math
@@ -228,47 +229,64 @@ def _openblas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS at one thread for the block; yields 1, or None if unreachable.
+    """Hold OpenBLAS at one thread for the block, where its count is reachable.
 
     The count is process-wide, so the caller's value is restored on exit.
     """
     blas = _openblas_threads()
     if blas is None:
-        yield None
+        yield
         return
     get_threads, set_threads = blas
     previous = get_threads()
     set_threads(1)
     try:
-        yield 1
+        yield
     finally:
         set_threads(previous)
 
 
 def _pool_map(threads: int, fn, count: int):
-    """Map ``fn`` over ``range(count)`` on the trial pool; results come in index order.
+    """Map ``fn`` over ``range(count)`` on the trial pool; results stream in index order.
 
     ``threads=0`` means one worker per core this process may run on.  While
     ``fn`` runs, OpenBLAS is held at one thread, so each pool worker gets one
     BLAS thread, the pool never oversubscribes the cores and the arithmetic,
     and hence the output bytes, do not depend on ``threads``.  Returns
-    ``(results, used)`` where ``used`` holds the resolved ``pool_threads`` and
-    the ``trial_blas_threads`` ``fn`` ran with (None when the BLAS count could
-    not be set).  A worker starts the next index only when it is free, so at
-    most ``threads`` calls are in flight.  Raises ``ValueError`` for ``threads < 0``.
+    ``(results, used)``: ``results`` is an iterator over ``fn(0), fn(1), ...``
+    that runs the calls as the caller reads it, and ``used`` holds the
+    resolved ``pool_threads`` and the ``trial_blas_threads`` ``fn`` runs with
+    (None when the BLAS count cannot be set).  A worker starts the next index
+    only when it is free, and no call starts more than ``2 * threads`` indices
+    ahead of the result the caller reads, so a caller that reduces each result
+    as it arrives holds a bounded number of them.  The caller reads
+    ``results`` to its end or closes it.  Raises ``ValueError`` for
+    ``threads < 0``.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if threads == 0:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    with _one_blas_thread() as blas_threads:
+    used = {"pool_threads": threads,
+            "trial_blas_threads": None if _openblas_threads() is None else 1}
+    return _ordered_map(threads, fn, count), used
+
+
+def _ordered_map(threads: int, fn, count: int):
+    """The iterator behind :func:`_pool_map`."""
+    with _one_blas_thread():
         if threads == 1:
-            results = [fn(m) for m in range(count)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fn, range(count)))
-    return results, {"pool_threads": threads, "trial_blas_threads": blas_threads}
+            yield from map(fn, range(count))
+            return
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            ahead = collections.deque()
+            for m in range(count):
+                ahead.append(pool.submit(fn, m))
+                if len(ahead) > 2 * threads:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
 
 
 def _run_trials(trials: int, threads: int, worker):
@@ -286,6 +304,7 @@ def _run_trials(trials: int, threads: int, worker):
             return None
 
     results, used = _pool_map(threads, safe, trials)
+    results = list(results)
     aborted = sum(r is None for r in results)
     if aborted > MAX_ABORT_FRACTION * trials:
         raise NumericError(f"{aborted}/{trials} trials aborted; run rejected")

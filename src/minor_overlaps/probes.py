@@ -10,24 +10,28 @@ independent Gaussian increments through the frozen state:
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
 
-The drift probes step the frozen matrix by chunks of increments on the trial
-pool (:func:`minor_overlaps.montecarlo._pool_map`), one BLAS thread per
-worker.  Each increment reads one number, the overlap of minor eigenvector
-``i`` with full eigenvector ``j`` of the stepped matrix, so each step solves
-for those two eigenvectors alone
+The drift probes hold OpenBLAS at one thread for the whole probe, the
+frozen state included, and stream their increments through the trial pool
+(:func:`minor_overlaps.montecarlo._pool_map`) in blocks of ``_BLOCK``
+(:func:`_map_increments`).  Each increment reads one number, the overlap of
+minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix, so
+each step solves for those two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or
 a full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
 names the one used as ``stepper``).  Each probe draws from one generator: a
-worker takes the next chunk index and draws that chunk's normals under a
-lock, so chunk ``k`` always holds the ``k``-th draw, and the sums are
-reduced in chunk order.  The results are therefore the same bit for bit at
-every worker count.  The correlation probe runs serially; its matrix
-products use the caller's BLAS threads.  Every probe refuses
-``n_dim > MAX_PROBE_DIM``.
+worker takes the next block index and draws that block's normals under a
+lock, so block ``k`` always holds the ``k``-th draw.  Blocks return
+per-increment rows, which reduce in groups of ``chunk`` increments, group
+by group in draw order.  The results are therefore the same bit for bit at
+every worker count, and memory holds a few blocks and one group of rows
+whatever ``trials`` and ``chunk`` are.  The correlation probe runs
+serially; its matrix products use the caller's BLAS threads.  Every probe
+refuses ``n_dim > MAX_PROBE_DIM``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -36,10 +40,12 @@ import numpy as np
 
 from .ensembles import derive_stream, sample_goe
 from .errors import NumericError
-from .montecarlo import ExperimentReport, _coverage, _estimate, _pool_map
+from .montecarlo import ExperimentReport, _coverage, _estimate, _one_blas_thread, _pool_map
 from .spectral import eig_sym, eigpair_at, eigpair_backend
 
 _CHUNK = 2000
+#: increments one drift-probe pool task draws and steps: a worker holds ``_BLOCK x N^2`` floats
+_BLOCK = 50
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
 MAX_PROBE_DIM = 100
 
@@ -235,52 +241,78 @@ def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, chunk: int)
             _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt))
 
 
-def _stepped_overlaps(x_mat: np.ndarray, dh: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Signed overlap of minor eigenvector ``i`` and full eigenvector ``j`` of each ``x_mat + dh[c]``.
+def _stepper(x_mat: np.ndarray, n: int, i: int, j: int):
+    """``step(dh)``: signed overlap of minor eigenvector ``i`` and full ``j`` of ``x_mat + dh[c]``.
 
     Each matrix is solved for those two eigenvectors alone
     (:func:`minor_overlaps.spectral.eigpair_at`).  The solvers and their
-    buffers are made per call, so every pool worker has its own.
+    buffers are made on a thread's first call and kept for its later ones,
+    so every pool thread has its own pair.
     """
     n_dim = x_mat.shape[0]
-    full_pair, minor_pair = eigpair_at(n_dim), eigpair_at(n)
-    full = np.empty((n_dim, n_dim))
-    block = full[:n, :n]
-    minor = np.empty((n, n))
-    out = np.empty(len(dh))
-    for c in range(len(dh)):
-        np.add(x_mat, dh[c], out=full)
-        minor[:] = block  # before the full solve overwrites full
-        _, psi = full_pair(full, j)
-        _, phi = minor_pair(minor, i)
-        out[c] = phi @ psi[:n]
-    return out
+    local = threading.local()
+
+    def step(dh):
+        if not hasattr(local, "solvers"):
+            local.solvers = (eigpair_at(n_dim), eigpair_at(n),
+                             np.empty((n_dim, n_dim)), np.empty((n, n)))
+        full_pair, minor_pair, full, minor = local.solvers
+        block = full[:n, :n]
+        out = np.empty(len(dh))
+        for c in range(len(dh)):
+            np.add(x_mat, dh[c], out=full)
+            minor[:] = block  # before the full solve overwrites full
+            _, psi = full_pair(full, j)
+            _, phi = minor_pair(minor, i)
+            out[c] = phi @ psi[:n]
+        return out
+
+    return step
 
 
-def _map_increments(rng, n_dim: int, scale: float, total: int, chunk: int, work):
-    """``work(dh)`` over ``total`` symmetric increments in chunks, on the trial pool.
+def _map_increments(rng, n_dim: int, scale: float, total: int, chunk: int,
+                    rows_of, reduce_group):
+    """Stream ``total`` symmetric increments through the trial pool, reducing them by group.
 
-    A worker takes the next chunk index and draws that chunk's standard
-    normals ``z`` from ``rng`` under one lock, so chunk ``k`` always holds the
-    ``k``-th draw whichever worker runs it; ``dh = (z + z^T) * scale``.  The
-    pool has one worker per core.  Returns the results in chunk order and the
-    pool's thread counts.
+    Group ``g`` holds the ``g``-th ``chunk`` of draws.  A pool task takes the
+    next block of at most ``_BLOCK`` increments of a group and draws its
+    standard normals ``z`` from ``rng`` under one lock, so block ``k`` always
+    holds the ``k``-th draw whichever worker runs it; ``dh = (z + z^T) *
+    scale``, made in place.  ``rows_of(dh)`` returns a tuple of per-increment
+    rows (arrays whose first axis runs over the block).  Once a group's blocks
+    are in, their rows, joined in draw order, go to ``reduce_group``, group
+    by group in order; the rows held never exceed one group plus the blocks
+    the pool runs ahead (:func:`~minor_overlaps.montecarlo._pool_map`).  The
+    pool has one worker per core.  Returns the pool's thread counts.
     """
+    groups = [min(chunk, total - start) for start in range(0, total, chunk)]
+    # (increments, ends its group) of each block, in draw order
+    blocks = [(min(_BLOCK, size - s), s + _BLOCK >= size)
+              for size in groups for s in range(0, size, _BLOCK)]
     lock = threading.Lock()
     taken = itertools.count()
 
     def run(_):
         with lock:
             k = next(taken)
-            z = rng.standard_normal((min(chunk, total - k * chunk), n_dim, n_dim))
-        dh = z + np.transpose(z, (0, 2, 1))
-        del z
+            dh = rng.standard_normal((blocks[k][0], n_dim, n_dim))
+        for m in dh:
+            m += m.T
         dh *= scale
-        return k, work(dh)
+        return k, rows_of(dh)
 
-    results, used = _pool_map(0, run, -(-total // chunk))
-    results.sort(key=lambda r: r[0])
-    return [r for _, r in results], used
+    results, used = _pool_map(0, run, len(blocks))
+    arrived, group, reduced = {}, [], 0
+    with contextlib.closing(results):
+        for k, rows in results:
+            arrived[k] = rows
+            while reduced in arrived:
+                group.append(arrived.pop(reduced))
+                if blocks[reduced][1]:
+                    reduce_group(*(np.concatenate(cols) for cols in zip(*group)))
+                    group = []
+                reduced += 1
+    return used
 
 
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
@@ -291,48 +323,52 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Rows: drift estimate against the formula value, then the two martingale
     term averages against zero.  The probed pair is the mid-bulk one with
     the largest-magnitude formula drift among well-separated levels, so the
-    relative comparison is well conditioned.  The frozen state is decomposed with the caller's
-    BLAS threads.  The ``trials`` increments run in chunks of ``chunk`` on
-    the trial pool, one worker per core, each worker with one BLAS thread;
-    the caller's count is restored afterwards.  Chunk ``k`` holds the
-    ``k``-th draw of the probe's generator and the sums reduce in chunk
-    order, so the report is the same bit for bit at every worker count.  Its
-    extras record the ``pair``, the ``pool_threads`` and
-    ``trial_blas_threads``, and the ``stepper`` (``dsyevr`` or ``eigh``) that
-    solved the stepped matrices.
+    relative comparison is well conditioned.  The whole probe, the frozen
+    state included, runs with OpenBLAS held at one thread; the caller's
+    count is restored afterwards.  The ``trials`` increments stream through
+    the trial pool in blocks, one worker per core (:func:`_map_increments`),
+    and reduce in groups of ``chunk``: group ``k`` holds the ``k``-th
+    ``chunk`` of the probe's draws and the sums reduce in group order, so
+    the report is the same bit for bit at every worker count.  Its extras
+    record the ``pair``, the ``pool_threads`` and ``trial_blas_threads``,
+    and the ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped
+    matrices.
     """
     start = time.perf_counter()
     if trials < 1000:
         raise ValueError("drift probe needs at least 1000 trials")
-    x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
-        n_dim, n, t, seed, dt, chunk)
-    d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
-    s0 = signed[i, j] ** 2
+    with _one_blas_thread():
+        x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
+            n_dim, n, t, seed, dt, chunk)
+        d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
+        s0 = signed[i, j] ** 2
 
-    psi_j = full_vecs[:, j]
-    phi_i = block_vecs[:, i]
-    with np.errstate(divide="ignore"):
-        w_full = signed[i, :] * signed[i, j] / (lam[j] - lam)
-        w_full[j] = 0.0
-        w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
-        w_minor[i] = 0.0
+        psi_j = full_vecs[:, j]
+        phi_i = block_vecs[:, i]
+        with np.errstate(divide="ignore"):
+            w_full = signed[i, :] * signed[i, j] / (lam[j] - lam)
+            w_full[j] = 0.0
+            w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
+            w_minor[i] = 0.0
+        step = _stepper(x_mat, n, i, j)
 
-    def chunk_terms(dh):
-        a = _stepped_overlaps(x_mat, dh, n, i, j)
-        dh_psi = np.einsum("cab,b->ca", dh, psi_j)
-        beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
-        dh_phi = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i)
-        beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
-        return a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor
+        def rows_of(dh):
+            return (step(dh), np.einsum("cab,b->ca", dh, psi_j),
+                    np.einsum("cab,b->ca", dh[:, :n, :n], phi_i))
 
-    chunks, used = _map_increments(derive_stream(seed, 1).generator(), n_dim,
-                                   np.sqrt(dt / (2.0 * n_dim)), trials, chunk, chunk_terms)
-    sums = np.zeros(3)
-    sq_sums = np.zeros(3)
-    for terms in chunks:
-        for slot, vals in enumerate(terms):
-            sums[slot] += vals.sum()
-            sq_sums[slot] += (vals * vals).sum()
+        sums = np.zeros(3)
+        sq_sums = np.zeros(3)
+
+        def reduce_group(a, dh_psi, dh_phi):
+            beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
+            beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
+            terms = (a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor)
+            for slot, vals in enumerate(terms):
+                sums[slot] += vals.sum()
+                sq_sums[slot] += (vals * vals).sum()
+
+        used = _map_increments(derive_stream(seed, 1).generator(), n_dim,
+                               np.sqrt(dt / (2.0 * n_dim)), trials, chunk, rows_of, reduce_group)
 
     rows = []
     for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
@@ -357,29 +393,33 @@ def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
     Measures the drift estimator at ``dt``, ``2 dt`` and ``4 dt`` with common
     random increments and returns the mean and standard error of the per-draw
     combination ``est(4dt) - 3 est(2dt) + 2 est(dt)``, which vanishes when
-    the bias is linear in the step.  The increments run on the trial pool with
-    ordered draws, as in :func:`drift_probe`, so the result is the same bit
-    for bit at every worker count.
+    the bias is linear in the step.  The increments stream through the trial
+    pool and reduce in groups of ``chunk``, with one BLAS thread, as in
+    :func:`drift_probe`, so the result is the same bit for bit at every worker
+    count.
     """
-    x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, chunk)
-    s0 = signed[i, j] ** 2
+    with _one_blas_thread():
+        x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, chunk)
+        s0 = signed[i, j] ** 2
+        step = _stepper(x_mat, n, i, j)
 
-    def chunk_combo(dh):
-        ests = []
-        for mult in (1.0, 2.0, 4.0):
-            a = _stepped_overlaps(x_mat, np.sqrt(mult) * dh, n, i, j)
-            ests.append((a * a - s0) / (mult * dt))
-        return ests[2] - 3.0 * ests[1] + 2.0 * ests[0]
+        def rows_of(dh):
+            ests = []
+            for mult in (1.0, 2.0, 4.0):
+                a = step(np.sqrt(mult) * dh)
+                ests.append((a * a - s0) / (mult * dt))
+            return (ests[2] - 3.0 * ests[1] + 2.0 * ests[0],)
 
-    combos, _ = _map_increments(derive_stream(seed, 2).generator(), n_dim,
-                                np.sqrt(dt / (2.0 * n_dim)), trials, chunk, chunk_combo)
-    total = 0.0
-    total_sq = 0.0
-    for combo in combos:
-        total += combo.sum()
-        total_sq += (combo * combo).sum()
+        sums = np.zeros(2)
 
-    mean, se = _mean_se(total, total_sq, trials)
+        def reduce_group(combo):
+            sums[0] += combo.sum()
+            sums[1] += (combo * combo).sum()
+
+        _map_increments(derive_stream(seed, 2).generator(), n_dim,
+                        np.sqrt(dt / (2.0 * n_dim)), trials, chunk, rows_of, reduce_group)
+
+    mean, se = _mean_se(sums[0], sums[1], trials)
     if se == 0.0:
         raise NumericError("degenerate step-consistency probe (zero variance)")
     return float(mean), float(se), (i, j)

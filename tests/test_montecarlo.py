@@ -2,6 +2,7 @@ import dataclasses
 import os
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -599,9 +600,9 @@ def test_drift_probe_steps_with_one_blas_thread_and_restores(blas_threads, monke
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(probes, "eigpair_at", recording_solver)
     drift_probe(20, 10, 1.0, trials=1000, seed=3)
-    # the frozen state is decomposed first, with the caller's count, and
-    # each increment's full and minor solve with one thread
-    assert frozen[:2] == [2, 2]
+    # the whole probe holds one thread: the frozen state is decomposed
+    # first, then each increment's full and minor solve
+    assert frozen[:2] == [1, 1]
     assert set(frozen[2:]) <= {1}  # the solver's eigh, where dsyevr is out of reach
     assert len(steps) == 2 * 1000 and set(steps) == {1}
     assert get_threads() == 2
@@ -699,7 +700,7 @@ def _drift_fields(report):
 
 
 def _drift_workers(threads):
-    """Run the drift probes' chunks on ``threads`` pool workers (0 = one per core)."""
+    """Run the drift probes' blocks on ``threads`` pool workers (0 = one per core)."""
     pool_map = probes._pool_map
     return mock.patch.object(probes, "_pool_map",
                              lambda _, fn, count: pool_map(threads, fn, count))
@@ -743,6 +744,51 @@ def test_drift_probe_reproduces_pinned_benchmark_values():
     assert report.extras["pair"] == (15, 34)
 
 
+def test_drift_probes_reproduce_a_case_across_block_and_group_boundaries():
+    # recorded when each pool task drew and stepped a whole chunk; neither
+    # trials nor chunk is a multiple of the block, so blocks end short
+    report = drift_probe(24, 10, 1.0, trials=1234, seed=3, chunk=173)
+    if report.extras["stepper"] == "dsyevr":
+        assert _drift_fields(report)[0] == (0.0, "drift", -4.355617182542217,
+                                            -11.907728665742692, 3.196494300658256, 1234)
+        assert drift_step_consistency(24, 10, 1.0, trials=1234, seed=3, chunk=173) == (
+            1.3062899613402295, 1.1183282937058756, (6, 13))
+    assert _drift_fields(report)[1:] == [
+        (1.0, "martingale_full", -0.6104937686288668, -3.8723792338263414, 2.651391696568608,
+         1234),
+        (2.0, "martingale_minor", 0.5404326123697716, -6.102742325144148, 7.183607549883692,
+         1234),
+    ]
+    assert report.theory == (-4.124128921692691, 0.0, 0.0)
+    assert report.extras["pair"] == (6, 13)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``fn`` allocates, numpy buffers included, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_drift_probe_memory_grows_with_neither_trials_nor_chunk():
+    n_dim, n, workers = 40, 17, 2
+    block = probes._BLOCK * n_dim * n_dim * 8            # one block of increments
+    group_rows = 1000 * (n_dim + n + 1) * 8              # one group of rows at chunk 1000
+    budget = 2 * workers * block + 4 * group_rows + 2**19
+    for probe in (drift_probe, drift_step_consistency):
+        with _drift_workers(workers):
+            peaks = {(trials, chunk): _traced_peak(probe, n_dim, n, 1.0, trials=trials,
+                                                   seed=5, chunk=chunk)
+                     for trials, chunk in ((2000, 100), (2000, 1000), (8000, 1000))}
+        assert max(peaks.values()) < budget, (probe.__name__, peaks)
+        # the blocks in flight when a group reduces vary with timing; the rows
+        # of 6000 more increments would add 2.8 MB
+        assert peaks[8000, 1000] < peaks[2000, 1000] + workers * block, (probe.__name__, peaks)
+
+
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(4, 24), frac=st.floats(0.2, 0.8))
 def test_drift_probe_eigh_fallback_agrees_with_dsyevr(seed, n_dim, frac):
@@ -780,7 +826,7 @@ def test_drift_chunks_keep_draw_order_when_a_worker_lags(monkeypatch):
 
     monkeypatch.setattr(probes, "_pool_map", first_task_sleeps)
     lagged = drift_probe(20, 10, 1.0, trials=2000, seed=5)
-    assert drawn[0] != 0  # the lagging task drew a later chunk than its index
+    assert drawn[0] != 0  # the lagging task drew a later block than its index
     assert _drift_fields(lagged) == _drift_fields(serial)
 
 
