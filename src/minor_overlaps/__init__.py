@@ -65,7 +65,7 @@ from .overlaps_theory import (
     spike_spike_overlap,
     spike_trajectories,
 )
-from .probes import correlation_probe, drift_probe, drift_step_consistency
+from .probes import correlation_probe, drift_probe
 from .spectral import (
     OverlapGrid,
     SpectralDecomposition,

@@ -24,7 +24,7 @@ and the caller's BLAS setting is restored afterwards.  Reports therefore
 reproduce bit for bit for a fixed master seed, independent of worker count
 and of the caller's BLAS thread count.  Set-up decompositions outside the
 trials (such as the initial transform of an explicit deterministic part)
-still run with the caller's BLAS setting.  The drift probes stream their
+still run with the caller's BLAS setting.  The drift probe streams its
 increment blocks through the same pool (:func:`_pool_map`).
 
 Binned comparisons use the density-weighted average of the theory curve over
@@ -246,22 +246,23 @@ def _one_blas_thread():
         set_threads(previous)
 
 
-def _pool_map(threads: int, fn, count: int):
-    """Map ``fn`` over ``range(count)`` on the trial pool; results stream in index order.
+def _pool_map(threads: int, fn, items):
+    """Map ``fn`` over ``items`` on the trial pool; results stream in item order.
 
     ``threads=0`` means one worker per core this process may run on.  While
     ``fn`` runs, OpenBLAS is held at one thread, so each pool worker gets one
     BLAS thread, the pool never oversubscribes the cores and the arithmetic,
     and hence the output bytes, do not depend on ``threads``.  Returns
-    ``(results, used)``: ``results`` is an iterator over ``fn(0), fn(1), ...``
-    that runs the calls as the caller reads it, and ``used`` holds the
-    resolved ``pool_threads`` and the ``trial_blas_threads`` ``fn`` runs with
-    (None when the BLAS count cannot be set).  A worker starts the next index
-    only when it is free, and no call starts more than ``2 * threads`` indices
-    ahead of the result the caller reads, so a caller that reduces each result
-    as it arrives holds a bounded number of them.  The caller reads
-    ``results`` to its end or closes it.  Raises ``ValueError`` for
-    ``threads < 0``.
+    ``(results, used)``: ``results`` is an iterator over ``fn(item)`` for each
+    item in turn, and ``used`` holds the resolved ``pool_threads`` and the
+    ``trial_blas_threads`` ``fn`` runs with (None when the BLAS count cannot be
+    set).  ``items`` is read in the caller's thread, in order, as the caller
+    reads ``results``, and never more than ``2 * threads + 1`` items ahead of
+    the results it has read: an item that draws random numbers draws them in
+    item order whatever the worker count, and a caller that reduces each
+    result as it arrives holds a bounded number of items and results.  The
+    caller reads ``results`` to its end or closes it.  Raises ``ValueError``
+    for ``threads < 0``.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
@@ -270,19 +271,19 @@ def _pool_map(threads: int, fn, count: int):
                    else os.cpu_count() or 1)
     used = {"pool_threads": threads,
             "trial_blas_threads": None if _openblas_threads() is None else 1}
-    return _ordered_map(threads, fn, count), used
+    return _ordered_map(threads, fn, items), used
 
 
-def _ordered_map(threads: int, fn, count: int):
+def _ordered_map(threads: int, fn, items):
     """The iterator behind :func:`_pool_map`."""
     with _one_blas_thread():
         if threads == 1:
-            yield from map(fn, range(count))
+            yield from map(fn, items)
             return
         with ThreadPoolExecutor(max_workers=threads) as pool:
             ahead = collections.deque()
-            for m in range(count):
-                ahead.append(pool.submit(fn, m))
+            for item in items:
+                ahead.append(pool.submit(fn, item))
                 if len(ahead) > 2 * threads:
                     yield ahead.popleft().result()
             while ahead:
@@ -303,7 +304,7 @@ def _run_trials(trials: int, threads: int, worker):
         except NumericError:
             return None
 
-    results, used = _pool_map(threads, safe, trials)
+    results, used = _pool_map(threads, safe, range(trials))
     results = list(results)
     aborted = sum(r is None for r in results)
     if aborted > MAX_ABORT_FRACTION * trials:
@@ -328,9 +329,8 @@ def _bulk_bin_edges(t: float, bins: int, bin_range=None, radius_scale: float = 1
     return _bin_edges(bins, *bin_range)
 
 
-def _estimate(center, mean, se, n_samples, kind) -> OverlapEstimate:
-    """Estimate with its 99% normal interval ``mean +- Z_99 * se`` from a ready standard error."""
-    half = Z_99 * se
+def _estimate(center, mean, half, n_samples, kind) -> OverlapEstimate:
+    """Estimate with its 99% interval ``mean +- half``."""
     return OverlapEstimate(center=float(center), mean=float(mean), ci_low=float(mean - half),
                            ci_high=float(mean + half), n_samples=int(n_samples), kind=kind)
 
@@ -348,10 +348,8 @@ def _trial_estimate(center, values, kind="bin", n_samples=None) -> OverlapEstima
     if values.size < 2:
         return OverlapEstimate(center=float(center), mean=None, ci_low=None, ci_high=None,
                                n_samples=int(n_samples), kind=kind)
-    mean = values.mean()
-    half = Z_99 * values.std(ddof=1) / np.sqrt(values.size)
-    return OverlapEstimate(center=float(center), mean=float(mean), ci_low=float(mean - half),
-                           ci_high=float(mean + half), n_samples=int(n_samples), kind=kind)
+    return _estimate(center, values.mean(), Z_99 * values.std(ddof=1) / np.sqrt(values.size),
+                     n_samples, kind)
 
 
 def _coverage(rows, theory, judged=None):

@@ -10,23 +10,24 @@ independent Gaussian increments through the frozen state:
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
 
-The drift probes hold OpenBLAS at one thread for the whole probe, the
-frozen state included, and stream their increments through the trial pool
+The drift probe holds OpenBLAS at one thread for the whole probe, the
+frozen state included, and streams its increments through the trial pool
 (:func:`minor_overlaps.montecarlo._pool_map`) in blocks of ``_BLOCK``
 (:func:`_map_increments`).  Each increment reads one number, the overlap of
 minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix, so
 each step solves for those two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or
 a full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
-names the one used as ``stepper``).  Each probe draws from one generator: a
-worker takes the next block index and draws that block's normals under a
-lock, so block ``k`` always holds the ``k``-th draw.  Blocks return
-per-increment rows, which reduce in groups of ``chunk`` increments, group
+names the one used as ``stepper``).  The probe draws from one generator, in
+the caller's thread: block ``k`` is drawn ``k``-th, and a pool task only
+steps the block it is handed, so the tasks share no state.  Blocks return
+per-increment rows, which reduce in groups of ``_GROUP`` increments, group
 by group in draw order.  The results are therefore the same bit for bit at
 every worker count, and memory holds a few blocks and one group of rows
-whatever ``trials`` and ``chunk`` are.  The correlation probe runs
-serially; its matrix products use the caller's BLAS threads.  Every probe
-refuses ``n_dim > MAX_PROBE_DIM``.
+whatever ``trials`` is.  The correlation probe runs serially in batches of
+``_CHUNK`` samples; its matrix products use the caller's BLAS threads.
+Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
+middle levels.
 """
 
 from __future__ import annotations
@@ -39,13 +40,16 @@ import time
 import numpy as np
 
 from .ensembles import derive_stream, sample_goe
-from .errors import NumericError
-from .montecarlo import ExperimentReport, _coverage, _estimate, _one_blas_thread, _pool_map
+from .montecarlo import ExperimentReport, Z_99, _coverage, _estimate, _one_blas_thread, _pool_map
 from .spectral import eig_sym, eigpair_at, eigpair_backend
 
+#: correlation-probe samples drawn and reduced per batch
 _CHUNK = 2000
-#: increments one drift-probe pool task draws and steps: a worker holds ``_BLOCK x N^2`` floats
-_BLOCK = 50
+#: drift increments whose rows reduce in one ``(_GROUP x N) . (N x N)`` product; the
+#: printed bytes depend on it, since a product's rows round with its row count
+_GROUP = 500
+#: drift increments one pool task steps: each block in flight holds ``_BLOCK x N^2`` floats
+_BLOCK = 25
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
 MAX_PROBE_DIM = 100
 
@@ -64,16 +68,19 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     return x_mat, full.eigenvalues, full.eigenvectors, block.eigenvalues, block.eigenvectors, signed
 
 
-def _check_probe(n_dim: int, n: int, dt: float, chunk: int):
-    """Refuse a matrix, minor, increment or chunk size no probe can use."""
+def _check_probe(n_dim: int, n: int, dt: float):
+    """Refuse a matrix, minor or increment size no probe can use.
+
+    Both probes read minor levels around ``n // 2``, so the minor needs three.
+    """
     if n_dim > MAX_PROBE_DIM:
         raise ValueError(f"probes are restricted to n_dim <= {MAX_PROBE_DIM}, got {n_dim}")
     if not 1 <= n < n_dim:
         raise ValueError(f"need 1 <= n < n_dim, got n={n}, n_dim={n_dim}")
+    if n < 3:
+        raise ValueError(f"a mid-bulk pair needs n >= 3, got n={n}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"need a finite dt > 0, got {dt}")
-    if chunk < 1:
-        raise ValueError(f"need chunk >= 1, got {chunk}")
 
 
 def _mean_se(total: float, total_sq: float, count: int):
@@ -100,7 +107,7 @@ def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, 
 
 
 def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
-                      dt: float = 1.0, chunk: int = _CHUNK) -> ExperimentReport:
+                      dt: float = 1.0) -> ExperimentReport:
     """Check the increment correlation identity on a frozen state.
 
     The index lists are the three middle levels of the minor and of the full
@@ -113,7 +120,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     start = time.perf_counter()
     if samples < 10_000:
         raise ValueError("correlation probe needs at least 1e4 samples")
-    _check_probe(n_dim, n, dt, chunk)
+    _check_probe(n_dim, n, dt)
     _, _, full_vecs, _, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
 
     minor_indices = (n // 2 - 1, n // 2, n // 2 + 1)
@@ -139,7 +146,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     rng = derive_stream(seed, 1).generator()
     remaining = samples
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(_CHUNK, remaining)
         z = rng.standard_normal((size, n_entries))
         a = z @ minor_coeffs.T        # (size, n minor pairs)
         b = z @ full_coeffs.T         # (size, n full pairs)
@@ -156,7 +163,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     theory = []
     for idx, (i, l, j, k) in enumerate(quads):
         mean, se = _mean_se(sums[idx], sq_sums[idx], samples)
-        rows.append(_estimate(idx, mean / dt, se / dt, samples, "correlation"))
+        rows.append(_estimate(idx, mean / dt, Z_99 * (se / dt), samples, "correlation"))
         theory.append(float((signed[i, j] * signed[l, k] + signed[i, k] * signed[l, j]) / n_dim))
 
     return ExperimentReport(
@@ -228,19 +235,6 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
-def _drift_state(n_dim: int, n: int, t: float, seed: int, dt: float, chunk: int):
-    """Frozen state of the drift probes and the probed mid-bulk pair ``(i, j)``."""
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
-                         f"levels are degenerate), got {t}")
-    _check_probe(n_dim, n, dt, chunk)
-    if n < 3:
-        raise ValueError(f"a mid-bulk pair needs n >= 3, got n={n}")
-    x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
-    return (x_mat, lam, full_vecs, mu, block_vecs, signed,
-            _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt))
-
-
 def _stepper(x_mat: np.ndarray, n: int, i: int, j: int):
     """``step(dh)``: signed overlap of minor eigenvector ``i`` and full ``j`` of ``x_mat + dh[c]``.
 
@@ -270,54 +264,43 @@ def _stepper(x_mat: np.ndarray, n: int, i: int, j: int):
     return step
 
 
-def _map_increments(rng, n_dim: int, scale: float, total: int, chunk: int,
-                    rows_of, reduce_group):
+def _map_increments(rng, n_dim: int, scale: float, total: int, rows_of, reduce_group):
     """Stream ``total`` symmetric increments through the trial pool, reducing them by group.
 
-    Group ``g`` holds the ``g``-th ``chunk`` of draws.  A pool task takes the
-    next block of at most ``_BLOCK`` increments of a group and draws its
-    standard normals ``z`` from ``rng`` under one lock, so block ``k`` always
-    holds the ``k``-th draw whichever worker runs it; ``dh = (z + z^T) *
-    scale``, made in place.  ``rows_of(dh)`` returns a tuple of per-increment
-    rows (arrays whose first axis runs over the block).  Once a group's blocks
-    are in, their rows, joined in draw order, go to ``reduce_group``, group
+    Group ``g`` holds the ``g``-th ``_GROUP`` of draws, in blocks of at most
+    ``_BLOCK``.  The caller's thread draws block ``k`` ``k``-th from ``rng``
+    as the pool reads it (:func:`~minor_overlaps.montecarlo._pool_map`), and
+    a pool task turns its block of standard normals ``z`` into ``dh = (z +
+    z^T) * scale`` in place and returns ``rows_of(dh)``, a tuple of
+    per-increment rows (arrays whose first axis runs over the block).  The
+    rows of each group, joined in draw order, go to ``reduce_group``, group
     by group in order; the rows held never exceed one group plus the blocks
-    the pool runs ahead (:func:`~minor_overlaps.montecarlo._pool_map`).  The
-    pool has one worker per core.  Returns the pool's thread counts.
+    the pool runs ahead.  The pool has one worker per core.  Returns the
+    pool's thread counts.
     """
-    groups = [min(chunk, total - start) for start in range(0, total, chunk)]
-    # (increments, ends its group) of each block, in draw order
-    blocks = [(min(_BLOCK, size - s), s + _BLOCK >= size)
-              for size in groups for s in range(0, size, _BLOCK)]
-    lock = threading.Lock()
-    taken = itertools.count()
 
-    def run(_):
-        with lock:
-            k = next(taken)
-            dh = rng.standard_normal((blocks[k][0], n_dim, n_dim))
+    def blocks():
+        for start in range(0, total, _GROUP):
+            size = min(_GROUP, total - start)
+            for s in range(0, size, _BLOCK):
+                yield rng.standard_normal((min(_BLOCK, size - s), n_dim, n_dim))
+
+    def run(dh):
         for m in dh:
             m += m.T
         dh *= scale
-        return k, rows_of(dh)
+        return rows_of(dh)
 
-    results, used = _pool_map(0, run, len(blocks))
-    arrived, group, reduced = {}, [], 0
+    results, used = _pool_map(0, run, blocks())
+    per_group = -(-_GROUP // _BLOCK)
     with contextlib.closing(results):
-        for k, rows in results:
-            arrived[k] = rows
-            while reduced in arrived:
-                group.append(arrived.pop(reduced))
-                if blocks[reduced][1]:
-                    reduce_group(*(np.concatenate(cols) for cols in zip(*group)))
-                    group = []
-                reduced += 1
+        while group := list(itertools.islice(results, per_group)):
+            reduce_group(*(np.concatenate(cols) for cols in zip(*group)))
     return used
 
 
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
-                trials: int = 100_000, seed: int = 0,
-                chunk: int = 500) -> ExperimentReport:
+                trials: int = 100_000, seed: int = 0) -> ExperimentReport:
     """Finite-difference drift of one squared overlap vs the drift formula.
 
     Rows: drift estimate against the formula value, then the two martingale
@@ -327,8 +310,8 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     state included, runs with OpenBLAS held at one thread; the caller's
     count is restored afterwards.  The ``trials`` increments stream through
     the trial pool in blocks, one worker per core (:func:`_map_increments`),
-    and reduce in groups of ``chunk``: group ``k`` holds the ``k``-th
-    ``chunk`` of the probe's draws and the sums reduce in group order, so
+    and reduce in groups of ``_GROUP``: group ``k`` holds the ``k``-th
+    ``_GROUP`` of the probe's draws and the sums reduce in group order, so
     the report is the same bit for bit at every worker count.  Its extras
     record the ``pair``, the ``pool_threads`` and ``trial_blas_threads``,
     and the ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped
@@ -337,9 +320,13 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     start = time.perf_counter()
     if trials < 1000:
         raise ValueError("drift probe needs at least 1000 trials")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
+                         f"levels are degenerate), got {t}")
+    _check_probe(n_dim, n, dt)
     with _one_blas_thread():
-        x_mat, lam, full_vecs, mu, block_vecs, signed, (i, j) = _drift_state(
-            n_dim, n, t, seed, dt, chunk)
+        x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
+        i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
         d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
         s0 = signed[i, j] ** 2
 
@@ -368,12 +355,12 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 sq_sums[slot] += (vals * vals).sum()
 
         used = _map_increments(derive_stream(seed, 1).generator(), n_dim,
-                               np.sqrt(dt / (2.0 * n_dim)), trials, chunk, rows_of, reduce_group)
+                               np.sqrt(dt / (2.0 * n_dim)), trials, rows_of, reduce_group)
 
     rows = []
     for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
         mean, se = _mean_se(sums[slot], sq_sums[slot], trials)
-        rows.append(_estimate(slot, mean / dt, se / dt, trials, kind))
+        rows.append(_estimate(slot, mean / dt, Z_99 * (se / dt), trials, kind))
     theory = (float(d1 + d2 + d3), 0.0, 0.0)
     return ExperimentReport(
         config={"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt,
@@ -384,42 +371,3 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         wall_time_s=time.perf_counter() - start,
         extras={"pair": (i, j), **used, "stepper": eigpair_backend()},
     )
-
-
-def drift_step_consistency(n_dim: int, n: int, t: float, dt: float = 1e-4,
-                           trials: int = 20_000, seed: int = 0, chunk: int = 500):
-    """First-order check: the finite-step bias doubles when the step doubles.
-
-    Measures the drift estimator at ``dt``, ``2 dt`` and ``4 dt`` with common
-    random increments and returns the mean and standard error of the per-draw
-    combination ``est(4dt) - 3 est(2dt) + 2 est(dt)``, which vanishes when
-    the bias is linear in the step.  The increments stream through the trial
-    pool and reduce in groups of ``chunk``, with one BLAS thread, as in
-    :func:`drift_probe`, so the result is the same bit for bit at every worker
-    count.
-    """
-    with _one_blas_thread():
-        x_mat, _, _, _, _, signed, (i, j) = _drift_state(n_dim, n, t, seed, dt, chunk)
-        s0 = signed[i, j] ** 2
-        step = _stepper(x_mat, n, i, j)
-
-        def rows_of(dh):
-            ests = []
-            for mult in (1.0, 2.0, 4.0):
-                a = step(np.sqrt(mult) * dh)
-                ests.append((a * a - s0) / (mult * dt))
-            return (ests[2] - 3.0 * ests[1] + 2.0 * ests[0],)
-
-        sums = np.zeros(2)
-
-        def reduce_group(combo):
-            sums[0] += combo.sum()
-            sums[1] += (combo * combo).sum()
-
-        _map_increments(derive_stream(seed, 2).generator(), n_dim,
-                        np.sqrt(dt / (2.0 * n_dim)), trials, chunk, rows_of, reduce_group)
-
-    mean, se = _mean_se(sums[0], sums[1], trials)
-    if se == 0.0:
-        raise NumericError("degenerate step-consistency probe (zero variance)")
-    return float(mean), float(se), (i, j)

@@ -256,7 +256,7 @@ def test_criterion_8_correlation_probe():
 
 
 def test_criterion_8_drift_probe():
-    report = drift_probe(60, 30, 1.0, dt=1e-4, trials=100_000, seed=42, chunk=1000)
+    report = drift_probe(60, 30, 1.0, dt=1e-4, trials=100_000, seed=42)
     est, theory = report.estimates[0], report.theory[0]
     rel = abs(est.mean - theory) / abs(theory)
     mart_ok = True

@@ -297,6 +297,8 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
     (_DRIFT + ["--n", "20"], "1 <= n < n_dim"),
     (_DRIFT + ["--n", "25"], "1 <= n < n_dim"),
     (_CORRELATION + ["--n", "20"], "1 <= n < n_dim"),
+    (_CORRELATION + ["--n", "2"], "n >= 3"),
+    (_CORRELATION + ["--n", "1"], "n >= 3"),
     (_DRIFT + ["--dt", "0"], "dt > 0"),
     (_CORRELATION + ["--dt", "0"], "dt > 0"),
     (_CORRELATION + ["--dt=-1"], "dt > 0"),
@@ -305,8 +307,9 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
     (_CORRELATION + ["--N", "101"], "n_dim <= 100"),
     (_DRIFT + ["--N", "101"], "n_dim <= 100"),
 ], ids=["drift-n-0", "drift-n-2", "drift-n-equals-N", "drift-n-above-N", "correlation-n-equals-N",
-        "drift-dt-0", "correlation-dt-0", "correlation-dt-negative", "drift-dt-negative",
-        "drift-t-0", "correlation-N-101", "drift-N-101"])
+        "correlation-n-2", "correlation-n-1", "drift-dt-0", "correlation-dt-0",
+        "correlation-dt-negative", "drift-dt-negative", "drift-t-0", "correlation-N-101",
+        "drift-N-101"])
 def test_probe_invalid_input_exits_two(capsys, argv, fragment):
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2
