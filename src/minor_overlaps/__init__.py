@@ -67,11 +67,8 @@ from .overlaps_theory import (
 )
 from .probes import correlation_probe, drift_probe
 from .spectral import (
-    OverlapGrid,
-    SpectralDecomposition,
     check_interlacing,
     eig_sym,
     minor_size,
-    overlap_grid,
     quantile_index,
 )

@@ -50,6 +50,9 @@ class SpectrumModel:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("model needs at least one atom")
+        for field, values in zip(("locations", "weights"), zip(*atoms)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"atom {field} must be finite, got {list(values)}")
         if any(w <= 0 for _, w in atoms):
             raise ValueError("atom weights must be positive")
         total = sum(w for _, w in atoms)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .freeprob import BoundaryValues, semicircle_quantile
-from .spectral import eig_sym, overlap_grid
+from .spectral import eig_sym, overlap_columns
 
 _POLE_TOL = 1e-12
 
@@ -66,8 +66,9 @@ class FiniteInitialTransform:
         a = np.asarray(a, dtype=float)
         if not 1 <= n <= a.shape[0]:
             raise ValueError(f"minor size n={n} out of range [1, {a.shape[0]}]")
-        grid = overlap_grid(eig_sym(a), eig_sym(a[:n, :n]))
-        return cls(grid.minor_evals, grid.full_evals, grid.values, a.shape[0])
+        full, minor = eig_sym(a), eig_sym(a[:n, :n])
+        return cls(minor.eigenvalues, full.eigenvalues,
+                   overlap_columns(full, minor, np.arange(a.shape[0])), a.shape[0])
 
     def __call__(self, z, z_tilde):
         """Transform at scalars, or at arrays that broadcast together (one grid product)."""

@@ -62,10 +62,11 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     ones.
     """
     x_mat = sample_goe(n_dim, t, derive_stream(seed, 0))
-    full = eig_sym(x_mat)
-    block = eig_sym(x_mat[:n, :n])
-    signed = block.eigenvectors.T @ full.eigenvectors[:n, :]
-    return x_mat, full.eigenvalues, full.eigenvectors, block.eigenvalues, block.eigenvectors, signed
+    full, block = eig_sym(x_mat), eig_sym(x_mat[:n, :n])
+    # C-ordered copies: the drift probe's products round with their operands' layout
+    full_vecs, block_vecs = full.vectors(np.arange(n_dim)), block.vectors(np.arange(n))
+    signed = block_vecs.T @ full_vecs[:n, :]
+    return x_mat, full.eigenvalues, full_vecs, block.eigenvalues, block_vecs, signed
 
 
 def _check_probe(n_dim: int, n: int, dt: float):
@@ -129,7 +130,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     full_pairs = [(j, k) for j in full_indices for k in full_indices]
     quads = [(i, l, j, k) for (i, l) in minor_pairs for (j, k) in full_pairs]
 
-    # eig_sym columns are already in descending eigenvalue order
+    # the frozen vectors' columns are already in descending eigenvalue order
     iu = np.triu_indices(n_dim, k=1)
     minor_coeffs = np.array([
         _quadratic_form_coeffs(block_vecs[:, i], block_vecs[:, l], n_dim, dt, iu)

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, overlap grids, and interlacing checks.
+"""Symmetric eigendecomposition, audited overlap readers, and interlacing checks.
 
 Eigenvalues are kept in descending order everywhere (index 1 = largest),
 matching the convention that quantile ``x`` measures spectral mass *above*
@@ -6,14 +6,16 @@ the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
 block, decomposed at size ``n``; its eigenvectors live on the first ``n``
 coordinates.
 
-Two routines call LAPACK directly, from numpy's bundled OpenBLAS (loaded on
-first use by :func:`_openblas`), and fall back to a full ``eigh`` where that
-library does not export what they need.  :func:`eigpair_at` computes one
-eigenpair by index with ``dsyevr`` (:func:`eigpair_backend` names the one in
-use).  :func:`reduced_eig` returns every eigenvalue and forms eigenvectors,
-or the coefficients of given vectors on them, only when asked; a Monte Carlo
-trial reads its overlaps through :func:`overlap_row`,
-:func:`overlap_columns` and :func:`overlap_entry`, which audit what they read.
+A decomposition is a :class:`ReducedEig`.  :func:`reduced_eig` reduces with
+LAPACK, called directly from numpy's bundled OpenBLAS (loaded on first use by
+:func:`_openblas`), and forms eigenvectors, or the coefficients of given
+vectors on them, only when asked; :func:`eig_sym` wraps ``eigh``, whose ``Q``
+is the identity.  Overlaps are read through :func:`overlap_row`,
+:func:`overlap_columns` (every column gives the whole grid) and
+:func:`overlap_entry`, which audit what they read.  :func:`eigpair_at`
+computes one eigenpair by index with LAPACK ``dsyevr`` (:func:`eigpair_backend`
+names the one in use).  Both LAPACK routines fall back to a full ``eigh``
+where numpy's OpenBLAS does not export what they need.
 """
 
 from __future__ import annotations
@@ -48,54 +50,6 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in eithe
 #: outside ``[_RMIN, _RMAX]`` before reducing it
 _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
 _RMIN, _RMAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1.0 / _SMLNUM))
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    ``eigenvectors[:, k]`` is the unit eigenvector paired with
-    ``eigenvalues[k]``; the overall sign of each column is arbitrary.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def reconstruction_error(self, x: np.ndarray) -> float:
-        """Max-norm error of ``V diag(w) V^T`` against ``x``, relative to ``max(1, |x|_inf)``."""
-        v, w = self.eigenvectors, self.eigenvalues
-        err = np.max(np.abs((v * w) @ v.T - x))
-        return float(err / max(1.0, np.max(np.abs(x))))
-
-    def vectors(self, idx):
-        """Eigenvectors at descending indices ``idx``: a vector for an int, columns for a list."""
-        return self.eigenvectors[:, idx].copy()
-
-    def coefficients(self, w: np.ndarray) -> np.ndarray:
-        """``V^T w``: the coefficients of ``w`` (a vector, or columns) on the eigenvectors."""
-        return self.eigenvectors.T @ w
-
-
-def eig_sym(x: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.array_equal(x, x.T):
-        raise ValueError("matrix is not exactly symmetric")
-    try:
-        w, v = np.linalg.eigh(x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"symmetric eigensolver failed on {x.shape[0]}x{x.shape[0]} matrix "
-            f"(|X|_inf={np.max(np.abs(x)):.3e}): {exc}"
-        ) from exc
-    return SpectralDecomposition(eigenvalues=w[::-1].copy(),
-                                 eigenvectors=v[:, ::-1].copy())
 
 
 @functools.cache
@@ -217,57 +171,11 @@ def _check_eigpair_input(a: np.ndarray, desc: int, size: int):
         raise ValueError(f"descending index {desc} outside [0, {size})")
 
 
-@dataclass(frozen=True)
-class ReducedEig:
-    """A symmetric matrix ``X = Q T Q^T`` reduced to a tridiagonal ``T = S diag(w) S^T``.
+def _checked_symmetric(x: np.ndarray):
+    """``x`` as a float array with its largest absolute entry, refused unless symmetric.
 
-    ``Q`` stays as the Householder reflectors of LAPACK ``dsytrd``
-    (``reflectors``, ``tau``) and ``S`` as ``dstedc``'s eigenvectors of ``T``,
-    columns ascending.  The eigenvectors ``V = Q S`` are never formed whole:
-    :meth:`vectors` and :meth:`coefficients` apply ``Q`` (LAPACK ``dormtr``)
-    to the columns they are asked for.  ``eigenvalues`` are descending and
-    index both, as for :class:`SpectralDecomposition`.
-    """
-
-    eigenvalues: np.ndarray
-    tridiagonal_vectors: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def vectors(self, idx):
-        """Eigenvectors ``Q S[:, k]`` at descending indices ``idx`` (an int or a list)."""
-        return self._apply_q(self.tridiagonal_vectors[:, self.dim - 1 - np.asarray(idx)], b"N")
-
-    def coefficients(self, w: np.ndarray) -> np.ndarray:
-        """``V^T w = S^T Q^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
-        return (self.tridiagonal_vectors.T @ self._apply_q(w, b"T"))[::-1]
-
-    def _apply_q(self, c, trans: bytes) -> np.ndarray:
-        """``Q c`` (``trans=b"N"``) or ``Q^T c`` (``b"T"``) of a vector or of columns ``c``."""
-        size = self.dim
-        out = np.array(np.reshape(c, (size, -1)), dtype=float, order="F")
-        _lapack("dormtr", size, b"L", b"L", trans, size, out.shape[1], self.reflectors.ctypes.data,
-                size, self.tau.ctypes.data, out.ctypes.data, size)
-        return out.reshape(np.shape(c))
-
-
-def reduced_eig(x: np.ndarray):
-    """Every eigenvalue of a symmetric matrix, with eigenvectors formed only on request.
-
-    Runs LAPACK ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls,
-    in the order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues
-    equal :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the
-    ``N x N`` back-transform, is skipped: see :class:`ReducedEig`.  Where
-    numpy's OpenBLAS does not export these routines, or where ``eigh``
-    rescales ``x`` first (its largest entry is nonzero and outside
-    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition, which
-    answers ``vectors`` and ``coefficients`` from the whole ``V``.  A
-    non-square or inexactly symmetric ``x`` raises ``ValueError``; a
-    non-finite one, or a LAPACK failure, ``NumericError``.
+    A non-square or empty ``x``, or one not exactly symmetric, raises
+    ``ValueError``; a non-finite one ``NumericError``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
@@ -277,9 +185,90 @@ def reduced_eig(x: np.ndarray):
         raise NumericError(f"symmetric eigensolver got a non-finite {size}x{size} matrix")
     if not np.array_equal(x, x.T):
         raise ValueError("matrix is not exactly symmetric")
+    return x, largest
+
+
+@dataclass(frozen=True)
+class ReducedEig:
+    """A symmetric matrix ``X = Q T Q^T``, ``T = S diag(w) S^T``, with eigenvectors ``V = Q S``.
+
+    From :func:`reduced_eig`, ``Q`` stays as LAPACK ``dsytrd``'s Householder
+    reflectors (``reflectors``, ``tau``), applied (``dormtr``) only to the
+    columns :meth:`vectors` and :meth:`coefficients` are asked for, and ``S``
+    is ``dstedc``'s eigenvectors of the tridiagonal ``T``.  From
+    :func:`eig_sym`, ``Q = I`` and ``S`` is ``eigh``'s ``V``.  The columns of
+    ``S`` ascend; ``eigenvalues`` descend and index both.
+    """
+
+    eigenvalues: np.ndarray
+    tridiagonal_vectors: np.ndarray
+    reflectors: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    def vectors(self, idx):
+        """Eigenvectors ``Q S[:, k]`` at descending indices ``idx`` (an int or a list), copied."""
+        columns = np.take(self.tridiagonal_vectors, self.dim - 1 - np.asarray(idx), axis=1)
+        return self._apply_q(columns, b"N")
+
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
+        """``V^T w = S^T Q^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
+        return (self.tridiagonal_vectors.T @ self._apply_q(w, b"T"))[::-1]
+
+    def reconstruction_error(self, x: np.ndarray) -> float:
+        """Max-norm error of ``V diag(w) V^T`` against ``x``, relative to ``max(1, |x|_inf)``."""
+        v, w = self.vectors(np.arange(self.dim)), self.eigenvalues
+        err = np.max(np.abs((v * w) @ v.T - x))
+        return float(err / max(1.0, np.max(np.abs(x))))
+
+    def _apply_q(self, c, trans: bytes) -> np.ndarray:
+        """``Q c`` (``trans=b"N"``) or ``Q^T c`` (``b"T"``) of a vector or of columns ``c``."""
+        if self.reflectors is None:
+            return c
+        size = self.dim
+        out = np.array(np.reshape(c, (size, -1)), dtype=float, order="F")
+        _lapack("dormtr", size, b"L", b"L", trans, size, out.shape[1], self.reflectors.ctypes.data,
+                size, self.tau.ctypes.data, out.ctypes.data, size)
+        return out.reshape(np.shape(c))
+
+
+def eig_sym(x: np.ndarray) -> ReducedEig:
+    """Every eigenpair of a symmetric matrix by ``eigh``, as a :class:`ReducedEig` with ``Q = I``.
+
+    Input is refused as by :func:`reduced_eig`.
+    """
+    x, largest = _checked_symmetric(x)
+    try:
+        w, v = np.linalg.eigh(x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"symmetric eigensolver failed on {x.shape[0]}x{x.shape[0]} matrix "
+            f"(|X|_inf={largest:.3e}): {exc}"
+        ) from exc
+    return ReducedEig(eigenvalues=w[::-1].copy(), tridiagonal_vectors=v)
+
+
+def reduced_eig(x: np.ndarray) -> ReducedEig:
+    """Every eigenvalue of a symmetric matrix, with eigenvectors formed only on request.
+
+    Runs LAPACK ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls,
+    in the order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues
+    equal :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the
+    ``N x N`` back-transform, is skipped: see :class:`ReducedEig`.  Where
+    numpy's OpenBLAS does not export these routines, or where ``eigh``
+    rescales ``x`` first (its largest entry is nonzero and outside
+    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition.  A
+    non-square, empty or inexactly symmetric ``x`` raises ``ValueError``; a
+    non-finite one, or a LAPACK failure, ``NumericError``.
+    """
+    x, largest = _checked_symmetric(x)
     if (any(_lapacke(name) is None for name in ("dsytrd", "dstedc", "dormtr"))
             or 0.0 < largest < _RMIN or largest > _RMAX):
         return eig_sym(x)
+    size = x.shape[0]
     a = np.array(x)  # symmetric, so its C order is its column-major order
     d, e, tau = np.empty(size), np.empty(size), np.empty(size)
     _lapack("dsytrd", size, b"L", size, a.ctypes.data, size, d.ctypes.data, e.ctypes.data,
@@ -290,63 +279,22 @@ def reduced_eig(x: np.ndarray):
     return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, reflectors=a, tau=tau)
 
 
-@dataclass(frozen=True)
-class OverlapGrid:
-    """Squared overlaps between minor eigenvectors (rows) and full ones (columns).
-
-    ``values[i, j]`` is the squared inner product of the minor's i-th
-    eigenvector (descending) with the first ``n`` coordinates of the full
-    matrix's j-th eigenvector ``psi_j``.  Every row sums to 1 (a unit vector
-    expanded in a complete orthonormal basis); column ``j`` sums to
-    ``||psi_j[:n]||^2``, at most 1.
-    """
-
-    n: int
-    n_dim: int
-    values: np.ndarray
-    minor_evals: np.ndarray
-    full_evals: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.n, self.n_dim):
-            raise ValueError("overlap grid shape mismatch")
-        _audit_overlaps(self.values, whole_rows=True)
-
-    def row_sum_error(self) -> float:
-        return float(np.max(np.abs(self.values.sum(axis=1) - 1.0)))
-
-
-def overlap_grid(full: SpectralDecomposition, minor: SpectralDecomposition) -> OverlapGrid:
-    """Build the ``n x N`` squared-overlap grid from two decompositions.
-
-    ``minor`` decomposes the bare leading ``n x n`` block of the full matrix,
-    so ``n`` is ``minor.dim``; its eigenvectors meet the first ``n``
-    coordinates of the full eigenvectors.
-    """
-    n_dim, n = full.dim, minor.dim
-    if not 1 <= n <= n_dim:
-        raise ValueError(f"minor of size {n} does not fit a {n_dim}x{n_dim} matrix")
-    values = (minor.eigenvectors.T @ full.eigenvectors[:n, :]) ** 2
-    return OverlapGrid(n=n, n_dim=n_dim, values=values,
-                       minor_evals=minor.eigenvalues, full_evals=full.eigenvalues)
-
-
 def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:
     """Audit squared overlaps laid out as grid rows (minor vectors) by columns (full vectors).
 
     Every entry must lie in ``[0, 1 + 1e-12]``, every column sum at most
     ``1 + 1e-10`` and, when the rows are whole, every row sum within 1e-10
-    of 1.  A failed check raises ``NumericError``.  Returns the largest row
-    sum error, 0 for partial rows.
+    of 1; the checks run in that order.  A failed check raises
+    ``NumericError``.  Returns the largest row sum error, 0 for partial rows.
     """
     if values.min() < 0 or values.max() > 1 + 1e-12:
         raise NumericError("overlap grid entries escape [0, 1]")
-    row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0
-    if row_err > 1e-10:
-        raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
     col_excess = values.sum(axis=0).max() - 1.0
     if col_excess > 1e-10:
         raise NumericError(f"overlap grid column sum exceeds 1 by {col_excess:.3e}")
+    row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0
+    if row_err > 1e-10:
+        raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
     return row_err
 
 
@@ -365,14 +313,18 @@ def overlap_row(full, minor, i: int):
 
 
 def overlap_columns(full, minor, cols) -> np.ndarray:
-    """Columns ``cols`` (a list) of the overlap grid, from those full eigenvectors alone.
+    """Columns ``cols`` (a list or array) of the overlap grid, from those full eigenvectors alone.
 
     Returns the ``n x len(cols)`` squared overlaps of every minor eigenvector
     (rows, descending) with the full eigenvectors ``cols``, audited as whole
-    columns.
+    columns and, when ``cols`` holds every column, as whole rows: then the
+    result is the whole grid, each row summing to 1.  A minor larger than the
+    full matrix raises ``ValueError``.
     """
+    if minor.dim > full.dim:
+        raise ValueError(f"minor of size {minor.dim} does not fit a {full.dim}x{full.dim} matrix")
     values = minor.coefficients(full.vectors(cols)[:minor.dim]) ** 2
-    _audit_overlaps(values, whole_rows=False)
+    _audit_overlaps(values, whole_rows=np.array_equal(np.sort(cols), np.arange(full.dim)))
     return values
 
 

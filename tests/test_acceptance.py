@@ -26,7 +26,6 @@ from minor_overlaps import (
     interlace_interval,
     kernel_goe_value,
     kernel_peak_location,
-    overlap_grid,
     overlap_kernel,
     run_bernoulli_bulk,
     run_bernoulli_spike,
@@ -43,6 +42,7 @@ from minor_overlaps import (
 )
 from minor_overlaps.freeprob import SpectrumModel
 from minor_overlaps.montecarlo import Z_99
+from minor_overlaps.spectral import overlap_columns
 
 ATOM_ZERO = SpectrumModel(atoms=((0.0, 1.0),))
 
@@ -85,12 +85,12 @@ def test_criterion_2_exact_invariants():
     for k, (n_dim, n) in enumerate(cases):
         for m in range(12):
             x = sample_goe(n_dim, 1.0, derive_stream(2000 + k, m))
-            full = eig_sym(x)
-            grid = overlap_grid(full, eig_sym(x[:n, :n]))
-            lam, mu = grid.full_evals, grid.minor_evals
+            full, minor = eig_sym(x), eig_sym(x[:n, :n])
+            grid = overlap_columns(full, minor, np.arange(n_dim))
+            lam, mu = full.eigenvalues, minor.eigenvalues
             slack = min(np.min(lam[:n] - mu), np.min(mu - lam[n_dim - n:]))
             worst_margin = min(worst_margin, slack)
-            worst_row = max(worst_row, grid.row_sum_error())
+            worst_row = max(worst_row, float(np.max(np.abs(grid.sum(axis=1) - 1.0))))
             worst_reconstruction = max(worst_reconstruction, full.reconstruction_error(x))
     ok = worst_margin >= -1e-9 and worst_row <= 1e-10 and worst_reconstruction <= 1e-8
     _criterion("criterion 2", ok,

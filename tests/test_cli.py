@@ -559,8 +559,12 @@ _SPIKES = '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [4.0], "q": 0.5}'
     (["simulate"], None, "No such file or directory"),
     (["simulate"], '{"q": 0.5}', "model needs at least one atom"),
     (["simulate"], '{"atoms": [[0.0, 1.0]', "Expecting"),
+    (["theory", "--kernel", "general"], '{"atoms": [[Infinity, 0.5], [1.0, 0.5]], "q": 0.5}',
+     "atom locations must be finite"),
+    (["simulate"], '{"atoms": [[-1.0, NaN], [1.0, 1.0]], "q": 0.5}',
+     "atom weights must be finite"),
 ], ids=["simulate-spikes", "compare-spikes", "theory-kernel-general-spikes", "missing-file",
-        "no-atoms", "bad-json"])
+        "no-atoms", "bad-json", "infinite-atom", "nan-weight"])
 def test_refused_model_exits_two(capsys, tmp_path, monkeypatch, argv, text, message):
     model_path = tmp_path / "model.json"
     if text is not None:

@@ -800,7 +800,7 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_drift_probe_memory_grows_with_neither_trials_nor_chunk():
+def test_drift_probe_memory_does_not_grow_with_trials():
     n_dim, n, workers = 40, 17, 2
     block = probes._BLOCK * n_dim * n_dim * 8            # one block of increments
     group_rows = 1000 * (n_dim + n + 1) * 8              # the rows of 1000 increments
@@ -833,7 +833,7 @@ def test_drift_probe_eigh_fallback_agrees_with_dsyevr(seed, n_dim, frac):
     assert lapack.theory == fallback.theory
 
 
-def test_drift_chunks_keep_draw_order_when_a_worker_lags(monkeypatch):
+def test_drift_blocks_keep_draw_order_when_a_worker_lags(monkeypatch):
     with _drift_workers(1):
         serial = drift_probe(20, 10, 1.0, trials=2000, seed=5)
     pool_map = probes._pool_map

@@ -18,7 +18,6 @@ from minor_overlaps import (
     interlace_interval,
     kernel_goe_value,
     kernel_peak_location,
-    overlap_grid,
     overlap_kernel,
     sample_goe,
     semicircle_density,
@@ -35,6 +34,7 @@ from minor_overlaps.freeprob import (
     solve_minor_stieltjes,
     solve_stieltjes,
 )
+from minor_overlaps.spectral import overlap_columns
 
 TWO_ATOMS = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
 
@@ -115,10 +115,10 @@ def test_evolved_transform_against_finite_size_average():
     vals = np.empty(trials, dtype=complex)
     for m in range(trials):
         x = sample_goe(n_dim, t, derive_stream(909, m))
-        grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
-        u = 1.0 / (zt - grid.minor_evals)
-        v = 1.0 / (z - grid.full_evals)
-        vals[m] = (u @ grid.values @ v) / n_dim
+        full, minor = eig_sym(x), eig_sym(x[:n, :n])
+        u = 1.0 / (zt - minor.eigenvalues)
+        v = 1.0 / (z - full.eigenvalues)
+        vals[m] = (u @ overlap_columns(full, minor, np.arange(n_dim)) @ v) / n_dim
     full_ev, minor_ev = _semicircle_evaluators(t, q)
     limit = evolve_double_stieltjes(NullInitialTransform(q), z, zt, t, q, full_ev, minor_ev)
     for part in (np.real, np.imag):
@@ -221,13 +221,15 @@ def test_general_kernel_against_binned_monte_carlo():
     diffs = []
     for m in range(trials):
         x = a + sample_goe(n_dim, t, derive_stream(404, m))
-        grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
-        isel = np.flatnonzero(np.abs(grid.minor_evals - mu0) <= window / 2)
-        jsel = np.flatnonzero(np.abs(grid.full_evals - lam0) <= window / 2)
+        full, minor = eig_sym(x), eig_sym(x[:n, :n])
+        grid = overlap_columns(full, minor, np.arange(n_dim))
+        mu, lam = minor.eigenvalues, full.eigenvalues
+        isel = np.flatnonzero(np.abs(mu - mu0) <= window / 2)
+        jsel = np.flatnonzero(np.abs(lam - lam0) <= window / 2)
         # every (i, j) pair at once; refused pairs come back NaN and drop out
-        theory = overlap_kernel(s0, boundary_values(minor_ev, grid.minor_evals[isel, None]),
-                                boundary_values(full_ev, grid.full_evals[jsel]), t, q)
-        pair_diffs = n_dim * grid.values[np.ix_(isel, jsel)] - theory
+        theory = overlap_kernel(s0, boundary_values(minor_ev, mu[isel, None]),
+                                boundary_values(full_ev, lam[jsel]), t, q)
+        pair_diffs = n_dim * grid[np.ix_(isel, jsel)] - theory
         pair_diffs = pair_diffs[~np.isnan(pair_diffs)]
         if pair_diffs.size:
             diffs.append(np.mean(pair_diffs))

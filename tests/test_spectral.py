@@ -9,15 +9,12 @@ from minor_overlaps import (
     derive_stream,
     eig_sym,
     minor_size,
-    overlap_grid,
     quantile_index,
     sample_goe,
 )
 from minor_overlaps import spectral
 from minor_overlaps.errors import NumericError
 from minor_overlaps.spectral import (
-    ReducedEig,
-    SpectralDecomposition,
     eigpair_at,
     eigpair_backend,
     overlap_columns,
@@ -30,16 +27,18 @@ from minor_overlaps.spectral import (
 def test_eig_identity():
     dec = eig_sym(np.eye(3))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-    assert np.allclose(dec.eigenvectors @ dec.eigenvectors.T, np.eye(3), atol=1e-12)
+    v = dec.vectors(np.arange(3))
+    assert np.allclose(v @ v.T, np.eye(3), atol=1e-12)
 
 
 def test_eig_diagonal_permutation():
     dec = eig_sym(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(dec.eigenvalues, [3.0, 2.0, 1.0])
     # eigenvectors are signed basis vectors matching the permutation
-    assert abs(abs(dec.eigenvectors[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(dec.eigenvectors[2, 1]) - 1.0) < 1e-12
-    assert abs(abs(dec.eigenvectors[1, 2]) - 1.0) < 1e-12
+    v = dec.vectors(np.arange(3))
+    assert abs(abs(v[0, 0]) - 1.0) < 1e-12
+    assert abs(abs(v[2, 1]) - 1.0) < 1e-12
+    assert abs(abs(v[1, 2]) - 1.0) < 1e-12
 
 
 def test_eig_two_by_two_exchange():
@@ -47,8 +46,8 @@ def test_eig_two_by_two_exchange():
     assert np.allclose(dec.eigenvalues, [1.0, -1.0])
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert abs(abs(dec.eigenvectors[:, 0] @ plus) - 1.0) < 1e-12
-    assert abs(abs(dec.eigenvectors[:, 1] @ minus) - 1.0) < 1e-12
+    assert abs(abs(dec.vectors(0) @ plus) - 1.0) < 1e-12
+    assert abs(abs(dec.vectors(1) @ minus) - 1.0) < 1e-12
 
 
 def test_eig_rejects_asymmetric():
@@ -61,9 +60,9 @@ def test_reconstruction_and_orthonormality_on_samples():
         x = sample_goe(80, 1.0, derive_stream(17, k))
         dec = eig_sym(x)
         assert dec.reconstruction_error(x) <= 1e-8
-        gram = dec.eigenvectors.T @ dec.eigenvectors
+        v, w = dec.vectors(np.arange(80)), dec.eigenvalues
+        gram = v.T @ v
         assert np.max(np.abs(gram - np.eye(80))) <= 1e-10
-        v, w = dec.eigenvectors, dec.eigenvalues
         resid = np.max(np.linalg.norm(x @ v - v * w, axis=0))
         assert resid <= 1e-9 * max(1.0, np.linalg.norm(x, 2))
 
@@ -71,34 +70,35 @@ def test_reconstruction_and_orthonormality_on_samples():
 def test_overlap_grid_full_rank_is_identity():
     x = sample_goe(12, 1.0, derive_stream(2, 0))
     dec = eig_sym(x)
-    grid = overlap_grid(dec, dec)
-    assert np.allclose(grid.values, np.eye(12), atol=1e-10)
+    grid = overlap_columns(dec, dec, np.arange(12))
+    assert np.allclose(grid, np.eye(12), atol=1e-10)
 
 
 def test_overlap_grid_two_by_two_half_half():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     full = eig_sym(x)
     minor = eig_sym(x[:1, :1])
-    grid = overlap_grid(full, minor)
-    assert grid.values.shape == (1, 2)
-    assert np.allclose(grid.values, 0.5, atol=1e-12)
+    grid = overlap_columns(full, minor, np.arange(2))
+    assert grid.shape == (1, 2)
+    assert np.allclose(grid, 0.5, atol=1e-12)
 
 
 def test_overlap_grid_row_and_column_sums():
     n_dim, n = 50, 20
     x = sample_goe(n_dim, 1.0, derive_stream(2, 1))
-    grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
-    assert grid.row_sum_error() <= 1e-10
-    assert grid.values.sum(axis=0).max() <= 1.0 + 1e-10
-    assert grid.values.min() >= 0.0
+    grid = overlap_columns(eig_sym(x), eig_sym(x[:n, :n]), np.arange(n_dim))
+    assert np.max(np.abs(grid.sum(axis=1) - 1.0)) <= 1e-10
+    assert grid.sum(axis=0).max() <= 1.0 + 1e-10
+    assert grid.min() >= 0.0
 
 
 def test_overlap_grid_keeps_genuine_zero_block_eigenvalue():
     # the block's own 0 eigenvalue is a genuine minor eigenvalue
     x = np.diag([0.0, 1.0, 0.5])
-    grid = overlap_grid(eig_sym(x), eig_sym(x[:2, :2]))
-    assert grid.values.shape == (2, 3)
-    assert np.allclose(sorted(grid.minor_evals), [0.0, 1.0])
+    minor = eig_sym(x[:2, :2])
+    grid = overlap_columns(eig_sym(x), minor, np.arange(3))
+    assert grid.shape == (2, 3)
+    assert np.allclose(sorted(minor.eigenvalues), [0.0, 1.0])
 
 
 def test_interlacing_on_samples():
@@ -106,8 +106,7 @@ def test_interlacing_on_samples():
         n_dim = 60
         n = 10 + 8 * k
         x = sample_goe(n_dim, 1.0, derive_stream(31, k))
-        grid = overlap_grid(eig_sym(x), eig_sym(x[:n, :n]))
-        ok, margin = check_interlacing(grid.full_evals, grid.minor_evals)
+        ok, margin = check_interlacing(eig_sym(x).eigenvalues, eig_sym(x[:n, :n]).eigenvalues)
         assert ok, f"margin {margin}"
 
 
@@ -122,16 +121,16 @@ def _full_and_minor_sizes(draw):
 def test_bare_block_grid_invariants(sizes, t, seed):
     n_dim, n = sizes
     x = sample_goe(n_dim, t, derive_stream(seed, 0))
-    full = eig_sym(x)
-    grid = overlap_grid(full, eig_sym(x[:n, :n]))
-    ok, margin = check_interlacing(grid.full_evals, grid.minor_evals)
+    full, minor = eig_sym(x), eig_sym(x[:n, :n])
+    grid = overlap_columns(full, minor, np.arange(n_dim))
+    ok, margin = check_interlacing(full.eigenvalues, minor.eigenvalues)
     assert ok, f"margin {margin}"
-    assert grid.values.shape == (n, n_dim)
-    assert np.max(np.abs(grid.values.sum(axis=1) - 1.0)) <= 1e-10
-    head_mass = np.sum(full.eigenvectors[:n, :] ** 2, axis=0)
-    assert np.max(np.abs(grid.values.sum(axis=0) - head_mass)) <= 1e-10
-    assert grid.values.min() >= 0.0
-    assert grid.values.max() <= 1.0 + 1e-12
+    assert grid.shape == (n, n_dim)
+    assert np.max(np.abs(grid.sum(axis=1) - 1.0)) <= 1e-10
+    head_mass = np.sum(full.vectors(np.arange(n_dim))[:n, :] ** 2, axis=0)
+    assert np.max(np.abs(grid.sum(axis=0) - head_mass)) <= 1e-10
+    assert grid.min() >= 0.0
+    assert grid.max() <= 1.0 + 1e-12
 
 
 @given(sizes=_full_and_minor_sizes(), seed=st.integers(0, 2**32 - 1))
@@ -140,7 +139,7 @@ def test_overlap_grid_rejects_minor_larger_than_full(sizes, seed):
     small = eig_sym(sample_goe(n, 1.0, derive_stream(seed, 0)))
     large = eig_sym(sample_goe(n_dim, 1.0, derive_stream(seed, 1)))
     with pytest.raises(ValueError):
-        overlap_grid(small, large)
+        overlap_columns(small, large, np.arange(n))
 
 
 def test_interlacing_direct_cases():
@@ -267,7 +266,7 @@ def _check_reduced(x, n, descs):
     """``reduced_eig`` of ``x`` and of its ``n x n`` block against ``eig_sym`` and the grid."""
     full, minor = reduced_eig(x), reduced_eig(x[:n, :n])
     ref_full, ref_minor = eig_sym(x), eig_sym(x[:n, :n])
-    assert isinstance(full, ReducedEig) == isinstance(minor, ReducedEig) == _lapack_path()
+    assert (full.reflectors is not None) == (minor.reflectors is not None) == _lapack_path()
     # the same LAPACK calls as eigh: the eigenvalues agree bit for bit on either path
     assert np.array_equal(full.eigenvalues, ref_full.eigenvalues)
     assert np.array_equal(minor.eigenvalues, ref_minor.eigenvalues)
@@ -275,18 +274,18 @@ def _check_reduced(x, n, descs):
     iso_full, iso_minor = _isolated(ref_full.eigenvalues), _isolated(ref_minor.eigenvalues)
     columns = full.vectors(descs)
     for c, k in enumerate(descs):
-        vector, ref = full.vectors(k), ref_full.eigenvectors[:, k]
+        vector, ref = full.vectors(k), ref_full.vectors(k)
         assert np.abs(vector - columns[:, c]).max() <= 1e-14
         assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
         if iso_full[k]:
             assert min(np.abs(vector - ref).max(), np.abs(vector + ref).max()) <= 1e-12
     # coefficients on any vectors: squared, so the sign of each eigenvector drops out
     w = np.random.default_rng(n).standard_normal((x.shape[0], 3))
-    coef, ref_coef = full.coefficients(w), ref_full.eigenvectors.T @ w
+    coef, ref_coef = full.coefficients(w), ref_full.vectors(np.arange(x.shape[0])).T @ w
     assert coef.shape == (x.shape[0], 3)
     assert np.abs(coef[iso_full] ** 2 - ref_coef[iso_full] ** 2).max(initial=0) <= 1e-12
     # the readers against the grid, on entries whose two levels are isolated
-    grid = overlap_grid(ref_full, ref_minor).values
+    grid = overlap_columns(ref_full, ref_minor, np.arange(x.shape[0]))
     both = iso_minor[:, None] & iso_full[None, :]
     i = descs[-1] % n
     row, row_error = overlap_row(full, minor, i)
@@ -313,7 +312,7 @@ def test_reduced_eig_falls_back_to_eigh_without_the_library(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_openblas", lambda: None)
         full, minor = reduced_eig(x), reduced_eig(x[:n, :n])
-        assert isinstance(full, SpectralDecomposition)
+        assert full.reflectors is None
         _check_reduced(x, n, descs)
     assert np.array_equal(full.eigenvalues, lapack_full.eigenvalues)
     assert np.array_equal(minor.eigenvalues, lapack_minor.eigenvalues)
@@ -332,7 +331,7 @@ def test_reduced_eig_takes_eighs_path_where_eigh_rescales():
     x = sample_goe(30, 1.0, derive_stream(5, 0))
     for scale in (1e150, 1e-150):
         dec = reduced_eig(x * scale)
-        assert isinstance(dec, SpectralDecomposition)
+        assert dec.reflectors is None
         assert np.array_equal(dec.eigenvalues, eig_sym(x * scale).eigenvalues)
     zero = reduced_eig(np.zeros((4, 4)))
     assert np.array_equal(zero.eigenvalues, np.zeros(4))
@@ -340,14 +339,16 @@ def test_reduced_eig_takes_eighs_path_where_eigh_rescales():
 
 
 def test_reduced_eig_refuses_bad_input():
-    for bad in (np.eye(3)[:2], np.ones(3), np.zeros((0, 0))):
-        with pytest.raises(ValueError, match="square"):
-            reduced_eig(bad)
-    with pytest.raises(ValueError, match="not exactly symmetric"):
-        reduced_eig(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
-    for value in (np.nan, np.inf):
-        with pytest.raises(NumericError, match="non-finite 3x3"):
-            reduced_eig(np.diag([1.0, value, 2.0]))
+    # both constructors share one input check
+    for decompose in (reduced_eig, eig_sym):
+        for bad in (np.eye(3)[:2], np.ones(3), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="square"):
+                decompose(bad)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            decompose(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
+        for value in (np.nan, np.inf):
+            with pytest.raises(NumericError, match="non-finite 3x3"):
+                decompose(np.diag([1.0, value, 2.0]))
 
 
 def test_readers_audit_what_they_read():
@@ -377,3 +378,6 @@ def test_readers_audit_what_they_read():
         overlap_columns(full, Inflated(np.sqrt(2.0 / (widest + largest))), list(range(20)))
     with pytest.raises(NumericError, match="entries escape"):
         overlap_entry(full, Inflated(2.0 / np.sqrt(cols[0, 5])), 0, 5)
+    # every column is the whole grid: its rows are audited too, not only its columns
+    with pytest.raises(NumericError, match="row sums deviate"):
+        overlap_columns(full, Inflated(np.sqrt(1.0 + 1e-8)), list(range(20)))
