@@ -31,6 +31,11 @@ DEFAULT_BOUNDARY_EPS = 1e-6
 EDGE_DENSITY_THRESHOLD = 1e-3
 #: residual a solver root must reach on the Herglotz branch
 SOLVER_TOL = 1e-10
+#: offset below the real axis for the edge scan: it keeps the edge's epsilon-smearing below
+#: the bisection ``tol``
+_EDGE_SCAN_EPS = 1e-9
+#: density that separates inside from outside the support in the edge scan
+_EDGE_SCAN_DENSITY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,27 @@ class SpectrumModel:
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumModel":
-        """Parse a model; a non-empty ``"spikes"`` list is refused, since nothing reads it."""
+        """Parse a model; a wrong JSON type, or a non-empty ``"spikes"`` list, is refused."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"model must be a JSON object, got {type(obj).__name__}")
         if obj.get("spikes"):
             raise ValueError("model field 'spikes' is not supported; omit it or give []")
-        return cls(atoms=tuple((a, w) for a, w in obj.get("atoms", ())), q=obj.get("q", 1.0))
+        atoms = obj.get("atoms", [])
+        if not (isinstance(atoms, list)
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in atoms)):
+            raise ValueError(f"model field 'atoms' must be a list of [location, weight] "
+                             f"pairs, got {atoms!r}")
+        return cls(atoms=tuple((_json_number(a, "atom location"), _json_number(w, "atom weight"))
+                               for a, w in atoms),
+                   q=_json_number(obj.get("q", 1.0), "model field 'q'"))
+
+
+def _json_number(value, name: str):
+    """``value`` if JSON parsed it as a number, else ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:
@@ -420,26 +441,25 @@ def boundary_values(evaluator, lam, eps0: float = DEFAULT_BOUNDARY_EPS) -> Bound
     return BoundaryValues(*(f if lam.ndim else f.item() for f in fields))
 
 
-def scan_support_edge(evaluator, inside: float, outside,
-                      eps: float = 1e-9, threshold: float = 1e-4, tol: float = 1e-8):
+def scan_support_edge(evaluator, inside: float, outside, tol: float = 1e-8):
     """Locate support edges of the boundary density by bisection.
 
-    ``inside`` must have density above ``threshold`` and each point of
-    ``outside`` (scalar or array) below.  The outside points are bisected in
-    lockstep, one evaluator call per step, each until its bracket is below
-    ``tol``.  A small ``eps`` keeps the edge's epsilon-smearing below ``tol``.
+    ``inside`` must have density above ``_EDGE_SCAN_DENSITY`` and each point
+    of ``outside`` (scalar or array) below.  The outside points are bisected
+    in lockstep, one evaluator call per step, each until its bracket is below
+    ``tol``.
     """
     hi = np.array(outside, dtype=float, ndmin=1)
-    rho = boundary_values(evaluator, np.append(inside, hi), eps0=eps).rho
-    if rho[0] <= threshold:
+    rho = boundary_values(evaluator, np.append(inside, hi), eps0=_EDGE_SCAN_EPS).rho
+    if rho[0] <= _EDGE_SCAN_DENSITY:
         raise ValueError("'inside' point does not sit inside the support")
-    if np.any(rho[1:] > threshold):
+    if np.any(rho[1:] > _EDGE_SCAN_DENSITY):
         raise ValueError("'outside' point does not sit outside the support")
     lo = np.full(hi.shape, float(inside))
     live = np.abs(hi - lo) > tol
     while live.any():
         mid = 0.5 * (lo[live] + hi[live])
-        up = boundary_values(evaluator, mid, eps0=eps).rho > threshold
+        up = boundary_values(evaluator, mid, eps0=_EDGE_SCAN_EPS).rho > _EDGE_SCAN_DENSITY
         lo[live], hi[live] = np.where(up, mid, lo[live]), np.where(up, hi[live], mid)
         live = np.abs(hi - lo) > tol
     return 0.5 * (lo + hi) if np.ndim(outside) else float(0.5 * (lo[0] + hi[0]))

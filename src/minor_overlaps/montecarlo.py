@@ -271,16 +271,9 @@ def _pool_map(threads: int, fn, items):
                    else os.cpu_count() or 1)
     used = {"pool_threads": threads,
             "trial_blas_threads": None if _openblas_threads() is None else 1}
-    return _ordered_map(threads, fn, items), used
 
-
-def _ordered_map(threads: int, fn, items):
-    """The iterator behind :func:`_pool_map`."""
-    with _one_blas_thread():
-        if threads == 1:
-            yield from map(fn, items)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    def results():
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             ahead = collections.deque()
             for item in items:
                 ahead.append(pool.submit(fn, item))
@@ -288,6 +281,8 @@ def _ordered_map(threads: int, fn, items):
                     yield ahead.popleft().result()
             while ahead:
                 yield ahead.popleft().result()
+
+    return results(), used
 
 
 def _run_trials(trials: int, threads: int, worker):

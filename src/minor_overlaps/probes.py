@@ -10,22 +10,17 @@ independent Gaussian increments through the frozen state:
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
 
-The drift probe holds OpenBLAS at one thread for the whole probe, the
-frozen state included, and streams its increments through the trial pool
-(:func:`minor_overlaps.montecarlo._pool_map`) in blocks of ``_BLOCK``
-(:func:`_map_increments`).  Each increment reads one number, the overlap of
-minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix, so
-each step solves for those two eigenvectors alone
-(:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or
-a full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
-names the one used as ``stepper``).  The probe draws from one generator, in
-the caller's thread: block ``k`` is drawn ``k``-th, and a pool task only
-steps the block it is handed, so the tasks share no state.  Blocks return
-per-increment rows, which reduce in groups of ``_GROUP`` increments, group
-by group in draw order.  The results are therefore the same bit for bit at
-every worker count, and memory holds a few blocks and one group of rows
-whatever ``trials`` is.  The correlation probe runs serially in batches of
-``_CHUNK`` samples; its matrix products use the caller's BLAS threads.
+The drift probe steps its increments on the trial pool
+(:func:`minor_overlaps.montecarlo._pool_map`) at one BLAS thread;
+:func:`drift_probe` states how they stream and why its report is the same bit
+for bit at every worker count.  Each increment reads one number, the overlap
+of minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix,
+so each step solves for those two eigenvectors alone
+(:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
+full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
+names the one used as ``stepper``).  The correlation probe runs serially in
+batches of ``_CHUNK`` samples; its matrix products use the caller's BLAS
+threads.  Both probes report through :func:`_probe_report`.
 Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
 middle levels.
 """
@@ -84,11 +79,21 @@ def _check_probe(n_dim: int, n: int, dt: float):
         raise ValueError(f"need a finite dt > 0, got {dt}")
 
 
-def _mean_se(total: float, total_sq: float, count: int):
-    """Mean and standard error of ``count`` draws from their sum and sum of squares."""
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, np.sqrt(var / count)
+def _probe_report(config: dict, start: float, sums, sq_sums, count: int, dt: float,
+                  kinds, theory, extras=None) -> ExperimentReport:
+    """Report on rows of ``count`` draws each, from the draws' sums and sums of squares.
+
+    Row ``k``, of kind ``kinds[k]``, estimates its draws' mean per unit
+    ``dt`` with a 99% normal interval from their population variance, against
+    ``theory[k]``.
+    """
+    mean = sums / count
+    se = np.sqrt(np.maximum(sq_sums / count - mean * mean, 0.0) / count)
+    rows = [_estimate(k, m / dt, Z_99 * (e / dt), count, kind)
+            for k, (m, e, kind) in enumerate(zip(mean, se, kinds))]
+    return ExperimentReport(config=config, estimates=tuple(rows), theory=tuple(theory),
+                            coverage=_coverage(rows, theory)[0],
+                            wall_time_s=time.perf_counter() - start, extras=extras or {})
 
 
 def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, iu):
@@ -128,54 +133,32 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     full_indices = (n_dim // 2 - 1, n_dim // 2, n_dim // 2 + 1)
     minor_pairs = [(i, l) for i in minor_indices for l in minor_indices]
     full_pairs = [(j, k) for j in full_indices for k in full_indices]
-    quads = [(i, l, j, k) for (i, l) in minor_pairs for (j, k) in full_pairs]
 
     # the frozen vectors' columns are already in descending eigenvalue order
     iu = np.triu_indices(n_dim, k=1)
-    minor_coeffs = np.array([
-        _quadratic_form_coeffs(block_vecs[:, i], block_vecs[:, l], n_dim, dt, iu)
-        for (i, l) in minor_pairs
-    ])
-    full_coeffs = np.array([
-        _quadratic_form_coeffs(full_vecs[:, j], full_vecs[:, k], n_dim, dt, iu)
-        for (j, k) in full_pairs
-    ])
+    minor_coeffs, full_coeffs = (
+        np.array([_quadratic_form_coeffs(vecs[:, u], vecs[:, w], n_dim, dt, iu) for u, w in pairs])
+        for vecs, pairs in ((block_vecs, minor_pairs), (full_vecs, full_pairs)))
 
-    n_entries = minor_coeffs.shape[1]
-    sums = np.zeros(len(quads))
-    sq_sums = np.zeros(len(quads))
+    sums = np.zeros((len(minor_pairs), len(full_pairs)))
+    sq_sums = np.zeros_like(sums)
     rng = derive_stream(seed, 1).generator()
-    remaining = samples
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        z = rng.standard_normal((size, n_entries))
-        a = z @ minor_coeffs.T        # (size, n minor pairs)
-        b = z @ full_coeffs.T         # (size, n full pairs)
-        idx = 0
-        for mp in range(len(minor_pairs)):
-            for fp in range(len(full_pairs)):
-                prod = a[:, mp] * b[:, fp]
-                sums[idx] += prod.sum()
-                sq_sums[idx] += (prod * prod).sum()
-                idx += 1
-        remaining -= size
+    for done in range(0, samples, _CHUNK):
+        z = rng.standard_normal((min(_CHUNK, samples - done), minor_coeffs.shape[1]))
+        # one contiguous row per pair of projections: each row sums as one 1-D array
+        a, b = (np.ascontiguousarray((z @ c.T).T) for c in (minor_coeffs, full_coeffs))
+        for mp, row in enumerate(a):
+            prod = row * b
+            sums[mp] += prod.sum(axis=1)
+            sq_sums[mp] += (prod * prod).sum(axis=1)
 
-    rows = []
-    theory = []
-    for idx, (i, l, j, k) in enumerate(quads):
-        mean, se = _mean_se(sums[idx], sq_sums[idx], samples)
-        rows.append(_estimate(idx, mean / dt, Z_99 * (se / dt), samples, "correlation"))
-        theory.append(float((signed[i, j] * signed[l, k] + signed[i, k] * signed[l, j]) / n_dim))
-
-    return ExperimentReport(
-        config={"probe": "correlation", "n_dim": n_dim, "n": n, "t": t,
-                "samples": samples, "seed": seed, "dt": dt,
-                "minor_indices": list(minor_indices), "full_indices": list(full_indices)},
-        estimates=tuple(rows),
-        theory=tuple(theory),
-        coverage=_coverage(rows, theory)[0],
-        wall_time_s=time.perf_counter() - start,
-    )
+    theory = [float((signed[i, j] * signed[l, k] + signed[i, k] * signed[l, j]) / n_dim)
+              for (i, l) in minor_pairs for (j, k) in full_pairs]
+    config = {"probe": "correlation", "n_dim": n_dim, "n": n, "t": t, "samples": samples,
+              "seed": seed, "dt": dt, "minor_indices": list(minor_indices),
+              "full_indices": list(full_indices)}
+    return _probe_report(config, start, sums.ravel(), sq_sums.ravel(), samples, dt,
+                         ["correlation"] * len(theory), theory)
 
 
 def _drift_formula(signed: np.ndarray, lam: np.ndarray, mu: np.ndarray,
@@ -236,70 +219,6 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
-def _stepper(x_mat: np.ndarray, n: int, i: int, j: int):
-    """``step(dh)``: signed overlap of minor eigenvector ``i`` and full ``j`` of ``x_mat + dh[c]``.
-
-    Each matrix is solved for those two eigenvectors alone
-    (:func:`minor_overlaps.spectral.eigpair_at`).  The solvers and their
-    buffers are made on a thread's first call and kept for its later ones,
-    so every pool thread has its own pair.
-    """
-    n_dim = x_mat.shape[0]
-    local = threading.local()
-
-    def step(dh):
-        if not hasattr(local, "solvers"):
-            local.solvers = (eigpair_at(n_dim), eigpair_at(n),
-                             np.empty((n_dim, n_dim)), np.empty((n, n)))
-        full_pair, minor_pair, full, minor = local.solvers
-        block = full[:n, :n]
-        out = np.empty(len(dh))
-        for c in range(len(dh)):
-            np.add(x_mat, dh[c], out=full)
-            minor[:] = block  # before the full solve overwrites full
-            _, psi = full_pair(full, j)
-            _, phi = minor_pair(minor, i)
-            out[c] = phi @ psi[:n]
-        return out
-
-    return step
-
-
-def _map_increments(rng, n_dim: int, scale: float, total: int, rows_of, reduce_group):
-    """Stream ``total`` symmetric increments through the trial pool, reducing them by group.
-
-    Group ``g`` holds the ``g``-th ``_GROUP`` of draws, in blocks of at most
-    ``_BLOCK``.  The caller's thread draws block ``k`` ``k``-th from ``rng``
-    as the pool reads it (:func:`~minor_overlaps.montecarlo._pool_map`), and
-    a pool task turns its block of standard normals ``z`` into ``dh = (z +
-    z^T) * scale`` in place and returns ``rows_of(dh)``, a tuple of
-    per-increment rows (arrays whose first axis runs over the block).  The
-    rows of each group, joined in draw order, go to ``reduce_group``, group
-    by group in order; the rows held never exceed one group plus the blocks
-    the pool runs ahead.  The pool has one worker per core.  Returns the
-    pool's thread counts.
-    """
-
-    def blocks():
-        for start in range(0, total, _GROUP):
-            size = min(_GROUP, total - start)
-            for s in range(0, size, _BLOCK):
-                yield rng.standard_normal((min(_BLOCK, size - s), n_dim, n_dim))
-
-    def run(dh):
-        for m in dh:
-            m += m.T
-        dh *= scale
-        return rows_of(dh)
-
-    results, used = _pool_map(0, run, blocks())
-    per_group = -(-_GROUP // _BLOCK)
-    with contextlib.closing(results):
-        while group := list(itertools.islice(results, per_group)):
-            reduce_group(*(np.concatenate(cols) for cols in zip(*group)))
-    return used
-
-
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 trials: int = 100_000, seed: int = 0) -> ExperimentReport:
     """Finite-difference drift of one squared overlap vs the drift formula.
@@ -309,14 +228,19 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     the largest-magnitude formula drift among well-separated levels, so the
     relative comparison is well conditioned.  The whole probe, the frozen
     state included, runs with OpenBLAS held at one thread; the caller's
-    count is restored afterwards.  The ``trials`` increments stream through
-    the trial pool in blocks, one worker per core (:func:`_map_increments`),
-    and reduce in groups of ``_GROUP``: group ``k`` holds the ``k``-th
-    ``_GROUP`` of the probe's draws and the sums reduce in group order, so
-    the report is the same bit for bit at every worker count.  Its extras
-    record the ``pair``, the ``pool_threads`` and ``trial_blas_threads``,
-    and the ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped
-    matrices.
+    count is restored afterwards.
+
+    The caller's thread draws the ``trials`` increments from the probe's one
+    generator, block ``k`` (at most ``_BLOCK`` increments) ``k``-th, as the
+    trial pool (:func:`~minor_overlaps.montecarlo._pool_map`, one worker per
+    core) reads them.  A pool task symmetrizes its block in place, steps each
+    increment with its thread's own solver pair, and returns per-increment
+    rows.  The caller joins the rows of each ``_GROUP`` of draws in draw
+    order and reduces the groups in order.  So the report is the same bit for
+    bit at every worker count, and memory holds one group of rows plus the
+    blocks the pool runs ahead, whatever ``trials`` is.  The extras record
+    the ``pair``, the ``pool_threads`` and ``trial_blas_threads``, and the
+    ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped matrices.
     """
     start = time.perf_counter()
     if trials < 1000:
@@ -338,16 +262,39 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
             w_full[j] = 0.0
             w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
             w_minor[i] = 0.0
-        step = _stepper(x_mat, n, i, j)
+        rng = derive_stream(seed, 1).generator()
+        scale = np.sqrt(dt / (2.0 * n_dim))
+        local = threading.local()
 
-        def rows_of(dh):
-            return (step(dh), np.einsum("cab,b->ca", dh, psi_j),
+        def blocks():
+            for first in range(0, trials, _GROUP):
+                size = min(_GROUP, trials - first)
+                for s in range(0, size, _BLOCK):
+                    yield rng.standard_normal((min(_BLOCK, size - s), n_dim, n_dim))
+
+        def run(dh):
+            if not hasattr(local, "solvers"):
+                local.solvers = (eigpair_at(n_dim), eigpair_at(n),
+                                 np.empty((n_dim, n_dim)), np.empty((n, n)))
+            full_pair, minor_pair, full, minor = local.solvers
+            overlap = np.empty(len(dh))
+            for c, m in enumerate(dh):
+                m += m.T
+                m *= scale
+                np.add(x_mat, m, out=full)
+                minor[:] = full[:n, :n]  # before the full solve overwrites full
+                _, psi = full_pair(full, j)
+                _, phi = minor_pair(minor, i)
+                overlap[c] = phi @ psi[:n]
+            return (overlap, np.einsum("cab,b->ca", dh, psi_j),
                     np.einsum("cab,b->ca", dh[:, :n, :n], phi_i))
 
         sums = np.zeros(3)
         sq_sums = np.zeros(3)
 
-        def reduce_group(a, dh_psi, dh_phi):
+        # a function, so a group's products are freed before the next group is read
+        def reduce_group(group):
+            a, dh_psi, dh_phi = (np.concatenate(cols) for cols in zip(*group))
             beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
             beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
             terms = (a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor)
@@ -355,20 +302,14 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 sums[slot] += vals.sum()
                 sq_sums[slot] += (vals * vals).sum()
 
-        used = _map_increments(derive_stream(seed, 1).generator(), n_dim,
-                               np.sqrt(dt / (2.0 * n_dim)), trials, rows_of, reduce_group)
+        results, used = _pool_map(0, run, blocks())
+        with contextlib.closing(results):
+            while group := list(itertools.islice(results, -(-_GROUP // _BLOCK))):
+                reduce_group(group)
 
-    rows = []
-    for slot, kind in enumerate(("drift", "martingale_full", "martingale_minor")):
-        mean, se = _mean_se(sums[slot], sq_sums[slot], trials)
-        rows.append(_estimate(slot, mean / dt, Z_99 * (se / dt), trials, kind))
-    theory = (float(d1 + d2 + d3), 0.0, 0.0)
-    return ExperimentReport(
-        config={"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt,
-                "trials": trials, "seed": seed},
-        estimates=tuple(rows),
-        theory=theory,
-        coverage=_coverage(rows, theory)[0],
-        wall_time_s=time.perf_counter() - start,
-        extras={"pair": (i, j), **used, "stepper": eigpair_backend()},
-    )
+    config = {"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt, "trials": trials,
+              "seed": seed}
+    return _probe_report(config, start, sums, sq_sums, trials, dt,
+                         ("drift", "martingale_full", "martingale_minor"),
+                         (float(d1 + d2 + d3), 0.0, 0.0),
+                         {"pair": (i, j), **used, "stepper": eigpair_backend()})

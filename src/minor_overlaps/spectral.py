@@ -211,7 +211,11 @@ class ReducedEig:
 
     def vectors(self, idx):
         """Eigenvectors ``Q S[:, k]`` at descending indices ``idx`` (an int or a list), copied."""
-        columns = np.take(self.tridiagonal_vectors, self.dim - 1 - np.asarray(idx), axis=1)
+        idx = np.asarray(idx)
+        outside = idx[(idx < 0) | (idx >= self.dim)]
+        if outside.size:
+            raise IndexError(f"descending index {outside.flat[0]} outside [0, {self.dim})")
+        columns = np.take(self.tridiagonal_vectors, self.dim - 1 - idx, axis=1)
         return self._apply_q(columns, b"N")
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:

@@ -563,8 +563,16 @@ _SPIKES = '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [4.0], "q": 0.5}'
      "atom locations must be finite"),
     (["simulate"], '{"atoms": [[-1.0, NaN], [1.0, 1.0]], "q": 0.5}',
      "atom weights must be finite"),
+    (["theory", "--kernel", "general"], '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "q": "0.5"}',
+     "model field 'q' must be a number, got '0.5'"),
+    (["simulate"], '{"atoms": [[null, 0.5], [1.0, 0.5]], "q": 0.5}',
+     "atom location must be a number, got None"),
+    (["simulate"], '{"atoms": 5, "q": 0.5}',
+     "model field 'atoms' must be a list of [location, weight] pairs, got 5"),
+    (["simulate"], '[[-1.0, 0.5], [1.0, 0.5]]', "model must be a JSON object, got list"),
 ], ids=["simulate-spikes", "compare-spikes", "theory-kernel-general-spikes", "missing-file",
-        "no-atoms", "bad-json", "infinite-atom", "nan-weight"])
+        "no-atoms", "bad-json", "infinite-atom", "nan-weight", "string-q", "null-location",
+        "atoms-not-a-list", "list-document"])
 def test_refused_model_exits_two(capsys, tmp_path, monkeypatch, argv, text, message):
     model_path = tmp_path / "model.json"
     if text is not None:

@@ -10,11 +10,19 @@ builds and thread counts, not changes of an estimator or a formula.
 Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+To check that a change moves no printed byte, run
+
+    PYTHONPATH=src python tests/test_golden.py --digest
+
+before and after it: each line names a case, its exit code and the md5 of
+its stdout, with the JSON ``wall_time_s`` value masked.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -29,6 +37,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 MODEL = "{golden}/two_atom_model.json"
 RTOL = 1e-12
 _INTEGER = re.compile(r"-?\d+")
+_WALL_TIME = re.compile(r'("wall_time_s": )[^,\n]+')
 
 _SIM = ["--N", "40", "--qfrac", "0.5", "--t", "1", "--trials", "100", "--bins", "9"]
 _SPIKE = ["--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--t", "0.2", "--N", "60",
@@ -179,7 +188,16 @@ def record():
     (GOLDEN_DIR / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
 
 
+def digest():
+    """Print ``case exit-code md5`` per case, the stdout hashed with ``wall_time_s`` masked."""
+    for name in sorted(CASES):
+        code, stdout = run_case(name)
+        masked = _WALL_TIME.sub(r"\1null", stdout)
+        print(name, code, hashlib.md5(masked.encode()).hexdigest())
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    record()
+    commands = {"--record": record, "--digest": digest}
+    if len(sys.argv) != 2 or sys.argv[1] not in commands:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record | --digest")
+    commands[sys.argv[1]]()

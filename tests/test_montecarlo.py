@@ -790,6 +790,29 @@ def test_drift_probes_reproduce_a_case_across_block_and_group_boundaries():
     assert report.extras["pair"] == (6, 13)
 
 
+def test_correlation_probe_reproduces_a_case_across_a_short_batch():
+    # recorded with each quadruple's products summed as one contiguous 1-D
+    # array; 12,345 samples end in a short batch of 345
+    report = correlation_probe(12, 6, 1.0, samples=12_345, seed=7)
+    fields = _drift_fields(report)
+    assert [fields[k] for k in (0, 13, 40, 67, 80)] == [
+        (0.0, "correlation", 0.0678683733335046, 0.0637415650983032, 0.07199518156870599,
+         12345),
+        (13.0, "correlation", -0.0035852282567711198, -0.006326294828731862,
+         -0.0008441616848103772, 12345),
+        (40.0, "correlation", 0.0031816705309596987, -0.0006666145245150675,
+         0.007029955586434464, 12345),
+        (67.0, "correlation", -0.0012267341318901348, -0.004014659532266495,
+         0.0015611912684862258, 12345),
+        (80.0, "correlation", 0.0009292563417199549, -0.00290517746973075,
+         0.00476369015317066, 12345),
+    ]
+    assert [report.theory[k] for k in (0, 13, 40, 67, 80)] == [
+        0.06683515134644588, -0.005788251474472976, 0.0018048194935001043,
+        -0.001500473626757381, 0.0007899986882983345]
+    assert report.coverage == 1.0
+
+
 def _traced_peak(fn, *args, **kwargs):
     """Peak bytes ``fn`` allocates, numpy buffers included, as tracemalloc sees them."""
     tracemalloc.start()

@@ -381,3 +381,20 @@ def test_readers_audit_what_they_read():
     # every column is the whole grid: its rows are audited too, not only its columns
     with pytest.raises(NumericError, match="row sums deviate"):
         overlap_columns(full, Inflated(np.sqrt(1.0 + 1e-8)), list(range(20)))
+
+
+def test_vectors_refuse_descending_indices_outside_the_spectrum():
+    # descending index k reads ascending column dim - 1 - k, which must not wrap around
+    x = sample_goe(6, 1.0, derive_stream(4, 0))
+    for decompose in (reduced_eig, eig_sym):
+        full, minor = decompose(x), decompose(x[:3, :3])
+        for bad, first in ((6, 6), (7, 7), (-1, -1), ([0, 6], 6), (np.array([5, -2]), -2)):
+            with pytest.raises(IndexError, match=rf"descending index {first} outside \[0, 6\)"):
+                full.vectors(bad)
+        with pytest.raises(IndexError, match=r"descending index 6 outside \[0, 6\)"):
+            overlap_entry(full, minor, 0, 6)
+        with pytest.raises(IndexError, match=r"descending index 3 outside \[0, 3\)"):
+            overlap_row(full, minor, 3)
+        with pytest.raises(IndexError, match=r"descending index 6 outside \[0, 6\)"):
+            overlap_columns(full, minor, [0, 6])
+        assert full.vectors([0, 5]).shape == (6, 2) and minor.vectors(2).shape == (3,)
