@@ -36,6 +36,8 @@ SOLVER_TOL = 1e-10
 _EDGE_SCAN_EPS = 1e-9
 #: density that separates inside from outside the support in the edge scan
 _EDGE_SCAN_DENSITY = 1e-4
+#: steps of the short continuation, then of the long one for the points it leaves
+_CONTINUATION_STEPS = (3, 30)
 
 
 @dataclass(frozen=True)
@@ -349,10 +351,11 @@ def _solve_shifted(model: SpectrumModel, z, t_shift: float):
     ``z`` is a scalar (giving a Python ``complex``) or an array.  Masked
     Newton runs from ``G0(z)`` at all points at once.  The points whose root
     misses ``SOLVER_TOL`` or the Herglotz sign (near cusps and edges) restart
-    from deep in their half-plane and walk ``Im z`` down to the target in 30
-    geometric steps, one masked Newton solve per step for all of them.
-    ``ConvergenceError`` names the first point that still fails and counts
-    them all.
+    from deep in their half-plane and walk ``Im z`` down to the target in
+    ``_CONTINUATION_STEPS[0]`` geometric steps, one masked Newton solve per
+    step for all of them; the points that still miss walk again in
+    ``_CONTINUATION_STEPS[1]`` steps.  ``ConvergenceError`` names the first
+    point that still fails and counts them all.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -361,19 +364,21 @@ def _solve_shifted(model: SpectrumModel, z, t_shift: float):
     g = stieltjes_atomic(model, flat)
     if t_shift != 0.0:
         g = _newton(model, flat, t_shift, g)
-        _, bad = _misses(model, flat, t_shift, g)
-        if bad.any():
-            g[bad] = _continuation(model, flat[bad], t_shift)
+        residual, bad = _misses(model, flat, t_shift, g)
+        for steps in _CONTINUATION_STEPS:
+            if not bad.any():
+                break
+            g[bad] = _continuation(model, flat[bad], t_shift, steps)
             residual, bad = _misses(model, flat, t_shift, g)
-            if bad.any():
-                k = np.argmax(bad)
-                raise ConvergenceError(
-                    f"implicit Stieltjes solve failed at {bad.sum()} of {flat.size} points, first "
-                    f"at z={complex(flat[k])}, shift={t_shift}: residual={residual[k]:.3e}")
+        if bad.any():
+            k = np.argmax(bad)
+            raise ConvergenceError(
+                f"implicit Stieltjes solve failed at {bad.sum()} of {flat.size} points, first "
+                f"at z={complex(flat[k])}, shift={t_shift}: residual={residual[k]:.3e}")
     return complex(g[0]) if z.ndim == 0 else g.reshape(z.shape)
 
 
-def _continuation(model, z, t_shift, steps=30):
+def _continuation(model, z, t_shift, steps):
     # from far off the axis, same half-plane as z, down to |Im z|
     sign = np.sign(z.imag)
     span = np.max(np.abs(model._locs)) + 2.0 * np.sqrt(t_shift) + 1.0

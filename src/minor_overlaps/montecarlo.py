@@ -9,8 +9,9 @@ t_max, steps, seed)`` follows one noise path instead.
 Every runner runs its trials through :func:`_run_decomposed`: one
 independent random stream per trial
 (:func:`minor_overlaps.ensembles.derive_stream`), each trial reduces its
-matrix and the bare leading ``n x n`` block to tridiagonal form once each
-(:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector back-transform),
+matrix and the bare leading ``n x n`` block to tridiagonal form once each, in
+place (:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector
+back-transform), forming per side only the eigenvectors its runner asks for,
 audits Cauchy interlacing on every eigenvalue, and reads only the overlaps
 its runner uses (a grid row, columns or one entry), audited as read; trials
 run concurrently but reduce in trial-index order.  99% confidence
@@ -18,14 +19,13 @@ intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
 three binned runners supply edges, sampler, per-trial selection and theory,
 and share one report tail (:func:`_binned_report`).  The trial pool has one
-worker per available core (``threads=0``), and while trials run numpy's
-OpenBLAS is held at one thread, so each worker decomposes single-threaded
-and the caller's BLAS setting is restored afterwards.  Reports therefore
-reproduce bit for bit for a fixed master seed, independent of worker count
-and of the caller's BLAS thread count.  Set-up decompositions outside the
-trials (such as the initial transform of an explicit deterministic part)
-still run with the caller's BLAS setting.  The drift probe streams its
-increment blocks through the same pool (:func:`_pool_map`).
+worker per available core (``threads=0``).  Every runner holds numpy's
+OpenBLAS at one thread from entry to return, set-up and theory included, so
+each worker decomposes single-threaded and the caller's BLAS setting is
+restored afterwards.  Reports therefore reproduce bit for bit for a fixed
+master seed, independent of worker count and of the caller's BLAS thread
+count.  The drift probe streams its increment blocks through the same pool
+(:func:`_pool_map`).
 
 Binned comparisons use the density-weighted average of the theory curve over
 each bin rather than its value at the bin center: the Monte Carlo bin mean
@@ -77,13 +77,13 @@ from .overlaps_theory import (
 )
 from .spectral import (
     _openblas,
+    _reduce_in_place,
     check_interlacing,
     minor_size,
     overlap_columns,
     overlap_entry,
     overlap_row,
     quantile_index,
-    reduced_eig,
 )
 
 Z_99 = 2.575829303548901  # two-sided 99% normal quantile
@@ -232,6 +232,7 @@ def _one_blas_thread():
     """Hold OpenBLAS at one thread for the block, where its count is reachable.
 
     The count is process-wide, so the caller's value is restored on exit.
+    ``@_one_blas_thread()`` holds it for each call of the function it decorates.
     """
     blas = _openblas_threads()
     if blas is None:
@@ -493,16 +494,19 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     return theory, rho_bar, int(np.isnan(w).sum())
 
 
-def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = None,
-                    first_stream: int = 0):
+def _run_decomposed(config: ExperimentConfig, sample, trial, requests=(None, None),
+                    n: int | None = None, first_stream: int = 0):
     """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
 
     Trial ``m`` draws ``x = sample(derive_stream(config.master_seed,
-    first_stream + m))``, reduces ``x`` and its bare leading ``n x n`` block
-    (``n`` defaults to ``config.n``) with :func:`~minor_overlaps.spectral.reduced_eig`,
-    audits Cauchy interlacing on every eigenvalue, and returns ``trial(full,
-    minor)``, or None for an absorbed spike.  ``trial`` reads the overlaps it
-    uses through the spectral readers, which audit what they read.  ``kept``
+    first_stream + m))``, copies its bare leading ``n x n`` block (``n``
+    defaults to ``config.n``), reduces ``x`` and then the block in place as
+    :func:`~minor_overlaps.spectral.reduced_eig` would, with the eigenvector
+    requests ``requests = (full, minor)``, audits Cauchy interlacing on every
+    eigenvalue, and returns ``trial(full, minor)``, or None for an absorbed
+    spike.  ``sample`` returns a new matrix on each call, which the trial
+    owns.  ``trial`` reads the overlaps it uses through the spectral readers,
+    which audit what they read.  ``kept``
     holds the other results in trial order.  ``run`` holds the counts
     ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
     ``trial_blas_threads`` the trials ran with.
@@ -514,7 +518,8 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = Non
 
     def worker(m):
         x_mat = sample(derive_stream(config.master_seed, first_stream + m))
-        full, minor = reduced_eig(x_mat), reduced_eig(x_mat[:n, :n])
+        block = x_mat[:n, :n].copy()
+        full, minor = _reduce_in_place(x_mat, requests[0]), _reduce_in_place(block, requests[1])
         ok, margin = check_interlacing(full.eigenvalues, minor.eigenvalues)
         if not ok:
             raise NumericError(f"interlacing violated by margin {margin:.3e}")
@@ -530,6 +535,7 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, n: int | None = Non
 # bulk experiment
 # ---------------------------------------------------------------------------
 
+@_one_blas_thread()
 def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Binned rescaled overlaps of one minor eigenvector row against theory.
 
@@ -570,14 +576,16 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     def sample(seed):
         x_mat = sample_goe(n_dim, t, seed)
-        return x_mat if a_mat is None else x_mat + a_mat
+        if a_mat is not None:
+            x_mat += a_mat
+        return x_mat
 
     def trial(full, minor):
         row, row_sum_error = overlap_row(full, minor, row_idx)
         means, counts = _bin_means(n_dim * row, full.eigenvalues, edges)
         return means, counts, minor.eigenvalues[row_idx], row_sum_error
 
-    kept, run = _run_decomposed(config, sample, trial)
+    kept, run = _run_decomposed(config, sample, trial, requests=(None, row_idx))
     mu_hat = float(np.mean([r[2] for r in kept]))
     extras = {"mu_hat": mu_hat, "bin_width": float(edges[1] - edges[0]),
               "worst_row_sum_error": float(max(r[3] for r in kept))}
@@ -608,6 +616,7 @@ def _spike_absorbed(top_eval: float, t: float) -> bool:
     return top_eval < edge + SPIKE_ABSORB_MARGIN * edge
 
 
+@_one_blas_thread()
 def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     """Mean squared overlap of the two top (spike) eigenvectors vs its limit."""
     start = time.perf_counter()
@@ -627,7 +636,8 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
             return None
         return overlap_entry(full, minor, 0, 0)
 
-    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
+    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
+                                requests=(0, 0))
     if len(kept) < 2:
         raise NumericError("no usable spike-spike trials (spike absorbed everywhere)")
     return ExperimentReport(
@@ -640,6 +650,7 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+@_one_blas_thread()
 def spike_path_series(n_dim: int, q: float, spike: float, t_max: float, steps: int,
                       seed: int) -> TrajectorySeries:
     """One noise path under the uniform spike: spike positions and bulk tops.
@@ -669,6 +680,7 @@ def spike_path_series(n_dim: int, q: float, spike: float, t_max: float, steps: i
                             edge_full=lam2, edge_minor=mu2)
 
 
+@_one_blas_thread()
 def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     """Overlap profile of the full spike eigenvector on the minor bulk.
 
@@ -693,7 +705,8 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
         means, counts = _bin_means(n_dim * col, minor.eigenvalues, edges)
         return means, counts, float(col.sum())
 
-    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial)
+    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
+                                requests=(0, None))
     if len(kept) < 2:
         raise NumericError("no usable spike-bulk trials (spike absorbed everywhere)")
 
@@ -712,6 +725,7 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
 # Bernoulli experiments
 # ---------------------------------------------------------------------------
 
+@_one_blas_thread()
 def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     """Bulk-pair overlaps of a Bernoulli matrix against the Gaussian kernel.
 
@@ -732,15 +746,19 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     full_edges = _bulk_bin_edges(t_eff, config.bins)
     full_window = full_edges[1] - full_edges[0]
 
-    def trial(full, minor):
+    def window(full_evals):
         # index 0 of each spectrum is its diverging spike; the window picks full columns
-        cols = 1 + np.flatnonzero(np.abs(full.eigenvalues[1:]) <= full_window / 2.0)
+        return 1 + np.flatnonzero(np.abs(full_evals[1:]) <= full_window / 2.0)
+
+    def trial(full, minor):
+        cols = window(full.eigenvalues)
         if not cols.size:
             return (np.full(edges.size - 1, np.nan), np.zeros(edges.size - 1))
         row_means = n_dim * overlap_columns(full, minor, cols)[1:].mean(axis=1)
         return _bin_means(row_means, minor.eigenvalues[1:], edges)
 
-    kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed), trial)
+    kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed), trial,
+                                requests=(window, None))
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
     nodes, weights = np.polynomial.legendre.leggauss(5)
@@ -755,6 +773,7 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
                           {"t_eff": t_eff})
 
 
+@_one_blas_thread()
 def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     """Deficit of the top-top overlap below ``n/N`` across matrix sizes.
 
@@ -779,7 +798,7 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
         kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed),
                                     lambda full, minor: n / n_dim - overlap_entry(
                                         full, minor, 0, 0),
-                                    n=n, first_stream=idx * config.trials)
+                                    requests=(0, 0), n=n, first_stream=idx * config.trials)
         aborted += run["aborted_trials"]
         rows.append(_trial_estimate(n_dim, kept, "deficit"))
         theory.append((1.0 - n / n_dim) * (1.0 / p - 1.0) / n_dim)

@@ -9,8 +9,9 @@ coordinates.
 A decomposition is a :class:`ReducedEig`.  :func:`reduced_eig` reduces with
 LAPACK, called directly from numpy's bundled OpenBLAS (loaded on first use by
 :func:`_openblas`), and forms eigenvectors, or the coefficients of given
-vectors on them, only when asked; :func:`eig_sym` wraps ``eigh``, whose ``Q``
-is the identity.  Overlaps are read through :func:`overlap_row`,
+vectors on them, only when asked; given a request, it finds only the
+requested eigenvectors of the tridiagonal form.  :func:`eig_sym` wraps
+``eigh``, whose ``Q`` is the identity.  Overlaps are read through :func:`overlap_row`,
 :func:`overlap_columns` (every column gives the whole grid) and
 :func:`overlap_entry`, which audit what they read.  :func:`eigpair_at`
 computes one eigenpair by index with LAPACK ``dsyevr`` (:func:`eigpair_backend`
@@ -44,7 +45,15 @@ _ARGTYPES = {
     "dstedc": [_INT, _CHR, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64],
     # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
     "dormtr": [_INT, _CHR, _CHR, _CHR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64],
+    # n, d, e (no layout argument, no workspace)
+    "dsterf": [_I64, _PTR, _PTR],
+    # layout, n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail
+    "dstein": [_INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR],
 }
+#: the routines :func:`reduced_eig` calls; without any of them it falls back to ``eigh``
+_REDUCTION = ("dsytrd", "dstedc", "dormtr", "dsterf", "dstein")
+#: LAPACK's relative machine precision ``dlamch('E')``, which ``dsterf`` splits ``T`` with
+_LAPACK_EPS = np.finfo(float).eps / 2
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in either layout
 #: numpy's ``eigh`` (LAPACK ``dsyevd``) rescales a matrix whose largest entry lies
 #: outside ``[_RMIN, _RMAX]`` before reducing it
@@ -83,18 +92,21 @@ def _lapack(name: str, size: int, *values, integer_work: bool = False):
     is ``work, lwork`` and, with ``integer_work``, also ``iwork, liwork``.  A
     nonzero ``info`` raises ``NumericError`` naming the routine and ``size``.
     """
-    fn = _lapacke(name)
-
     def call(lwork, liwork):
         tail = (work.ctypes.data, lwork, iwork.ctypes.data, liwork)
-        info = fn(_COL_MAJOR, *values, *tail[:4 if integer_work else 2])
-        if info != 0:
-            raise NumericError(f"{name} failed on a {size}x{size} matrix: info={info}")
+        _call(name, size, _COL_MAJOR, *values, *tail[:4 if integer_work else 2])
 
     work, iwork = np.ones(1), np.ones(1, dtype=np.int64)
     call(-1, -1)  # workspace query: the optimal lengths land in work[0] and iwork[0]
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
     call(work.size, iwork.size)
+
+
+def _call(name: str, size: int, *args):
+    """Call LAPACKE ``<name>_work`` with ``args``; a nonzero ``info`` raises ``NumericError``."""
+    info = _lapacke(name)(*args)
+    if info != 0:
+        raise NumericError(f"{name} failed on a {size}x{size} matrix: info={info}")
 
 
 def eigpair_backend() -> str:
@@ -180,7 +192,7 @@ def _checked_symmetric(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {x.shape}")
-    size, largest = x.shape[0], np.max(np.abs(x))
+    size, largest = x.shape[0], np.maximum(x.max(), -x.min())  # no |x| temporary
     if not np.isfinite(largest):
         raise NumericError(f"symmetric eigensolver got a non-finite {size}x{size} matrix")
     if not np.array_equal(x, x.T):
@@ -194,16 +206,19 @@ class ReducedEig:
 
     From :func:`reduced_eig`, ``Q`` stays as LAPACK ``dsytrd``'s Householder
     reflectors (``reflectors``, ``tau``), applied (``dormtr``) only to the
-    columns :meth:`vectors` and :meth:`coefficients` are asked for, and ``S``
-    is ``dstedc``'s eigenvectors of the tridiagonal ``T``.  From
-    :func:`eig_sym`, ``Q = I`` and ``S`` is ``eigh``'s ``V``.  The columns of
-    ``S`` ascend; ``eigenvalues`` descend and index both.
+    columns :meth:`vectors` and :meth:`coefficients` are asked for.  From
+    :func:`eig_sym`, ``Q = I`` and ``S`` is ``eigh``'s ``V``.  ``eigenvalues``
+    descend.  With ``held`` None, ``S`` holds every eigenvector of ``T``, its
+    columns ascending; otherwise it holds only the eigenvectors at the
+    descending indices ``held`` (sorted), one column each, and reading any
+    other eigenvector, or any coefficient, raises ``IndexError``.
     """
 
     eigenvalues: np.ndarray
     tridiagonal_vectors: np.ndarray
     reflectors: np.ndarray | None = None
     tau: np.ndarray | None = None
+    held: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -215,11 +230,21 @@ class ReducedEig:
         outside = idx[(idx < 0) | (idx >= self.dim)]
         if outside.size:
             raise IndexError(f"descending index {outside.flat[0]} outside [0, {self.dim})")
-        columns = np.take(self.tridiagonal_vectors, self.dim - 1 - idx, axis=1)
-        return self._apply_q(columns, b"N")
+        if self.held is None:
+            cols = self.dim - 1 - idx
+        else:
+            unheld = idx[~np.isin(idx, self.held)]
+            if unheld.size:
+                raise IndexError(f"eigenvector at descending index {unheld.flat[0]} "
+                                 f"was not requested")
+            cols = np.searchsorted(self.held, idx)
+        return self._apply_q(np.take(self.tridiagonal_vectors, cols, axis=1), b"N")
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """``V^T w = S^T Q^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
+        if self.held is not None:
+            raise IndexError("coefficients need every eigenvector, and only "
+                             f"{self.held.size} of {self.dim} were requested")
         return (self.tridiagonal_vectors.T @ self._apply_q(w, b"T"))[::-1]
 
     def reconstruction_error(self, x: np.ndarray) -> float:
@@ -255,32 +280,99 @@ def eig_sym(x: np.ndarray) -> ReducedEig:
     return ReducedEig(eigenvalues=w[::-1].copy(), tridiagonal_vectors=v)
 
 
-def reduced_eig(x: np.ndarray) -> ReducedEig:
+def reduced_eig(x: np.ndarray, request=None) -> ReducedEig:
     """Every eigenvalue of a symmetric matrix, with eigenvectors formed only on request.
 
-    Runs LAPACK ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls,
-    in the order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues
-    equal :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the
-    ``N x N`` back-transform, is skipped: see :class:`ReducedEig`.  Where
-    numpy's OpenBLAS does not export these routines, or where ``eigh``
+    ``request`` names the eigenvectors a caller reads, by descending index:
+    None for all of them, an int, a list, or a function that maps the
+    descending eigenvalues to an int or a list.  With None, this runs LAPACK
+    ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls, in the
+    order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues equal
+    :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the ``N x N``
+    back-transform, is skipped: see :class:`ReducedEig`.  Otherwise ``dsterf``
+    follows ``dsytrd``, as in ``eigvalsh``, whose eigenvalues it gives bit
+    for bit (within ~1e-14 relative of ``eigh``'s), and ``dstein`` finds only
+    the requested eigenvectors of ``T`` (:func:`_requested_tridiagonal`).
+    Where numpy's OpenBLAS does not export these routines, or where ``eigh``
     rescales ``x`` first (its largest entry is nonzero and outside
-    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition.  A
-    non-square, empty or inexactly symmetric ``x`` raises ``ValueError``; a
-    non-finite one, or a LAPACK failure, ``NumericError``.
+    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition, keeping
+    only the requested eigenvectors.  A non-square, empty or inexactly
+    symmetric ``x`` raises ``ValueError``, a requested index outside the
+    spectrum ``IndexError``, and a non-finite ``x``, or a LAPACK failure,
+    ``NumericError``.
     """
-    x, largest = _checked_symmetric(x)
-    if (any(_lapacke(name) is None for name in ("dsytrd", "dstedc", "dormtr"))
+    return _reduce_in_place(np.array(x, dtype=float, order="C"), request)
+
+
+def _reduce_in_place(a: np.ndarray, request=None) -> ReducedEig:
+    """:func:`reduced_eig` of ``a``, a C-contiguous float array it overwrites with ``Q``."""
+    # symmetric, so its C order is its column-major order
+    a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
+    if (any(_lapacke(name) is None for name in _REDUCTION)
             or 0.0 < largest < _RMIN or largest > _RMAX):
-        return eig_sym(x)
-    size = x.shape[0]
-    a = np.array(x)  # symmetric, so its C order is its column-major order
+        dec = eig_sym(a)
+        if request is None:
+            return dec
+        held = _requested(request, dec.eigenvalues)
+        return ReducedEig(dec.eigenvalues, dec.tridiagonal_vectors[:, dec.dim - 1 - held],
+                          held=held)
+    size = a.shape[0]
     d, e, tau = np.empty(size), np.empty(size), np.empty(size)
     _lapack("dsytrd", size, b"L", size, a.ctypes.data, size, d.ctypes.data, e.ctypes.data,
             tau.ctypes.data)
+    if request is not None:
+        w, s, held = _requested_tridiagonal(d, e, request)
+        return ReducedEig(eigenvalues=w, tridiagonal_vectors=s, reflectors=a, tau=tau, held=held)
     s = np.empty((size, size), order="F")
     _lapack("dstedc", size, b"I", size, d.ctypes.data, e.ctypes.data, s.ctypes.data, size,
             integer_work=True)
     return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, reflectors=a, tau=tau)
+
+
+def _requested(request, eigenvalues: np.ndarray) -> np.ndarray:
+    """The sorted distinct descending indices ``request`` names (see :func:`reduced_eig`)."""
+    held = np.unique(np.asarray(request(eigenvalues) if callable(request) else request,
+                                dtype=np.int64))
+    outside = held[(held < 0) | (held >= eigenvalues.size)]
+    if outside.size:
+        raise IndexError(f"descending index {outside[0]} outside [0, {eigenvalues.size})")
+    return held
+
+
+def _requested_tridiagonal(d: np.ndarray, e: np.ndarray, request):
+    """``(eigenvalues, vectors, held)`` of a tridiagonal ``T``: diagonal ``d``, off-diagonal ``e``.
+
+    Every eigenvalue comes from ``dsterf``, descending; ``held`` are the
+    descending indices ``request`` names, and ``vectors`` their eigenvectors
+    of ``T`` by inverse iteration (``dstein``), one column each, in the order
+    of ``held``.  ``dsterf`` first splits ``T`` into blocks wherever
+    ``|e_k| <= eps sqrt|d_k| sqrt|d_k+1|``, and each block's eigenvalues are
+    its own; it runs here on each block in turn, which gives the same values
+    and tells ``dstein`` the block of each requested eigenvalue, as it needs.
+    """
+    size = d.size
+    split = np.abs(e[:-1]) <= np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:])) * _LAPACK_EPS
+    ends = np.append(np.flatnonzero(split) + 1, size)  # one past each block's last row
+    w, scratch, start = d.copy(), e.copy(), 0
+    for end in ends:
+        _call("dsterf", end - start, end - start, w[start:].ctypes.data,
+              scratch[start:].ctypes.data)
+        start = end
+    ascending = np.argsort(w, kind="stable")
+    eigenvalues = w[ascending[::-1]]
+    held = _requested(request, eigenvalues)
+    wanted = ascending[size - 1 - held]  # where dsterf left each held eigenvalue
+    where = np.sort(wanted)  # dstein's order: block by block, ascending within a block
+    z = np.empty((size, where.size), order="F")
+    if where.size:
+        # every array whose address LAPACK receives is named, so it outlives the call
+        values, block = w[where], np.searchsorted(ends, where, side="right") + 1
+        work, iwork = np.empty(5 * size), np.empty(size, dtype=np.int64)
+        fail = np.empty(where.size, dtype=np.int64)
+        _call("dstein", size, _COL_MAJOR, size, d.ctypes.data, e.ctypes.data, where.size,
+              values.ctypes.data, block.ctypes.data, ends.ctypes.data, z.ctypes.data, size,
+              work.ctypes.data, iwork.ctypes.data, fail.ctypes.data)
+    return eigenvalues, z[:, np.searchsorted(where, wanted)], held
 
 
 def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:

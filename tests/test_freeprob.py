@@ -91,11 +91,10 @@ def test_semicircle_density_values():
 
 def test_solver_matches_closed_form_on_grid():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        z = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(1e-6, 1.5))
-        t = rng.uniform(0.2, 2.0)
+    for t in rng.uniform(0.2, 2.0, 4):
+        z = rng.uniform(-3, 3, 20) + 1j * rng.choice([-1, 1], 20) * rng.uniform(1e-6, 1.5, 20)
         got = solve_stieltjes(ATOM_ZERO, z, t)
-        assert abs(got - semicircle_stieltjes(z, t)) < 1e-10
+        assert np.all(np.abs(got - semicircle_stieltjes(z, t)) < 1e-10)
 
 
 def test_solver_zero_time_returns_initial_transform():
@@ -215,11 +214,11 @@ def test_boundary_values_and_edge_scan_take_arrays():
 def test_solver_against_cubic_oracle_near_cusp():
     # two symmetric atoms at t=1 develop a density cusp at zero; the solver
     # must stay on the Herglotz branch through it
-    for lam in (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.5, 1.0, 2.0):
-        for eps in (1e-6, 5e-7):
-            got = solve_stieltjes(TWO_ATOMS, lam - 1j * eps, 1.0)
-            ref = _two_atom_reference(lam, 1.0, eps)
-            assert abs(got - ref) < 1e-9
+    lams = np.array([0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.5, 1.0, 2.0])[:, None]
+    epss = np.array([1e-6, 5e-7])
+    got = solve_stieltjes(TWO_ATOMS, lams - 1j * epss, 1.0)
+    for (k, e), g in np.ndenumerate(got):
+        assert abs(g - _two_atom_reference(lams[k, 0], 1.0, epss[e])) < 1e-9
 
 
 def test_solver_accuracy_at_two_atom_cusp():
@@ -300,10 +299,9 @@ def test_minor_solver_reduces_to_full_at_q_one():
 def test_minor_solver_gives_scaled_semicircle():
     q, t = 0.5, 1.0
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        z = complex(rng.uniform(-2, 2), -rng.uniform(1e-6, 1.0))
-        got = solve_minor_stieltjes(ATOM_ZERO, z, t, q)
-        assert abs(got - semicircle_stieltjes(z, q * t)) < 1e-10
+    z = rng.uniform(-2, 2, 20) - 1j * rng.uniform(1e-6, 1.0, 20)
+    got = solve_minor_stieltjes(ATOM_ZERO, z, t, q)
+    assert np.all(np.abs(got - semicircle_stieltjes(z, q * t)) < 1e-10)
 
 
 def test_minor_support_edge_scan():
@@ -328,21 +326,20 @@ def test_boundary_values_semicircle():
 
 def test_boundary_values_two_atom_symmetry():
     ev = lambda z: solve_stieltjes(TWO_ATOMS, z, 1.0)
-    for lam in (0.3, 0.9, 1.7):
-        left = boundary_values(ev, -lam)
-        right = boundary_values(ev, lam)
-        assert left.rho == pytest.approx(right.rho, abs=1e-8)
-        assert left.v == pytest.approx(-right.v, abs=1e-8)
+    lams = np.array([0.3, 0.9, 1.7])
+    b = boundary_values(ev, np.stack([-lams, lams]))
+    assert b.rho[0] == pytest.approx(b.rho[1], abs=1e-8)
+    assert b.v[0] == pytest.approx(-b.v[1], abs=1e-8)
 
 
 def test_boundary_reproduces_closed_forms_inside_bulk():
     t = 1.0
     ev = lambda z: semicircle_stieltjes(z, t)
-    for lam in np.linspace(-2 * np.sqrt(t) + 0.05, 2 * np.sqrt(t) - 0.05, 17):
-        b = boundary_values(ev, lam)
-        assert b.rho == pytest.approx(semicircle_density(lam, t), abs=1e-6)
-        # the semicircle's Hilbert transform inside its bulk is lam / (2t)
-        assert b.v == pytest.approx(lam / (2 * t), abs=1e-6)
+    lams = np.linspace(-2 * np.sqrt(t) + 0.05, 2 * np.sqrt(t) - 0.05, 17)
+    b = boundary_values(ev, lams)
+    assert b.rho == pytest.approx(semicircle_density(lams, t), abs=1e-6)
+    # the semicircle's Hilbert transform inside its bulk is lam / (2t)
+    assert b.v == pytest.approx(lams / (2 * t), abs=1e-6)
 
 
 def test_quantile_examples_and_roundtrip():

@@ -16,7 +16,13 @@ To check that a change moves no printed byte, run
     PYTHONPATH=src python tests/test_golden.py --digest
 
 before and after it: each line names a case, its exit code and the md5 of
-its stdout, with the JSON ``wall_time_s`` value masked.
+its stdout, with the JSON ``wall_time_s`` value masked.  To see how far a
+change moves the printed numbers, run
+
+    PYTHONPATH=src python tests/test_golden.py --deviation
+
+each line names a case and the largest relative deviation of any of its float
+cells from the recorded file.
 """
 
 from __future__ import annotations
@@ -188,6 +194,41 @@ def record():
     (GOLDEN_DIR / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
 
 
+def _floats(text: str) -> list:
+    """The float cells of a case's stdout in order: CSV cells, or JSON floats but the wall time."""
+    if text.startswith("{"):
+        return _json_floats(_without_wall_time(text))
+    found = []
+    for cell in (cell for line in text.split("\n")[1:] for cell in line.split(",")):
+        if cell and not _INTEGER.fullmatch(cell):
+            try:
+                found.append(float(cell))
+            except ValueError:  # a text column
+                pass
+    return found
+
+
+def _json_floats(item) -> list:
+    if isinstance(item, dict):
+        item = list(item.values())
+    if isinstance(item, list):
+        return [f for value in item for f in _json_floats(value)]
+    return [item] if isinstance(item, float) else []
+
+
+def deviation():
+    """Print ``case max-relative-deviation`` per case: its float cells against the recorded file."""
+    for name in sorted(CASES):
+        new = _floats(run_case(name)[1])
+        old = _floats((GOLDEN_DIR / f"{name}.out").read_text())
+        if len(new) != len(old):
+            print(name, f"float cells {len(new)} != {len(old)} recorded")
+            continue
+        worst = max((abs(a - b) / max(abs(a), abs(b)) for a, b in zip(new, old) if a != b),
+                    default=0.0)
+        print(name, f"{worst:.2e}")
+
+
 def digest():
     """Print ``case exit-code md5`` per case, the stdout hashed with ``wall_time_s`` masked."""
     for name in sorted(CASES):
@@ -197,7 +238,8 @@ def digest():
 
 
 if __name__ == "__main__":
-    commands = {"--record": record, "--digest": digest}
+    commands = {"--record": record, "--digest": digest, "--deviation": deviation}
     if len(sys.argv) != 2 or sys.argv[1] not in commands:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record | --digest")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--record | --digest | --deviation")
     commands[sys.argv[1]]()

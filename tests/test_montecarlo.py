@@ -37,7 +37,7 @@ from minor_overlaps import (
     spike_bulk_overlap,
     spike_path_series,
 )
-from minor_overlaps import montecarlo, probes, spectral
+from minor_overlaps import freeprob, montecarlo, probes, spectral
 from minor_overlaps.errors import NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
@@ -171,13 +171,13 @@ def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
         def coefficients(self, w):
             return 10.0 * self.dec.coefficients(w)
 
-    def reduce_once_inflated(x):
+    def reduce_once_inflated(x, request):
         # on one pool thread the calls alternate full, minor; call 7 is trial 3's minor
         calls.append(x.shape)
-        dec = spectral.reduced_eig(x)
+        dec = spectral._reduce_in_place(x, request)
         return Inflated(dec) if len(calls) == 8 else dec
 
-    monkeypatch.setattr(montecarlo, "reduced_eig", reduce_once_inflated)
+    monkeypatch.setattr(montecarlo, "_reduce_in_place", reduce_once_inflated)
     report = runner(config)
     assert calls[7][0] < calls[6][0]  # the inflated one was a minor
     assert report.extras["aborted_trials"] == 1
@@ -644,6 +644,69 @@ def test_drift_probe_steps_with_one_blas_thread_and_restores(blas_threads, monke
     assert set(frozen[2:]) <= {1}  # the solver's eigh, where dsyevr is out of reach
     assert len(steps) == 2 * 1000 and set(steps) == {1}
     assert get_threads() == 2
+
+
+def _two_atom_bulk_config(n_dim, seed=1, trials=100):
+    """The benchmark's ``simulate --model`` run: atoms at -1 and +1, q = 0.5, t = 1, 25 bins."""
+    model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)), q=0.5)
+    matrix = representative_matrix(model, n_dim, n_dim // 2)
+    return ExperimentConfig(n_dim=n_dim, q=0.5, t=1.0, trials=trials, master_seed=seed,
+                            x=0.5, a_spec=ASpec(kind="explicit", matrix=matrix), bins=25)
+
+
+def test_bulk_model_run_holds_one_blas_thread_from_set_up_to_trials(blas_threads, monkeypatch):
+    get_threads, _ = blas_threads
+    seen = {"set-up": [], "solve": [], "trial": []}
+
+    def recording(stage, fn):
+        def recorded(*args):
+            seen[stage].append(get_threads())
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(FiniteInitialTransform, "from_matrix",
+                        staticmethod(recording("set-up", FiniteInitialTransform.from_matrix)))
+    for name in ("solve_stieltjes", "solve_minor_stieltjes"):
+        monkeypatch.setattr(montecarlo, name, recording("solve", getattr(montecarlo, name)))
+    monkeypatch.setattr(montecarlo, "_reduce_in_place",
+                        recording("trial", spectral._reduce_in_place))
+    report = run_bulk_experiment(dataclasses.replace(_two_atom_bulk_config(40), threads=2))
+    assert seen["set-up"] == [1]
+    assert len(seen["solve"]) > 10 and set(seen["solve"]) == {1}
+    assert seen["trial"] == [1] * 200
+    assert report.extras["trial_blas_threads"] == 1
+    assert get_threads() == 2
+
+
+def test_bulk_model_csv_does_not_depend_on_the_callers_blas_count(blas_threads):
+    _, set_threads = blas_threads
+    config = _two_atom_bulk_config(200, seed=5)
+    outputs = []
+    for count in (1, 2):
+        set_threads(count)
+        outputs.append(bulk_report_csv(run_bulk_experiment(config)))
+    assert outputs[0] == outputs[1]
+
+
+def test_bulk_model_theory_keeps_the_support_and_skips_the_long_continuation(monkeypatch):
+    # the benchmark's seed-1 bulk-model run; its edges were recorded before the
+    # solver took the short continuation first
+    edges, steps = [], []
+    scan, continuation = montecarlo._scan_general_support, freeprob._continuation
+
+    def recording_scan(*args):
+        edges.append(scan(*args))
+        return edges[-1]
+
+    def recording_continuation(model, z, t_shift, n_steps):
+        steps.append((n_steps, z.size))
+        return continuation(model, z, t_shift, n_steps)
+
+    monkeypatch.setattr(montecarlo, "_scan_general_support", recording_scan)
+    monkeypatch.setattr(freeprob, "_continuation", recording_continuation)
+    run_bulk_experiment(_two_atom_bulk_config(200, seed=1))
+    assert edges == [(-2.598076080903412, 2.598076080903412)]
+    assert steps and {n for n, _ in steps} == {3}
 
 
 def test_config_is_frozen_and_echoable():

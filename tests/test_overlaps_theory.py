@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from minor_overlaps import (
     spike_trajectories,
 )
 from minor_overlaps.freeprob import (
+    BoundaryValues,
     SpectrumModel,
     boundary_values,
     solve_minor_stieltjes,
@@ -199,6 +202,13 @@ def test_kernel_rows_and_columns_normalize(q, t, mu_frac, lam_frac):
     assert column == pytest.approx(1.0, abs=1e-9)
 
 
+def _split_points(values, parts):
+    """Boundary values at the concatenated points of ``parts``, split back into one per part."""
+    ends = np.cumsum([len(part) for part in parts])[:-1]
+    return [BoundaryValues(*fields)
+            for fields in zip(*(np.split(f, ends) for f in astuple(values)))]
+
+
 def test_general_kernel_against_binned_monte_carlo():
     # two-atom initial spectrum: inversion must match finite-size overlaps.
     # mu0 sits just inside the minor's inner band edge (its evolved spectrum
@@ -218,7 +228,7 @@ def test_general_kernel_against_binned_monte_carlo():
     minor_ev = lambda z: solve_minor_stieltjes(TWO_ATOMS, z, t, q)
 
     trials = 120
-    diffs = []
+    blocks, mus, lams = [], [], []
     for m in range(trials):
         x = a + sample_goe(n_dim, t, derive_stream(404, m))
         full, minor = eig_sym(x), eig_sym(x[:n, :n])
@@ -226,10 +236,17 @@ def test_general_kernel_against_binned_monte_carlo():
         mu, lam = minor.eigenvalues, full.eigenvalues
         isel = np.flatnonzero(np.abs(mu - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(lam - lam0) <= window / 2)
+        blocks.append(n_dim * grid[np.ix_(isel, jsel)])
+        mus.append(mu[isel])
+        lams.append(lam[jsel])
+    # every trial's points in one solver call per side: each point solves as it would alone
+    minor_b = _split_points(boundary_values(minor_ev, np.concatenate(mus)), mus)
+    full_b = _split_points(boundary_values(full_ev, np.concatenate(lams)), lams)
+    diffs = []
+    for block, minor_k, full_k in zip(blocks, minor_b, full_b):
         # every (i, j) pair at once; refused pairs come back NaN and drop out
-        theory = overlap_kernel(s0, boundary_values(minor_ev, mu[isel, None]),
-                                boundary_values(full_ev, lam[jsel]), t, q)
-        pair_diffs = n_dim * grid[np.ix_(isel, jsel)] - theory
+        minor_k = BoundaryValues(*(f[:, None] for f in astuple(minor_k)))
+        pair_diffs = block - overlap_kernel(s0, minor_k, full_k, t, q)
         pair_diffs = pair_diffs[~np.isnan(pair_diffs)]
         if pair_diffs.size:
             diffs.append(np.mean(pair_diffs))

@@ -253,7 +253,7 @@ def test_eigpair_falls_back_to_eigh_without_the_library(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _lapack_path() -> bool:
-    return all(spectral._lapacke(name) is not None for name in ("dsytrd", "dstedc", "dormtr"))
+    return all(spectral._lapacke(name) is not None for name in spectral._REDUCTION)
 
 
 def _isolated(w: np.ndarray) -> np.ndarray:
@@ -398,3 +398,82 @@ def test_vectors_refuse_descending_indices_outside_the_spectrum():
         with pytest.raises(IndexError, match=r"descending index 6 outside \[0, 6\)"):
             overlap_columns(full, minor, [0, 6])
         assert full.vectors([0, 5]).shape == (6, 2) and minor.vectors(2).shape == (3,)
+
+
+def _check_requested(x, request, ref, eigvalsh=None):
+    """``reduced_eig(x, request)`` against ``eig_sym``'s ``ref``: values, vectors, refusals.
+
+    ``eigvalsh`` holds ``eigvalsh(x)`` descending where the LAPACK path runs: it
+    calls ``dsytrd`` then ``dsterf``, as the request path does.
+    """
+    dec = reduced_eig(x, request)
+    held = np.unique(request(ref.eigenvalues) if callable(request) else request)
+    assert np.array_equal(dec.held, held) and dec.tridiagonal_vectors.shape == (x.shape[0],
+                                                                                held.size)
+    assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-13 * max(1.0, np.abs(x).max())
+    if eigvalsh is not None:
+        assert dec.reflectors is not None and np.array_equal(dec.eigenvalues, eigvalsh)
+    for k in held:
+        vector, want = dec.vectors(k), ref.vectors(k)
+        assert min(np.abs(vector - want).max(), np.abs(vector + want).max()) <= 1e-12
+    unheld = np.setdiff1d(np.arange(x.shape[0]), held)
+    if unheld.size:
+        with pytest.raises(IndexError, match=f"index {unheld[0]} was not requested"):
+            dec.vectors([*held, unheld[0]])
+    with pytest.raises(IndexError, match="coefficients need every eigenvector"):
+        dec.coefficients(np.ones(x.shape[0]))
+
+
+@pytest.mark.parametrize("n_dim", [5, 40, 201])
+def test_requested_vectors_match_eig_sym_over_seeds(n_dim):
+    for seed in range(20):
+        x = sample_goe(n_dim, 1.0, derive_stream(seed, n_dim))
+        rng = np.random.default_rng(seed)
+        # the matrix, and its leading blocks at several q
+        for n in {n_dim, *(max(1, minor_size(q, n_dim)) for q in (0.2, 0.5, 0.9))}:
+            a = x[:n, :n]
+            ref = eig_sym(a)
+            values = np.linalg.eigvalsh(a)[::-1] if _lapack_path() else None
+            picked = rng.choice(n, size=min(n, 3), replace=False)
+            for request in (0, n - 1, picked, [], lambda w: np.flatnonzero(np.abs(w) < 0.3)):
+                _check_requested(a, request, ref, values)
+
+
+def test_requested_vectors_of_a_block_diagonal_matrix_whose_tridiagonal_splits():
+    # the reduction of a direct sum keeps its blocks: T has an exact zero off the
+    # diagonal, and dstein needs to know which block each eigenvalue belongs to
+    blocks = [sample_goe(7, 1.0, derive_stream(1, 0)), 3.0 * np.eye(1),
+              sample_goe(5, 1.0, derive_stream(2, 0)) + 1.5 * np.eye(5)]
+    x = np.zeros((13, 13))
+    start = 0
+    for b in blocks:
+        x[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    ref = eig_sym(x)
+    values = np.linalg.eigvalsh(x)[::-1] if _lapack_path() else None
+    for request in (range(13), [0, 1, 12], 6, lambda w: np.flatnonzero(w > 1.0)):
+        _check_requested(x, request, ref, values)
+
+
+def test_requests_hold_on_the_eigh_fallback(monkeypatch):
+    x = sample_goe(30, 1.0, derive_stream(6, 0))
+    ref = eig_sym(x)
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    _check_requested(x, [0, 4, 29], ref)
+    dec = reduced_eig(x, [0, 4, 29])
+    assert dec.reflectors is None
+    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+    with pytest.raises(IndexError, match=r"descending index 30 outside \[0, 30\)"):
+        reduced_eig(x, [30])
+
+
+def test_reduced_eig_leaves_its_input_alone_and_trials_reduce_their_own():
+    x = sample_goe(30, 1.0, derive_stream(7, 0))
+    kept = x.copy()
+    for request in (None, [0, 3]):
+        reduced_eig(x, request)
+        assert np.array_equal(x, kept)
+        owned = x.copy()
+        dec = spectral._reduce_in_place(owned, request)
+        assert dec.reflectors is owned or not _lapack_path()
+        assert np.array_equal(dec.eigenvalues, reduced_eig(x, request).eigenvalues)
