@@ -51,7 +51,6 @@ from .montecarlo import (
 )
 from .overlaps_theory import (
     FiniteInitialTransform,
-    NullInitialTransform,
     bernoulli_spike_overlap,
     evolve_double_stieltjes,
     initial_minor_spike_from_position,

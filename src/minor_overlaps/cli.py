@@ -24,6 +24,7 @@ from .errors import DomainError, NumericError
 from .freeprob import (
     SpectrumModel,
     boundary_values,
+    representative_diagonal,
     representative_matrix,
     semicircle_density,
     semicircle_quantile,
@@ -143,8 +144,8 @@ def _theory_kernel_general(args):
     if not 0.0 < q < 1.0:
         raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
     n0_minor = minor_size(q, args.n0)
-    s0 = FiniteInitialTransform.from_matrix(
-        representative_matrix(model, args.n0, n0_minor), n0_minor)
+    s0 = FiniteInitialTransform.from_diagonal(
+        representative_diagonal(model, args.n0, n0_minor), n0_minor)
     minor_model = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
     full_ev = lambda z: solve_stieltjes(model, z, t)
     minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)

@@ -68,12 +68,14 @@ def sample_goe(n_dim: int, t: float, seed: SeedSpec) -> np.ndarray:
     return _symmetric_gaussian(n_dim, t / n_dim, seed.generator())
 
 
-def sample_path(n_dim: int, t_grid, seed: SeedSpec) -> list[np.ndarray]:
-    """Cumulative noise along an ascending time grid.
+def sample_path(n_dim: int, t_grid, seed: SeedSpec):
+    """Cumulative noise along an ascending time grid, one grid time at a time.
 
-    Returns the noise matrix at every grid time.  Increments between
-    consecutive grid times are independent, so the value at grid time ``t``
-    is distributed like ``sample_goe(n_dim, t, ...)``.
+    Yields the noise matrix at every grid time, each a new array, so a
+    consumer that drops a step's matrix before taking the next holds one.
+    Increments between consecutive grid times are independent, so the value
+    at grid time ``t`` is distributed like ``sample_goe(n_dim, t, ...)``.  A
+    bad grid is refused at the call, before anything is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -82,18 +84,18 @@ def sample_path(n_dim: int, t_grid, seed: SeedSpec) -> list[np.ndarray]:
         raise ValueError("t_grid must start at a time >= 0")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
+    return _cumulative_noise(n_dim, t_grid, seed.generator())
 
-    rng = seed.generator()
-    out = []
+
+def _cumulative_noise(n_dim: int, t_grid: np.ndarray, rng):
     h = np.zeros((n_dim, n_dim))
     prev = 0.0
     for t in t_grid:
         dt = t - prev
         if dt > 0:
             h = h + _symmetric_gaussian(n_dim, dt / n_dim, rng)
-        out.append(h)
+        yield h
         prev = t
-    return out
 
 
 def rank_one(psi: np.ndarray) -> np.ndarray:

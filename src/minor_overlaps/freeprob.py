@@ -36,6 +36,8 @@ SOLVER_TOL = 1e-10
 _EDGE_SCAN_EPS = 1e-9
 #: density that separates inside from outside the support in the edge scan
 _EDGE_SCAN_DENSITY = 1e-4
+#: bisection steps of the edge scan that share one evaluator call
+_SCAN_LEVELS = 5
 #: steps of the short continuation, then of the long one for the points it leaves
 _CONTINUATION_STEPS = (3, 30)
 
@@ -106,7 +108,12 @@ def _json_number(value, name: str):
 
 
 def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:
-    """Diagonal matrix realizing the model's atoms at a finite size.
+    """Diagonal matrix realizing the model's atoms, from :func:`representative_diagonal`."""
+    return np.diag(representative_diagonal(model, n_dim, n))
+
+
+def representative_diagonal(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:
+    """Diagonal entries realizing the model's atoms at a finite size.
 
     Multiplicities follow the weights (largest-remainder rounding) and atoms
     are interleaved proportionally, so every leading block keeps roughly the
@@ -132,7 +139,7 @@ def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None
             if loc not in diag[:n]:
                 raise ValueError(f"atom at {loc} with weight {weight} gets no entry in the "
                                  f"leading {n}x{n} block at size {n_dim}; use a larger size")
-    return np.diag(diag)
+    return diag
 
 
 def stieltjes_atomic(model: SpectrumModel, w, deriv: bool = False):
@@ -451,8 +458,11 @@ def scan_support_edge(evaluator, inside: float, outside, tol: float = 1e-8):
 
     ``inside`` must have density above ``_EDGE_SCAN_DENSITY`` and each point
     of ``outside`` (scalar or array) below.  The outside points are bisected
-    in lockstep, one evaluator call per step, each until its bracket is below
-    ``tol``.
+    in lockstep, each until its bracket is below ``tol``.  One evaluator call
+    serves ``_SCAN_LEVELS`` steps: it takes every midpoint those steps can
+    reach from each bracket (:func:`_midpoint_tree`), and the walk down the
+    tree makes exactly the decisions, at exactly the midpoints, of a
+    bisection that evaluates one midpoint per step.
     """
     hi = np.array(outside, dtype=float, ndmin=1)
     rho = boundary_values(evaluator, np.append(inside, hi), eps0=_EDGE_SCAN_EPS).rho
@@ -463,8 +473,32 @@ def scan_support_edge(evaluator, inside: float, outside, tol: float = 1e-8):
     lo = np.full(hi.shape, float(inside))
     live = np.abs(hi - lo) > tol
     while live.any():
-        mid = 0.5 * (lo[live] + hi[live])
-        up = boundary_values(evaluator, mid, eps0=_EDGE_SCAN_EPS).rho > _EDGE_SCAN_DENSITY
-        lo[live], hi[live] = np.where(up, mid, lo[live]), np.where(up, hi[live], mid)
+        a, b = lo[live], hi[live]
+        tree = _midpoint_tree(a, b, _SCAN_LEVELS)
+        rho = boundary_values(evaluator, tree.ravel(), eps0=_EDGE_SCAN_EPS).rho
+        up = rho.reshape(tree.shape) > _EDGE_SCAN_DENSITY
+        rows, node = np.arange(a.size), np.zeros(a.size, dtype=int)
+        for _ in range(_SCAN_LEVELS):
+            step, mid, move_up = np.abs(b - a) > tol, tree[rows, node], up[rows, node]
+            a, b = np.where(step & move_up, mid, a), np.where(step & ~move_up, mid, b)
+            node = 2 * node + np.where(move_up, 1, 2)
+        lo[live], hi[live] = a, b
         live = np.abs(hi - lo) > tol
     return 0.5 * (lo + hi) if np.ndim(outside) else float(0.5 * (lo[0] + hi[0]))
+
+
+def _midpoint_tree(lo, hi, levels: int) -> np.ndarray:
+    """Every midpoint the next ``levels`` bisection steps can reach from brackets ``(lo, hi)``.
+
+    Row ``e`` is a binary heap for bracket ``e``: node ``k`` is the midpoint
+    ``0.5 * (lo + hi)`` of its bracket, node ``2k + 1`` that of ``(mid, hi)``
+    (the next bracket when the density at ``mid`` is above the threshold) and
+    node ``2k + 2`` that of ``(lo, mid)``, each computed as a one-step
+    bisection computes it.
+    """
+    los, his, mids = lo[:, None], hi[:, None], []
+    for _ in range(levels):
+        mids.append(0.5 * (los + his))
+        los = np.stack([mids[-1], los], axis=-1).reshape(lo.size, -1)
+        his = np.stack([his, mids[-1]], axis=-1).reshape(lo.size, -1)
+    return np.concatenate(mids, axis=1)

@@ -95,6 +95,11 @@ MAX_ABORT_FRACTION = 0.01
 INTERIOR_EDGE_FRACTION = 0.15
 #: a spike is considered absorbed when closer than 0.05 * radius to the bulk edge
 SPIKE_ABSORB_MARGIN = 0.05
+#: 5-point Gauss-Legendre nodes and weights on [-1, 1], ``leggauss(5)`` bit for bit
+_GAUSS_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+                         0.906179845938664])
+_GAUSS_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                           0.4786286704993663, 0.23692688505618928])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +486,7 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     drop out of coverage, matching the absence of eigenvalues there.
     Returns ``(theory, rho_bar, refused_nodes)``.
     """
-    nodes, gauss_w = np.polynomial.legendre.leggauss(5)
+    nodes, gauss_w = _GAUSS_NODES, _GAUSS_WEIGHTS
     centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     lams = centers[:, None] + halves[:, None] * nodes
     w, rho = _kernel_curve(s0, boundary_values(minor_ev, mu_hat), full_ev, lams, t, q)
@@ -665,12 +670,11 @@ def spike_path_series(n_dim: int, q: float, spike: float, t_max: float, steps: i
         raise ValueError(f"path mode needs 2 <= round(qN) <= N, got n={n}, N={n_dim}")
     a_mat = rank_one(uniform_spike_vector(n_dim, spike))
     t_grid = np.linspace(0.0, t_max, steps + 1)
-    path = sample_path(n_dim, t_grid, derive_stream(seed, 0))
     lam1 = np.empty(t_grid.size)
     lam2 = np.empty(t_grid.size)
     mu1 = np.empty(t_grid.size)
     mu2 = np.empty(t_grid.size)
-    for k, h in enumerate(path):
+    for k, h in enumerate(sample_path(n_dim, t_grid, derive_stream(seed, 0))):
         x_mat = a_mat + h
         w = np.linalg.eigvalsh(x_mat)
         lam1[k], lam2[k] = w[-1], w[-2]
@@ -761,9 +765,9 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
                                 requests=(window, None))
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
-    nodes, weights = np.polynomial.legendre.leggauss(5)
     theory = 0.0
-    for lam, weight in zip(nodes * full_window / 2.0, weights / weights.sum()):
+    for lam, weight in zip(_GAUSS_NODES * full_window / 2.0,
+                           _GAUSS_WEIGHTS / _GAUSS_WEIGHTS.sum()):
         # rho_bar is the same at every node
         avg, rho_bar = _binned_semicircle_average(edges, q * t_eff, (1.0 - q) * t_eff,
                                                   *_goe_kernel_poles(lam, 1.0, t_eff, q))

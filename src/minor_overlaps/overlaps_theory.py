@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericError, PoleError
 from .freeprob import BoundaryValues, semicircle_quantile
 from .spectral import eig_sym, overlap_columns
 
@@ -32,49 +32,65 @@ _POLE_TOL = 1e-12
 # initial double transforms
 # ---------------------------------------------------------------------------
 
-class NullInitialTransform:
-    """Initial double transform when all initial eigenvalues vanish: q/(z zt)."""
-
-    def __init__(self, q: float):
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must lie in (0, 1]")
-        self.q = q
-
-    def __call__(self, z: complex, z_tilde: complex) -> complex:
-        return self.q / (z * z_tilde)
-
-
 class FiniteInitialTransform:
-    """Rational double transform built from one representative finite matrix.
+    """Initial double transform of a finite matrix ``A`` and its leading ``n x n`` block.
 
-    The transform is the double resolvent sum of the matrix's eigenpairs and
-    the eigenpairs of its leading ``n x n`` block at reference size
-    ``n_dim``: a finite-rank discretization of the exactly-known initial
-    condition.
+    The double resolvent sum at reference size ``N``
+
+        s0(z, zt) = (1/N) sum_{j, i} w_ji / ((zt - mu_j)(z - lam_i)),
+
+    a finite-rank discretization of the exactly-known initial condition.  For
+    a general ``A`` the poles ``lam`` and ``mu`` are the eigenvalues of ``A``
+    and of its block, and ``w`` is their squared overlap grid.  For a diagonal
+    ``A`` the grid is 0/1, and the sum collapses onto the distinct entries
+    ``a_k`` of the block, ``w = diag(c_k)`` with ``c_k`` the count of ``a_k``
+    there: ``s0 = (1/N) sum_k c_k / ((z - a_k)(zt - a_k))``.  Either way,
+    ``full_evals`` and ``minor_evals`` are the eigenvalues, descending.
     """
 
-    def __init__(self, minor_evals, full_evals, overlaps, n_dim: int):
-        self.minor_evals = np.asarray(minor_evals, dtype=float)
-        self.full_evals = np.asarray(full_evals, dtype=float)
-        self.overlaps = np.asarray(overlaps, dtype=float)
-        self.n_dim = int(n_dim)
-        if self.overlaps.shape != (self.minor_evals.size, self.full_evals.size):
-            raise ValueError("overlap grid shape mismatch")
+    def __init__(self, full_evals, minor_evals, full_poles, minor_poles, weights, n_dim: int):
+        self.full_evals, self.minor_evals = full_evals, minor_evals
+        self.full_poles, self.minor_poles = full_poles, minor_poles
+        self.weights, self.n_dim = weights, int(n_dim)
+        if self.weights.shape != (self.minor_poles.size, self.full_poles.size):
+            raise ValueError("weight matrix shape mismatch")
 
     @classmethod
     def from_matrix(cls, a: np.ndarray, n: int) -> "FiniteInitialTransform":
+        """Transform of a symmetric ``a``: :meth:`from_diagonal` when ``a`` is diagonal."""
         a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not 1 <= n <= a.shape[0]:
             raise ValueError(f"minor size n={n} out of range [1, {a.shape[0]}]")
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            return cls.from_diagonal(np.diagonal(a), n)
         full, minor = eig_sym(a), eig_sym(a[:n, :n])
-        return cls(minor.eigenvalues, full.eigenvalues,
+        return cls(full.eigenvalues, minor.eigenvalues, full.eigenvalues, minor.eigenvalues,
                    overlap_columns(full, minor, np.arange(a.shape[0])), a.shape[0])
+
+    @classmethod
+    def from_diagonal(cls, diag, n: int) -> "FiniteInitialTransform":
+        """Closed form for ``A = diag(diag)``, with no eigendecomposition and no grid.
+
+        The eigenvalues are the sorted entries, which ``eigh`` returns bit for bit.
+        """
+        diag = np.asarray(diag, dtype=float)
+        if diag.ndim != 1 or not 1 <= n <= diag.size:
+            raise ValueError(f"need a non-empty diagonal and 1 <= n <= its size, got "
+                             f"shape {diag.shape} and n={n}")
+        if not np.all(np.isfinite(diag)):
+            raise NumericError(f"initial transform got a non-finite {diag.size}x{diag.size} "
+                               f"diagonal matrix")
+        poles, counts = np.unique(diag[:n], return_counts=True)
+        return cls(np.sort(diag)[::-1], np.sort(diag[:n])[::-1], poles, poles,
+                   np.diag(counts.astype(float)), diag.size)
 
     def __call__(self, z, z_tilde):
         """Transform at scalars, or at arrays that broadcast together (one grid product)."""
-        u = 1.0 / (np.asarray(z_tilde)[..., None] - self.minor_evals)
-        v = 1.0 / (np.asarray(z)[..., None] - self.full_evals)
-        val = np.sum((u @ self.overlaps) * v, axis=-1) / self.n_dim
+        u = 1.0 / (np.asarray(z_tilde)[..., None] - self.minor_poles)
+        v = 1.0 / (np.asarray(z)[..., None] - self.full_poles)
+        val = np.sum((u @ self.weights) * v, axis=-1) / self.n_dim
         return val if val.ndim else complex(val)
 
 

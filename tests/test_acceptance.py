@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from minor_overlaps import (
     ASpec,
     ExperimentConfig,
-    NullInitialTransform,
+    FiniteInitialTransform,
     boundary_values,
     cli,
     correlation_probe,
@@ -107,7 +107,7 @@ def test_criterion_3_formula_consistency():
     q, t = 0.5, 1.0
     full_ev = lambda z: semicircle_stieltjes(z, t)
     minor_ev = lambda z: semicircle_stieltjes(z, q * t)
-    s0 = NullInitialTransform(q)
+    s0 = FiniteInitialTransform.from_diagonal(np.zeros(2), 1)  # A = 0 at n/N = q: q/(z zt)
 
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)

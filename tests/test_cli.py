@@ -602,13 +602,29 @@ def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
     assert "forced failure" in stderr
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; its import used to be most of every run's set-up
+def _python_with_src(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports the package from ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, minor_overlaps.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; its import used to be most of every run's set-up
+    out = _python_with_src("import sys, minor_overlaps.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_gauss_constants_are_leggauss_and_a_model_run_loads_no_numpy_polynomial():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert cli.montecarlo._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert cli.montecarlo._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+    model = Path(__file__).resolve().parent / "golden" / "two_atom_model.json"
+    argv = ["simulate", "--N", "40", "--qfrac", "0.5", "--t", "1", "--trials", "100",
+            "--bins", "9", "--model", str(model)]
+    out = _python_with_src(f"import sys; from minor_overlaps import cli; code = cli.main({argv}); "
+                           "print(code, 'numpy.polynomial' in sys.modules)")
+    assert out.splitlines()[-1] == "0 False"

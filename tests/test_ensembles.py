@@ -62,8 +62,8 @@ def test_path_single_zero_time():
 
 def test_path_endpoint_matches_snapshot_variance():
     n = 200
-    path = sample_path(n, [0.0, 1.0], SEED)
-    off = path[1][np.triu_indices(n, k=1)]
+    _, h1 = sample_path(n, [0.0, 1.0], SEED)
+    off = h1[np.triu_indices(n, k=1)]
     assert off.var() == pytest.approx(1.0 / n, rel=0.10)
 
 
@@ -78,6 +78,7 @@ def test_path_increments_are_uncorrelated():
 
 
 def test_path_rejects_non_increasing_grid():
+    # refused at the call, before the first step is taken
     with pytest.raises(ValueError):
         sample_path(5, [0.0, 0.5, 0.5], SEED)
     with pytest.raises(ValueError):

@@ -211,6 +211,46 @@ def test_boundary_values_and_edge_scan_take_arrays():
     assert both.tolist() == [scan_support_edge(ev, 0.5, -3.5), scan_support_edge(ev, 0.5, 3.5)]
 
 
+def _one_step_bisection(evaluator, inside, outside, tol):
+    """The edge scan's plain bisection, one evaluator call per step: ``(edges, steps)``."""
+    hi = np.array(outside, dtype=float)
+    lo = np.full(hi.shape, float(inside))
+    live, steps = np.abs(hi - lo) > tol, 0
+    while live.any():
+        mid = 0.5 * (lo[live] + hi[live])
+        up = boundary_values(evaluator, mid, eps0=freeprob._EDGE_SCAN_EPS).rho
+        up = up > freeprob._EDGE_SCAN_DENSITY
+        lo[live], hi[live] = np.where(up, mid, lo[live]), np.where(up, hi[live], mid)
+        live, steps = np.abs(hi - lo) > tol, steps + 1
+    return 0.5 * (lo + hi), steps
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_edge_scan_walks_the_one_step_bisection(seed):
+    # random 1-4-atom models, times and tolerances, both edges at once
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    weights = rng.uniform(0.2, 1.0, k)
+    model = SpectrumModel(atoms=tuple(zip(rng.uniform(-2.0, 2.0, k), weights / weights.sum())))
+    t, tol = rng.uniform(0.05, 2.0), 10.0 ** rng.uniform(-10, -3)
+    calls = []
+
+    def ev(z):
+        calls.append(np.size(z))
+        return solve_stieltjes(model, z, t)
+
+    span = max(abs(a) for a, _ in model.atoms) + 2.0 * np.sqrt(t) + 1.0
+    grid = np.linspace(-span, span, 61)
+    inside = float(grid[np.argmax(boundary_values(ev, grid).rho)])
+    want, steps = _one_step_bisection(ev, inside, (-span, span), tol)
+    calls.clear()
+    got = scan_support_edge(ev, inside, np.array([-span, span]), tol=tol)
+    assert got.tolist() == want.tolist()
+    assert len(calls) <= 2 + -(-steps // freeprob._SCAN_LEVELS)
+    assert max(calls) <= 2 * 2 * (2 ** freeprob._SCAN_LEVELS - 1)
+
+
 def test_solver_against_cubic_oracle_near_cusp():
     # two symmetric atoms at t=1 develop a density cusp at zero; the solver
     # must stay on the Herglotz branch through it

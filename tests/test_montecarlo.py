@@ -18,7 +18,6 @@ from minor_overlaps import (
     DomainError,
     ExperimentConfig,
     FiniteInitialTransform,
-    NullInitialTransform,
     SpectrumModel,
     boundary_values,
     correlation_probe,
@@ -500,8 +499,9 @@ def test_general_theory_computes_each_boundary_value_once(mu_hat, refused):
             return semicircle_stieltjes(z, t_eff)
         return evaluator
 
+    s0 = FiniteInitialTransform.from_diagonal(np.zeros(2), 1)  # A = 0 at n/N = q: q/(z zt)
     theory, rho_bar, got_refused = _binned_general_theory(
-        NullInitialTransform(q), mu_hat, t, q, counting("full", t), counting("minor", q * t),
+        s0, mu_hat, t, q, counting("full", t), counting("minor", q * t),
         np.linspace(-1.8, 1.8, bins + 1))
     # one Richardson pair at mu_hat, one per Gauss node on the full side, all
     # in one evaluator call per side
@@ -672,7 +672,9 @@ def test_bulk_model_run_holds_one_blas_thread_from_set_up_to_trials(blas_threads
                         recording("trial", spectral._reduce_in_place))
     report = run_bulk_experiment(dataclasses.replace(_two_atom_bulk_config(40), threads=2))
     assert seen["set-up"] == [1]
-    assert len(seen["solve"]) > 10 and set(seen["solve"]) == {1}
+    # the density grid, the support scan's bracket check and its 29 bisection
+    # steps in 6 batches, and one boundary-value call per side of the kernel
+    assert len(seen["solve"]) == 1 + 1 + 6 + 2 and set(seen["solve"]) == {1}
     assert seen["trial"] == [1] * 200
     assert report.extras["trial_blas_threads"] == 1
     assert get_threads() == 2
@@ -884,6 +886,18 @@ def _traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_spike_path_memory_does_not_grow_with_steps():
+    # the path is drawn one step at a time: 600 steps hold what 60 do, where
+    # keeping every step's 100x100 matrix would add 43 MB
+    n_dim = 100
+    peaks = {steps: _traced_peak(spike_path_series, n_dim, 0.5, 1.0, t_max=1.2, steps=steps,
+                                 seed=7)
+             for steps in (60, 600)}
+    # the series' five float arrays grow by 540 entries each
+    assert peaks[600] < peaks[60] + 5 * 540 * 8 + 2**12, peaks
+    assert peaks[600] < 10 * n_dim * n_dim * 8, peaks
 
 
 def test_drift_probe_memory_does_not_grow_with_trials():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from minor_overlaps import (
     DomainError,
     FiniteInitialTransform,
-    NullInitialTransform,
+    NumericError,
     PoleError,
     bernoulli_spike_overlap,
     derive_stream,
@@ -46,14 +46,68 @@ def _semicircle_evaluators(t, q):
     return (lambda z: semicircle_stieltjes(z, t)), (lambda z: semicircle_stieltjes(z, q * t))
 
 
+def _zero_diagonal(q, n_dim=10):
+    """Initial transform of a zero matrix whose leading block holds the fraction ``q``: q/(z zt)."""
+    n = round(q * n_dim)
+    assert n / n_dim == q
+    return FiniteInitialTransform.from_diagonal(np.zeros(n_dim), n)
+
+
+def _grid_reference(a, n):
+    """The eigendecomposition-and-overlap-grid transform of ``a``, diagonal or not."""
+    full, minor = eig_sym(a), eig_sym(a[:n, :n])
+    return FiniteInitialTransform(full.eigenvalues, minor.eigenvalues, full.eigenvalues,
+                                  minor.eigenvalues,
+                                  overlap_columns(full, minor, np.arange(a.shape[0])), a.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # initial transforms and the evolved double transform
 # ---------------------------------------------------------------------------
 
 def test_null_transform_is_exact():
-    s0 = NullInitialTransform(0.6)
+    # a zero diagonal is the one-atom closed form, exact up to rounding
+    s0 = _zero_diagonal(0.6)
     z, zt = 0.3 - 0.7j, -0.2 + 0.5j
-    assert s0(z, zt) == 0.6 / (z * zt)
+    assert s0(z, zt) == pytest.approx(0.6 / (z * zt), rel=1e-15, abs=0)
+    zs = np.array([z, -1.5 + 0.01j, 2.0 - 3.0j])
+    np.testing.assert_allclose(s0(zs, zt), 0.6 / (zs * zt), rtol=1e-15, atol=0)
+
+
+def test_diagonal_closed_form_matches_the_eigendecomposition_grid():
+    # 200 random diagonals with repeated entries, zeros among them: the sorted
+    # entries are eig_sym's eigenvalues bit for bit, and the closed form is the
+    # grid transform up to rounding, in both half-planes of each argument
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        n_dim = int(rng.integers(1, 61))
+        n = int(rng.integers(1, n_dim + 1))
+        values = rng.normal(size=int(rng.integers(1, 6))) * 10.0 ** rng.integers(-3, 3)
+        values[0] = 0.0 if k % 4 == 0 else values[0]
+        diag = rng.choice(values, n_dim)
+        a = np.diag(diag)
+        s0, reference = FiniteInitialTransform.from_matrix(a, n), _grid_reference(a, n)
+        assert np.array_equal(s0.full_evals, reference.full_evals)
+        assert np.array_equal(s0.minor_evals, reference.minor_evals)
+        locs, counts = np.unique(diag[:n], return_counts=True)
+        assert np.array_equal(s0.weights, np.diag(counts.astype(float)))
+        assert np.array_equal(s0.full_poles, locs) and np.array_equal(s0.minor_poles, locs)
+        z, zt = (rng.uniform(-3, 3, 8) + 1j * rng.choice([-1, 1], 8) * rng.uniform(1e-3, 2, 8)
+                 for _ in range(2))
+        np.testing.assert_allclose(s0(z, zt), reference(z, zt), rtol=1e-12, atol=0)
+
+
+def test_initial_transform_refuses_bad_matrices():
+    with pytest.raises(ValueError, match="square"):
+        FiniteInitialTransform.from_matrix(np.zeros((3, 4)), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteInitialTransform.from_matrix(np.eye(3), 4)
+    with pytest.raises(ValueError):
+        FiniteInitialTransform.from_diagonal(np.zeros(3), 0)
+    with pytest.raises(NumericError, match="non-finite"):
+        FiniteInitialTransform.from_matrix(np.diag([0.0, np.nan, 1.0]), 2)
+    with pytest.raises(NumericError, match="non-finite"):
+        FiniteInitialTransform.from_matrix(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1)
 
 
 def test_finite_transform_conjugate_symmetry():
@@ -72,7 +126,7 @@ def test_finite_transform_matches_null_at_large_arguments():
 
 
 def test_evolved_transform_at_zero_time_is_initial():
-    s0 = NullInitialTransform(0.5)
+    s0 = _zero_diagonal(0.5)
     z, zt = 0.3 - 0.7j, -0.2 + 0.5j
     assert evolve_double_stieltjes(s0, z, zt, 0.0, 0.5) == s0(z, zt)
 
@@ -80,7 +134,7 @@ def test_evolved_transform_at_zero_time_is_initial():
 def test_evolved_transform_null_case_closed_form():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
-    s0 = NullInitialTransform(q)
+    s0 = _zero_diagonal(q)
     rng = np.random.default_rng(5)
     for _ in range(25):
         z = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
@@ -94,7 +148,7 @@ def test_evolved_transform_null_case_closed_form():
 def test_evolved_transform_conjugate_arguments():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
-    s0 = NullInitialTransform(q)
+    s0 = _zero_diagonal(q)
     z, zt = 0.3 - 0.7j, -0.2 + 0.5j
     a = evolve_double_stieltjes(s0, z, zt, t, q, full_ev, minor_ev)
     b = evolve_double_stieltjes(s0, np.conj(z), np.conj(zt), t, q, full_ev, minor_ev)
@@ -123,7 +177,7 @@ def test_evolved_transform_against_finite_size_average():
         v = 1.0 / (z - full.eigenvalues)
         vals[m] = (u @ overlap_columns(full, minor, np.arange(n_dim)) @ v) / n_dim
     full_ev, minor_ev = _semicircle_evaluators(t, q)
-    limit = evolve_double_stieltjes(NullInitialTransform(q), z, zt, t, q, full_ev, minor_ev)
+    limit = evolve_double_stieltjes(_zero_diagonal(q), z, zt, t, q, full_ev, minor_ev)
     for part in (np.real, np.imag):
         se = part(vals).std(ddof=1) / np.sqrt(trials)
         assert abs(part(vals).mean() - part(limit)) < 3 * se
@@ -153,7 +207,7 @@ def test_kernel_goe_symmetry_and_peaking_limit():
 def test_general_kernel_matches_closed_form_on_grid():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
-    s0 = NullInitialTransform(q)
+    s0 = _zero_diagonal(q)
     mus = np.linspace(-0.9 * 2 * np.sqrt(q * t), 0.9 * 2 * np.sqrt(q * t), 21)
     lams = np.linspace(-0.9 * 2 * np.sqrt(t), 0.9 * 2 * np.sqrt(t), 21)
     values = overlap_kernel(s0, boundary_values(minor_ev, mus[:, None]),
@@ -165,7 +219,7 @@ def test_general_kernel_matches_closed_form_on_grid():
 def test_general_kernel_refuses_edge_points():
     q, t = 0.5, 1.0
     full_ev, minor_ev = _semicircle_evaluators(t, q)
-    s0 = NullInitialTransform(q)
+    s0 = _zero_diagonal(q)
     edge = boundary_values(full_ev, 2.0 * np.sqrt(t) - 1e-9)
     with pytest.raises(DomainError):
         overlap_kernel(s0, boundary_values(minor_ev, 0.0), edge, t, q)
