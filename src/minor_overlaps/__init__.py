@@ -27,7 +27,7 @@ from .freeprob import (
     BoundaryValues,
     SpectrumModel,
     boundary_values,
-    representative_matrix,
+    representative_diagonal,
     scan_support_edge,
     semicircle_density,
     semicircle_quantile,

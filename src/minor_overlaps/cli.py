@@ -25,7 +25,6 @@ from .freeprob import (
     SpectrumModel,
     boundary_values,
     representative_diagonal,
-    representative_matrix,
     semicircle_density,
     semicircle_quantile,
     solve_minor_stieltjes,
@@ -111,6 +110,12 @@ def _fmt_run(extras) -> str:
     return f"aborted={extras['aborted_trials']} {_fmt_threads(extras)}{refused}"
 
 
+def _check(flag: str, value, ok: bool, allowed: str):
+    """Refuse ``value`` of ``flag`` unless ``ok``, before any arithmetic sees it (exit 2)."""
+    if not ok:
+        raise ValueError(f"{flag} must be {allowed}, got {value}")
+
+
 def _read_model(path: str, mode: str) -> SpectrumModel:
     try:
         return SpectrumModel.from_json(Path(path).read_text())
@@ -129,6 +134,8 @@ def _theory_value(fn, *dests):
 
 def _theory_kernel_goe(args):
     q, t = args.q, args.t
+    _check("--q", q, 0.0 < q < 1.0, "in (0, 1)")
+    _check("--t", t, t > 0, "> 0")
     mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
     edges = montecarlo._bulk_bin_edges(t, args.bins)
     lams = 0.5 * (edges[:-1] + edges[1:])
@@ -141,20 +148,20 @@ def _theory_kernel_general(args):
     q, t = (args.q if args.q is not None else model.q), args.t
     if args.bins < 1:
         raise ValueError(f"need bins >= 1, got {args.bins}")
+    _check("--t", t, t > 0, "> 0")
+    _check("--n0", args.n0, args.n0 >= 1, ">= 1")
     if not 0.0 < q < 1.0:
         raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
     n0_minor = minor_size(q, args.n0)
     s0 = FiniteInitialTransform.from_diagonal(
         representative_diagonal(model, args.n0, n0_minor), n0_minor)
-    minor_model = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
-    full_ev = lambda z: solve_stieltjes(model, z, t)
-    minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
-    minor_b = boundary_values(minor_ev, args.mu)
+    minor_b = boundary_values(lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q), args.mu)
     if minor_b.edge_flagged:
         raise DomainError(f"mu={args.mu} lies outside the minor bulk or at its edge "
                           f"(minor rho={minor_b.rho:.3e}); every point would be refused")
     lams = np.linspace(*args.lambda_range, args.bins)
-    w, rho = montecarlo._kernel_curve(s0, minor_b, full_ev, lams, t, q)
+    full_b = boundary_values(lambda z: solve_stieltjes(model, z, t), lams)
+    w, rho = overlaps_theory.overlap_kernel(s0, minor_b, full_b, t, q), full_b.rho
     ok = ~np.isnan(w)
     _emit(args, reports.theory_curve_csv(lams[ok], args.mu, t, q, w[ok], w[ok] * rho[ok]))
     _note(f"refused={args.bins - ok.sum()}")
@@ -162,6 +169,8 @@ def _theory_kernel_general(args):
 
 def _theory_spike_g(args):
     q, t, spike = args.q, args.t, args.spike
+    _check("--q", q, 0.0 < q <= 1.0, "in (0, 1]")
+    _check("--t", t, t > 0, "> 0")
     if args.mu is not None:
         return _theory_value(overlaps_theory.spike_bulk_overlap, "spike", "q", "t", "mu")(args)
     edges = montecarlo._bulk_bin_edges(t, args.bins, radius_scale=np.sqrt(q))
@@ -189,8 +198,8 @@ def _bulk_config(args) -> ExperimentConfig:
     a_spec = ASpec()
     if args.model:
         model = _read_model(args.model, args.command)
-        matrix = representative_matrix(model, args.n_dim, minor_size(args.q, args.n_dim))
-        a_spec = ASpec(kind="explicit", matrix=matrix)
+        diag = representative_diagonal(model, args.n_dim, minor_size(args.q, args.n_dim))
+        a_spec = ASpec(kind="explicit", matrix=np.diag(diag))
     return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                             master_seed=args.seed, target="bulk", x=args.x,
                             a_spec=a_spec, bins=args.bins, threads=args.threads)

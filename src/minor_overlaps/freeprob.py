@@ -79,9 +79,6 @@ class SpectrumModel:
         locs, counts = np.unique(eigenvalues, return_counts=True)
         return cls(atoms=tuple(zip(locs, counts / eigenvalues.size)), q=q)
 
-    def to_json(self) -> str:
-        return json.dumps({"atoms": [[a, w] for a, w in self.atoms], "q": self.q})
-
     @classmethod
     def from_json(cls, text: str) -> "SpectrumModel":
         """Parse a model; a wrong JSON type, or a non-empty ``"spikes"`` list, is refused."""
@@ -105,11 +102,6 @@ def _json_number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value
-
-
-def representative_matrix(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:
-    """Diagonal matrix realizing the model's atoms, from :func:`representative_diagonal`."""
-    return np.diag(representative_diagonal(model, n_dim, n))
 
 
 def representative_diagonal(model: SpectrumModel, n_dim: int, n: int | None = None) -> np.ndarray:

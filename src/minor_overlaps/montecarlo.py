@@ -468,16 +468,6 @@ def _scan_general_support(full_ev, model: SpectrumModel, t: float):
     return float(lo), float(hi)
 
 
-def _kernel_curve(s0, minor_b, full_ev, lams, t, q):
-    """General kernel at ``mu = minor_b.lam`` over ``lams``, with the full density there.
-
-    Returns ``(w, rho)``: ``w`` is NaN where :func:`overlap_kernel` refuses
-    the point (edge or gap), ``rho`` the full boundary density at every point.
-    """
-    full_b = boundary_values(full_ev, lams)
-    return overlap_kernel(s0, minor_b, full_b, t, q), full_b.rho
-
-
 def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     """Density-weighted bin averages of the general kernel (NaN where refused).
 
@@ -488,8 +478,8 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     """
     nodes, gauss_w = _GAUSS_NODES, _GAUSS_WEIGHTS
     centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    lams = centers[:, None] + halves[:, None] * nodes
-    w, rho = _kernel_curve(s0, boundary_values(minor_ev, mu_hat), full_ev, lams, t, q)
+    full_b = boundary_values(full_ev, centers[:, None] + halves[:, None] * nodes)
+    w, rho = overlap_kernel(s0, boundary_values(minor_ev, mu_hat), full_b, t, q), full_b.rho
     theory = np.full(edges.size - 1, np.nan)
     for b, ok in enumerate(~np.isnan(w)):
         weights = gauss_w[ok] * rho[b, ok]
@@ -566,15 +556,13 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         support = (-hi_edge, hi_edge)
     else:
         s0 = FiniteInitialTransform.from_matrix(a_mat, n)
-        full_model = SpectrumModel.from_eigenvalues(s0.full_evals)
-        minor_model = SpectrumModel.from_eigenvalues(s0.minor_evals, q=q)
-        full_ev = lambda z: solve_stieltjes(full_model, z, t)
-        minor_ev = lambda z: solve_minor_stieltjes(minor_model, z, t, q)
+        full_ev = lambda z: solve_stieltjes(s0.full_model, z, t)
+        minor_ev = lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q)
         if config.bin_range is not None:
             support = config.bin_range
             edges = _bin_edges(config.bins, *support)
         else:
-            support = _scan_general_support(full_ev, full_model, t)
+            support = _scan_general_support(full_ev, s0.full_model, t)
             margin = 0.025 * (support[1] - support[0])
             edges = _bin_edges(config.bins, support[0] + margin, support[1] - margin)
     row_idx = quantile_index(config.x, n) - 1

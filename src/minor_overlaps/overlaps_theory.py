@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, PoleError
-from .freeprob import BoundaryValues, semicircle_quantile
+from .freeprob import BoundaryValues, SpectrumModel, semicircle_quantile
 from .spectral import eig_sym, overlap_columns
 
 _POLE_TOL = 1e-12
@@ -45,13 +45,18 @@ class FiniteInitialTransform:
     ``A`` the grid is 0/1, and the sum collapses onto the distinct entries
     ``a_k`` of the block, ``w = diag(c_k)`` with ``c_k`` the count of ``a_k``
     there: ``s0 = (1/N) sum_k c_k / ((z - a_k)(zt - a_k))``.  Either way,
-    ``full_evals`` and ``minor_evals`` are the eigenvalues, descending.
+    ``full_model`` and ``minor_model`` are the empirical spectra of ``A`` and
+    of its block (from the eigenvalues ``full_evals`` and ``minor_evals``, in
+    any order), the initial conditions of the two single transforms, with the
+    minor's ``q`` recorded as ``n/N``.
     """
 
-    def __init__(self, full_evals, minor_evals, full_poles, minor_poles, weights, n_dim: int):
-        self.full_evals, self.minor_evals = full_evals, minor_evals
-        self.full_poles, self.minor_poles = full_poles, minor_poles
-        self.weights, self.n_dim = weights, int(n_dim)
+    def __init__(self, full_evals, minor_evals, full_poles, minor_poles, weights):
+        self.n_dim = len(full_evals)
+        self.full_model = SpectrumModel.from_eigenvalues(full_evals)
+        self.minor_model = SpectrumModel.from_eigenvalues(minor_evals,
+                                                          q=len(minor_evals) / self.n_dim)
+        self.full_poles, self.minor_poles, self.weights = full_poles, minor_poles, weights
         if self.weights.shape != (self.minor_poles.size, self.full_poles.size):
             raise ValueError("weight matrix shape mismatch")
 
@@ -67,13 +72,13 @@ class FiniteInitialTransform:
             return cls.from_diagonal(np.diagonal(a), n)
         full, minor = eig_sym(a), eig_sym(a[:n, :n])
         return cls(full.eigenvalues, minor.eigenvalues, full.eigenvalues, minor.eigenvalues,
-                   overlap_columns(full, minor, np.arange(a.shape[0])), a.shape[0])
+                   overlap_columns(full, minor, np.arange(a.shape[0])))
 
     @classmethod
     def from_diagonal(cls, diag, n: int) -> "FiniteInitialTransform":
         """Closed form for ``A = diag(diag)``, with no eigendecomposition and no grid.
 
-        The eigenvalues are the sorted entries, which ``eigh`` returns bit for bit.
+        The eigenvalues are the entries, which ``eigh`` returns bit for bit.
         """
         diag = np.asarray(diag, dtype=float)
         if diag.ndim != 1 or not 1 <= n <= diag.size:
@@ -83,8 +88,7 @@ class FiniteInitialTransform:
             raise NumericError(f"initial transform got a non-finite {diag.size}x{diag.size} "
                                f"diagonal matrix")
         poles, counts = np.unique(diag[:n], return_counts=True)
-        return cls(np.sort(diag)[::-1], np.sort(diag[:n])[::-1], poles, poles,
-                   np.diag(counts.astype(float)), diag.size)
+        return cls(diag, diag[:n], poles, poles, np.diag(counts.astype(float)))
 
     def __call__(self, z, z_tilde):
         """Transform at scalars, or at arrays that broadcast together (one grid product)."""
@@ -336,6 +340,8 @@ def spike_bulk_overlap(spike: float, q: float, t: float, mu):
 
 def spike_bulk_mass(spike: float, q: float, t: float) -> float:
     """Total expected overlap mass of the full spike on the minor: ``q t / spike^2``."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t >= spike ** 2:

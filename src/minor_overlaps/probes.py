@@ -19,8 +19,8 @@ so each step solves for those two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
 full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
 names the one used as ``stepper``).  The correlation probe runs serially in
-batches of ``_CHUNK`` samples; its matrix products use the caller's BLAS
-threads.  Both probes report through :func:`_probe_report`.
+batches of ``_CHUNK`` samples, drawn into one buffer; its matrix products use
+the caller's BLAS threads.  Both probes report through :func:`_probe_report`.
 Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
 middle levels.
 """
@@ -143,8 +143,9 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     sums = np.zeros((len(minor_pairs), len(full_pairs)))
     sq_sums = np.zeros_like(sums)
     rng = derive_stream(seed, 1).generator()
+    draws = np.empty((_CHUNK, minor_coeffs.shape[1]))  # each batch overwrites the last
     for done in range(0, samples, _CHUNK):
-        z = rng.standard_normal((min(_CHUNK, samples - done), minor_coeffs.shape[1]))
+        z = rng.standard_normal(out=draws[:min(_CHUNK, samples - done)])
         # one contiguous row per pair of projections: each row sums as one 1-D array
         a, b = (np.ascontiguousarray((z @ c.T).T) for c in (minor_coeffs, full_coeffs))
         for mp, row in enumerate(a):

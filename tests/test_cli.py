@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,35 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
     assert code == 2
     assert stdout == ""
     assert message in stderr
+
+
+_GENERAL = ["--kernel", "general", "--model", "{model}", "--mu", "0.3",
+            "--lambda-range", "-2", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kernel", "goe", "--q", "-0.5"], "--q must be in (0, 1), got -0.5"),
+    (["--kernel", "goe", "--q", "0.5", "--t", "-1"], "--t must be > 0, got -1.0"),
+    (["--spike-g", "--lambda", "3", "--q", "-0.7", "--t", "1"], "--q must be in (0, 1], got -0.7"),
+    (["--spike-g", "--lambda", "3", "--q", "0.7", "--t", "-1"], "--t must be > 0, got -1.0"),
+    (_GENERAL + ["--n0", "0"], "--n0 must be >= 1, got 0"),
+    (_GENERAL + ["--n0", "-4"], "--n0 must be >= 1, got -4"),
+    (_GENERAL + ["--t", "0"], "--t must be > 0, got 0.0"),
+    (["--spike-mass", "--lambda", "3", "--q", "-0.5"], "q must lie in (0, 1]"),
+], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
+        "general-t", "spike-mass-q"])
+def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv, message):
+    # exit 2 names the flag and its range, and numpy warns of nothing first;
+    # pytest records warnings instead of printing them, so they are caught here
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
+    argv = [arg.format(model=model_path) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = _run(capsys, ["theory"] + argv)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n" and "Warning" not in stderr
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from minor_overlaps import (
     SpectrumModel,
     boundary_values,
     derive_stream,
-    representative_matrix,
+    representative_diagonal,
     sample_goe,
     scan_support_edge,
     semicircle_density,
@@ -439,7 +441,7 @@ def test_minor_quantile_is_scaled_full_quantile():
 
 def test_spectrum_model_json_roundtrip_and_validation():
     model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)), q=0.7)
-    again = SpectrumModel.from_json(model.to_json())
+    again = SpectrumModel.from_json(json.dumps({"atoms": model.atoms, "q": model.q}))
     assert again == model
     assert SpectrumModel.from_json('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], '
                                    '"q": 0.7}') == model
@@ -451,26 +453,26 @@ def test_spectrum_model_json_roundtrip_and_validation():
         SpectrumModel(atoms=((0.0, 1.0),), q=0.0)
 
 
-def test_representative_matrix_refuses_atoms_without_entries():
+def test_representative_diagonal_refuses_atoms_without_entries():
     model = SpectrumModel(atoms=((0.0, 0.999), (5.0, 0.001)))
     with pytest.raises(ValueError, match=r"atom at 5.0 .* size 200"):
-        representative_matrix(model, 200)
-    assert np.count_nonzero(np.diag(representative_matrix(model, 1000)) == 5.0) == 1
+        representative_diagonal(model, 200)
+    assert np.count_nonzero(representative_diagonal(model, 1000) == 5.0) == 1
 
 
-def test_representative_matrix_refuses_atoms_outside_the_minor_block():
+def test_representative_diagonal_refuses_atoms_outside_the_minor_block():
     model = SpectrumModel(atoms=((0.0, 0.995), (5.0, 0.005)))
-    diag = np.diag(representative_matrix(model, 200))
+    diag = representative_diagonal(model, 200)
     assert np.flatnonzero(diag == 5.0).tolist() == [100]
-    assert np.array_equal(np.diag(representative_matrix(model, 200, 101)), diag)
+    assert np.array_equal(representative_diagonal(model, 200, 101), diag)
     with pytest.raises(ValueError, match=r"atom at 5.0 .* leading 100x100 block at size 200"):
-        representative_matrix(model, 200, 100)
+        representative_diagonal(model, 200, 100)
 
 
 def test_minor_model_of_two_atoms():
-    # the minor's initial spectrum is read off the initial transform's block eigenvalues
+    # the initial transform carries the spectra of the matrix and of its block
     model = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
-    s0 = FiniteInitialTransform.from_matrix(representative_matrix(model, 200, 100), 100)
-    minor = SpectrumModel.from_eigenvalues(s0.minor_evals, q=0.5)
-    assert minor.atoms == ((-1.0, 0.5), (1.0, 0.5))
-    assert minor.q == 0.5
+    s0 = FiniteInitialTransform.from_matrix(np.diag(representative_diagonal(model, 200, 100)),
+                                            100)
+    assert s0.full_model == SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
+    assert s0.minor_model == SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)), q=0.5)
