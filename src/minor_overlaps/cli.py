@@ -181,12 +181,21 @@ def _theory_spike_g(args):
 
 
 def _theory_interlace(args):
+    _check("--q", args.q, 0.0 < args.q <= 1.0, "in (0, 1]")
+    _check("--t", args.t, args.t > 0, "> 0")
+    _check("--x", args.x, 0.0 <= args.x <= 1.0, "in [0, 1]")
     lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
     _emit(args, reports.simple_csv("x,t,q,lower,upper", [(args.x, args.t, args.q, lo, hi)]))
 
 
 def _theory_bernoulli_expansion(args):
-    n = args.n if args.n is not None else minor_size(args.q, args.n_dim)
+    _check("--N", args.n_dim, args.n_dim >= 1, ">= 1")
+    if args.n is None:
+        n = minor_size(args.q, args.n_dim)
+        _check("--q", args.q, 0.0 < args.q <= 1.0 and n >= 1, "in (0, 1] with round(qN) >= 1")
+    else:
+        n = args.n
+        _check("--n", n, 1 <= n <= args.n_dim, f"in [1, {args.n_dim}]")
     _emit(args, reports.value_csv(overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
 
 
@@ -233,6 +242,7 @@ def cmd_compare(args):
 def _spike_path(args):
     if args.format != "csv":
         raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
+    _check("--t-max", args.t_max, args.t_max > 0, "> 0")
     series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
                                           args.steps, args.seed)
     _emit(args, reports.trajectory_csv(series))

@@ -295,7 +295,7 @@ def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
     """Value with tail mass ``x`` under a (possibly rescaled) semicircle.
 
     ``radius_scale=sqrt(q)`` yields the minor's quantile, which equals
-    ``sqrt(q)`` times the full quantile.  Solved by bisection to 1e-10.
+    ``sqrt(q)`` times the full quantile.  Solved by bisection (:func:`_bisect`).
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
@@ -308,9 +308,21 @@ def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
         return r
     if x == 1.0:
         return -r
+    return _bisect(lambda mid: semicircle_tail_mass(mid, t_eff) > x, lo, hi)
+
+
+def _bisect(left_of_root, lo: float, hi: float) -> float:
+    """Midpoint of ``[lo, hi]`` halved towards the root of ``left_of_root`` to width 1e-12.
+
+    ``left_of_root(mid)`` says whether ``mid`` lies left of the root.  The
+    halving also stops when the midpoint rounds onto an end, which happens
+    before width 1e-12 once the ends exceed about 4.5e3 in magnitude.
+    """
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if semicircle_tail_mass(mid, t_eff) > x:
+        if mid in (lo, hi):  # no float lies between the ends
+            break
+        if left_of_root(mid):
             lo = mid
         else:
             hi = mid

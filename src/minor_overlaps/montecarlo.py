@@ -17,8 +17,8 @@ its runner uses (a grid row, columns or one entry), audited as read; trials
 run concurrently but reduce in trial-index order.  99% confidence
 intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
-three binned runners supply edges, sampler, per-trial selection and theory,
-and share one report tail (:func:`_binned_report`).  The trial pool has one
+three binned runners share one tail (:func:`_binned_report`), and every run,
+the probes included, ends in :func:`_report`.  The trial pool has one
 worker per available core (``threads=0``).  Every runner holds numpy's
 OpenBLAS at one thread from entry to return, set-up and theory included, so
 each worker decomposes single-threaded and the caller's BLAS setting is
@@ -44,7 +44,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,9 +189,9 @@ class OverlapEstimate:
 class ExperimentReport:
     """Estimates paired one-to-one with theory values.
 
-    ``coverage`` is the fraction of *interior* bins whose confidence interval
-    contains the matched theory value (None when the experiment has no binned
-    component).  ``extras`` carries run diagnostics and is not part of the
+    ``coverage`` is the fraction of judged rows (a binned run's interior bins)
+    whose confidence interval contains the matched theory value (None when no
+    row is judged).  ``extras`` carries run diagnostics and is not part of the
     serialized schema.
     """
 
@@ -367,6 +367,18 @@ def _coverage(rows, theory, judged=None):
     return (hits / len(pairs) if pairs else None), (len(pairs) - hits, len(pairs))
 
 
+def _report(config, start: float, rows, theory, extras: dict, judged=None) -> ExperimentReport:
+    """Every run's report: ``rows`` against ``theory``, timed from ``start``.
+
+    Coverage is :func:`_coverage` over the ``judged`` rows; ``extras`` gains its ``misses``.
+    """
+    coverage, misses = _coverage(rows, theory, judged)
+    return ExperimentReport(config=config, estimates=tuple(rows),
+                            theory=tuple(float(v) for v in theory), coverage=coverage,
+                            wall_time_s=time.perf_counter() - start,
+                            extras={**extras, "misses": misses})
+
+
 def _binned_report(config, start: float, kept, run: dict, edges: np.ndarray, support,
                    theory, rho_bar: np.ndarray, extras: dict, tail=()) -> ExperimentReport:
     """Report of a binned runner, timed from ``start``, from its trials and binned theory.
@@ -386,16 +398,10 @@ def _binned_report(config, start: float, kept, run: dict, edges: np.ndarray, sup
     lo, hi = support
     margin = INTERIOR_EDGE_FRACTION * (hi - lo)
     interior = ((centers - lo) >= margin) & ((hi - centers) >= margin)
-    coverage, misses = _coverage(rows, theory, interior)
-    return ExperimentReport(
-        config=config,
-        estimates=tuple(rows) + tuple(est for est, _ in tail),
-        theory=tuple(float(v) for v in theory) + tuple(float(th) for _, th in tail),
-        coverage=coverage,
-        wall_time_s=time.perf_counter() - start,
-        extras={**extras, "bin_edges": edges.tolist(), "rho_bin": rho_bar.tolist(),
-                "interior": interior.tolist(), "misses": misses, **run},
-    )
+    return _report(config, start, rows + [est for est, _ in tail],
+                   [*theory, *(th for _, th in tail)],
+                   {**extras, "bin_edges": edges.tolist(), "rho_bin": rho_bar.tolist(),
+                    "interior": interior.tolist(), **run}, [*interior, *[False] * len(tail)])
 
 
 def miss_tail_probability(misses: int, judged: int) -> float:
@@ -490,26 +496,26 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
 
 
 def _run_decomposed(config: ExperimentConfig, sample, trial, requests=(None, None),
-                    n: int | None = None, first_stream: int = 0):
+                    first_stream: int = 0):
     """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
 
     Trial ``m`` draws ``x = sample(derive_stream(config.master_seed,
-    first_stream + m))``, copies its bare leading ``n x n`` block (``n``
-    defaults to ``config.n``), reduces ``x`` and then the block in place as
+    first_stream + m))``, copies its bare leading ``config.n x config.n``
+    block, reduces ``x`` and then the block in place as
     :func:`~minor_overlaps.spectral.reduced_eig` would, with the eigenvector
     requests ``requests = (full, minor)``, audits Cauchy interlacing on every
     eigenvalue, and returns ``trial(full, minor)``, or None for an absorbed
     spike.  ``sample`` returns a new matrix on each call, which the trial
     owns.  ``trial`` reads the overlaps it uses through the spectral readers,
-    which audit what they read.  ``kept``
-    holds the other results in trial order.  ``run`` holds the counts
-    ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
-    ``trial_blas_threads`` the trials ran with.
+    which audit what they read.  ``kept`` holds the other results in trial
+    order; a run that keeps fewer than two is refused (``NumericError``).
+    ``run`` holds the counts ``aborted_trials`` and ``absorbed_trials`` and
+    the ``pool_threads`` and ``trial_blas_threads`` the trials ran with.
     """
     if config.trials < MIN_CI_TRIALS:
         raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
                          f"got {config.trials}")
-    n = config.n if n is None else n
+    n = config.n
 
     def worker(m):
         x_mat = sample(derive_stream(config.master_seed, first_stream + m))
@@ -523,7 +529,11 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests=(None, Non
     results, aborted, used = _run_trials(config.trials, config.threads, worker)
     done = [r[0] for r in results if r is not None]
     kept = [r for r in done if r is not None]
-    return kept, {"aborted_trials": aborted, "absorbed_trials": len(done) - len(kept), **used}
+    absorbed = len(done) - len(kept)
+    if len(kept) < 2:
+        raise NumericError(f"{len(kept)} of {config.trials} trials kept ({aborted} aborted, "
+                           f"{absorbed} absorbed); a run needs at least 2")
+    return kept, {"aborted_trials": aborted, "absorbed_trials": absorbed, **used}
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +641,8 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
 
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
                                 requests=(0, 0))
-    if len(kept) < 2:
-        raise NumericError("no usable spike-spike trials (spike absorbed everywhere)")
-    return ExperimentReport(
-        config=config,
-        estimates=(_trial_estimate(t, kept, "top_overlap"),),
-        theory=(float(theory),),
-        coverage=None,
-        wall_time_s=time.perf_counter() - start,
-        extras={"spike": spike, "minor_spike": minor_spike, **run},
-    )
+    return _report(config, start, [_trial_estimate(t, kept, "top_overlap")], [theory],
+                   {"spike": spike, "minor_spike": minor_spike, **run}, judged=[False])
 
 
 @_one_blas_thread()
@@ -699,8 +701,6 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
 
     kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
                                 requests=(0, None))
-    if len(kept) < 2:
-        raise NumericError("no usable spike-bulk trials (spike absorbed everywhere)")
 
     # spike_bulk_overlap = t (spike^2 - qt) / spike^2 / (mu - r0)^2 with the
     # real pole r0 = (spike^2 + qt) / spike outside the minor bulk
@@ -775,31 +775,22 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     ``size_index * trials + trial`` so the sweep is reproducible as a whole.
     """
     start = time.perf_counter()
-    q, p = config.q, config.p
+    p = config.p
     if not 0.0 < p <= 1.0:
         raise ValueError("bernoulli spike mode needs p in (0, 1]")
 
-    rows = []
-    theory = []
-    aborted = 0
+    rows, theory, counts = [], [], collections.Counter()
     for idx, n_dim in enumerate(tuple(config.n_dims) or (config.n_dim,)):
-        n = minor_size(q, n_dim)
+        sized = replace(config, n_dim=n_dim)
+        n = sized.n
         if not 1 <= n <= n_dim - 1:
             raise ValueError(f"size {n_dim}: round(qN) out of range")
         # both callables run to completion inside this iteration
-        kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed),
+        kept, run = _run_decomposed(sized, lambda seed: sample_bernoulli(n_dim, p, seed),
                                     lambda full, minor: n / n_dim - overlap_entry(
                                         full, minor, 0, 0),
-                                    requests=(0, 0), n=n, first_stream=idx * config.trials)
-        aborted += run["aborted_trials"]
+                                    requests=(0, 0), first_stream=idx * config.trials)
+        counts.update({k: run[k] for k in ("aborted_trials", "absorbed_trials")})
         rows.append(_trial_estimate(n_dim, kept, "deficit"))
         theory.append((1.0 - n / n_dim) * (1.0 / p - 1.0) / n_dim)
-
-    return ExperimentReport(
-        config=config,
-        estimates=tuple(rows),
-        theory=tuple(theory),
-        coverage=_coverage(rows, theory)[0],
-        wall_time_s=time.perf_counter() - start,
-        extras={**run, "aborted_trials": aborted},
-    )
+    return _report(config, start, rows, theory, {**run, **counts})

@@ -17,12 +17,13 @@ analogue of Cauchy interlacing.  Isolated spikes get their own closed forms
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError, PoleError
-from .freeprob import BoundaryValues, SpectrumModel, semicircle_quantile
+from .freeprob import BoundaryValues, SpectrumModel, _bisect, semicircle_quantile
 from .spectral import eig_sym, overlap_columns
 
 _POLE_TOL = 1e-12
@@ -213,14 +214,7 @@ def kernel_peak_location(mu: float, t: float, q: float) -> float:
         return (c3 * x * x + c1) * x + c0
 
     r = 2.0 * np.sqrt(t)
-    lo, hi = -r, r          # poly(lo) > 0 > poly(hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if poly(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: poly(x) > 0, -r, r)    # poly(-r) > 0 > poly(r)
 
 
 def interlace_interval(x: float, t: float, q: float):
@@ -292,6 +286,19 @@ def initial_minor_spike_from_position(position: float, t: float, q: float) -> fl
     return 0.5 * (position + np.sqrt(disc))
 
 
+def _refuses_overflow(formula):
+    """``formula(spike, ...)``, its float overflow refused as a NumericError naming the spike."""
+    @functools.wraps(formula)
+    def guarded(spike, *args):
+        try:
+            with np.errstate(over="raise"):
+                return formula(spike, *args)
+        except (OverflowError, FloatingPointError):
+            raise NumericError(f"{formula.__name__} overflows a float at spike={spike}") from None
+    return guarded
+
+
+@_refuses_overflow
 def spike_spike_overlap(spike: float, minor_spike: float, q: float, t: float) -> float:
     """Limiting squared overlap of the two spike eigenvectors.
 
@@ -318,6 +325,7 @@ def spike_spike_overlap(spike: float, minor_spike: float, q: float, t: float) ->
     return float((mu / lam) * (lam * lam - t) * (mu * mu - q * t) / (lam * mu - q * t) ** 2)
 
 
+@_refuses_overflow
 def spike_bulk_overlap(spike: float, q: float, t: float, mu):
     """Rescaled coupling of the full spike eigenvector onto minor bulk vectors.
 
@@ -338,6 +346,7 @@ def spike_bulk_overlap(spike: float, q: float, t: float, mu):
     return val if val.ndim else float(val)
 
 
+@_refuses_overflow
 def spike_bulk_mass(spike: float, q: float, t: float) -> float:
     """Total expected overlap mass of the full spike on the minor: ``q t / spike^2``."""
     if not 0.0 < q <= 1.0:

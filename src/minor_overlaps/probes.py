@@ -20,7 +20,8 @@ so each step solves for those two eigenvectors alone
 full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
 names the one used as ``stepper``).  The correlation probe runs serially in
 batches of ``_CHUNK`` samples, drawn into one buffer; its matrix products use
-the caller's BLAS threads.  Both probes report through :func:`_probe_report`.
+the caller's BLAS threads.  Both probes report through :func:`_probe_report`,
+which ends in the runners' :func:`~minor_overlaps.montecarlo._report`.
 Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
 middle levels.
 """
@@ -35,7 +36,7 @@ import time
 import numpy as np
 
 from .ensembles import derive_stream, sample_goe
-from .montecarlo import ExperimentReport, Z_99, _coverage, _estimate, _one_blas_thread, _pool_map
+from .montecarlo import ExperimentReport, Z_99, _estimate, _one_blas_thread, _pool_map, _report
 from .spectral import eig_sym, eigpair_at, eigpair_backend
 
 #: correlation-probe samples drawn and reduced per batch
@@ -91,9 +92,7 @@ def _probe_report(config: dict, start: float, sums, sq_sums, count: int, dt: flo
     se = np.sqrt(np.maximum(sq_sums / count - mean * mean, 0.0) / count)
     rows = [_estimate(k, m / dt, Z_99 * (e / dt), count, kind)
             for k, (m, e, kind) in enumerate(zip(mean, se, kinds))]
-    return ExperimentReport(config=config, estimates=tuple(rows), theory=tuple(theory),
-                            coverage=_coverage(rows, theory)[0],
-                            wall_time_s=time.perf_counter() - start, extras=extras or {})
+    return _report(config, start, rows, theory, extras or {})
 
 
 def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, iu):

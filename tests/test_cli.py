@@ -243,21 +243,34 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
     assert message in stderr
 
 
-_GENERAL = ["--kernel", "general", "--model", "{model}", "--mu", "0.3",
+_GENERAL = ["theory", "--kernel", "general", "--model", "{model}", "--mu", "0.3",
             "--lambda-range", "-2", "2"]
+_PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "30"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--kernel", "goe", "--q", "-0.5"], "--q must be in (0, 1), got -0.5"),
-    (["--kernel", "goe", "--q", "0.5", "--t", "-1"], "--t must be > 0, got -1.0"),
-    (["--spike-g", "--lambda", "3", "--q", "-0.7", "--t", "1"], "--q must be in (0, 1], got -0.7"),
-    (["--spike-g", "--lambda", "3", "--q", "0.7", "--t", "-1"], "--t must be > 0, got -1.0"),
+    (["theory", "--kernel", "goe", "--q", "-0.5"], "--q must be in (0, 1), got -0.5"),
+    (["theory", "--kernel", "goe", "--q", "0.5", "--t", "-1"], "--t must be > 0, got -1.0"),
+    (["theory", "--spike-g", "--lambda", "3", "--q", "-0.7", "--t", "1"],
+     "--q must be in (0, 1], got -0.7"),
+    (["theory", "--spike-g", "--lambda", "3", "--q", "0.7", "--t", "-1"],
+     "--t must be > 0, got -1.0"),
     (_GENERAL + ["--n0", "0"], "--n0 must be >= 1, got 0"),
     (_GENERAL + ["--n0", "-4"], "--n0 must be >= 1, got -4"),
     (_GENERAL + ["--t", "0"], "--t must be > 0, got 0.0"),
-    (["--spike-mass", "--lambda", "3", "--q", "-0.5"], "q must lie in (0, 1]"),
+    (["theory", "--spike-mass", "--lambda", "3", "--q", "-0.5"], "q must lie in (0, 1]"),
+    (["theory", "--interlace", "--q", "-0.5"], "--q must be in (0, 1], got -0.5"),
+    (["theory", "--interlace", "--q", "0.5", "--x", "1.5"], "--x must be in [0, 1], got 1.5"),
+    (["theory", "--bernoulli-expansion", "--q", "-0.5"],
+     "--q must be in (0, 1] with round(qN) >= 1, got -0.5"),
+    (["theory", "--bernoulli-expansion", "--n", "0"], "--n must be in [1, 400], got 0"),
+    (["theory", "--bernoulli-expansion", "--q", "0.5", "--N", "0"], "--N must be >= 1, got 0"),
+    (_PATH + ["--t-max", "0"], "--t-max must be > 0, got 0.0"),
+    (_PATH + ["--t-max", "-1"], "--t-max must be > 0, got -1.0"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
-        "general-t", "spike-mass-q"])
+        "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
+        "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
+        "spike-path-t-max-negative"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv, message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
@@ -266,10 +279,38 @@ def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv
     argv = [arg.format(model=model_path) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, stdout, stderr = _run(capsys, ["theory"] + argv)
+        code, stdout, stderr = _run(capsys, argv)
     assert code == 2 and stdout == ""
     assert stderr == f"error: {message}\n" and "Warning" not in stderr
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv, formula", [
+    (["theory", "--spike-f", "--lambda", "1e200", "--mu", "1e199", "--q", "0.3", "--t", "0.2"],
+     "spike_spike_overlap"),
+    (["theory", "--spike-g", "--lambda", "1e200", "--q", "0.5"], "spike_bulk_overlap"),
+    (["theory", "--spike-mass", "--lambda", "1e200", "--q", "0.3", "--t", "0.2"],
+     "spike_bulk_mass"),
+    (["spike", "--mode", "spike", "--lambda", "1e200", "--qfrac", "0.3", "--t", "0.2",
+      "--N", "60", "--trials", "100"], "spike_spike_overlap"),
+    (["spike", "--mode", "bulk", "--lambda", "1e200", "--qfrac", "0.7", "--t", "1",
+      "--N", "40", "--trials", "100"], "spike_bulk_mass"),
+], ids=["theory-spike-f", "theory-spike-g", "theory-spike-mass", "spike-spike", "spike-bulk"])
+def test_an_overflowing_spike_formula_exits_four(capsys, argv, formula):
+    # spike ** 2 of a Python float raises OverflowError; the run refuses it, with no traceback
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (4, "")
+    assert stderr == f"numeric failure: {formula} overflows a float at spike=1e+200\n"
+
+
+def test_spike_run_without_two_kept_trials_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(cli.montecarlo, "_spike_absorbed", lambda top_eval, t: True)
+    code, stdout, stderr = _run(capsys, [
+        "spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--t", "0.2",
+        "--N", "60", "--trials", "100"])
+    assert (code, stdout) == (4, "")
+    assert stderr == ("numeric failure: 0 of 100 trials kept (0 aborted, 100 absorbed); "
+                      "a run needs at least 2\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -632,13 +673,13 @@ def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
     assert "forced failure" in stderr
 
 
-def _python_with_src(code: str) -> str:
+def _python_with_src(code: str, timeout=None) -> str:
     """Stdout of ``python -c code`` in a fresh interpreter that imports the package from ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, check=True, timeout=timeout).stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -658,3 +699,21 @@ def test_gauss_constants_are_leggauss_and_a_model_run_loads_no_numpy_polynomial(
     out = _python_with_src(f"import sys; from minor_overlaps import cli; code = cli.main({argv}); "
                            "print(code, 'numpy.polynomial' in sys.modules)")
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_bisections_stop_where_the_float_spacing_exceeds_their_width():
+    # at t = 1e8 the roots lie beyond 4.5e3, where adjacent floats are more than
+    # 1e-12 apart: a width test alone never ends, so the run sits in its own
+    # interpreter and a hang fails the test after 60 s
+    argvs = [["theory", "--interlace", "--q", "0.5", "--t", "1e8", "--x", "0.1"],
+             ["theory", "--kernel", "goe", "--q", "0.5", "--t", "1e8", "--x", "0.1",
+              "--bins", "3"],
+             ["theory", "--lambda-star", "--mu", "1e4", "--q", "0.5", "--t", "1e8"]]
+    out = _python_with_src(f"from minor_overlaps import cli; "
+                           f"print([cli.main(argv) for argv in {argvs}])", timeout=60)
+    lines = out.splitlines()
+    assert lines[-1] == "[0, 0, 0]"
+    lower, upper = (float(v) for v in lines[1].split(",")[3:])
+    assert -2e4 < lower < upper < 2e4
+    peak = float(lines[-2])
+    assert 1e4 <= peak <= 1e4 / np.sqrt(0.5)  # mu <= peak <= mu / sqrt(q)

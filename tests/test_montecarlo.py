@@ -183,6 +183,34 @@ def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
     assert report.extras["absorbed_trials"] == 0
 
 
+@pytest.mark.parametrize("name", ["spike-spike", "spike-bulk"])
+def test_driver_refuses_a_run_without_two_kept_trials(monkeypatch, name):
+    # the trial driver, not the runner, owns the rule and names every count
+    runner, config = _RUNNERS[name]
+    monkeypatch.setattr(montecarlo, "_spike_absorbed", lambda top_eval, t: True)
+    with pytest.raises(NumericError) as caught:
+        runner(config)
+    assert str(caught.value) == ("0 of 100 trials kept (0 aborted, 100 absorbed); "
+                                 "a run needs at least 2")
+
+
+def test_bernoulli_spike_sums_its_run_counts_over_sizes(monkeypatch):
+    runner, config = _RUNNERS["bernoulli-spike"]
+    driver, seen = montecarlo._run_decomposed, []
+
+    def counted(sized, *args, **kwargs):
+        # each size runs on its own config, whose minor is round(qN) of that size
+        kept, run = driver(sized, *args, **kwargs)
+        seen.append((sized.n_dim, sized.n))
+        return kept, {**run, "aborted_trials": 1, "absorbed_trials": sized.n_dim}
+
+    monkeypatch.setattr(montecarlo, "_run_decomposed", counted)
+    report = runner(config)
+    assert seen == [(30, 15), (40, 20)]
+    assert report.config is config
+    assert (report.extras["aborted_trials"], report.extras["absorbed_trials"]) == (2, 70)
+
+
 def test_bulk_argmax_lies_in_interlacing_interval():
     report = run_bulk_experiment(_small_bulk_config(n_dim=120, trials=150))
     half_bin = report.extras["bin_width"] / 2
