@@ -116,6 +116,14 @@ def _check(flag: str, value, ok: bool, allowed: str):
         raise ValueError(f"{flag} must be {allowed}, got {value}")
 
 
+def _threads(args) -> int:
+    """``--threads``, refused above the pool's bound before any work starts (exit 2)."""
+    limit = montecarlo.max_threads()
+    _check("--threads", args.threads, args.threads <= limit,
+           f"at most {limit} ({montecarlo.MAX_THREADS_PER_CPU} per available core)")
+    return args.threads
+
+
 def _read_model(path: str, mode: str) -> SpectrumModel:
     try:
         return SpectrumModel.from_json(Path(path).read_text())
@@ -211,7 +219,7 @@ def _bulk_config(args) -> ExperimentConfig:
         a_spec = ASpec(kind="explicit", matrix=np.diag(diag))
     return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                             master_seed=args.seed, target="bulk", x=args.x,
-                            a_spec=a_spec, bins=args.bins, threads=args.threads)
+                            a_spec=a_spec, bins=args.bins, threads=_threads(args))
 
 
 def cmd_simulate(args):
@@ -253,7 +261,7 @@ def _spike_spike(args):
               if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_spike",
-                              a_spec=a_spec, threads=args.threads)
+                              a_spec=a_spec, threads=_threads(args))
     report = montecarlo.run_spike_spike(config)
     _emit_report(args, report, reports.spike_top_report_csv)
     est = report.estimates[0]
@@ -265,7 +273,7 @@ def _spike_bulk(args):
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
-                              bins=args.bins, threads=args.threads)
+                              bins=args.bins, threads=_threads(args))
     report = montecarlo.run_spike_bulk(config)
     _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
@@ -277,7 +285,7 @@ def _spike_bulk(args):
 def _bernoulli_bulk(args):
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_bulk",
-                              p=args.p, bins=args.bins, threads=args.threads)
+                              p=args.p, bins=args.bins, threads=_threads(args))
     report = montecarlo.run_bernoulli_bulk(config)
     _emit_report(args, report, reports.bernoulli_bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
@@ -287,7 +295,7 @@ def _bernoulli_bulk(args):
 def _bernoulli_spike(args):
     config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
-                              p=args.p, n_dims=args.sizes, threads=args.threads)
+                              p=args.p, n_dims=args.sizes, threads=_threads(args))
     report = montecarlo.run_bernoulli_spike(config)
     _emit_report(args, report, reports.bernoulli_spike_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")

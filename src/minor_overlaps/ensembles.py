@@ -44,28 +44,45 @@ def derive_stream(master_seed: int, trial_index: int) -> SeedSpec:
     return SeedSpec(master_seed=int(master_seed), stream_id=int(trial_index))
 
 
-def _symmetric_gaussian(n_dim: int, var_off: float, rng: Generator) -> np.ndarray:
+def _pair(n_dim: int, out):
+    """``out``, or two new ``(n_dim, n_dim)`` float arrays: a draw buffer and the sample's."""
+    if out is None:
+        return np.empty((n_dim, n_dim)), np.empty((n_dim, n_dim))
+    draw, h = out
+    if draw.shape != (n_dim, n_dim) or h.shape != (n_dim, n_dim):
+        raise ValueError(f"out must hold two {n_dim}x{n_dim} arrays, got shapes "
+                         f"{draw.shape} and {h.shape}")
+    return draw, h
+
+
+def _symmetric_gaussian(n_dim: int, var_off: float, rng: Generator, out=None) -> np.ndarray:
     # (a + a.T) is bitwise symmetric; entries get variance 2*var_off on the
     # diagonal and var_off off it, as required for additive Gaussian noise.
-    a = rng.standard_normal((n_dim, n_dim))
-    h = a + a.T
+    a, h = _pair(n_dim, out)
+    rng.standard_normal(out=a)
+    np.add(a, a.T, out=h)
     h *= np.sqrt(var_off / 2.0)
     return h
 
 
-def sample_goe(n_dim: int, t: float, seed: SeedSpec) -> np.ndarray:
+def sample_goe(n_dim: int, t: float, seed: SeedSpec, out=None) -> np.ndarray:
     """Gaussian noise snapshot at time ``t``.
 
     Entries are independent centered Gaussians with variance ``2 t / N`` on
-    the diagonal and ``t / N`` off it.  ``t = 0`` returns the zero matrix.
+    the diagonal and ``t / N`` off it.  ``t = 0`` gives the zero matrix.
+    ``out`` is None, for a new matrix, or a pair of C-contiguous ``(N, N)``
+    float arrays: the draw is made into the first and the sample written into
+    the second, which is returned; the values are the same bit for bit.
     """
     if n_dim < 1:
         raise ValueError("n_dim must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
-        return np.zeros((n_dim, n_dim))
-    return _symmetric_gaussian(n_dim, t / n_dim, seed.generator())
+        h = _pair(n_dim, out)[1]
+        h.fill(0.0)
+        return h
+    return _symmetric_gaussian(n_dim, t / n_dim, seed.generator(), out)
 
 
 def sample_path(n_dim: int, t_grid, seed: SeedSpec):
@@ -154,18 +171,21 @@ def tail_spike_vector(n_dim: int, n: int, spike: float) -> np.ndarray:
     return psi
 
 
-def sample_bernoulli(n_dim: int, p: float, seed: SeedSpec) -> np.ndarray:
+def sample_bernoulli(n_dim: int, p: float, seed: SeedSpec, out=None) -> np.ndarray:
     """Symmetric matrix of i.i.d. Bernoulli(p) entries rescaled by ``1/sqrt(N)``.
 
-    The diagonal is included in the Bernoulli draw.
+    The diagonal is included in the Bernoulli draw: entry ``(i, j)`` with
+    ``i <= j`` is ``U_ij < p`` for the uniform draw ``U``, and the lower
+    triangle mirrors the upper one.  ``out`` is as for :func:`sample_goe`.
     """
     if n_dim < 1:
         raise ValueError("n_dim must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = seed.generator()
-    flat = (rng.random((n_dim, n_dim)) < p).astype(float)
-    upper = np.triu(flat)
-    x = upper + upper.T - np.diag(np.diag(upper))
+    u, x = _pair(n_dim, out)
+    seed.generator().random(out=u)
+    np.less(u, p, out=x)
+    for i in range(1, n_dim):
+        x[i, :i] = x[:i, i]
     x /= np.sqrt(n_dim)
     return x

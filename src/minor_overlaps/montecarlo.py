@@ -8,13 +8,14 @@ t_max, steps, seed)`` follows one noise path instead.
 
 Every runner runs its trials through :func:`_run_decomposed`: one
 independent random stream per trial
-(:func:`minor_overlaps.ensembles.derive_stream`), each trial reduces its
-matrix and the bare leading ``n x n`` block to tridiagonal form once each, in
-place (:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector
+(:func:`minor_overlaps.ensembles.derive_stream`), each trial draws its matrix
+into its pool worker's two reused buffers and reduces it and the bare leading
+``n x n`` block to tridiagonal form once each, in place
+(:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector
 back-transform), forming per side only the eigenvectors its runner asks for,
-audits Cauchy interlacing on every eigenvalue, and reads only the overlaps
-its runner uses (a grid row, columns or one entry), audited as read; trials
-run concurrently but reduce in trial-index order.  99% confidence
+audits Cauchy interlacing on every eigenvalue, and hands its runner only the
+overlaps it uses (a grid row, columns or one entry), audited; trials run
+concurrently but reduce in trial-index order.  99% confidence
 intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
 three binned runners share one tail (:func:`_binned_report`), and every run,
@@ -41,6 +42,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -76,13 +78,12 @@ from .overlaps_theory import (
     spike_spike_overlap,
 )
 from .spectral import (
+    _audit_overlaps,
+    _buffers,
     _openblas,
     _reduce_in_place,
     check_interlacing,
     minor_size,
-    overlap_columns,
-    overlap_entry,
-    overlap_row,
     quantile_index,
 )
 
@@ -91,6 +92,8 @@ Z_99 = 2.575829303548901  # two-sided 99% normal quantile
 CI_MISS_RATE = 0.01
 MIN_CI_TRIALS = 100
 MAX_ABORT_FRACTION = 0.01
+#: pool workers a run may take per available core (:func:`max_threads`)
+MAX_THREADS_PER_CPU = 4
 #: interior bins sit at least this fraction of the bulk diameter away from an edge
 INTERIOR_EDGE_FRACTION = 0.15
 #: a spike is considered absorbed when closer than 0.05 * radius to the bulk edge
@@ -252,6 +255,21 @@ def _one_blas_thread():
         set_threads(previous)
 
 
+def _available_cpus() -> int:
+    """The cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def max_threads() -> int:
+    """The most pool workers a run takes: ``MAX_THREADS_PER_CPU`` per available core.
+
+    Each worker holds about ``2 N^2`` floats of buffers, and up to
+    ``2 * threads + 1`` items are in flight at once.
+    """
+    return MAX_THREADS_PER_CPU * _available_cpus()
+
+
 def _pool_map(threads: int, fn, items):
     """Map ``fn`` over ``items`` on the trial pool; results stream in item order.
 
@@ -267,14 +285,15 @@ def _pool_map(threads: int, fn, items):
     the results it has read: an item that draws random numbers draws them in
     item order whatever the worker count, and a caller that reduces each
     result as it arrives holds a bounded number of items and results.  The
-    caller reads ``results`` to its end or closes it.  Raises ``ValueError``
-    for ``threads < 0``.
+    caller reads ``results`` to its end or closes it.  Raises ``ValueError``,
+    before any worker starts, for ``threads < 0`` or above :func:`max_threads`.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+    if threads > max_threads():
+        raise ValueError(f"threads must be at most {max_threads()} ({MAX_THREADS_PER_CPU} per "
+                         f"available core), got {threads}")
+    threads = threads or _available_cpus()
     used = {"pool_threads": threads,
             "trial_blas_threads": None if _openblas_threads() is None else 1}
 
@@ -495,36 +514,89 @@ def _binned_general_theory(s0, mu_hat, t, q, full_ev, minor_ev, edges):
     return theory, rho_bar, int(np.isnan(w).sum())
 
 
-def _run_decomposed(config: ExperimentConfig, sample, trial, requests=(None, None),
-                    first_stream: int = 0):
+def _goe_sampler(n_dim: int, t: float, a_mat):
+    """``sample(seed, out)`` of :func:`_run_decomposed` for ``A + noise(t)``, ``A`` added in place.
+
+    ``a_mat`` is None for no ``A``; a diagonal one (every spectrum model's) is
+    added on the diagonal alone.
+    """
+    diagonal = a_mat is not None and np.count_nonzero(a_mat) == np.count_nonzero(
+        np.diagonal(a_mat))
+
+    def sample(seed, out):
+        x_mat = sample_goe(n_dim, t, seed, out)
+        if diagonal:
+            x_mat.reshape(-1)[::n_dim + 1] += np.diagonal(a_mat)
+        elif a_mat is not None:
+            x_mat += a_mat
+        return x_mat
+
+    return sample
+
+
+def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_stream: int = 0):
     """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
 
-    Trial ``m`` draws ``x = sample(derive_stream(config.master_seed,
-    first_stream + m))``, copies its bare leading ``config.n x config.n``
-    block, reduces ``x`` and then the block in place as
+    Each pool worker makes one set of reduction buffers for size ``N``
+    (:func:`~minor_overlaps.spectral._buffers`, about ``2 N^2`` floats) on its
+    first trial and reuses it on every later one.  Trial ``m`` draws ``x =
+    sample(derive_stream(config.master_seed, first_stream + m), out)``, where
+    ``out`` is a pair of ``N x N`` views of the buffers (as for
+    :func:`~minor_overlaps.ensembles.sample_goe`) and ``x`` lands in the
+    second, copies its bare leading ``config.n x config.n`` block into the
+    first, and reduces both in place as
     :func:`~minor_overlaps.spectral.reduced_eig` would, with the eigenvector
-    requests ``requests = (full, minor)``, audits Cauchy interlacing on every
-    eigenvalue, and returns ``trial(full, minor)``, or None for an absorbed
-    spike.  ``sample`` returns a new matrix on each call, which the trial
-    owns.  ``trial`` reads the overlaps it uses through the spectral readers,
-    which audit what they read.  ``kept`` holds the other results in trial
-    order; a run that keeps fewer than two is refused (``NumericError``).
-    ``run`` holds the counts ``aborted_trials`` and ``absorbed_trials`` and
-    the ``pool_threads`` and ``trial_blas_threads`` the trials ran with.
+    requests ``requests = (full, minor)``, of which at most one is None.  A
+    side with a request is reduced first, its requested eigenvectors formed
+    at once; a side without holds every eigenvector, and the other side's
+    requested vectors, padded or cut to its size, are carried to its
+    tridiagonal basis before its ``dstedc`` writes into the buffers.  The
+    trial audits Cauchy interlacing on every eigenvalue and the overlaps it
+    reads, and returns ``trial(full, minor, overlaps)``, or None for an
+    absorbed spike.  ``overlaps`` are the squared overlaps of the requested
+    minor eigenvectors (rows; every one when ``requests[1]`` is None) with
+    the requested full ones (columns; likewise), each side descending, and
+    are audited as grid rows by columns, rows as whole when every full
+    eigenvector is held.  ``kept`` holds the other results in trial order; a
+    run that keeps fewer than two is refused (``NumericError``).  ``run``
+    holds the counts ``aborted_trials`` and ``absorbed_trials`` and the
+    ``pool_threads`` and ``trial_blas_threads`` the trials ran with.
     """
     if config.trials < MIN_CI_TRIALS:
         raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
                          f"got {config.trials}")
-    n = config.n
+    n_dim, n = config.n_dim, config.n
+    full_request, minor_request = requests
+    local = threading.local()
 
     def worker(m):
-        x_mat = sample(derive_stream(config.master_seed, first_stream + m))
-        block = x_mat[:n, :n].copy()
-        full, minor = _reduce_in_place(x_mat, requests[0]), _reduce_in_place(block, requests[1])
+        if not hasattr(local, "buffers"):
+            local.buffers = _buffers(n_dim)
+        s_buffer, work, _ = local.buffers
+        out = (s_buffer.reshape(n_dim, n_dim), work[:n_dim * n_dim].reshape(n_dim, n_dim))
+        x_mat = sample(derive_stream(config.master_seed, first_stream + m), out)
+        block = s_buffer[:n * n].reshape(n, n)
+        block[...] = x_mat[:n, :n]
+        if minor_request is None:  # the minor holds every eigenvector
+            full = _reduce_in_place(x_mat, full_request)
+            reads = np.array(full.vectors(full.held)[:n], order="F")
+            minor = _reduce_in_place(block, None, reads, local.buffers)
+            overlaps = minor.coefficients(reads) ** 2
+        else:
+            minor = _reduce_in_place(block, minor_request)
+            if full_request is None:  # the full matrix holds every eigenvector
+                reads = np.zeros((n_dim, minor.held.size), order="F")
+                reads[:n] = minor.vectors(minor.held)
+                full = _reduce_in_place(x_mat, None, reads, local.buffers)
+                overlaps = full.coefficients(reads).T ** 2
+            else:
+                full = _reduce_in_place(x_mat, full_request)
+                overlaps = (minor.vectors(minor.held).T @ full.vectors(full.held)[:n]) ** 2
         ok, margin = check_interlacing(full.eigenvalues, minor.eigenvalues)
         if not ok:
             raise NumericError(f"interlacing violated by margin {margin:.3e}")
-        return (trial(full, minor),)
+        _audit_overlaps(overlaps, whole_rows=full_request is None)
+        return (trial(full, minor, overlaps),)
 
     results, aborted, used = _run_trials(config.trials, config.threads, worker)
     done = [r[0] for r in results if r is not None]
@@ -577,18 +649,13 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
             edges = _bin_edges(config.bins, support[0] + margin, support[1] - margin)
     row_idx = quantile_index(config.x, n) - 1
 
-    def sample(seed):
-        x_mat = sample_goe(n_dim, t, seed)
-        if a_mat is not None:
-            x_mat += a_mat
-        return x_mat
-
-    def trial(full, minor):
-        row, row_sum_error = overlap_row(full, minor, row_idx)
+    def trial(full, minor, overlaps):
+        row = overlaps[0]
         means, counts = _bin_means(n_dim * row, full.eigenvalues, edges)
-        return means, counts, minor.eigenvalues[row_idx], row_sum_error
+        return means, counts, minor.eigenvalues[row_idx], abs(row.sum() - 1.0)
 
-    kept, run = _run_decomposed(config, sample, trial, requests=(None, row_idx))
+    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
+                                requests=(None, row_idx))
     mu_hat = float(np.mean([r[2] for r in kept]))
     extras = {"mu_hat": mu_hat, "bin_width": float(edges[1] - edges[0]),
               "worst_row_sum_error": float(max(r[3] for r in kept))}
@@ -634,13 +701,12 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     theory = spike_spike_overlap(spike, minor_spike, q, t)  # validates the time window
     a_mat = config.a_spec.build(n_dim, n)
 
-    def trial(full, minor):
+    def trial(full, minor, overlaps):
         if _spike_absorbed(full.eigenvalues[0], t):
             return None
-        return overlap_entry(full, minor, 0, 0)
+        return overlaps[0, 0]
 
-    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
-                                requests=(0, 0))
+    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial, requests=(0, 0))
     return _report(config, start, [_trial_estimate(t, kept, "top_overlap")], [theory],
                    {"spike": spike, "minor_spike": minor_spike, **run}, judged=[False])
 
@@ -692,14 +758,14 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     a_mat = config.a_spec.build(n_dim, n)
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
 
-    def trial(full, minor):
+    def trial(full, minor, overlaps):
         if _spike_absorbed(full.eigenvalues[0], t):
             return None
-        col = overlap_columns(full, minor, [0])[:, 0]
+        col = overlaps[:, 0]
         means, counts = _bin_means(n_dim * col, minor.eigenvalues, edges)
         return means, counts, float(col.sum())
 
-    kept, run = _run_decomposed(config, lambda seed: a_mat + sample_goe(n_dim, t, seed), trial,
+    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
                                 requests=(0, None))
 
     # spike_bulk_overlap = t (spike^2 - qt) / spike^2 / (mu - r0)^2 with the
@@ -742,15 +808,16 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         # index 0 of each spectrum is its diverging spike; the window picks full columns
         return 1 + np.flatnonzero(np.abs(full_evals[1:]) <= full_window / 2.0)
 
-    def trial(full, minor):
-        cols = window(full.eigenvalues)
-        if not cols.size:
+    def trial(full, minor, overlaps):
+        # overlaps: every minor eigenvector against the window's full columns
+        if not overlaps.shape[1]:
             return (np.full(edges.size - 1, np.nan), np.zeros(edges.size - 1))
-        row_means = n_dim * overlap_columns(full, minor, cols)[1:].mean(axis=1)
+        row_means = n_dim * overlaps[1:].mean(axis=1)
         return _bin_means(row_means, minor.eigenvalues[1:], edges)
 
-    kept, run = _run_decomposed(config, lambda seed: sample_bernoulli(n_dim, p, seed), trial,
-                                requests=(window, None))
+    kept, run = _run_decomposed(config,
+                                lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
+                                trial, requests=(window, None))
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
     theory = 0.0
@@ -786,9 +853,9 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
         if not 1 <= n <= n_dim - 1:
             raise ValueError(f"size {n_dim}: round(qN) out of range")
         # both callables run to completion inside this iteration
-        kept, run = _run_decomposed(sized, lambda seed: sample_bernoulli(n_dim, p, seed),
-                                    lambda full, minor: n / n_dim - overlap_entry(
-                                        full, minor, 0, 0),
+        kept, run = _run_decomposed(sized,
+                                    lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
+                                    lambda full, minor, overlaps: n / n_dim - overlaps[0, 0],
                                     requests=(0, 0), first_stream=idx * config.trials)
         counts.update({k: run[k] for k in ("aborted_trials", "absorbed_trials")})
         rows.append(_trial_estimate(n_dim, kept, "deficit"))

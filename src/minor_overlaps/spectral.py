@@ -59,6 +59,8 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in eithe
 #: outside ``[_RMIN, _RMAX]`` before reducing it
 _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
 _RMIN, _RMAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1.0 / _SMLNUM))
+#: entries :func:`_checked_symmetric` compares at a time
+_SYMMETRY_CHUNK = 1 << 12
 
 
 @functools.cache
@@ -85,12 +87,14 @@ def _lapacke(name: str):
     return getattr(_openblas(), f"scipy_LAPACKE_{name}_work64_", None)
 
 
-def _lapack(name: str, size: int, *values, integer_work: bool = False):
+def _lapack(name: str, size: int, *values, integer_work: bool = False, workspace=None):
     """Call LAPACKE ``<name>_work`` in column-major layout, its workspace sized by a query.
 
     ``values`` are the arguments between the layout and the workspace, which
-    is ``work, lwork`` and, with ``integer_work``, also ``iwork, liwork``.  A
-    nonzero ``info`` raises ``NumericError`` naming the routine and ``size``.
+    is ``work, lwork`` and, with ``integer_work``, also ``iwork, liwork``.
+    ``workspace`` is None, to allocate what the query asks for, or ``(work,
+    iwork)``, flat arrays at least that long.  A nonzero ``info`` raises
+    ``NumericError`` naming the routine and ``size``.
     """
     def call(lwork, liwork):
         tail = (work.ctypes.data, lwork, iwork.ctypes.data, liwork)
@@ -98,8 +102,15 @@ def _lapack(name: str, size: int, *values, integer_work: bool = False):
 
     work, iwork = np.ones(1), np.ones(1, dtype=np.int64)
     call(-1, -1)  # workspace query: the optimal lengths land in work[0] and iwork[0]
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    call(work.size, iwork.size)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    if workspace is None:
+        work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    else:
+        work, iwork = workspace
+        if work.size < lwork or (integer_work and iwork.size < liwork):
+            raise ValueError(f"{name} at size {size} needs a workspace of {lwork} floats "
+                             f"and {liwork} integers, got {work.size} and {iwork.size}")
+    call(lwork, liwork)
 
 
 def _call(name: str, size: int, *args):
@@ -187,7 +198,8 @@ def _checked_symmetric(x: np.ndarray):
     """``x`` as a float array with its largest absolute entry, refused unless symmetric.
 
     A non-square or empty ``x``, or one not exactly symmetric, raises
-    ``ValueError``; a non-finite one ``NumericError``.
+    ``ValueError``; a non-finite one ``NumericError``.  Symmetry is compared
+    in chunks of rows, so no ``x``-sized temporary is made.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
@@ -195,23 +207,39 @@ def _checked_symmetric(x: np.ndarray):
     size, largest = x.shape[0], np.maximum(x.max(), -x.min())  # no |x| temporary
     if not np.isfinite(largest):
         raise NumericError(f"symmetric eigensolver got a non-finite {size}x{size} matrix")
-    if not np.array_equal(x, x.T):
-        raise ValueError("matrix is not exactly symmetric")
+    step = max(1, _SYMMETRY_CHUNK // size)
+    for lo in range(0, size, step):
+        # rows lo:lo+step from column lo on, against those columns from row lo down
+        if not np.array_equal(x[lo:lo + step, lo:], x[lo:, lo:lo + step].T):
+            raise ValueError("matrix is not exactly symmetric")
     return x, largest
+
+
+def _buffers(size: int):
+    """Reduction buffers for matrices up to ``size x size``: see :func:`_reduce_in_place`.
+
+    ``(s, work, iwork)``: ``size**2`` floats, the ``size**2 + 4 size + 1``
+    floats and ``5 size + 3`` integers LAPACK ``dstedc`` works in, all flat.
+    """
+    return (np.empty(size * size), np.empty(size * size + 4 * size + 1),
+            np.empty(5 * size + 3, dtype=np.int64))
 
 
 @dataclass(frozen=True)
 class ReducedEig:
     """A symmetric matrix ``X = Q T Q^T``, ``T = S diag(w) S^T``, with eigenvectors ``V = Q S``.
 
-    From :func:`reduced_eig`, ``Q`` stays as LAPACK ``dsytrd``'s Householder
-    reflectors (``reflectors``, ``tau``), applied (``dormtr``) only to the
-    columns :meth:`vectors` and :meth:`coefficients` are asked for.  From
-    :func:`eig_sym`, ``Q = I`` and ``S`` is ``eigh``'s ``V``.  ``eigenvalues``
-    descend.  With ``held`` None, ``S`` holds every eigenvector of ``T``, its
-    columns ascending; otherwise it holds only the eigenvectors at the
-    descending indices ``held`` (sorted), one column each, and reading any
-    other eigenvector, or any coefficient, raises ``IndexError``.
+    From :func:`reduced_eig` without a request, ``Q`` stays as LAPACK
+    ``dsytrd``'s Householder reflectors (``reflectors``, ``tau``), applied
+    (``dormtr``) only to the columns :meth:`vectors` and :meth:`coefficients`
+    are asked for.  Given a request, the requested eigenvectors are formed
+    when the matrix is reduced, so ``Q = I`` and ``S`` is ``V``'s requested
+    columns, as from :func:`eig_sym`, where ``S`` is ``eigh``'s ``V``.
+    ``eigenvalues`` descend.  With ``held`` None, ``S`` holds every
+    eigenvector of ``T``, its columns ascending; otherwise it holds only the
+    eigenvectors at the descending indices ``held`` (sorted), one column
+    each, and reading any other eigenvector, or any coefficient, raises
+    ``IndexError``.
     """
 
     eigenvalues: np.ndarray
@@ -257,11 +285,19 @@ class ReducedEig:
         """``Q c`` (``trans=b"N"``) or ``Q^T c`` (``b"T"``) of a vector or of columns ``c``."""
         if self.reflectors is None:
             return c
-        size = self.dim
-        out = np.array(np.reshape(c, (size, -1)), dtype=float, order="F")
-        _lapack("dormtr", size, b"L", b"L", trans, size, out.shape[1], self.reflectors.ctypes.data,
-                size, self.tau.ctypes.data, out.ctypes.data, size)
+        out = np.array(np.reshape(c, (self.dim, -1)), dtype=float, order="F")
+        _dormtr(self.reflectors, self.tau, out, trans)
         return out.reshape(np.shape(c))
+
+
+def _dormtr(reflectors: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: bytes):
+    """Overwrite the Fortran-ordered columns ``c`` with ``Q c`` (``b"N"``) or ``Q^T c`` (``b"T"``).
+
+    ``Q`` is given by ``dsytrd``'s reflectors (lower storage) and ``tau``.
+    """
+    size = tau.size
+    _lapack("dormtr", size, b"L", b"L", trans, size, c.shape[1], reflectors.ctypes.data, size,
+            tau.ctypes.data, c.ctypes.data, size)
 
 
 def eig_sym(x: np.ndarray) -> ReducedEig:
@@ -291,21 +327,33 @@ def reduced_eig(x: np.ndarray, request=None) -> ReducedEig:
     :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the ``N x N``
     back-transform, is skipped: see :class:`ReducedEig`.  Otherwise ``dsterf``
     follows ``dsytrd``, as in ``eigvalsh``, whose eigenvalues it gives bit
-    for bit (within ~1e-14 relative of ``eigh``'s), and ``dstein`` finds only
-    the requested eigenvectors of ``T`` (:func:`_requested_tridiagonal`).
-    Where numpy's OpenBLAS does not export these routines, or where ``eigh``
-    rescales ``x`` first (its largest entry is nonzero and outside
-    ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s decomposition, keeping
-    only the requested eigenvectors.  A non-square, empty or inexactly
-    symmetric ``x`` raises ``ValueError``, a requested index outside the
-    spectrum ``IndexError``, and a non-finite ``x``, or a LAPACK failure,
-    ``NumericError``.
+    for bit (within ~1e-14 relative of ``eigh``'s), ``dstein`` finds only
+    the requested eigenvectors of ``T`` (:func:`_requested_tridiagonal`), and
+    one ``dormtr`` call forms them.  Where numpy's OpenBLAS does not export
+    these routines, or where ``eigh`` rescales ``x`` first (its largest entry
+    is nonzero and outside ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s
+    decomposition, keeping only the requested eigenvectors.  A non-square,
+    empty or inexactly symmetric ``x`` raises ``ValueError``, a requested
+    index outside the spectrum ``IndexError``, and a non-finite ``x``, or a
+    LAPACK failure, ``NumericError``.
     """
     return _reduce_in_place(np.array(x, dtype=float, order="C"), request)
 
 
-def _reduce_in_place(a: np.ndarray, request=None) -> ReducedEig:
-    """:func:`reduced_eig` of ``a``, a C-contiguous float array it overwrites with ``Q``."""
+def _reduce_in_place(a: np.ndarray, request=None, reads=None, buffers=None) -> ReducedEig:
+    """:func:`reduced_eig` of ``a``, a C-contiguous float array it overwrites.
+
+    With a ``request``, ``a`` is free again on return.  Without one,
+    ``dstedc`` writes ``S`` into ``buffers[0]`` and works in the rest of
+    ``buffers`` (:func:`_buffers`, at least ``a``'s size; None allocates
+    them), and ``Q`` stays in ``a`` unless ``reads`` is given.  ``reads`` are
+    the vectors a caller will read the coefficients of, as the columns of a
+    writeable Fortran-ordered float array: right after ``dsytrd`` they are
+    overwritten with ``Q^T reads``, and ``Q`` is dropped.  The result is then
+    the decomposition of ``T``, whose ``coefficients(reads)`` are those of
+    the original ``reads`` on the eigenvectors of ``a``, so ``a`` may lie in
+    ``buffers``; its ``S`` is valid until they are next written.
+    """
     # symmetric, so its C order is its column-major order
     a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
     if (any(_lapacke(name) is None for name in _REDUCTION)
@@ -321,18 +369,28 @@ def _reduce_in_place(a: np.ndarray, request=None) -> ReducedEig:
     _lapack("dsytrd", size, b"L", size, a.ctypes.data, size, d.ctypes.data, e.ctypes.data,
             tau.ctypes.data)
     if request is not None:
-        w, s, held = _requested_tridiagonal(d, e, request)
-        return ReducedEig(eigenvalues=w, tridiagonal_vectors=s, reflectors=a, tau=tau, held=held)
-    s = np.empty((size, size), order="F")
+        w, z, held = _requested_tridiagonal(d, e, request)
+        vectors = np.array(z, order="F")
+        _dormtr(a, tau, vectors, b"N")
+        return ReducedEig(eigenvalues=w, tridiagonal_vectors=vectors, held=held)
+    if reads is not None:
+        _dormtr(a, tau, reads, b"T")
+    s, work, iwork = _buffers(size) if buffers is None else buffers
+    s = s[:size * size].reshape((size, size), order="F")
     _lapack("dstedc", size, b"I", size, d.ctypes.data, e.ctypes.data, s.ctypes.data, size,
-            integer_work=True)
-    return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, reflectors=a, tau=tau)
+            integer_work=True, workspace=(work, iwork))
+    q = {} if reads is not None else {"reflectors": a, "tau": tau}
+    return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, **q)
 
 
 def _requested(request, eigenvalues: np.ndarray) -> np.ndarray:
     """The sorted distinct descending indices ``request`` names (see :func:`reduced_eig`)."""
-    held = np.unique(np.asarray(request(eigenvalues) if callable(request) else request,
-                                dtype=np.int64))
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on its first call
+    held = np.sort(np.asarray(request(eigenvalues) if callable(request) else request,
+                              dtype=np.int64).ravel())
+    distinct = np.ones(held.size, dtype=bool)
+    distinct[1:] = held[1:] != held[:-1]
+    held = held[distinct]
     outside = held[(held < 0) | (held >= eigenvalues.size)]
     if outside.size:
         raise IndexError(f"descending index {outside[0]} outside [0, {eigenvalues.size})")
@@ -383,9 +441,9 @@ def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:
     of 1; the checks run in that order.  A failed check raises
     ``NumericError``.  Returns the largest row sum error, 0 for partial rows.
     """
-    if values.min() < 0 or values.max() > 1 + 1e-12:
+    if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1 + 1e-12:
         raise NumericError("overlap grid entries escape [0, 1]")
-    col_excess = values.sum(axis=0).max() - 1.0
+    col_excess = values.sum(axis=0).max(initial=1.0) - 1.0
     if col_excess > 1e-10:
         raise NumericError(f"overlap grid column sum exceeds 1 by {col_excess:.3e}")
     row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0

@@ -553,6 +553,24 @@ def test_negative_threads_exits_two(capsys, argv):
     assert stderr == f"error: threads must be >= 0, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--bulk", "--N", "40", "--qfrac", "0.5", "--trials", "100"],
+    _SPIKE_SPIKE, _SPIKE_BULK, _BERNOULLI_BULK, _BERNOULLI_SPIKE,
+], ids=["compare", "spike-spike", "spike-bulk", "bernoulli-bulk", "bernoulli-spike"])
+def test_threads_above_the_pool_bound_exit_two_before_any_thread_starts(capsys, monkeypatch,
+                                                                        argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the pool started")
+
+    monkeypatch.setattr(cli.montecarlo, "ThreadPoolExecutor", never)
+    limit = cli.montecarlo.max_threads()
+    code, stdout, stderr = _run(capsys, argv + ["--threads", str(limit + 1)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (f"error: --threads must be at most {limit} (4 per available core), "
+                      f"got {limit + 1}\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["theory", "--interlace", "--x", "0.3", "--t", "nan", "--qfrac", "0.9"], "--t"),
     (["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--bins", "3",

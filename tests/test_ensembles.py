@@ -48,6 +48,40 @@ def test_sampled_matrices_are_bitwise_symmetric():
         assert np.array_equal(b, b.T)
 
 
+def _old_goe(n_dim, t, seed):
+    """The allocating sampler as first written: ``(a + a.T)`` scaled in place."""
+    a = seed.generator().standard_normal((n_dim, n_dim))
+    h = a + a.T
+    h *= np.sqrt(t / n_dim / 2.0)
+    return h
+
+
+def _old_bernoulli(n_dim, p, seed):
+    """The allocating Bernoulli sampler as first written: the upper triangle mirrored."""
+    upper = np.triu((seed.generator().random((n_dim, n_dim)) < p).astype(float))
+    x = upper + upper.T - np.diag(np.diag(upper))
+    x /= np.sqrt(n_dim)
+    return x
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 7, 40, 81])
+def test_samplers_draw_into_given_buffers_bit_for_bit(n_dim):
+    for k in range(4):
+        seed = derive_stream(23, k)
+        for sample, old, param in ((sample_goe, _old_goe, 1.3),
+                                   (sample_bernoulli, _old_bernoulli, 0.3)):
+            # buffers that hold garbage, as a reused buffer does
+            out = (np.full((n_dim, n_dim), np.nan), np.full((n_dim, n_dim), -7.0))
+            drawn = sample(n_dim, param, seed, out=out)
+            assert drawn is out[1]
+            fresh = sample(n_dim, param, seed)
+            assert np.array_equal(drawn, fresh) and np.array_equal(fresh, old(n_dim, param, seed))
+    zero = sample_goe(n_dim, 0.0, SEED, out=(np.ones((n_dim, n_dim)), np.ones((n_dim, n_dim))))
+    assert np.array_equal(zero, np.zeros((n_dim, n_dim)))
+    with pytest.raises(ValueError, match=f"two {n_dim}x{n_dim} arrays"):
+        sample_goe(n_dim, 1.0, SEED, out=(np.empty((n_dim, n_dim)), np.empty(n_dim + 1)))
+
+
 def test_goe_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample_goe(0, 1.0, SEED)

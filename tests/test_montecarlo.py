@@ -21,6 +21,7 @@ from minor_overlaps import (
     SpectrumModel,
     boundary_values,
     correlation_probe,
+    derive_stream,
     drift_probe,
     kernel_goe_value,
     overlap_kernel,
@@ -30,6 +31,7 @@ from minor_overlaps import (
     run_bulk_experiment,
     run_spike_bulk,
     run_spike_spike,
+    sample_goe,
     semicircle_density,
     semicircle_stieltjes,
     solve_minor_stieltjes,
@@ -156,13 +158,14 @@ def test_runner_determinism_across_thread_counts(name):
 @pytest.mark.parametrize("name", list(_RUNNERS))
 def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
     runner, config = _RUNNERS[name]
-    calls = []
+    minors = []
 
     class Inflated:
         """A minor whose vectors and coefficients are ten times too long."""
 
         def __init__(self, dec):
-            self.eigenvalues, self.dim, self.dec = dec.eigenvalues, dec.dim, dec
+            self.eigenvalues, self.dim, self.held, self.dec = (dec.eigenvalues, dec.dim,
+                                                               dec.held, dec)
 
         def vectors(self, idx):
             return 10.0 * self.dec.vectors(idx)
@@ -170,15 +173,15 @@ def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
         def coefficients(self, w):
             return 10.0 * self.dec.coefficients(w)
 
-    def reduce_once_inflated(x, request):
-        # on one pool thread the calls alternate full, minor; call 7 is trial 3's minor
-        calls.append(x.shape)
-        dec = spectral._reduce_in_place(x, request)
-        return Inflated(dec) if len(calls) == 8 else dec
+    def reduce_once_inflated(x, *args):
+        # on one pool thread each trial reduces one minor; the fourth is trial 3's
+        minors.append(x.shape[0] == config.n)
+        dec = spectral._reduce_in_place(x, *args)
+        return Inflated(dec) if minors[-1] and sum(minors) == 4 else dec
 
     monkeypatch.setattr(montecarlo, "_reduce_in_place", reduce_once_inflated)
     report = runner(config)
-    assert calls[7][0] < calls[6][0]  # the inflated one was a minor
+    assert sum(minors[:8]) == 4  # the inflated one was trial 3's minor
     assert report.extras["aborted_trials"] == 1
     assert report.extras["absorbed_trials"] == 0
 
@@ -629,6 +632,19 @@ def test_pool_map_refuses_negative_threads(threads):
         _pool_map(threads, never, range(3))
 
 
+def test_pool_map_refuses_more_threads_than_its_bound_before_any_starts(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the pool started")
+
+    limit = montecarlo.max_threads()
+    assert limit == montecarlo.MAX_THREADS_PER_CPU * len(os.sched_getaffinity(0))
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", never)
+    with pytest.raises(ValueError, match=f"threads must be at most {limit} "
+                                         r"\(4 per available core\), got "
+                                         f"{limit + 1}$"):
+        _pool_map(limit + 1, never, range(3))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_pool_map_reads_items_in_the_caller_in_order(threads):
     caller, count = threading.get_ident(), 40
@@ -939,6 +955,86 @@ def _traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+#: a runner whose full side holds every eigenvector, and one whose minor does, at
+#: N = 300 on one worker
+_BUFFERED_RUNS = {
+    "bulk": (run_bulk_experiment, _small_bulk_config(n_dim=300, bins=12)),
+    "spike-bulk": (run_spike_bulk, ExperimentConfig(
+        n_dim=300, q=0.7, t=1.0, trials=100, master_seed=11, target="spike_bulk", bins=12,
+        a_spec=ASpec(kind="tail_spike", spike=3.0), threads=1)),
+}
+
+
+def _traced_trials(monkeypatch, name):
+    """Run ``name`` under tracemalloc; ``(peak of its trials, per-trial peaks)`` in bytes.
+
+    The first is the peak above what was allocated when the trials began; each
+    of the second is one trial's peak above what was allocated at its start.
+    """
+    runner, config = _BUFFERED_RUNS[name]
+    trials, marks = montecarlo._run_trials, []
+
+    def traced_trials(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = trials(*args)
+        marks.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    def marking_stream(*args):
+        # each trial starts here, in its worker: close the last trial's window
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return derive_stream(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_trials", traced_trials)
+    monkeypatch.setattr(montecarlo, "derive_stream", marking_stream)
+    tracemalloc.start()
+    try:
+        runner(config)
+    finally:
+        tracemalloc.stop()
+    *starts, peak = marks
+    return peak, [starts[m + 1][1] - starts[m][0] for m in range(len(starts) - 1)]
+
+
+@pytest.mark.parametrize("name", ["bulk", "spike-bulk"])
+def test_trials_peak_near_two_matrices_per_worker(monkeypatch, name):
+    # the worker's two reused buffers hold 2 N^2 + 9 N + 4 floats, and the rest
+    # (a trial's O(N) temporaries, numpy's ufunc buffers, the kept results)
+    # fits in 256 kB, about 0.36 N^2 floats at N = 300; a trial that allocated
+    # its sample, block, S and dstedc's workspace anew peaked near 3.25 N^2
+    n_dim = _BUFFERED_RUNS[name][1].n_dim
+    peak, _ = _traced_trials(monkeypatch, name)
+    assert peak < 2 * 8 * n_dim * n_dim + 2**18, peak / (8 * n_dim * n_dim)
+
+
+@pytest.mark.parametrize("name", list(_BUFFERED_RUNS))
+def test_trials_after_a_workers_first_allocate_nothing_minor_sized(monkeypatch, name):
+    # the worker makes its buffers before its first trial's stream is derived
+    n = _BUFFERED_RUNS[name][1].n
+    _, per_trial = _traced_trials(monkeypatch, name)
+    assert len(per_trial) == 99
+    assert max(per_trial) < 8 * n * n, max(per_trial) / (8 * n * n)
+
+
+def test_goe_sampler_adds_a_diagonal_a_on_the_diagonal_alone():
+    n_dim, seed = 30, derive_stream(3, 1)
+    diagonal = np.diag(np.linspace(-1.0, 1.0, n_dim))
+    dense = diagonal + 0.01
+    for a_mat in (diagonal, dense):
+        out = (np.empty((n_dim, n_dim)), np.empty((n_dim, n_dim)))
+        drawn = montecarlo._goe_sampler(n_dim, 0.5, a_mat)(seed, out)
+        assert drawn is out[1]
+        assert np.array_equal(drawn, a_mat + sample_goe(n_dim, 0.5, seed))
+    # a dense add would turn every -0.0 off the diagonal into +0.0
+    negative_zeros = np.full((n_dim, n_dim), -0.0)
+    with mock.patch.object(montecarlo, "sample_goe", lambda *args: negative_zeros):
+        montecarlo._goe_sampler(n_dim, 0.5, diagonal)(seed, None)
+    assert np.array_equal(negative_zeros, diagonal)
+    assert np.signbit(negative_zeros[~np.eye(n_dim, dtype=bool)]).all()
 
 
 def test_spike_path_memory_does_not_grow_with_steps():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -351,6 +353,47 @@ def test_reduced_eig_refuses_bad_input():
                 decompose(np.diag([1.0, value, 2.0]))
 
 
+def test_symmetry_check_compares_chunks_without_a_matrix_sized_temporary():
+    size = 1000
+    x = sample_goe(size, 1.0, derive_stream(4, 0))
+    tracemalloc.start()
+    try:
+        assert spectral._checked_symmetric(x)[0] is x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * size // 4, peak  # a boolean x == x.T would take size**2 bytes
+    # an asymmetry in any chunk, the first and last rows included, is refused
+    for i, j in ((0, 1), (size - 1, 0), (size - 2, size - 1), (200, 3), (4, 5)):
+        bad = x.copy()
+        bad[i, j] += 1e-14
+        with pytest.raises(ValueError, match="^matrix is not exactly symmetric$"):
+            spectral._checked_symmetric(bad)
+
+
+def test_reads_carried_to_the_tridiagonal_basis_give_the_same_coefficients():
+    # as a trial runs it: the matrix lies in the workspace, and S lands in the first buffer
+    size, n = 50, 20
+    x = sample_goe(size, 1.0, derive_stream(8, 0))
+    buffers = spectral._buffers(size)
+    a = buffers[1][:size * size].reshape(size, size)
+    a[...] = x
+    reads = np.asfortranarray(np.random.default_rng(2).standard_normal((size, 3)))
+    carried = reads.copy(order="F")
+    dec = spectral._reduce_in_place(a, None, carried, buffers)
+    assert dec.reflectors is None and np.shares_memory(dec.tridiagonal_vectors, buffers[0])
+    want = reduced_eig(x)
+    assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+    assert np.array_equal(dec.coefficients(carried), want.coefficients(reads))
+    # a block of the same buffers, as a minor is reduced
+    block = buffers[0][:n * n].reshape(n, n)
+    block[...] = x[:n, :n]
+    carried = reads[:n].copy(order="F")
+    minor = spectral._reduce_in_place(block, None, carried, buffers)
+    assert np.array_equal(minor.coefficients(carried), reduced_eig(x[:n, :n]).coefficients(
+        reads[:n]))
+
+
 def test_readers_audit_what_they_read():
     x = sample_goe(20, 1.0, derive_stream(9, 0))
     full, minor = reduced_eig(x), reduced_eig(x[:8, :8])
@@ -404,15 +447,17 @@ def _check_requested(x, request, ref, eigvalsh=None):
     """``reduced_eig(x, request)`` against ``eig_sym``'s ``ref``: values, vectors, refusals.
 
     ``eigvalsh`` holds ``eigvalsh(x)`` descending where the LAPACK path runs: it
-    calls ``dsytrd`` then ``dsterf``, as the request path does.
+    calls ``dsytrd`` then ``dsterf``, as the request path does.  Either path
+    forms the requested vectors when it reduces, so neither keeps reflectors.
     """
     dec = reduced_eig(x, request)
     held = np.unique(request(ref.eigenvalues) if callable(request) else request)
     assert np.array_equal(dec.held, held) and dec.tridiagonal_vectors.shape == (x.shape[0],
                                                                                 held.size)
     assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-13 * max(1.0, np.abs(x).max())
+    assert dec.reflectors is None
     if eigvalsh is not None:
-        assert dec.reflectors is not None and np.array_equal(dec.eigenvalues, eigvalsh)
+        assert np.array_equal(dec.eigenvalues, eigvalsh)
     for k in held:
         vector, want = dec.vectors(k), ref.vectors(k)
         assert min(np.abs(vector - want).max(), np.abs(vector + want).max()) <= 1e-12
@@ -475,5 +520,7 @@ def test_reduced_eig_leaves_its_input_alone_and_trials_reduce_their_own():
         assert np.array_equal(x, kept)
         owned = x.copy()
         dec = spectral._reduce_in_place(owned, request)
-        assert dec.reflectors is owned or not _lapack_path()
+        # reduced in place: Q stays in the input, or was applied to the requested vectors
+        if _lapack_path():
+            assert dec.reflectors is owned if request is None else not np.array_equal(owned, x)
         assert np.array_equal(dec.eigenvalues, reduced_eig(x, request).eigenvalues)
