@@ -266,7 +266,8 @@ def _spike_spike(args):
     _emit_report(args, report, reports.spike_top_report_csv)
     est = report.estimates[0]
     _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
-          f"absorbed={report.extras['absorbed_trials']} {_fmt_run(report.extras)}")
+          f"absorbed={report.extras['absorbed_trials']} "
+          f"minor_at_edge={report.extras['minor_edge_trials']} {_fmt_run(report.extras)}")
 
 
 def _spike_bulk(args):

@@ -10,12 +10,14 @@ Every runner runs its trials through :func:`_run_decomposed`: one
 independent random stream per trial
 (:func:`minor_overlaps.ensembles.derive_stream`), each trial draws its matrix
 into its pool worker's two reused buffers and reduces it and the bare leading
-``n x n`` block to tridiagonal form once each, in place
-(:func:`~minor_overlaps.spectral.reduced_eig`, no eigenvector
-back-transform), forming per side only the eigenvectors its runner asks for,
-audits Cauchy interlacing on every eigenvalue, and hands its runner only the
-overlaps it uses (a grid row, columns or one entry), audited; trials run
-concurrently but reduce in trial-index order.  99% confidence
+``n x n`` block to tridiagonal form once each, in place, with no ``N x N``
+eigenvector back-transform: one side forms only the eigenvectors its runner
+asks for (:func:`~minor_overlaps.spectral.reduced_eig`), and where the other
+side reads every eigenvector it gets their coefficients on it instead
+(:func:`~minor_overlaps.spectral._carry_in_place`).  The trial audits Cauchy
+interlacing on every eigenvalue and hands its runner the eigenvalues and
+only the overlaps it uses (a grid row, columns or one entry), audited;
+trials run concurrently but reduce in trial-index order.  99% confidence
 intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
 three binned runners share one tail (:func:`_binned_report`), and every run,
@@ -80,6 +82,7 @@ from .overlaps_theory import (
 from .spectral import (
     _audit_overlaps,
     _buffers,
+    _carry_in_place,
     _openblas,
     _reduce_in_place,
     check_interlacing,
@@ -543,24 +546,23 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
     sample(derive_stream(config.master_seed, first_stream + m), out)``, where
     ``out`` is a pair of ``N x N`` views of the buffers (as for
     :func:`~minor_overlaps.ensembles.sample_goe`) and ``x`` lands in the
-    second, copies its bare leading ``config.n x config.n`` block into the
-    first, and reduces both in place as
-    :func:`~minor_overlaps.spectral.reduced_eig` would, with the eigenvector
-    requests ``requests = (full, minor)``, of which at most one is None.  A
-    side with a request is reduced first, its requested eigenvectors formed
-    at once; a side without holds every eigenvector, and the other side's
-    requested vectors, padded or cut to its size, are carried to its
-    tridiagonal basis before its ``dstedc`` writes into the buffers.  The
-    trial audits Cauchy interlacing on every eigenvalue and the overlaps it
-    reads, and returns ``trial(full, minor, overlaps)``, or None for an
-    absorbed spike.  ``overlaps`` are the squared overlaps of the requested
-    minor eigenvectors (rows; every one when ``requests[1]`` is None) with
-    the requested full ones (columns; likewise), each side descending, and
-    are audited as grid rows by columns, rows as whole when every full
-    eigenvector is held.  ``kept`` holds the other results in trial order; a
-    run that keeps fewer than two is refused (``NumericError``).  ``run``
-    holds the counts ``aborted_trials`` and ``absorbed_trials`` and the
-    ``pool_threads`` and ``trial_blas_threads`` the trials ran with.
+    second, and copies its bare leading ``config.n x config.n`` block into
+    the first.  ``requests = (full, minor)`` are each side's eigenvector
+    request (as for :func:`~minor_overlaps.spectral.reduced_eig`), at most
+    one None, for every eigenvector.  A side with a request is reduced first
+    (:func:`~minor_overlaps.spectral._reduce_in_place`), one without next
+    (:func:`~minor_overlaps.spectral._carry_in_place`), carrying the other
+    side's vectors, zero-padded or cut to its size.  The trial audits Cauchy
+    interlacing on every eigenvalue and the overlaps it reads, and returns
+    ``trial(lam, mu, overlaps)``, or None for an absorbed spike: every full
+    and minor eigenvalue, and the squared overlaps of the requested minor
+    eigenvectors (rows; every one when ``requests[1]`` is None) with the
+    requested full ones (columns; likewise), each descending, audited as
+    grid rows by columns, rows as whole when every full eigenvector is read.
+    ``kept`` holds the other results in trial order; a run that keeps fewer
+    than two is refused (``NumericError``).  ``run`` holds the counts
+    ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
+    ``trial_blas_threads`` the trials ran with.
     """
     if config.trials < MIN_CI_TRIALS:
         raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
@@ -578,25 +580,25 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
         block = s_buffer[:n * n].reshape(n, n)
         block[...] = x_mat[:n, :n]
         if minor_request is None:  # the minor holds every eigenvector
-            full = _reduce_in_place(x_mat, full_request)
-            reads = np.array(full.vectors(full.held)[:n], order="F")
-            minor = _reduce_in_place(block, None, reads, local.buffers)
-            overlaps = minor.coefficients(reads) ** 2
+            lam, _, full_vectors = _reduce_in_place(x_mat, full_request)
+            reads = np.array(full_vectors[:n], order="F")
+            mu, coefficients = _carry_in_place(block, reads, local.buffers)
+            overlaps = coefficients ** 2
         else:
-            minor = _reduce_in_place(block, minor_request)
+            mu, _, minor_vectors = _reduce_in_place(block, minor_request)
             if full_request is None:  # the full matrix holds every eigenvector
-                reads = np.zeros((n_dim, minor.held.size), order="F")
-                reads[:n] = minor.vectors(minor.held)
-                full = _reduce_in_place(x_mat, None, reads, local.buffers)
-                overlaps = full.coefficients(reads).T ** 2
+                reads = np.zeros((n_dim, minor_vectors.shape[1]), order="F")
+                reads[:n] = minor_vectors
+                lam, coefficients = _carry_in_place(x_mat, reads, local.buffers)
+                overlaps = coefficients.T ** 2
             else:
-                full = _reduce_in_place(x_mat, full_request)
-                overlaps = (minor.vectors(minor.held).T @ full.vectors(full.held)[:n]) ** 2
-        ok, margin = check_interlacing(full.eigenvalues, minor.eigenvalues)
+                lam, _, full_vectors = _reduce_in_place(x_mat, full_request)
+                overlaps = (minor_vectors.T @ full_vectors[:n]) ** 2
+        ok, margin = check_interlacing(lam, mu)
         if not ok:
             raise NumericError(f"interlacing violated by margin {margin:.3e}")
         _audit_overlaps(overlaps, whole_rows=full_request is None)
-        return (trial(full, minor, overlaps),)
+        return (trial(lam, mu, overlaps),)
 
     results, aborted, used = _run_trials(config.trials, config.threads, worker)
     done = [r[0] for r in results if r is not None]
@@ -649,10 +651,10 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
             edges = _bin_edges(config.bins, support[0] + margin, support[1] - margin)
     row_idx = quantile_index(config.x, n) - 1
 
-    def trial(full, minor, overlaps):
+    def trial(lam, mu, overlaps):
         row = overlaps[0]
-        means, counts = _bin_means(n_dim * row, full.eigenvalues, edges)
-        return means, counts, minor.eigenvalues[row_idx], abs(row.sum() - 1.0)
+        means, counts = _bin_means(n_dim * row, lam, edges)
+        return means, counts, mu[row_idx], abs(row.sum() - 1.0)
 
     kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
                                 requests=(None, row_idx))
@@ -688,11 +690,19 @@ def _spike_absorbed(top_eval: float, t: float) -> bool:
 
 @_one_blas_thread()
 def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
-    """Mean squared overlap of the two top (spike) eigenvectors vs its limit."""
+    """Mean squared overlap of the two top (spike) eigenvectors vs its limit.
+
+    ``extras["minor_edge_trials"]`` counts the kept trials whose minor top
+    eigenvalue lies within ``SPIKE_ABSORB_MARGIN`` of the minor bulk edge
+    ``2 sqrt(qt)`` or below it; they stay in the estimate.
+    """
     start = time.perf_counter()
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind not in ("uniform_spike", "split_spike"):
         raise ValueError("spike-spike experiment needs a uniform_spike or split_spike part")
+    if not 1 <= n <= n_dim:
+        raise ValueError(f"spike-spike experiment needs 1 <= round(qN) <= N, "
+                         f"got n={n}, N={n_dim}")
     spike = config.a_spec.spike
     if config.a_spec.kind == "split_spike":
         minor_spike = config.a_spec.minor_spike
@@ -701,14 +711,16 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     theory = spike_spike_overlap(spike, minor_spike, q, t)  # validates the time window
     a_mat = config.a_spec.build(n_dim, n)
 
-    def trial(full, minor, overlaps):
-        if _spike_absorbed(full.eigenvalues[0], t):
+    def trial(lam, mu, overlaps):
+        if _spike_absorbed(lam[0], t):
             return None
-        return overlaps[0, 0]
+        return overlaps[0, 0], _spike_absorbed(mu[0], q * t)
 
     kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial, requests=(0, 0))
-    return _report(config, start, [_trial_estimate(t, kept, "top_overlap")], [theory],
-                   {"spike": spike, "minor_spike": minor_spike, **run}, judged=[False])
+    overlaps, at_edge = zip(*kept)
+    return _report(config, start, [_trial_estimate(t, overlaps, "top_overlap")], [theory],
+                   {"spike": spike, "minor_spike": minor_spike,
+                    "minor_edge_trials": int(sum(at_edge)), **run}, judged=[False])
 
 
 @_one_blas_thread()
@@ -753,16 +765,19 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind != "tail_spike":
         raise ValueError("spike-bulk experiment needs a tail_spike deterministic part")
+    if not 1 <= n <= n_dim - 1:
+        raise ValueError(f"spike-bulk experiment needs 1 <= round(qN) <= N-1, "
+                         f"got n={n}, N={n_dim}")
     spike = config.a_spec.spike
     mass_theory = spike_bulk_mass(spike, q, t)  # validates t < spike^2
     a_mat = config.a_spec.build(n_dim, n)
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
 
-    def trial(full, minor, overlaps):
-        if _spike_absorbed(full.eigenvalues[0], t):
+    def trial(lam, mu, overlaps):
+        if _spike_absorbed(lam[0], t):
             return None
         col = overlaps[:, 0]
-        means, counts = _bin_means(n_dim * col, minor.eigenvalues, edges)
+        means, counts = _bin_means(n_dim * col, mu, edges)
         return means, counts, float(col.sum())
 
     kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
@@ -808,12 +823,12 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         # index 0 of each spectrum is its diverging spike; the window picks full columns
         return 1 + np.flatnonzero(np.abs(full_evals[1:]) <= full_window / 2.0)
 
-    def trial(full, minor, overlaps):
+    def trial(lam, mu, overlaps):
         # overlaps: every minor eigenvector against the window's full columns
         if not overlaps.shape[1]:
             return (np.full(edges.size - 1, np.nan), np.zeros(edges.size - 1))
         row_means = n_dim * overlaps[1:].mean(axis=1)
-        return _bin_means(row_means, minor.eigenvalues[1:], edges)
+        return _bin_means(row_means, mu[1:], edges)
 
     kept, run = _run_decomposed(config,
                                 lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
@@ -855,7 +870,7 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
         # both callables run to completion inside this iteration
         kept, run = _run_decomposed(sized,
                                     lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
-                                    lambda full, minor, overlaps: n / n_dim - overlaps[0, 0],
+                                    lambda lam, mu, overlaps: n / n_dim - overlaps[0, 0],
                                     requests=(0, 0), first_stream=idx * config.trials)
         counts.update({k: run[k] for k in ("aborted_trials", "absorbed_trials")})
         rows.append(_trial_estimate(n_dim, kept, "deficit"))

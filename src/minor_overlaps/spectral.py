@@ -6,17 +6,20 @@ the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
 block, decomposed at size ``n``; its eigenvectors live on the first ``n``
 coordinates.
 
-A decomposition is a :class:`ReducedEig`.  :func:`reduced_eig` reduces with
-LAPACK, called directly from numpy's bundled OpenBLAS (loaded on first use by
-:func:`_openblas`), and forms eigenvectors, or the coefficients of given
-vectors on them, only when asked; given a request, it finds only the
-requested eigenvectors of the tridiagonal form.  :func:`eig_sym` wraps
-``eigh``, whose ``Q`` is the identity.  Overlaps are read through :func:`overlap_row`,
-:func:`overlap_columns` (every column gives the whole grid) and
-:func:`overlap_entry`, which audit what they read.  :func:`eigpair_at`
-computes one eigenpair by index with LAPACK ``dsyevr`` (:func:`eigpair_backend`
-names the one in use).  Both LAPACK routines fall back to a full ``eigh``
-where numpy's OpenBLAS does not export what they need.
+Three decompositions serve the package.  :func:`eig_sym` wraps ``eigh``
+and returns every eigenpair as a :class:`ReducedEig`.  The other two call
+LAPACK directly from numpy's bundled OpenBLAS (loaded on first use by
+:func:`_openblas`) and form no ``N x N`` eigenvector matrix:
+:func:`reduced_eig` gives every eigenvalue and only the requested
+eigenvectors, and :func:`_carry_in_place`, the trial driver's, gives every
+eigenvalue and the coefficients of given vectors on every eigenvector.  Both
+fall back to :func:`eig_sym` where numpy's OpenBLAS does not export their
+routines or where ``eigh`` would rescale the matrix.  :func:`overlap_columns`
+reads columns of the overlap grid between two :class:`ReducedEig` (every
+column gives the whole grid), audited by :func:`_audit_overlaps`.
+:func:`eigpair_at` computes one eigenpair by index with LAPACK ``dsyevr``
+(:func:`eigpair_backend` names the one in use), falling back to a full
+``eigh`` likewise.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ _ARGTYPES = {
     # layout, n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail
     "dstein": [_INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR],
 }
-#: the routines :func:`reduced_eig` calls; without any of them it falls back to ``eigh``
+#: the routines :func:`reduced_eig` and :func:`_carry_in_place` call; without any of them
+#: both fall back to ``eigh``
 _REDUCTION = ("dsytrd", "dstedc", "dormtr", "dsterf", "dstein")
 #: LAPACK's relative machine precision ``dlamch('E')``, which ``dsterf`` splits ``T`` with
 _LAPACK_EPS = np.finfo(float).eps / 2
@@ -216,7 +220,7 @@ def _checked_symmetric(x: np.ndarray):
 
 
 def _buffers(size: int):
-    """Reduction buffers for matrices up to ``size x size``: see :func:`_reduce_in_place`.
+    """Reduction buffers for matrices up to ``size x size``: see :func:`_carry_in_place`.
 
     ``(s, work, iwork)``: ``size**2`` floats, the ``size**2 + 4 size + 1``
     floats and ``5 size + 3`` integers LAPACK ``dstedc`` works in, all flat.
@@ -227,53 +231,30 @@ def _buffers(size: int):
 
 @dataclass(frozen=True)
 class ReducedEig:
-    """A symmetric matrix ``X = Q T Q^T``, ``T = S diag(w) S^T``, with eigenvectors ``V = Q S``.
+    """Every eigenpair of a symmetric matrix, from :func:`eig_sym`.
 
-    From :func:`reduced_eig` without a request, ``Q`` stays as LAPACK
-    ``dsytrd``'s Householder reflectors (``reflectors``, ``tau``), applied
-    (``dormtr``) only to the columns :meth:`vectors` and :meth:`coefficients`
-    are asked for.  Given a request, the requested eigenvectors are formed
-    when the matrix is reduced, so ``Q = I`` and ``S`` is ``V``'s requested
-    columns, as from :func:`eig_sym`, where ``S`` is ``eigh``'s ``V``.
-    ``eigenvalues`` descend.  With ``held`` None, ``S`` holds every
-    eigenvector of ``T``, its columns ascending; otherwise it holds only the
-    eigenvectors at the descending indices ``held`` (sorted), one column
-    each, and reading any other eigenvector, or any coefficient, raises
-    ``IndexError``.
+    ``eigenvalues`` descend; ``ascending_vectors`` is ``eigh``'s ``V``, its
+    columns in ascending order of eigenvalue.
     """
 
     eigenvalues: np.ndarray
-    tridiagonal_vectors: np.ndarray
-    reflectors: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    held: np.ndarray | None = None
+    ascending_vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
 
     def vectors(self, idx):
-        """Eigenvectors ``Q S[:, k]`` at descending indices ``idx`` (an int or a list), copied."""
+        """Eigenvectors at descending indices ``idx`` (an int or a list), copied."""
         idx = np.asarray(idx)
         outside = idx[(idx < 0) | (idx >= self.dim)]
         if outside.size:
             raise IndexError(f"descending index {outside.flat[0]} outside [0, {self.dim})")
-        if self.held is None:
-            cols = self.dim - 1 - idx
-        else:
-            unheld = idx[~np.isin(idx, self.held)]
-            if unheld.size:
-                raise IndexError(f"eigenvector at descending index {unheld.flat[0]} "
-                                 f"was not requested")
-            cols = np.searchsorted(self.held, idx)
-        return self._apply_q(np.take(self.tridiagonal_vectors, cols, axis=1), b"N")
+        return np.take(self.ascending_vectors, self.dim - 1 - idx, axis=1)
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
-        """``V^T w = S^T Q^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
-        if self.held is not None:
-            raise IndexError("coefficients need every eigenvector, and only "
-                             f"{self.held.size} of {self.dim} were requested")
-        return (self.tridiagonal_vectors.T @ self._apply_q(w, b"T"))[::-1]
+        """``V^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
+        return (self.ascending_vectors.T @ w)[::-1]
 
     def reconstruction_error(self, x: np.ndarray) -> float:
         """Max-norm error of ``V diag(w) V^T`` against ``x``, relative to ``max(1, |x|_inf)``."""
@@ -281,29 +262,23 @@ class ReducedEig:
         err = np.max(np.abs((v * w) @ v.T - x))
         return float(err / max(1.0, np.max(np.abs(x))))
 
-    def _apply_q(self, c, trans: bytes) -> np.ndarray:
-        """``Q c`` (``trans=b"N"``) or ``Q^T c`` (``b"T"``) of a vector or of columns ``c``."""
-        if self.reflectors is None:
-            return c
-        out = np.array(np.reshape(c, (self.dim, -1)), dtype=float, order="F")
-        _dormtr(self.reflectors, self.tau, out, trans)
-        return out.reshape(np.shape(c))
 
-
-def _dormtr(reflectors: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: bytes):
+def _dormtr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: bytes):
     """Overwrite the Fortran-ordered columns ``c`` with ``Q c`` (``b"N"``) or ``Q^T c`` (``b"T"``).
 
-    ``Q`` is given by ``dsytrd``'s reflectors (lower storage) and ``tau``.
+    ``Q`` is given by ``tau`` and the Householder vectors ``dsytrd`` left
+    below the diagonal of ``a`` (:func:`_tridiagonal`).
     """
     size = tau.size
-    _lapack("dormtr", size, b"L", b"L", trans, size, c.shape[1], reflectors.ctypes.data, size,
+    _lapack("dormtr", size, b"L", b"L", trans, size, c.shape[1], a.ctypes.data, size,
             tau.ctypes.data, c.ctypes.data, size)
 
 
 def eig_sym(x: np.ndarray) -> ReducedEig:
-    """Every eigenpair of a symmetric matrix by ``eigh``, as a :class:`ReducedEig` with ``Q = I``.
+    """Every eigenpair of a symmetric matrix by ``eigh``.
 
-    Input is refused as by :func:`reduced_eig`.
+    A non-square, empty or inexactly symmetric ``x`` raises ``ValueError``, a
+    non-finite one, or an ``eigh`` failure, ``NumericError``.
     """
     x, largest = _checked_symmetric(x)
     try:
@@ -313,74 +288,89 @@ def eig_sym(x: np.ndarray) -> ReducedEig:
             f"symmetric eigensolver failed on {x.shape[0]}x{x.shape[0]} matrix "
             f"(|X|_inf={largest:.3e}): {exc}"
         ) from exc
-    return ReducedEig(eigenvalues=w[::-1].copy(), tridiagonal_vectors=v)
+    return ReducedEig(eigenvalues=w[::-1].copy(), ascending_vectors=v)
 
 
-def reduced_eig(x: np.ndarray, request=None) -> ReducedEig:
-    """Every eigenvalue of a symmetric matrix, with eigenvectors formed only on request.
+def reduced_eig(x: np.ndarray, request):
+    """Every eigenvalue of a symmetric matrix and the eigenvectors ``request`` names.
 
-    ``request`` names the eigenvectors a caller reads, by descending index:
-    None for all of them, an int, a list, or a function that maps the
-    descending eigenvalues to an int or a list.  With None, this runs LAPACK
-    ``dsytrd`` then ``dstedc('I')`` on a copy of ``x``: the calls, in the
-    order, that numpy's ``eigh`` (``dsyevd``) makes, so the eigenvalues equal
-    :func:`eig_sym`'s bit for bit.  Only ``eigh``'s last step, the ``N x N``
-    back-transform, is skipped: see :class:`ReducedEig`.  Otherwise ``dsterf``
-    follows ``dsytrd``, as in ``eigvalsh``, whose eigenvalues it gives bit
-    for bit (within ~1e-14 relative of ``eigh``'s), ``dstein`` finds only
-    the requested eigenvectors of ``T`` (:func:`_requested_tridiagonal`), and
-    one ``dormtr`` call forms them.  Where numpy's OpenBLAS does not export
-    these routines, or where ``eigh`` rescales ``x`` first (its largest entry
-    is nonzero and outside ``[_RMIN, _RMAX]``), this returns :func:`eig_sym`'s
-    decomposition, keeping only the requested eigenvectors.  A non-square,
-    empty or inexactly symmetric ``x`` raises ``ValueError``, a requested
-    index outside the spectrum ``IndexError``, and a non-finite ``x``, or a
-    LAPACK failure, ``NumericError``.
+    ``request`` names them by descending index: an int, a list, or a function
+    that maps the descending eigenvalues to an int or a list.  Returns
+    ``(eigenvalues, held, vectors)``: every eigenvalue, descending; ``held``,
+    the sorted distinct indices requested; and their eigenvectors, one column
+    each, in the order of ``held``.  LAPACK ``dsytrd`` reduces a copy of ``x``
+    to tridiagonal ``T = Q^T x Q``, ``dsterf`` finds every eigenvalue of ``T``,
+    as in ``eigvalsh``, whose eigenvalues it gives bit for bit (within ~1e-14
+    relative of ``eigh``'s), ``dstein`` finds only the requested eigenvectors
+    of ``T`` (:func:`_requested_tridiagonal`), and one ``dormtr`` call forms
+    them.  Where numpy's OpenBLAS does not export these routines, or where
+    ``eigh`` rescales ``x`` first (:func:`_takes_eigh`), this reads the same
+    from :func:`eig_sym`.  Input is refused as by :func:`eig_sym`, and a
+    requested index outside the spectrum raises ``IndexError``.
     """
     return _reduce_in_place(np.array(x, dtype=float, order="C"), request)
 
 
-def _reduce_in_place(a: np.ndarray, request=None, reads=None, buffers=None) -> ReducedEig:
-    """:func:`reduced_eig` of ``a``, a C-contiguous float array it overwrites.
+def _takes_eigh(largest: float) -> bool:
+    """Whether to decompose by :func:`eig_sym`: a routine is missing, or ``eigh`` would rescale."""
+    return (any(_lapacke(name) is None for name in _REDUCTION)
+            or 0.0 < largest < _RMIN or largest > _RMAX)
 
-    With a ``request``, ``a`` is free again on return.  Without one,
-    ``dstedc`` writes ``S`` into ``buffers[0]`` and works in the rest of
-    ``buffers`` (:func:`_buffers`, at least ``a``'s size; None allocates
-    them), and ``Q`` stays in ``a`` unless ``reads`` is given.  ``reads`` are
-    the vectors a caller will read the coefficients of, as the columns of a
-    writeable Fortran-ordered float array: right after ``dsytrd`` they are
-    overwritten with ``Q^T reads``, and ``Q`` is dropped.  The result is then
-    the decomposition of ``T``, whose ``coefficients(reads)`` are those of
-    the original ``reads`` on the eigenvectors of ``a``, so ``a`` may lie in
-    ``buffers``; its ``S`` is valid until they are next written.
-    """
-    # symmetric, so its C order is its column-major order
-    a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
-    if (any(_lapacke(name) is None for name in _REDUCTION)
-            or 0.0 < largest < _RMIN or largest > _RMAX):
-        dec = eig_sym(a)
-        if request is None:
-            return dec
-        held = _requested(request, dec.eigenvalues)
-        return ReducedEig(dec.eigenvalues, dec.tridiagonal_vectors[:, dec.dim - 1 - held],
-                          held=held)
+
+def _tridiagonal(a: np.ndarray):
+    """``(d, e, tau)`` of LAPACK ``dsytrd`` on ``a``, whose lower triangle it overwrites."""
     size = a.shape[0]
     d, e, tau = np.empty(size), np.empty(size), np.empty(size)
     _lapack("dsytrd", size, b"L", size, a.ctypes.data, size, d.ctypes.data, e.ctypes.data,
             tau.ctypes.data)
-    if request is not None:
-        w, z, held = _requested_tridiagonal(d, e, request)
-        vectors = np.array(z, order="F")
-        _dormtr(a, tau, vectors, b"N")
-        return ReducedEig(eigenvalues=w, tridiagonal_vectors=vectors, held=held)
-    if reads is not None:
-        _dormtr(a, tau, reads, b"T")
-    s, work, iwork = _buffers(size) if buffers is None else buffers
+    return d, e, tau
+
+
+def _reduce_in_place(a: np.ndarray, request):
+    """:func:`reduced_eig` of ``a``, a C-contiguous float array it overwrites; free on return."""
+    # symmetric, so its C order is its column-major order
+    a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
+    if _takes_eigh(largest):
+        dec = eig_sym(a)
+        held = _requested(request, dec.eigenvalues)
+        return dec.eigenvalues, held, dec.ascending_vectors[:, dec.dim - 1 - held]
+    d, e, tau = _tridiagonal(a)
+    w, z, held = _requested_tridiagonal(d, e, request)
+    vectors = np.array(z, order="F")
+    _dormtr(a, tau, vectors, b"N")
+    return w, held, vectors
+
+
+def _carry_in_place(a: np.ndarray, reads: np.ndarray, buffers):
+    """Every eigenvalue of ``a`` and the coefficients of ``reads`` on its eigenvectors.
+
+    Returns ``(eigenvalues, coefficients)``, both descending, as
+    :func:`eig_sym`'s ``eigenvalues`` and ``coefficients(reads)``, with no
+    ``N x N`` back-transform: ``dsytrd`` reduces ``a`` (C-contiguous,
+    overwritten) to ``T = Q^T a Q``, ``dormtr`` overwrites ``reads`` (columns
+    of ``a``'s size, copied unless Fortran-ordered) with ``Q^T reads``, and
+    ``dstedc`` finds ``T = S diag(w) S^T``, writing ``S`` into ``buffers[0]``
+    and working in the rest of ``buffers`` (:func:`_buffers`), which may hold
+    ``a``.  These are ``eigh``'s calls in its order, so the eigenvalues equal
+    :func:`eig_sym`'s bit for bit.  Where :func:`_takes_eigh`, both are read
+    off :func:`eig_sym`.  Input is refused as by :func:`eig_sym`, and
+    ``reads`` of another size raise ``ValueError``.
+    """
+    a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
+    reads = np.require(reads, float, ["F", "W"])
+    if reads.ndim != 2 or reads.shape[0] != a.shape[0]:
+        raise ValueError(f"reads of shape {reads.shape} are not columns of size {a.shape[0]}")
+    if _takes_eigh(largest):
+        dec = eig_sym(a)
+        return dec.eigenvalues, dec.coefficients(reads)
+    size = a.shape[0]
+    d, e, tau = _tridiagonal(a)
+    _dormtr(a, tau, reads, b"T")
+    s, work, iwork = buffers
     s = s[:size * size].reshape((size, size), order="F")
     _lapack("dstedc", size, b"I", size, d.ctypes.data, e.ctypes.data, s.ctypes.data, size,
             integer_work=True, workspace=(work, iwork))
-    q = {} if reads is not None else {"reflectors": a, "tau": tau}
-    return ReducedEig(eigenvalues=d[::-1].copy(), tridiagonal_vectors=s, **q)
+    return d[::-1].copy(), (s.T @ reads)[::-1]
 
 
 def _requested(request, eigenvalues: np.ndarray) -> np.ndarray:
@@ -433,13 +423,13 @@ def _requested_tridiagonal(d: np.ndarray, e: np.ndarray, request):
     return eigenvalues, z[:, np.searchsorted(where, wanted)], held
 
 
-def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:
+def _audit_overlaps(values: np.ndarray, whole_rows: bool):
     """Audit squared overlaps laid out as grid rows (minor vectors) by columns (full vectors).
 
     Every entry must lie in ``[0, 1 + 1e-12]``, every column sum at most
     ``1 + 1e-10`` and, when the rows are whole, every row sum within 1e-10
     of 1; the checks run in that order.  A failed check raises
-    ``NumericError``.  Returns the largest row sum error, 0 for partial rows.
+    ``NumericError``.
     """
     if values.min(initial=0.0) < 0 or values.max(initial=0.0) > 1 + 1e-12:
         raise NumericError("overlap grid entries escape [0, 1]")
@@ -449,44 +439,23 @@ def _audit_overlaps(values: np.ndarray, whole_rows: bool) -> float:
     row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0
     if row_err > 1e-10:
         raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
-    return row_err
-
-
-def overlap_row(full, minor, i: int):
-    """Row ``i`` of the overlap grid, from the minor's eigenvector ``i`` alone.
-
-    ``full`` and ``minor`` come from :func:`reduced_eig` (or :func:`eig_sym`)
-    of a matrix and of its leading block.  Returns ``(row, row_sum_error)``:
-    the squared overlaps of that vector with every full eigenvector, audited
-    as a whole row, and how far their sum lies from 1.
-    """
-    padded = np.zeros(full.dim)
-    padded[:minor.dim] = minor.vectors(i)
-    row = full.coefficients(padded) ** 2
-    return row, _audit_overlaps(row[None, :], whole_rows=True)
 
 
 def overlap_columns(full, minor, cols) -> np.ndarray:
     """Columns ``cols`` (a list or array) of the overlap grid, from those full eigenvectors alone.
 
-    Returns the ``n x len(cols)`` squared overlaps of every minor eigenvector
-    (rows, descending) with the full eigenvectors ``cols``, audited as whole
-    columns and, when ``cols`` holds every column, as whole rows: then the
-    result is the whole grid, each row summing to 1.  A minor larger than the
-    full matrix raises ``ValueError``.
+    ``full`` and ``minor`` are :func:`eig_sym` decompositions of a matrix and
+    of its leading block.  Returns the ``n x len(cols)`` squared overlaps of
+    every minor eigenvector (rows, descending) with the full eigenvectors
+    ``cols``, audited as whole columns and, when ``cols`` holds every column,
+    as whole rows: then the result is the whole grid, each row summing to 1.
+    A minor larger than the full matrix raises ``ValueError``.
     """
     if minor.dim > full.dim:
         raise ValueError(f"minor of size {minor.dim} does not fit a {full.dim}x{full.dim} matrix")
     values = minor.coefficients(full.vectors(cols)[:minor.dim]) ** 2
     _audit_overlaps(values, whole_rows=np.array_equal(np.sort(cols), np.arange(full.dim)))
     return values
-
-
-def overlap_entry(full, minor, i: int, j: int) -> float:
-    """Entry ``(i, j)`` of the overlap grid from two eigenvectors alone, audited."""
-    value = float(minor.vectors(i) @ full.vectors(j)[:minor.dim]) ** 2
-    _audit_overlaps(np.array([[value]]), whole_rows=False)
-    return value
 
 
 def check_interlacing(full_evals: np.ndarray, minor_evals: np.ndarray):

@@ -181,7 +181,7 @@ def test_monte_carlo_run_fields_on_stderr(capsys, argv):
     code, _, stderr = _run(capsys, argv + ["--trials", "100", "--seed", "2", "--threads", "2"])
     assert code == 0
     assert "aborted=0 pool_threads=2 trial_blas_threads=" in stderr
-    assert ("absorbed=" in stderr) == (argv[0] == "spike")
+    assert ("absorbed=" in stderr) == ("minor_at_edge=" in stderr) == (argv[0] == "spike")
 
 
 def test_model_atom_outside_minor_block_exits_two(capsys, tmp_path):
@@ -267,10 +267,17 @@ _PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3"
     (["theory", "--bernoulli-expansion", "--q", "0.5", "--N", "0"], "--N must be >= 1, got 0"),
     (_PATH + ["--t-max", "0"], "--t-max must be > 0, got 0.0"),
     (_PATH + ["--t-max", "-1"], "--t-max must be > 0, got -1.0"),
+    (["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.001", "--N", "60", "--t", "0.2"],
+     "spike-spike experiment needs 1 <= round(qN) <= N, got n=0, N=60"),
+    (["spike", "--mode", "spike", "--lambda", "1", "--mu", "0.5", "--qfrac", "0.001", "--N",
+      "60", "--t", "0.2"], "spike-spike experiment needs 1 <= round(qN) <= N, got n=0, N=60"),
+    (["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.005", "--N", "60", "--t", "1"],
+     "spike-bulk experiment needs 1 <= round(qN) <= N-1, got n=0, N=60"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
-        "spike-path-t-max-negative"])
+        "spike-path-t-max-negative", "spike-spike-empty-minor", "split-spike-empty-minor",
+        "spike-bulk-empty-minor"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv, message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here

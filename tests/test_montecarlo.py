@@ -160,30 +160,64 @@ def test_failed_read_audit_aborts_one_trial(monkeypatch, name):
     runner, config = _RUNNERS[name]
     minors = []
 
-    class Inflated:
-        """A minor whose vectors and coefficients are ten times too long."""
+    def inflating_fourth_minor(reduce):
+        """``reduce`` with trial 3's minor vectors or coefficients ten times too long."""
+        def reduced(x, *args):
+            # on one pool thread each trial reduces one minor; the fourth is trial 3's
+            minors.append(x.shape[0] == config.n)
+            *head, read = reduce(x, *args)
+            return (*head, 10.0 * read if minors[-1] and sum(minors) == 4 else read)
+        return reduced
 
-        def __init__(self, dec):
-            self.eigenvalues, self.dim, self.held, self.dec = (dec.eigenvalues, dec.dim,
-                                                               dec.held, dec)
-
-        def vectors(self, idx):
-            return 10.0 * self.dec.vectors(idx)
-
-        def coefficients(self, w):
-            return 10.0 * self.dec.coefficients(w)
-
-    def reduce_once_inflated(x, *args):
-        # on one pool thread each trial reduces one minor; the fourth is trial 3's
-        minors.append(x.shape[0] == config.n)
-        dec = spectral._reduce_in_place(x, *args)
-        return Inflated(dec) if minors[-1] and sum(minors) == 4 else dec
-
-    monkeypatch.setattr(montecarlo, "_reduce_in_place", reduce_once_inflated)
+    for reducer in ("_reduce_in_place", "_carry_in_place"):
+        monkeypatch.setattr(montecarlo, reducer,
+                            inflating_fourth_minor(getattr(spectral, reducer)))
     report = runner(config)
     assert sum(minors[:8]) == 4  # the inflated one was trial 3's minor
     assert report.extras["aborted_trials"] == 1
     assert report.extras["absorbed_trials"] == 0
+
+
+@pytest.mark.parametrize("name", list(_RUNNERS))
+def test_runners_agree_on_the_eigh_fallback(name):
+    # without numpy's LAPACK symbols every trial decomposes with eigh
+    runner, config = _RUNNERS[name]
+    lapack = runner(config)
+    with mock.patch.object(spectral, "_openblas", lambda: None), \
+            mock.patch.object(spectral, "eig_sym", wraps=spectral.eig_sym) as eig_sym:
+        fallback = runner(config)
+    assert eig_sym.call_count == 2 * config.trials * max(1, len(config.n_dims))
+    for report in (lapack, fallback):
+        assert report.extras["aborted_trials"] == 0
+    assert len(lapack.estimates) == len(fallback.estimates)
+    for a, b in zip(lapack.estimates, fallback.estimates):
+        assert (a.center, a.n_samples, a.kind) == (b.center, b.n_samples, b.kind)
+        assert (a.mean is None) == (b.mean is None)
+        if a.mean is not None:
+            scale = max(abs(a.ci_low), abs(a.ci_high))
+            assert np.abs(np.subtract((a.mean, a.ci_low, a.ci_high),
+                                      (b.mean, b.ci_low, b.ci_high))).max() <= 1e-12 * scale
+
+
+def test_spike_spike_counts_minor_tops_at_their_bulk_edge_on_any_thread_count():
+    # kept, not dropped: the estimate is that of every trial whose full spike stands out
+    runner, config = _RUNNERS["spike-spike"]
+    edge = 2.0 * np.sqrt(config.q * config.t)
+    tops, spectra = [], montecarlo.check_interlacing
+
+    def recording(lam, mu):
+        tops.append(mu[0])
+        return spectra(lam, mu)
+
+    with mock.patch.object(montecarlo, "check_interlacing", recording):
+        report = runner(config)
+    counted = report.extras["minor_edge_trials"]
+    assert report.extras["absorbed_trials"] == 0 and len(tops) == config.trials
+    assert counted == sum(top < edge + montecarlo.SPIKE_ABSORB_MARGIN * edge for top in tops)
+    assert 0 < counted < config.trials == report.estimates[0].n_samples
+    for threads in (2, 3):
+        assert runner(dataclasses.replace(config, threads=threads)).extras[
+            "minor_edge_trials"] == counted
 
 
 @pytest.mark.parametrize("name", ["spike-spike", "spike-bulk"])
@@ -737,8 +771,8 @@ def test_bulk_model_run_holds_one_blas_thread_from_set_up_to_trials(blas_threads
                         staticmethod(recording("set-up", FiniteInitialTransform.from_matrix)))
     for name in ("solve_stieltjes", "solve_minor_stieltjes"):
         monkeypatch.setattr(montecarlo, name, recording("solve", getattr(montecarlo, name)))
-    monkeypatch.setattr(montecarlo, "_reduce_in_place",
-                        recording("trial", spectral._reduce_in_place))
+    for name in ("_reduce_in_place", "_carry_in_place"):
+        monkeypatch.setattr(montecarlo, name, recording("trial", getattr(spectral, name)))
     report = run_bulk_experiment(dataclasses.replace(_two_atom_bulk_config(40), threads=2))
     assert seen["set-up"] == [1]
     # the density grid, the support scan's bracket check and its 29 bisection
