@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +71,23 @@ def _add_report(parser, pool=True, threads=0):
 def _add_q(parser, required=False):
     parser.add_argument("--qfrac", "--q", dest="q", type=_finite, required=required,
                         help="minor fraction q")
+
+
+def _check_out(out: str):
+    """Refuse an ``--out`` that cannot be written before any work starts (exit 2).
+
+    :func:`_emit` still refuses a write that fails when the run is done.
+    """
+    path = Path(out)
+    if path.is_dir():
+        reason = "Is a directory"
+    elif not path.parent.is_dir():
+        reason = "No such file or directory"
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise ValueError(f"--out {out}: {reason}")
 
 
 def _emit(args, text: str):
@@ -294,6 +312,9 @@ def _bernoulli_bulk(args):
 
 
 def _bernoulli_spike(args):
+    for size in args.sizes:  # every size, before the first one's trials
+        _check("--sizes", size, 1 <= minor_size(args.q, size) <= size - 1,
+               "a list of sizes N with 1 <= round(qN) <= N-1")
     config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_spike",
                               p=args.p, n_dims=args.sizes, threads=_threads(args))
@@ -478,6 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _check("--seed", args.seed, args.seed >= 0, ">= 0")
+        if args.out:
+            _check_out(args.out)
         return args.func(args) or 0  # a command returns None on success
     except (DomainError, ValueError) as exc:
         _note(f"error: {exc}")

@@ -10,7 +10,7 @@ independent Gaussian increments through the frozen state:
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
 
-The drift probe steps its increments on the trial pool
+The drift probe draws and steps its increments on the trial pool
 (:func:`minor_overlaps.montecarlo._pool_map`) at one BLAS thread;
 :func:`drift_probe` states how they stream and why its report is the same bit
 for bit at every worker count.  Each increment reads one number, the overlap
@@ -18,10 +18,10 @@ of minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix,
 so each step solves for those two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
 full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
-names the one used as ``stepper``).  The correlation probe runs serially in
-batches of ``_CHUNK`` samples, drawn into one buffer; its matrix products use
-the caller's BLAS threads.  Both probes report through :func:`_probe_report`,
-which ends in the runners' :func:`~minor_overlaps.montecarlo._report`.
+names the one used as ``stepper``).  The correlation probe runs serially, at
+one BLAS thread, in batches of ``_CHUNK`` samples drawn into one buffer.  Both
+probes report through :func:`_probe_report`, which ends in the runners'
+:func:`~minor_overlaps.montecarlo._report`.
 Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
 middle levels.
 """
@@ -44,7 +44,7 @@ _CHUNK = 2000
 #: drift increments whose rows reduce in one ``(_GROUP x N) . (N x N)`` product; the
 #: printed bytes depend on it, since a product's rows round with its row count
 _GROUP = 500
-#: drift increments one pool task steps: each block in flight holds ``_BLOCK x N^2`` floats
+#: drift increments one pool task draws and steps, into its worker's one ``_BLOCK x N^2`` buffer
 _BLOCK = 25
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
 MAX_PROBE_DIM = 100
@@ -111,6 +111,7 @@ def _quadratic_form_coeffs(u: np.ndarray, w: np.ndarray, n_dim: int, dt: float, 
     return np.concatenate([off, diag])
 
 
+@_one_blas_thread()
 def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
                       dt: float = 1.0) -> ExperimentReport:
     """Check the increment correlation identity on a frozen state.
@@ -121,6 +122,8 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     fresh increments (``dXm`` is the minor truncation of ``dX``) and matches
     it against ``(P_ij P_lk + P_ik P_lj) / N`` with ``P`` the frozen signed
     overlaps.  Estimate rows are ordered by quadruple; centers index them.
+    The probe runs with OpenBLAS held at one thread, as :func:`drift_probe`
+    does, so its bytes do not depend on the caller's count.
     """
     start = time.perf_counter()
     if samples < 10_000:
@@ -230,15 +233,18 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     state included, runs with OpenBLAS held at one thread; the caller's
     count is restored afterwards.
 
-    The caller's thread draws the ``trials`` increments from the probe's one
-    generator, block ``k`` (at most ``_BLOCK`` increments) ``k``-th, as the
-    trial pool (:func:`~minor_overlaps.montecarlo._pool_map`, one worker per
-    core) reads them.  A pool task symmetrizes its block in place, steps each
-    increment with its thread's own solver pair, and returns per-increment
-    rows.  The caller joins the rows of each ``_GROUP`` of draws in draw
-    order and reduces the groups in order.  So the report is the same bit for
-    bit at every worker count, and memory holds one group of rows plus the
-    blocks the pool runs ahead, whatever ``trials`` is.  The extras record
+    The trial pool (:func:`~minor_overlaps.montecarlo._pool_map`, one worker
+    per core) is handed block descriptors ``(k, count)``, ``count`` at most
+    ``_BLOCK`` increments.  A pool task first draws its block from the
+    probe's one generator into its worker's one reused buffer, on turn ``k``
+    of a shared counter: block ``k`` draws only after block ``k - 1`` has,
+    and a task that fails still passes the turn on.  It then symmetrizes the
+    block in place, steps each increment with its worker's own solver pair,
+    and returns per-increment rows.  The caller joins the rows of each
+    ``_GROUP`` of draws in draw order and reduces the groups in order.  So
+    the report is the same bit for bit at every worker count, and memory
+    holds one block per worker plus about one group of rows, whatever
+    ``trials`` is.  The extras record
     the ``pair``, the ``pool_threads`` and ``trial_blas_threads``, and the
     ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped matrices.
     """
@@ -265,19 +271,29 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         rng = derive_stream(seed, 1).generator()
         scale = np.sqrt(dt / (2.0 * n_dim))
         local = threading.local()
+        turn = threading.Condition()
+        drawn = 0  # blocks drawn so far: block k draws on turn k
 
-        def blocks():
+        def block_sizes():
             for first in range(0, trials, _GROUP):
                 size = min(_GROUP, trials - first)
-                for s in range(0, size, _BLOCK):
-                    yield rng.standard_normal((min(_BLOCK, size - s), n_dim, n_dim))
+                yield from (min(_BLOCK, size - s) for s in range(0, size, _BLOCK))
 
-        def run(dh):
-            if not hasattr(local, "solvers"):
-                local.solvers = (eigpair_at(n_dim), eigpair_at(n),
-                                 np.empty((n_dim, n_dim)), np.empty((n, n)))
-            full_pair, minor_pair, full, minor = local.solvers
-            overlap = np.empty(len(dh))
+        def run(item):
+            nonlocal drawn
+            k, count = item
+            with turn:
+                turn.wait_for(lambda: drawn == k)
+                try:  # the turn passes on even if this task fails, so no later block waits forever
+                    if not hasattr(local, "state"):
+                        local.state = (np.empty((_BLOCK, n_dim, n_dim)), eigpair_at(n_dim),
+                                       eigpair_at(n), np.empty((n_dim, n_dim)), np.empty((n, n)))
+                    dh = rng.standard_normal(out=local.state[0][:count])
+                finally:
+                    drawn = k + 1
+                    turn.notify_all()
+            _, full_pair, minor_pair, full, minor = local.state
+            overlap = np.empty(count)
             for c, m in enumerate(dh):
                 m += m.T
                 m *= scale
@@ -302,7 +318,7 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 sums[slot] += vals.sum()
                 sq_sums[slot] += (vals * vals).sum()
 
-        results, used = _pool_map(0, run, blocks())
+        results, used = _pool_map(0, run, enumerate(block_sizes()))
         with contextlib.closing(results):
             while group := list(itertools.islice(results, -(-_GROUP // _BLOCK))):
                 reduce_group(group)

@@ -273,11 +273,20 @@ _PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3"
       "60", "--t", "0.2"], "spike-spike experiment needs 1 <= round(qN) <= N, got n=0, N=60"),
     (["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.005", "--N", "60", "--t", "1"],
      "spike-bulk experiment needs 1 <= round(qN) <= N-1, got n=0, N=60"),
+    (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "400,-3",
+      "--trials", "100"], "--sizes must be a list of sizes N with 1 <= round(qN) <= N-1, got -3"),
+    (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "30,1",
+      "--trials", "100"], "--sizes must be a list of sizes N with 1 <= round(qN) <= N-1, got 1"),
+    (["probe", "--kind", "drift", "--N", "20", "--n", "10", "--trials", "1000", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--seed", "-2"],
+     "--seed must be >= 0, got -2"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
         "spike-path-t-max-negative", "spike-spike-empty-minor", "split-spike-empty-minor",
-        "spike-bulk-empty-minor"])
+        "spike-bulk-empty-minor", "bernoulli-spike-negative-size", "bernoulli-spike-size-one",
+        "probe-seed-negative", "simulate-seed-negative"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv, message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
@@ -636,13 +645,38 @@ def test_sizes_list_keeps_its_accepted_forms(capsys, monkeypatch):
     _BERNOULLI_SPIKE,
 ], ids=["theory-interlace", "simulate", "bernoulli-spike"])
 @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-dir", "directory"])
-def test_unwritable_out_exits_two(capsys, tmp_path, argv, target):
+def test_unwritable_out_exits_two(capsys, monkeypatch, tmp_path, argv, target):
+    # refused before any work: the run's computation fails the test if it is called
+    def computes(*args, **kwargs):
+        raise AssertionError("computed before --out was refused")
+
+    for module, name in ((cli.overlaps_theory, "interlace_interval"),
+                         (cli.montecarlo, "run_bulk_experiment"),
+                         (cli.montecarlo, "run_bernoulli_spike")):
+        monkeypatch.setattr(module, name, computes)
     out = tmp_path / target
     code, stdout, stderr = _run(capsys, argv + ["--out", str(out)])
     assert code == 2
     assert stdout == ""
     reason = "No such file or directory" if target != "." else "Is a directory"
-    assert stderr.endswith(f"error: --out {out}: {reason}\n")
+    assert stderr == f"error: --out {out}: {reason}\n"
+
+
+def test_out_that_goes_away_during_the_run_exits_two(capsys, monkeypatch, tmp_path):
+    # the directory passes the check before the run and is gone when the run writes
+    out = tmp_path / "gone" / "x.csv"
+    out.parent.mkdir()
+    interlace_interval = cli.overlaps_theory.interlace_interval
+
+    def removes_the_directory(*args):
+        out.parent.rmdir()
+        return interlace_interval(*args)
+
+    monkeypatch.setattr(cli.overlaps_theory, "interlace_interval", removes_the_directory)
+    code, stdout, stderr = _run(capsys, ["theory", "--interlace", "--qfrac", "0.9",
+                                         "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --out {out}: No such file or directory\n"
 
 
 _SPIKES = '{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [4.0], "q": 0.5}'
@@ -698,10 +732,13 @@ def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
     assert "forced failure" in stderr
 
 
-def _python_with_src(code: str, timeout=None) -> str:
-    """Stdout of ``python -c code`` in a fresh interpreter that imports the package from ``src``."""
+def _python_with_src(code: str, timeout=None, env=None) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports the package from ``src``.
+
+    ``env`` adds to the caller's environment.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=timeout).stdout
@@ -724,6 +761,18 @@ def test_gauss_constants_are_leggauss_and_a_model_run_loads_no_numpy_polynomial(
     out = _python_with_src(f"import sys; from minor_overlaps import cli; code = cli.main({argv}); "
                            "print(code, 'numpy.polynomial' in sys.modules)")
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_correlation_probe_prints_the_same_bytes_at_any_blas_thread_count():
+    # OpenBLAS reads its count at start-up, so each count needs its own
+    # interpreter; at the caller's count, 50 of these rows differed in their
+    # last digits between one thread and two
+    argv = ["probe", "--kind", "correlation", "--N", "60", "--n", "30", "--samples", "20000",
+            "--seed", "3"]
+    code = f"from minor_overlaps import cli; cli.main({argv})"
+    one, two = (_python_with_src(code, env={"OPENBLAS_NUM_THREADS": k}) for k in ("1", "2"))
+    assert len(one.splitlines()) == 82
+    assert one == two
 
 
 def test_bisections_stop_where_the_float_spacing_exceeds_their_width():

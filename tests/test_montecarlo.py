@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -1083,11 +1084,14 @@ def test_spike_path_memory_does_not_grow_with_steps():
     assert peaks[600] < 10 * n_dim * n_dim * 8, peaks
 
 
-def test_drift_probe_memory_does_not_grow_with_trials():
-    n_dim, n, workers = 40, 17, 2
+@pytest.mark.parametrize("workers", [2, 8])
+def test_drift_probe_memory_does_not_grow_with_trials(workers):
+    # each worker draws into its own one block; the pool's read-ahead holds
+    # block descriptors and rows, not blocks
+    n_dim, n = 40, 17
     block = probes._BLOCK * n_dim * n_dim * 8            # one block of increments
     group_rows = 1000 * (n_dim + n + 1) * 8              # the rows of 1000 increments
-    budget = 2 * workers * block + 4 * group_rows + 2**19
+    budget = workers * block + 4 * group_rows + 2**19
     with _drift_workers(workers):
         peaks = {trials: _traced_peak(drift_probe, n_dim, n, 1.0, trials=trials, seed=5)
                  for trials in (2000, 8000)}
@@ -1156,6 +1160,40 @@ def test_drift_draws_hold_with_more_workers_than_cores_and_fast_switching():
         sys.setswitchinterval(interval)
     assert crowded.extras["pool_threads"] == 8
     assert _drift_fields(crowded) == _drift_fields(serial)
+
+
+_FIRST_SOLVER_FAILS = """
+from unittest import mock
+from minor_overlaps import probes
+from minor_overlaps.errors import NumericError
+eigpair_at, pool_map, made = probes.eigpair_at, probes._pool_map, []
+
+def first_fails(size):
+    made.append(size)
+    if len(made) == 1:
+        raise NumericError("first solver refused")
+    return eigpair_at(size)
+
+with mock.patch.object(probes, "eigpair_at", first_fails), mock.patch.object(
+        probes, "_pool_map", lambda _, fn, items: pool_map({workers}, fn, items)):
+    try:
+        probes.drift_probe(20, 10, 1.0, trials=2000, seed=5)
+    except NumericError as exc:
+        print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_a_failing_drift_task_raises_and_passes_its_turn_on(workers):
+    # block 0's task fails before it draws; the later blocks wait on its turn,
+    # so a turn it kept would hang the probe: the run sits in its own
+    # interpreter and a hang fails the test after 60 s
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FIRST_SOLVER_FAILS.format(workers=workers)],
+                         env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "raised: first solver refused\n"
 
 
 # ---------------------------------------------------------------------------
