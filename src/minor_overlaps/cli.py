@@ -142,6 +142,20 @@ def _threads(args) -> int:
     return args.threads
 
 
+def _bins(args) -> int:
+    """``--bins``, refused below 1 before any work starts (exit 2)."""
+    _check("--bins", args.bins, args.bins >= 1, ">= 1")
+    return args.bins
+
+
+def _check_minor(args):
+    """Refuse ``--N`` and ``--q`` of a run whose minor needs ``1 <= round(qN) <= N-1`` (exit 2)."""
+    _check("--N", args.n_dim, args.n_dim >= 2, ">= 2")
+    n = minor_size(args.q, args.n_dim)
+    _check("--q", args.q, 0.0 < args.q < 1.0 and 1 <= n <= args.n_dim - 1,
+           "in (0, 1) with 1 <= round(qN) <= N-1")
+
+
 def _read_model(path: str, mode: str) -> SpectrumModel:
     try:
         return SpectrumModel.from_json(Path(path).read_text())
@@ -163,7 +177,7 @@ def _theory_kernel_goe(args):
     _check("--q", q, 0.0 < q < 1.0, "in (0, 1)")
     _check("--t", t, t > 0, "> 0")
     mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
-    edges = montecarlo._bulk_bin_edges(t, args.bins)
+    edges = montecarlo._bulk_bin_edges(t, _bins(args))
     lams = 0.5 * (edges[:-1] + edges[1:])
     w = overlaps_theory.kernel_goe_value(mu, lams, t, q)
     _emit(args, reports.theory_curve_csv(lams, mu, t, q, w, w * semicircle_density(lams, t)))
@@ -172,8 +186,7 @@ def _theory_kernel_goe(args):
 def _theory_kernel_general(args):
     model = _read_model(args.model, "theory --kernel general")
     q, t = (args.q if args.q is not None else model.q), args.t
-    if args.bins < 1:
-        raise ValueError(f"need bins >= 1, got {args.bins}")
+    _bins(args)
     _check("--t", t, t > 0, "> 0")
     _check("--n0", args.n0, args.n0 >= 1, ">= 1")
     if not 0.0 < q < 1.0:
@@ -199,7 +212,7 @@ def _theory_spike_g(args):
     _check("--t", t, t > 0, "> 0")
     if args.mu is not None:
         return _theory_value(overlaps_theory.spike_bulk_overlap, "spike", "q", "t", "mu")(args)
-    edges = montecarlo._bulk_bin_edges(t, args.bins, radius_scale=np.sqrt(q))
+    edges = montecarlo._bulk_bin_edges(t, _bins(args), radius_scale=np.sqrt(q))
     mus = 0.5 * (edges[:-1] + edges[1:])
     g = overlaps_theory.spike_bulk_overlap(spike, q, t, mus)
     _emit(args, reports.theory_curve_csv(mus, spike, t, q, g, g * semicircle_density(mus, q * t),
@@ -230,6 +243,9 @@ def _theory_bernoulli_expansion(args):
 # ---------------------------------------------------------------------------
 
 def _bulk_config(args) -> ExperimentConfig:
+    _check_minor(args)
+    _check("--t", args.t, args.t > 0, "> 0")
+    _check("--x", args.x, 0.0 <= args.x <= 1.0, "in [0, 1]")
     a_spec = ASpec()
     if args.model:
         model = _read_model(args.model, args.command)
@@ -237,7 +253,7 @@ def _bulk_config(args) -> ExperimentConfig:
         a_spec = ASpec(kind="explicit", matrix=np.diag(diag))
     return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                             master_seed=args.seed, target="bulk", x=args.x,
-                            a_spec=a_spec, bins=args.bins, threads=_threads(args))
+                            a_spec=a_spec, bins=_bins(args), threads=_threads(args))
 
 
 def cmd_simulate(args):
@@ -248,6 +264,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    _check("--min-coverage", args.min_coverage, 0.0 <= args.min_coverage <= 1.0, "in [0, 1]")
     report = montecarlo.run_bulk_experiment(_bulk_config(args))
     _emit_report(args, report, reports.bulk_report_csv)
     peak = ""
@@ -275,6 +292,7 @@ def _spike_path(args):
 
 
 def _spike_spike(args):
+    _check("--t", args.t, args.t >= 0, ">= 0")
     a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
               if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
@@ -289,10 +307,11 @@ def _spike_spike(args):
 
 
 def _spike_bulk(args):
+    _check("--t", args.t, args.t > 0, "> 0")
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
-                              bins=args.bins, threads=_threads(args))
+                              bins=_bins(args), threads=_threads(args))
     report = montecarlo.run_spike_bulk(config)
     _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
@@ -302,9 +321,11 @@ def _spike_bulk(args):
 
 
 def _bernoulli_bulk(args):
+    _check("--p", args.p, 0.0 < args.p < 1.0, "in (0, 1)")
+    _check_minor(args)
     config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
                               master_seed=args.seed, target="bernoulli_bulk",
-                              p=args.p, bins=args.bins, threads=_threads(args))
+                              p=args.p, bins=_bins(args), threads=_threads(args))
     report = montecarlo.run_bernoulli_bulk(config)
     _emit_report(args, report, reports.bernoulli_bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "

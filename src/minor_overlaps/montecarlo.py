@@ -16,9 +16,11 @@ asks for (:func:`~minor_overlaps.spectral.reduced_eig`), and where the other
 side reads every eigenvector it gets their coefficients on it instead
 (:func:`~minor_overlaps.spectral._carry_in_place`).  The trial audits Cauchy
 interlacing on every eigenvalue and hands its runner the eigenvalues and
-only the overlaps it uses (a grid row, columns or one entry), audited;
-trials run concurrently but reduce in trial-index order.  99% confidence
-intervals use the normal approximation over per-trial values
+only the overlaps it uses (a grid row, columns or one entry), audited.
+Trials run concurrently; :func:`_run_trials` writes each kept trial's fields
+into one row of per-field arrays as it arrives, in trial-index order, and
+alone counts the aborted and absorbed trials and refuses a run.  99%
+confidence intervals use the normal approximation over per-trial values
 (:func:`_trial_estimate`), and one rule judges them (:func:`_coverage`).  The
 three binned runners share one tail (:func:`_binned_report`), and every run,
 the probes included, ends in :func:`_report`.  The trial pool has one
@@ -314,25 +316,42 @@ def _pool_map(threads: int, fn, items):
 
 
 def _run_trials(trials: int, threads: int, worker):
-    """Run trials on :func:`_pool_map`, preserving trial order; None marks an abort.
+    """Run ``worker(m)`` for each trial ``m`` on :func:`_pool_map`; returns ``(columns, run)``.
 
-    Returns ``(results, aborted, used)`` with ``used`` as from
-    :func:`_pool_map`.  A run with more than ``MAX_ABORT_FRACTION`` aborted
-    trials is rejected.
+    ``worker`` returns a tuple of fields, or None for a dropped trial (an
+    absorbed spike); a ``NumericError`` it raises aborts the trial.  Field
+    ``i`` of the k-th kept result, in trial order, fills row ``k`` of
+    ``columns[i]`` as it arrives: a float array of shape ``(kept, *shape of
+    the field)``, allocated on the first kept result, so the run holds no
+    object per trial.  ``run`` holds the counts ``aborted_trials`` and
+    ``absorbed_trials`` and ``used`` from :func:`_pool_map`.  A run with
+    more than ``MAX_ABORT_FRACTION`` aborted trials, or with fewer than two
+    kept, is refused (``NumericError``).
     """
 
     def safe(m):
         try:
             return worker(m)
-        except NumericError:
-            return None
+        except NumericError as exc:  # marks the trial aborted
+            return exc
 
     results, used = _pool_map(threads, safe, range(trials))
-    results = list(results)
-    aborted = sum(r is None for r in results)
+    columns, kept, aborted = (), 0, 0
+    for result in results:
+        if isinstance(result, NumericError):
+            aborted += 1
+        elif result is not None:
+            columns = columns or [np.empty((trials, *np.shape(v))) for v in result]
+            for column, value in zip(columns, result):
+                column[kept] = value
+            kept += 1
+    run = {"aborted_trials": aborted, "absorbed_trials": trials - kept - aborted, **used}
     if aborted > MAX_ABORT_FRACTION * trials:
         raise NumericError(f"{aborted}/{trials} trials aborted; run rejected")
-    return results, aborted, used
+    if kept < 2:
+        raise NumericError(f"{kept} of {trials} trials kept ({aborted} aborted, "
+                           f"{run['absorbed_trials']} absorbed); a run needs at least 2")
+    return [column[:kept] for column in columns], run
 
 
 def _bin_edges(bins: int, lo: float, hi: float) -> np.ndarray:
@@ -401,21 +420,21 @@ def _report(config, start: float, rows, theory, extras: dict, judged=None) -> Ex
                             extras={**extras, "misses": misses})
 
 
-def _binned_report(config, start: float, kept, run: dict, edges: np.ndarray, support,
-                   theory, rho_bar: np.ndarray, extras: dict, tail=()) -> ExperimentReport:
+def _binned_report(config, start: float, means, counts, edges: np.ndarray, support, theory,
+                   rho_bar: np.ndarray, extras: dict, tail=()) -> ExperimentReport:
     """Report of a binned runner, timed from ``start``, from its trials and binned theory.
 
-    Each kept trial result starts with its per-bin means and counts
-    (:func:`_bin_means`); a bin's row estimates across its trial means.  Bins
-    at least ``INTERIOR_EDGE_FRACTION`` of the ``support = (lo, hi)`` width
-    from both ends are judged.  ``tail`` holds unjudged ``(estimate, theory)``
-    rows that follow the bins.  ``extras`` gains ``bin_edges``, ``rho_bin``,
-    ``interior``, ``misses`` and the ``run`` counts.
+    ``means`` and ``counts`` hold one row of per-bin means and counts
+    (:func:`_bin_means`) per kept trial; a bin's row estimates across its
+    column of trial means.  Bins at least ``INTERIOR_EDGE_FRACTION`` of the
+    ``support = (lo, hi)`` width from both ends are judged.  ``tail`` holds
+    unjudged ``(estimate, theory)`` rows that follow the bins.  ``extras``,
+    which carries the run counts, gains ``bin_edges``, ``rho_bin``,
+    ``interior`` and ``misses``.
     """
-    per_means = np.array([k[0] for k in kept])
-    n_samples = np.array([k[1] for k in kept]).sum(axis=0).astype(int)
+    n_samples = counts.sum(axis=0).astype(int)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rows = [_trial_estimate(c, per_means[:, b], n_samples=n_samples[b])
+    rows = [_trial_estimate(c, means[:, b], n_samples=n_samples[b])
             for b, c in enumerate(centers)]
     lo, hi = support
     margin = INTERIOR_EDGE_FRACTION * (hi - lo)
@@ -423,7 +442,7 @@ def _binned_report(config, start: float, kept, run: dict, edges: np.ndarray, sup
     return _report(config, start, rows + [est for est, _ in tail],
                    [*theory, *(th for _, th in tail)],
                    {**extras, "bin_edges": edges.tolist(), "rho_bin": rho_bar.tolist(),
-                    "interior": interior.tolist(), **run}, [*interior, *[False] * len(tail)])
+                    "interior": interior.tolist()}, [*interior, *[False] * len(tail)])
 
 
 def miss_tail_probability(misses: int, judged: int) -> float:
@@ -538,7 +557,7 @@ def _goe_sampler(n_dim: int, t: float, a_mat):
 
 
 def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_stream: int = 0):
-    """Run ``config.trials`` decomposed trials; returns ``(kept, run)``.
+    """Run ``config.trials`` decomposed trials; returns :func:`_run_trials`' ``(columns, run)``.
 
     Each pool worker makes one set of reduction buffers for size ``N``
     (:func:`~minor_overlaps.spectral._buffers`, about ``2 N^2`` floats) on its
@@ -554,15 +573,12 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
     (:func:`~minor_overlaps.spectral._carry_in_place`), carrying the other
     side's vectors, zero-padded or cut to its size.  The trial audits Cauchy
     interlacing on every eigenvalue and the overlaps it reads, and returns
-    ``trial(lam, mu, overlaps)``, or None for an absorbed spike: every full
-    and minor eigenvalue, and the squared overlaps of the requested minor
-    eigenvectors (rows; every one when ``requests[1]`` is None) with the
-    requested full ones (columns; likewise), each descending, audited as
-    grid rows by columns, rows as whole when every full eigenvector is read.
-    ``kept`` holds the other results in trial order; a run that keeps fewer
-    than two is refused (``NumericError``).  ``run`` holds the counts
-    ``aborted_trials`` and ``absorbed_trials`` and the ``pool_threads`` and
-    ``trial_blas_threads`` the trials ran with.
+    ``trial(lam, mu, overlaps)``, a tuple of fields or None for an absorbed
+    spike: every full and minor eigenvalue, and the squared overlaps of the
+    requested minor eigenvectors (rows; every one when ``requests[1]`` is
+    None) with the requested full ones (columns; likewise), each descending,
+    audited as grid rows by columns, rows as whole when every full
+    eigenvector is read.
     """
     if config.trials < MIN_CI_TRIALS:
         raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
@@ -598,16 +614,9 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
         if not ok:
             raise NumericError(f"interlacing violated by margin {margin:.3e}")
         _audit_overlaps(overlaps, whole_rows=full_request is None)
-        return (trial(lam, mu, overlaps),)
+        return trial(lam, mu, overlaps)
 
-    results, aborted, used = _run_trials(config.trials, config.threads, worker)
-    done = [r[0] for r in results if r is not None]
-    kept = [r for r in done if r is not None]
-    absorbed = len(done) - len(kept)
-    if len(kept) < 2:
-        raise NumericError(f"{len(kept)} of {config.trials} trials kept ({aborted} aborted, "
-                           f"{absorbed} absorbed); a run needs at least 2")
-    return kept, {"aborted_trials": aborted, "absorbed_trials": absorbed, **used}
+    return _run_trials(config.trials, config.threads, worker)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +641,7 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("t must be > 0")
     if config.a_spec.kind not in ("null", "explicit"):
         raise ValueError("bulk experiment needs a null or explicit deterministic part")
+    row_idx = quantile_index(config.x, n) - 1
     a_mat = config.a_spec.build(n_dim, n)
 
     if a_mat is None:
@@ -649,18 +659,17 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
             support = _scan_general_support(full_ev, s0.full_model, t)
             margin = 0.025 * (support[1] - support[0])
             edges = _bin_edges(config.bins, support[0] + margin, support[1] - margin)
-    row_idx = quantile_index(config.x, n) - 1
 
     def trial(lam, mu, overlaps):
         row = overlaps[0]
         means, counts = _bin_means(n_dim * row, lam, edges)
         return means, counts, mu[row_idx], abs(row.sum() - 1.0)
 
-    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
-                                requests=(None, row_idx))
-    mu_hat = float(np.mean([r[2] for r in kept]))
+    (means, counts, mus, row_errors), run = _run_decomposed(
+        config, _goe_sampler(n_dim, t, a_mat), trial, requests=(None, row_idx))
+    mu_hat = float(np.mean(mus))
     extras = {"mu_hat": mu_hat, "bin_width": float(edges[1] - edges[0]),
-              "worst_row_sum_error": float(max(r[3] for r in kept))}
+              "worst_row_sum_error": float(row_errors.max()), **run}
     if a_mat is None:
         theory, rho_bar = _binned_semicircle_average(edges, t, (1.0 - q) * t / q,
                                                      *_goe_kernel_poles(mu_hat, q, t, q))
@@ -669,7 +678,7 @@ def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         theory, rho_bar, extras["refused_nodes"] = _binned_general_theory(
             s0, mu_hat, t, q, full_ev, minor_ev, edges)
-    report = _binned_report(config, start, kept, run, edges, support, theory, rho_bar, extras)
+    report = _binned_report(config, start, means, counts, edges, support, theory, rho_bar, extras)
 
     # the interior bin where the figure-style curve mc_mean * rho peaks
     figure = np.array([np.nan if r.mean is None else r.mean for r in report.estimates]) * rho_bar
@@ -716,11 +725,11 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
             return None
         return overlaps[0, 0], _spike_absorbed(mu[0], q * t)
 
-    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial, requests=(0, 0))
-    overlaps, at_edge = zip(*kept)
+    (overlaps, at_edge), run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
+                                               requests=(0, 0))
     return _report(config, start, [_trial_estimate(t, overlaps, "top_overlap")], [theory],
                    {"spike": spike, "minor_spike": minor_spike,
-                    "minor_edge_trials": int(sum(at_edge)), **run}, judged=[False])
+                    "minor_edge_trials": int(at_edge.sum()), **run}, judged=[False])
 
 
 @_one_blas_thread()
@@ -780,8 +789,8 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
         means, counts = _bin_means(n_dim * col, mu, edges)
         return means, counts, float(col.sum())
 
-    kept, run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
-                                requests=(0, None))
+    (means, counts, masses), run = _run_decomposed(config, _goe_sampler(n_dim, t, a_mat), trial,
+                                                   requests=(0, None))
 
     # spike_bulk_overlap = t (spike^2 - qt) / spike^2 / (mu - r0)^2 with the
     # real pole r0 = (spike^2 + qt) / spike outside the minor bulk
@@ -789,9 +798,9 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     theory, rho_bar = _binned_semicircle_average(
         edges, q * t, t * (spike * spike - q * t) / (spike * spike), r0, r0)
     radius = 2.0 * np.sqrt(t) * np.sqrt(q)
-    mass_row = _trial_estimate(spike, [k[2] for k in kept], "total_mass")
-    return _binned_report(config, start, kept, run, edges, (-radius, radius), theory, rho_bar,
-                          {"spike": spike}, tail=((mass_row, mass_theory),))
+    mass_row = _trial_estimate(spike, masses, "total_mass")
+    return _binned_report(config, start, means, counts, edges, (-radius, radius), theory,
+                          rho_bar, {"spike": spike, **run}, tail=((mass_row, mass_theory),))
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +839,9 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
         row_means = n_dim * overlaps[1:].mean(axis=1)
         return _bin_means(row_means, mu[1:], edges)
 
-    kept, run = _run_decomposed(config,
-                                lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
-                                trial, requests=(window, None))
+    (means, counts), run = _run_decomposed(
+        config, lambda seed, out: sample_bernoulli(n_dim, p, seed, out), trial,
+        requests=(window, None))
 
     # average the kernel over the lambda window (5-point Gauss) and the mu bin
     theory = 0.0
@@ -843,8 +852,8 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
                                                   *_goe_kernel_poles(lam, 1.0, t_eff, q))
         theory = theory + weight * avg
     radius = 2.0 * np.sqrt(t_eff) * np.sqrt(q)
-    return _binned_report(config, start, kept, run, edges, (-radius, radius), theory, rho_bar,
-                          {"t_eff": t_eff})
+    return _binned_report(config, start, means, counts, edges, (-radius, radius), theory,
+                          rho_bar, {"t_eff": t_eff, **run})
 
 
 @_one_blas_thread()
@@ -861,18 +870,20 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     if not 0.0 < p <= 1.0:
         raise ValueError("bernoulli spike mode needs p in (0, 1]")
 
+    sizes = tuple(config.n_dims) or (config.n_dim,)
+    for n_dim in sizes:  # every size, before the first one's trials
+        if not 1 <= minor_size(config.q, n_dim) <= n_dim - 1:
+            raise ValueError(f"size {n_dim}: round(qN) out of range")
     rows, theory, counts = [], [], collections.Counter()
-    for idx, n_dim in enumerate(tuple(config.n_dims) or (config.n_dim,)):
+    for idx, n_dim in enumerate(sizes):
         sized = replace(config, n_dim=n_dim)
         n = sized.n
-        if not 1 <= n <= n_dim - 1:
-            raise ValueError(f"size {n_dim}: round(qN) out of range")
         # both callables run to completion inside this iteration
-        kept, run = _run_decomposed(sized,
-                                    lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
-                                    lambda lam, mu, overlaps: n / n_dim - overlaps[0, 0],
-                                    requests=(0, 0), first_stream=idx * config.trials)
+        (deficits,), run = _run_decomposed(
+            sized, lambda seed, out: sample_bernoulli(n_dim, p, seed, out),
+            lambda lam, mu, overlaps: (n / n_dim - overlaps[0, 0],),
+            requests=(0, 0), first_stream=idx * config.trials)
         counts.update({k: run[k] for k in ("aborted_trials", "absorbed_trials")})
-        rows.append(_trial_estimate(n_dim, kept, "deficit"))
+        rows.append(_trial_estimate(n_dim, deficits, "deficit"))
         theory.append((1.0 - n / n_dim) * (1.0 / p - 1.0) / n_dim)
     return _report(config, start, rows, theory, {**run, **counts})

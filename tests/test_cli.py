@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -74,7 +75,7 @@ def test_theory_spike_g_curve(capsys):
     assert len(lines) == 11
 
 
-def test_compare_runs_and_gates(capsys, tmp_path):
+def test_compare_runs_and_gates(capsys, tmp_path, monkeypatch):
     args = ["compare", "--bulk", "--N", "100", "--qfrac", "0.5", "--t", "1",
             "--x", "0.5", "--trials", "100", "--seed", "7", "--bins", "13",
             "--out", str(tmp_path / "cmp.csv")]
@@ -84,8 +85,12 @@ def test_compare_runs_and_gates(capsys, tmp_path):
     k, judged, tail = re.search(r"misses=(\d+)/(\d+) miss_tail_p=(\S+)", stderr).groups()
     assert 0 <= int(k) <= int(judged) and 0 < float(tail) <= 1
     assert "refused=" not in stderr  # closed-form theory refuses no node
-    code, _, _ = _run(capsys, args + ["--min-coverage", "1.5"])
-    assert code == 3
+    # this run covers every judged bin; the gate is read on a report that covers half
+    run = cli.montecarlo.run_bulk_experiment
+    monkeypatch.setattr(cli.montecarlo, "run_bulk_experiment",
+                        lambda config: dataclasses.replace(run(config), coverage=0.5))
+    code, _, stderr = _run(capsys, args + ["--min-coverage", "0.6"])
+    assert code == 3 and stderr.endswith("coverage below threshold 0.6\n")
 
 
 def test_same_command_twice_is_byte_identical(capsys, tmp_path):
@@ -246,6 +251,13 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
 _GENERAL = ["theory", "--kernel", "general", "--model", "{model}", "--mu", "0.3",
             "--lambda-range", "-2", "2"]
 _PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "30"]
+_SIMULATE = ["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100"]
+_COMPARE = ["compare", "--N", "40", "--qfrac", "0.5", "--trials", "100"]
+_BULK_SPIKE = ["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.7", "--N", "40",
+               "--trials", "100"]
+_TOP_SPIKE = ["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.3", "--N", "60",
+              "--trials", "100"]
+_BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", "100"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -281,15 +293,36 @@ _PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3"
      "--seed must be >= 0, got -1"),
     (["simulate", "--N", "40", "--qfrac", "0.5", "--trials", "100", "--seed", "-2"],
      "--seed must be >= 0, got -2"),
+    (_COMPARE + ["--min-coverage", "2"], "--min-coverage must be in [0, 1], got 2.0"),
+    (_COMPARE + ["--min-coverage", "-1"], "--min-coverage must be in [0, 1], got -1.0"),
+    (_SIMULATE + ["--t", "-1"], "--t must be > 0, got -1.0"),
+    (_SIMULATE + ["--x", "2"], "--x must be in [0, 1], got 2.0"),
+    (["simulate", "--N", "40", "--qfrac", "1.5"],
+     "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 1.5"),
+    (["simulate", "--N", "0", "--qfrac", "0.5"], "--N must be >= 2, got 0"),
+    (_BULK_SPIKE + ["--t", "0"], "--t must be > 0, got 0.0"),
+    (_BULK_SPIKE + ["--t", "-1"], "--t must be > 0, got -1.0"),
+    (_TOP_SPIKE + ["--t", "-1"], "--t must be >= 0, got -1.0"),
+    (_BULK_BERNOULLI + ["--p", "1.5", "--N", "40"], "--p must be in (0, 1), got 1.5"),
+    (_BULK_BERNOULLI + ["--p", "0.5", "--N", "1"], "--N must be >= 2, got 1"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
         "spike-path-t-max-negative", "spike-spike-empty-minor", "split-spike-empty-minor",
         "spike-bulk-empty-minor", "bernoulli-spike-negative-size", "bernoulli-spike-size-one",
-        "probe-seed-negative", "simulate-seed-negative"])
-def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, argv, message):
+        "probe-seed-negative", "simulate-seed-negative", "compare-min-coverage-above-one",
+        "compare-min-coverage-negative", "simulate-t", "simulate-x", "simulate-q",
+        "simulate-N", "spike-bulk-t-zero", "spike-bulk-t-negative", "spike-spike-t",
+        "bernoulli-bulk-p", "bernoulli-bulk-N"])
+def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
+                                                         message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for runner in ("run_bulk_experiment", "_run_decomposed"):
+        monkeypatch.setattr(cli.montecarlo, runner, never)
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     argv = [arg.format(model=model_path) for arg in argv]
@@ -430,7 +463,7 @@ def test_bins_below_one_exits_two_before_any_trial(capsys, tmp_path, monkeypatch
     code, stdout, stderr = _run(capsys, argv + ["--bins", bins])
     assert code == 2
     assert stdout == ""
-    assert stderr == f"error: need bins >= 1, got {bins}\n"
+    assert stderr == f"error: --bins must be >= 1, got {bins}\n"
 
 
 @pytest.mark.parametrize("modes", [

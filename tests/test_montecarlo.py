@@ -249,6 +249,22 @@ def test_bernoulli_spike_sums_its_run_counts_over_sizes(monkeypatch):
     assert (report.extras["aborted_trials"], report.extras["absorbed_trials"]) == (2, 70)
 
 
+@pytest.mark.parametrize("name, changes, message", [
+    ("bulk", {"x": 2.0, "a_spec": ASpec(kind="explicit", matrix=np.diag(np.linspace(-1, 1, 40)))},
+     r"quantile x must lie in \[0, 1\]"),
+    ("bernoulli-spike", {"n_dims": (30, 1)}, r"size 1: round\(qN\) out of range"),
+], ids=["bulk-model-quantile", "bernoulli-spike-later-size"])
+def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, name, changes, message):
+    def never(*args, **kwargs):
+        raise AssertionError("set-up or trials ran")
+
+    for stage in ("_run_decomposed", "_scan_general_support"):
+        monkeypatch.setattr(montecarlo, stage, never)
+    runner, config = _RUNNERS[name]
+    with pytest.raises(ValueError, match=message):
+        runner(dataclasses.replace(config, **changes))
+
+
 def test_bulk_argmax_lies_in_interlacing_interval():
     report = run_bulk_experiment(_small_bulk_config(n_dim=120, trials=150))
     half_bin = report.extras["bin_width"] / 2
@@ -650,12 +666,26 @@ def blas_threads():
 @pytest.mark.parametrize("threads", [0, 1, 3])
 def test_trials_run_with_one_blas_thread_and_restore(blas_threads, threads):
     get_threads, _ = blas_threads
-    results, aborted, used = _run_trials(8, threads, lambda m: get_threads())
-    assert results == [1] * 8
-    assert aborted == 0
-    assert used == {"pool_threads": threads or len(os.sched_getaffinity(0)),
-                    "trial_blas_threads": 1}
+    (blas,), run = _run_trials(8, threads, lambda m: (get_threads(),))
+    assert blas.tolist() == [1] * 8
+    assert run == {"aborted_trials": 0, "absorbed_trials": 0,
+                   "pool_threads": threads or len(os.sched_getaffinity(0)),
+                   "trial_blas_threads": 1}
     assert get_threads() == 2
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_kept_trials_fill_their_columns_in_trial_order(threads):
+    def worker(m):
+        if m == 3:
+            raise NumericError("forced")
+        time.sleep(0.001 * (-m % 3))  # later trials may finish first
+        return None if m % 4 == 1 else (m, np.full(2, m))
+
+    (index, pairs), run = _run_trials(200, threads, worker)
+    kept = [m for m in range(200) if m != 3 and m % 4 != 1]
+    assert index.tolist() == kept and pairs.tolist() == [[m, m] for m in kept]
+    assert (run["aborted_trials"], run["absorbed_trials"]) == (1, 50)
 
 
 @pytest.mark.parametrize("threads", [-1, -5])
@@ -990,6 +1020,16 @@ def _traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_bulk_results_grow_by_one_row_of_columns_per_trial():
+    # a kept trial fills one row of four columns: 12 bin means, 12 bin counts,
+    # its minor eigenvalue and its row-sum error, 8 (2 bins + 2) bytes
+    bins = 12
+    peaks = {trials: _traced_peak(run_bulk_experiment,
+                                  _small_bulk_config(n_dim=20, bins=bins, trials=trials))
+             for trials in (300, 3000)}
+    assert peaks[3000] - peaks[300] < 1.25 * 8 * (2 * bins + 2) * 2700, peaks
 
 
 #: a runner whose full side holds every eigenvector, and one whose minor does, at
