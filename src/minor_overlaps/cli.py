@@ -148,6 +148,13 @@ def _bins(args) -> int:
     return args.bins
 
 
+def _trials(args) -> int:
+    """``--trials``, refused below the confidence-interval minimum before any set-up (exit 2)."""
+    _check("--trials", args.trials, args.trials >= montecarlo.MIN_CI_TRIALS,
+           f">= {montecarlo.MIN_CI_TRIALS}")
+    return args.trials
+
+
 def _check_minor(args):
     """Refuse ``--N`` and ``--q`` of a run whose minor needs ``1 <= round(qN) <= N-1`` (exit 2)."""
     _check("--N", args.n_dim, args.n_dim >= 2, ">= 2")
@@ -246,14 +253,15 @@ def _bulk_config(args) -> ExperimentConfig:
     _check_minor(args)
     _check("--t", args.t, args.t > 0, "> 0")
     _check("--x", args.x, 0.0 <= args.x <= 1.0, "in [0, 1]")
+    trials, bins, threads = _trials(args), _bins(args), _threads(args)
     a_spec = ASpec()
     if args.model:
         model = _read_model(args.model, args.command)
         diag = representative_diagonal(model, args.n_dim, minor_size(args.q, args.n_dim))
         a_spec = ASpec(kind="explicit", matrix=np.diag(diag))
-    return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
+    return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=trials,
                             master_seed=args.seed, target="bulk", x=args.x,
-                            a_spec=a_spec, bins=_bins(args), threads=_threads(args))
+                            a_spec=a_spec, bins=bins, threads=threads)
 
 
 def cmd_simulate(args):
@@ -285,7 +293,11 @@ def cmd_compare(args):
 def _spike_path(args):
     if args.format != "csv":
         raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
+    _check("--N", args.n_dim, args.n_dim >= 2, ">= 2")
+    _check("--q", args.q, 0.0 < args.q <= 1.0 and minor_size(args.q, args.n_dim) >= 2,
+           "in (0, 1] with round(qN) >= 2")
     _check("--t-max", args.t_max, args.t_max > 0, "> 0")
+    _check("--steps", args.steps, args.steps >= 1, ">= 1")
     series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
                                           args.steps, args.seed)
     _emit(args, reports.trajectory_csv(series))
@@ -295,7 +307,7 @@ def _spike_spike(args):
     _check("--t", args.t, args.t >= 0, ">= 0")
     a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
               if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
+    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=_trials(args),
                               master_seed=args.seed, target="spike_spike",
                               a_spec=a_spec, threads=_threads(args))
     report = montecarlo.run_spike_spike(config)
@@ -308,7 +320,7 @@ def _spike_spike(args):
 
 def _spike_bulk(args):
     _check("--t", args.t, args.t > 0, "> 0")
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=args.trials,
+    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=_trials(args),
                               master_seed=args.seed, target="spike_bulk",
                               a_spec=ASpec(kind="tail_spike", spike=args.spike),
                               bins=_bins(args), threads=_threads(args))
@@ -323,7 +335,7 @@ def _spike_bulk(args):
 def _bernoulli_bulk(args):
     _check("--p", args.p, 0.0 < args.p < 1.0, "in (0, 1)")
     _check_minor(args)
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=args.trials,
+    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=_trials(args),
                               master_seed=args.seed, target="bernoulli_bulk",
                               p=args.p, bins=_bins(args), threads=_threads(args))
     report = montecarlo.run_bernoulli_bulk(config)
@@ -333,10 +345,11 @@ def _bernoulli_bulk(args):
 
 
 def _bernoulli_spike(args):
+    _check("--p", args.p, 0.0 < args.p <= 1.0, "in (0, 1]")
     for size in args.sizes:  # every size, before the first one's trials
         _check("--sizes", size, 1 <= minor_size(args.q, size) <= size - 1,
                "a list of sizes N with 1 <= round(qN) <= N-1")
-    config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=args.trials,
+    config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=_trials(args),
                               master_seed=args.seed, target="bernoulli_spike",
                               p=args.p, n_dims=args.sizes, threads=_threads(args))
     report = montecarlo.run_bernoulli_spike(config)
@@ -344,7 +357,22 @@ def _bernoulli_spike(args):
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
 
 
+def _check_probe(args, t_ok: bool, t_allowed: str):
+    """Refuse the flags of the frozen state and its increments by name (exit 2).
+
+    Both probes read the minor's three middle levels, so ``--n`` needs three.
+    """
+    _check("--N", args.n_dim, 4 <= args.n_dim <= probes.MAX_PROBE_DIM,
+           f"in [4, {probes.MAX_PROBE_DIM}]")
+    _check("--n", args.n, 3 <= args.n < args.n_dim, f"in [3, {args.n_dim - 1}]")
+    _check("--t", args.t, t_ok, t_allowed)
+    _check("--dt", args.dt, args.dt > 0, "> 0")
+
+
 def _probe_correlation(args):
+    _check_probe(args, args.t >= 0, ">= 0")
+    _check("--samples", args.samples, args.samples >= probes.MIN_CORRELATION_SAMPLES,
+           f">= {probes.MIN_CORRELATION_SAMPLES}")
     report = probes.correlation_probe(args.n_dim, args.n, args.t, samples=args.samples,
                                       seed=args.seed, dt=args.dt)
     _emit_report(args, report, reports.probe_report_csv)
@@ -352,6 +380,9 @@ def _probe_correlation(args):
 
 
 def _probe_drift(args):
+    _check_probe(args, args.t > 0, "> 0")
+    _check("--trials", args.trials, args.trials >= probes.MIN_DRIFT_TRIALS,
+           f">= {probes.MIN_DRIFT_TRIALS}")
     report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
                                 trials=args.trials, seed=args.seed)
     _emit_report(args, report, reports.probe_report_csv)

@@ -12,8 +12,9 @@ independent Gaussian increments through the frozen state:
 
 The drift probe draws and steps its increments on the trial pool
 (:func:`minor_overlaps.montecarlo._pool_map`) at one BLAS thread;
-:func:`drift_probe` states how they stream and why its report is the same bit
-for bit at every worker count.  Each increment reads one number, the overlap
+:func:`drift_probe` states how they stream, how the caller reduces their rows
+in group columns it reuses, and why its report is the same bit for bit at
+every worker count and block size.  Each increment reads one number, the overlap
 of minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix,
 so each step solves for those two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
@@ -22,14 +23,14 @@ names the one used as ``stepper``).  The correlation probe runs serially, at
 one BLAS thread, in batches of ``_CHUNK`` samples drawn into one buffer.  Both
 probes report through :func:`_probe_report`, which ends in the runners'
 :func:`~minor_overlaps.montecarlo._report`.
-Every probe refuses ``n_dim > MAX_PROBE_DIM`` and a minor without three
-middle levels.
+Every probe refuses ``n_dim > MAX_PROBE_DIM``, a minor without three middle
+levels, and fewer draws than ``MIN_CORRELATION_SAMPLES`` or
+``MIN_DRIFT_TRIALS``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 import time
 
@@ -44,10 +45,13 @@ _CHUNK = 2000
 #: drift increments whose rows reduce in one ``(_GROUP x N) . (N x N)`` product; the
 #: printed bytes depend on it, since a product's rows round with its row count
 _GROUP = 500
-#: drift increments one pool task draws and steps, into its worker's one ``_BLOCK x N^2`` buffer
-_BLOCK = 25
+#: drift increments one pool task draws and steps, into its worker's one ``_BLOCK x N^2`` buffer;
+#: 10 holds less than 25 at the same speed, where 5 costs CPU
+_BLOCK = 10
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
 MAX_PROBE_DIM = 100
+#: fewest samples of the correlation probe and increments of the drift probe
+MIN_CORRELATION_SAMPLES, MIN_DRIFT_TRIALS = 10_000, 1000
 
 
 def _frozen_state(n_dim: int, n: int, t: float, seed: int):
@@ -126,7 +130,7 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     does, so its bytes do not depend on the caller's count.
     """
     start = time.perf_counter()
-    if samples < 10_000:
+    if samples < MIN_CORRELATION_SAMPLES:
         raise ValueError("correlation probe needs at least 1e4 samples")
     _check_probe(n_dim, n, dt)
     _, _, full_vecs, _, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
@@ -240,17 +244,22 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     of a shared counter: block ``k`` draws only after block ``k - 1`` has,
     and a task that fails still passes the turn on.  It then symmetrizes the
     block in place, steps each increment with its worker's own solver pair,
-    and returns per-increment rows.  The caller joins the rows of each
-    ``_GROUP`` of draws in draw order and reduces the groups in order.  So
-    the report is the same bit for bit at every worker count, and memory
-    holds one block per worker plus about one group of rows, whatever
-    ``trials`` is.  The extras record
+    and returns per-increment rows.  The caller copies each block's rows,
+    in draw order, into three group columns it allocates once (``_GROUP``
+    overlaps, ``_GROUP x N`` rows of ``dX psi_j`` and ``_GROUP x n`` rows of
+    ``dX_m phi_i``), reduces each group when it is full and the last, short
+    one at the end, and adds the groups' sums in order.  A group's products
+    run over the leading rows of the columns, the same contiguous arrays as a
+    single batch of its draws.  So the report is the same bit for bit at
+    every worker count and block size, and memory holds one block per
+    worker, the rows of the blocks the pool runs ahead and one group's
+    columns, whatever ``trials`` is.  The extras record
     the ``pair``, the ``pool_threads`` and ``trial_blas_threads``, and the
     ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped matrices.
     """
     start = time.perf_counter()
-    if trials < 1000:
-        raise ValueError("drift probe needs at least 1000 trials")
+    if trials < MIN_DRIFT_TRIALS:
+        raise ValueError(f"drift probe needs at least {MIN_DRIFT_TRIALS} trials")
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
                          f"levels are degenerate), got {t}")
@@ -307,10 +316,12 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
 
         sums = np.zeros(3)
         sq_sums = np.zeros(3)
+        # one group's rows, filled in draw order and reduced when the group is full
+        columns = (np.empty(_GROUP), np.empty((_GROUP, n_dim)), np.empty((_GROUP, n)))
 
         # a function, so a group's products are freed before the next group is read
-        def reduce_group(group):
-            a, dh_psi, dh_phi = (np.concatenate(cols) for cols in zip(*group))
+        def reduce_group(rows):
+            a, dh_psi, dh_phi = (col[:rows] for col in columns)
             beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
             beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
             terms = (a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor)
@@ -320,8 +331,16 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
 
         results, used = _pool_map(0, run, enumerate(block_sizes()))
         with contextlib.closing(results):
-            while group := list(itertools.islice(results, -(-_GROUP // _BLOCK))):
-                reduce_group(group)
+            filled, left = 0, trials  # rows in the group, increments not yet reduced
+            for block in results:
+                count = block[0].size
+                for col, rows in zip(columns, block):
+                    col[filled:filled + count] = rows
+                filled += count
+                if filled == min(_GROUP, left):  # blocks never straddle two groups
+                    reduce_group(filled)
+                    left -= filled
+                    filled = 0
 
     config = {"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt, "trials": trials,
               "seed": seed}

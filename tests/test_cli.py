@@ -248,6 +248,10 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
     assert message in stderr
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
 _GENERAL = ["theory", "--kernel", "general", "--model", "{model}", "--mu", "0.3",
             "--lambda-range", "-2", "2"]
 _PATH = ["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.3", "--N", "30"]
@@ -305,6 +309,26 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
     (_TOP_SPIKE + ["--t", "-1"], "--t must be >= 0, got -1.0"),
     (_BULK_BERNOULLI + ["--p", "1.5", "--N", "40"], "--p must be in (0, 1), got 1.5"),
     (_BULK_BERNOULLI + ["--p", "0.5", "--N", "1"], "--N must be >= 2, got 1"),
+    (_SIMULATE[:-1] + ["50"], "--trials must be >= 100, got 50"),
+    (_SIMULATE[:-1] + ["99", "--model", "{model}"], "--trials must be >= 100, got 99"),
+    (_COMPARE[:-1] + ["0"], "--trials must be >= 100, got 0"),
+    (_TOP_SPIKE[:-1] + ["50"], "--trials must be >= 100, got 50"),
+    (_BULK_SPIKE[:-1] + ["50"], "--trials must be >= 100, got 50"),
+    (_BULK_BERNOULLI[:-1] + ["50", "--p", "0.5", "--N", "40"], "--trials must be >= 100, got 50"),
+    (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "30,40",
+      "--trials", "50"], "--trials must be >= 100, got 50"),
+    (["bernoulli", "--mode", "spike", "--p", "1.5", "--qfrac", "0.5", "--sizes", "30,40",
+      "--trials", "100"], "--p must be in (0, 1], got 1.5"),
+    (["bernoulli", "--mode", "spike", "--p", "0", "--qfrac", "0.5", "--sizes", "30,40",
+      "--trials", "100"], "--p must be in (0, 1], got 0.0"),
+    (_PATH + ["--steps", "0"], "--steps must be >= 1, got 0"),
+    (_PATH + ["--steps", "-2"], "--steps must be >= 1, got -2"),
+    (["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.04", "--N", "30"],
+     "--q must be in (0, 1] with round(qN) >= 2, got 0.04"),
+    (["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "1.5", "--N", "30"],
+     "--q must be in (0, 1] with round(qN) >= 2, got 1.5"),
+    (["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.5", "--N", "1"],
+     "--N must be >= 2, got 1"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
@@ -313,16 +337,20 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
         "probe-seed-negative", "simulate-seed-negative", "compare-min-coverage-above-one",
         "compare-min-coverage-negative", "simulate-t", "simulate-x", "simulate-q",
         "simulate-N", "spike-bulk-t-zero", "spike-bulk-t-negative", "spike-spike-t",
-        "bernoulli-bulk-p", "bernoulli-bulk-N"])
+        "bernoulli-bulk-p", "bernoulli-bulk-N", "simulate-trials", "simulate-model-trials",
+        "compare-trials", "spike-spike-trials", "spike-bulk-trials", "bernoulli-bulk-trials",
+        "bernoulli-spike-trials", "bernoulli-spike-p-above-one", "bernoulli-spike-p-zero",
+        "spike-path-steps-zero", "spike-path-steps-negative", "spike-path-one-minor-level",
+        "spike-path-q-above-one", "spike-path-N"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
                                                          message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
-    def never(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    for runner in ("run_bulk_experiment", "_run_decomposed"):
-        monkeypatch.setattr(cli.montecarlo, runner, never)
+    # no trial, path or --model transform starts
+    for runner in ("run_bulk_experiment", "run_bernoulli_bulk", "run_bernoulli_spike",
+                   "_run_decomposed", "spike_path_series"):
+        monkeypatch.setattr(cli.montecarlo, runner, _never)
+    monkeypatch.setattr(cli, "representative_diagonal", _never)
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     argv = [arg.format(model=model_path) for arg in argv]
@@ -411,30 +439,37 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
                 "--samples", "10000"]
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (_DRIFT + ["--n", "0"], "1 <= n < n_dim"),
-    (_DRIFT + ["--n", "2"], "n >= 3"),
-    (_DRIFT + ["--n", "20"], "1 <= n < n_dim"),
-    (_DRIFT + ["--n", "25"], "1 <= n < n_dim"),
-    (_CORRELATION + ["--n", "20"], "1 <= n < n_dim"),
-    (_CORRELATION + ["--n", "2"], "n >= 3"),
-    (_CORRELATION + ["--n", "1"], "n >= 3"),
-    (_DRIFT + ["--dt", "0"], "dt > 0"),
-    (_CORRELATION + ["--dt", "0"], "dt > 0"),
-    (_CORRELATION + ["--dt=-1"], "dt > 0"),
-    (_DRIFT + ["--dt=-1e-4"], "dt > 0"),
-    (_DRIFT + ["--t", "0"], "t > 0"),
-    (_CORRELATION + ["--N", "101"], "n_dim <= 100"),
-    (_DRIFT + ["--N", "101"], "n_dim <= 100"),
+@pytest.mark.parametrize("argv, message", [
+    (_DRIFT + ["--n", "0"], "--n must be in [3, 19], got 0"),
+    (_DRIFT + ["--n", "2"], "--n must be in [3, 19], got 2"),
+    (_DRIFT + ["--n", "20"], "--n must be in [3, 19], got 20"),
+    (_DRIFT + ["--n", "25"], "--n must be in [3, 19], got 25"),
+    (_CORRELATION + ["--n", "20"], "--n must be in [3, 19], got 20"),
+    (_CORRELATION + ["--n", "2"], "--n must be in [3, 19], got 2"),
+    (_CORRELATION + ["--n", "1"], "--n must be in [3, 19], got 1"),
+    (_DRIFT + ["--dt", "0"], "--dt must be > 0, got 0.0"),
+    (_CORRELATION + ["--dt", "0"], "--dt must be > 0, got 0.0"),
+    (_CORRELATION + ["--dt=-1"], "--dt must be > 0, got -1.0"),
+    (_DRIFT + ["--dt=-1e-4"], "--dt must be > 0, got -0.0001"),
+    (_DRIFT + ["--t", "0"], "--t must be > 0, got 0.0"),
+    (_CORRELATION + ["--N", "101"], "--N must be in [4, 100], got 101"),
+    (_DRIFT + ["--N", "101"], "--N must be in [4, 100], got 101"),
+    (_DRIFT + ["--trials", "999"], "--trials must be >= 1000, got 999"),
+    (_CORRELATION + ["--samples", "999"], "--samples must be >= 10000, got 999"),
+    (_CORRELATION + ["--t", "-1"], "--t must be >= 0, got -1.0"),
+    (_DRIFT + ["--N", "3", "--n", "2"], "--N must be in [4, 100], got 3"),
 ], ids=["drift-n-0", "drift-n-2", "drift-n-equals-N", "drift-n-above-N", "correlation-n-equals-N",
         "correlation-n-2", "correlation-n-1", "drift-dt-0", "correlation-dt-0",
         "correlation-dt-negative", "drift-dt-negative", "drift-t-0", "correlation-N-101",
-        "drift-N-101"])
-def test_probe_invalid_input_exits_two(capsys, argv, fragment):
+        "drift-N-101", "drift-trials", "correlation-samples", "correlation-t-negative",
+        "drift-N-3"])
+def test_probe_invalid_input_exits_two(capsys, monkeypatch, argv, message):
+    # each flag is refused by name before the frozen state is built
+    for name in ("_frozen_state", "drift_probe", "correlation_probe"):
+        monkeypatch.setattr(cli.probes, name, _never)
     code, stdout, stderr = _run(capsys, argv)
-    assert code == 2
-    assert stdout == ""
-    assert stderr.startswith("error: ") and fragment in stderr
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

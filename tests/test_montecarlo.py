@@ -974,7 +974,8 @@ def test_drift_probe_reproduces_pinned_benchmark_values():
 
 def test_drift_probes_reproduce_a_case_across_block_and_group_boundaries():
     # recorded when pool tasks drew their own blocks under a lock, in groups
-    # of 500 increments; 1234 ends in a short group and a short block
+    # of 500 increments; 1234 ends in a short group and, at every block size
+    # but 1, in a short block
     report = drift_probe(24, 10, 1.0, trials=1234, seed=3)
     if report.extras["stepper"] == "dsyevr":
         assert _drift_fields(report)[0] == (0.0, "drift", -4.355617182542217,
@@ -987,6 +988,11 @@ def test_drift_probes_reproduce_a_case_across_block_and_group_boundaries():
     ]
     assert report.theory == (-4.124128921692691, 0.0, 0.0)
     assert report.extras["pair"] == (6, 13)
+    # the block size changes how the group columns fill, not what they hold
+    for block in (1, 7, 25):
+        with mock.patch.object(probes, "_BLOCK", block):
+            assert _drift_fields(drift_probe(24, 10, 1.0, trials=1234, seed=3)) == (
+                _drift_fields(report)), block
 
 
 def test_correlation_probe_reproduces_a_case_across_a_short_batch():
@@ -1127,11 +1133,13 @@ def test_spike_path_memory_does_not_grow_with_steps():
 @pytest.mark.parametrize("workers", [2, 8])
 def test_drift_probe_memory_does_not_grow_with_trials(workers):
     # each worker draws into its own one block; the pool's read-ahead holds
-    # block descriptors and rows, not blocks
+    # block descriptors and rows, not blocks.  At N = 40 a worker's block,
+    # stepped matrices, solver workspace and rows in flight stay under two
+    # blocks; the caller holds one group's columns and that group's products
     n_dim, n = 40, 17
     block = probes._BLOCK * n_dim * n_dim * 8            # one block of increments
-    group_rows = 1000 * (n_dim + n + 1) * 8              # the rows of 1000 increments
-    budget = workers * block + 4 * group_rows + 2**19
+    group = probes._GROUP * (n_dim + n + 1) * 8          # one group's columns
+    budget = 2 * workers * block + 2 * group + 2**19
     with _drift_workers(workers):
         peaks = {trials: _traced_peak(drift_probe, n_dim, n, 1.0, trials=trials, seed=5)
                  for trials in (2000, 8000)}
