@@ -20,6 +20,7 @@ from .ensembles import (
 from .errors import (
     ConvergenceError,
     DomainError,
+    InputError,
     NumericError,
     PoleError,
 )

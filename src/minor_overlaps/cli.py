@@ -8,12 +8,18 @@ gate), ``spike`` (spike-spike, spike-bulk, trajectory path), ``bernoulli``
 Exit codes: 0 success; 2 invalid configuration or domain error; 3 coverage
 below threshold (``compare``); 4 runtime numeric failure.  When ``--out`` is
 given, stdout stays silent and diagnostics go to stderr.
+
+The library owns every range rule: an entry point refuses an argument by name
+(:class:`~minor_overlaps.errors.InputError`), and :func:`main` prints it as
+``error: {flag} must be {allowed}, got {value}``, the flag found by its dest,
+which is the library's name.  The CLI checks only what no library function
+receives: ``--out``, ``--format`` with ``--path``, ``--min-coverage`` and the
+flags each mode reads (:data:`MODES`).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -21,19 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo, overlaps_theory, probes, reports
-from .errors import DomainError, NumericError
-from .freeprob import (
-    SpectrumModel,
-    boundary_values,
-    representative_diagonal,
-    semicircle_density,
-    semicircle_quantile,
-    solve_minor_stieltjes,
-    solve_stieltjes,
-)
+from .errors import DomainError, InputError, NumericError
+from .freeprob import SpectrumModel
 from .montecarlo import ASpec, ExperimentConfig
-from .overlaps_theory import FiniteInitialTransform
-from .spectral import minor_size
 
 
 def _finite(text: str) -> float:
@@ -61,7 +57,8 @@ def _add_out(parser):
 def _add_report(parser, pool=True, threads=0):
     """Flags of the seeded subcommands; ``--threads`` (parser default ``threads``) with a pool."""
     _add_out(parser)
-    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    parser.add_argument("--seed", type=int, default=42, dest="master_seed" if pool else "seed",
+                        help="master seed (default 42)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if pool:
         parser.add_argument("--threads", type=int, default=threads,
@@ -128,41 +125,6 @@ def _fmt_run(extras) -> str:
     return f"aborted={extras['aborted_trials']} {_fmt_threads(extras)}{refused}"
 
 
-def _check(flag: str, value, ok: bool, allowed: str):
-    """Refuse ``value`` of ``flag`` unless ``ok``, before any arithmetic sees it (exit 2)."""
-    if not ok:
-        raise ValueError(f"{flag} must be {allowed}, got {value}")
-
-
-def _threads(args) -> int:
-    """``--threads``, refused above the pool's bound before any work starts (exit 2)."""
-    limit = montecarlo.max_threads()
-    _check("--threads", args.threads, args.threads <= limit,
-           f"at most {limit} ({montecarlo.MAX_THREADS_PER_CPU} per available core)")
-    return args.threads
-
-
-def _bins(args) -> int:
-    """``--bins``, refused below 1 before any work starts (exit 2)."""
-    _check("--bins", args.bins, args.bins >= 1, ">= 1")
-    return args.bins
-
-
-def _trials(args) -> int:
-    """``--trials``, refused below the confidence-interval minimum before any set-up (exit 2)."""
-    _check("--trials", args.trials, args.trials >= montecarlo.MIN_CI_TRIALS,
-           f">= {montecarlo.MIN_CI_TRIALS}")
-    return args.trials
-
-
-def _check_minor(args):
-    """Refuse ``--N`` and ``--q`` of a run whose minor needs ``1 <= round(qN) <= N-1`` (exit 2)."""
-    _check("--N", args.n_dim, args.n_dim >= 2, ">= 2")
-    n = minor_size(args.q, args.n_dim)
-    _check("--q", args.q, 0.0 < args.q < 1.0 and 1 <= n <= args.n_dim - 1,
-           "in (0, 1) with 1 <= round(qN) <= N-1")
-
-
 def _read_model(path: str, mode: str) -> SpectrumModel:
     try:
         return SpectrumModel.from_json(Path(path).read_text())
@@ -180,100 +142,62 @@ def _theory_value(fn, *dests):
 
 
 def _theory_kernel_goe(args):
-    q, t = args.q, args.t
-    _check("--q", q, 0.0 < q < 1.0, "in (0, 1)")
-    _check("--t", t, t > 0, "> 0")
-    mu = args.mu if args.mu is not None else semicircle_quantile(args.x, t, np.sqrt(q))
-    edges = montecarlo._bulk_bin_edges(t, _bins(args))
-    lams = 0.5 * (edges[:-1] + edges[1:])
-    w = overlaps_theory.kernel_goe_value(mu, lams, t, q)
-    _emit(args, reports.theory_curve_csv(lams, mu, t, q, w, w * semicircle_density(lams, t)))
+    lams, mu, w, w_rho = overlaps_theory.kernel_goe_curve(args.t, args.q, args.bins, args.x,
+                                                          args.mu)
+    _emit(args, reports.theory_curve_csv(lams, mu, args.t, args.q, w, w_rho))
 
 
 def _theory_kernel_general(args):
     model = _read_model(args.model, "theory --kernel general")
-    q, t = (args.q if args.q is not None else model.q), args.t
-    _bins(args)
-    _check("--t", t, t > 0, "> 0")
-    _check("--n0", args.n0, args.n0 >= 1, ">= 1")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"kernel inversion requires 0 < q < 1, got q={q}")
-    n0_minor = minor_size(q, args.n0)
-    s0 = FiniteInitialTransform.from_diagonal(
-        representative_diagonal(model, args.n0, n0_minor), n0_minor)
-    minor_b = boundary_values(lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q), args.mu)
-    if minor_b.edge_flagged:
-        raise DomainError(f"mu={args.mu} lies outside the minor bulk or at its edge "
-                          f"(minor rho={minor_b.rho:.3e}); every point would be refused")
-    lams = np.linspace(*args.lambda_range, args.bins)
-    full_b = boundary_values(lambda z: solve_stieltjes(model, z, t), lams)
-    w, rho = overlaps_theory.overlap_kernel(s0, minor_b, full_b, t, q), full_b.rho
+    q = args.q if args.q is not None else model.q
+    lams, w, rho = overlaps_theory.general_kernel_curve(model, args.mu, args.lambda_range,
+                                                        args.bins, args.t, q, args.n0)
     ok = ~np.isnan(w)
-    _emit(args, reports.theory_curve_csv(lams[ok], args.mu, t, q, w[ok], w[ok] * rho[ok]))
+    _emit(args, reports.theory_curve_csv(lams[ok], args.mu, args.t, q, w[ok], w[ok] * rho[ok]))
     _note(f"refused={args.bins - ok.sum()}")
 
 
 def _theory_spike_g(args):
-    q, t, spike = args.q, args.t, args.spike
-    _check("--q", q, 0.0 < q <= 1.0, "in (0, 1]")
-    _check("--t", t, t > 0, "> 0")
     if args.mu is not None:
         return _theory_value(overlaps_theory.spike_bulk_overlap, "spike", "q", "t", "mu")(args)
-    edges = montecarlo._bulk_bin_edges(t, _bins(args), radius_scale=np.sqrt(q))
-    mus = 0.5 * (edges[:-1] + edges[1:])
-    g = overlaps_theory.spike_bulk_overlap(spike, q, t, mus)
-    _emit(args, reports.theory_curve_csv(mus, spike, t, q, g, g * semicircle_density(mus, q * t),
+    mus, g, g_rho = overlaps_theory.spike_bulk_curve(args.spike, args.q, args.t, args.bins)
+    _emit(args, reports.theory_curve_csv(mus, args.spike, args.t, args.q, g, g_rho,
                                          leading="mu"))
 
 
 def _theory_interlace(args):
-    _check("--q", args.q, 0.0 < args.q <= 1.0, "in (0, 1]")
-    _check("--t", args.t, args.t > 0, "> 0")
-    _check("--x", args.x, 0.0 <= args.x <= 1.0, "in [0, 1]")
     lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
     _emit(args, reports.simple_csv("x,t,q,lower,upper", [(args.x, args.t, args.q, lo, hi)]))
-
-
-def _theory_bernoulli_expansion(args):
-    _check("--N", args.n_dim, args.n_dim >= 1, ">= 1")
-    if args.n is None:
-        n = minor_size(args.q, args.n_dim)
-        _check("--q", args.q, 0.0 < args.q <= 1.0 and n >= 1, "in (0, 1] with round(qN) >= 1")
-    else:
-        n = args.n
-        _check("--n", n, 1 <= n <= args.n_dim, f"in [1, {args.n_dim}]")
-    _emit(args, reports.value_csv(overlaps_theory.bernoulli_spike_overlap(args.n_dim, n, args.p)))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _bulk_config(args) -> ExperimentConfig:
-    _check_minor(args)
-    _check("--t", args.t, args.t > 0, "> 0")
-    _check("--x", args.x, 0.0 <= args.x <= 1.0, "in [0, 1]")
-    trials, bins, threads = _trials(args), _bins(args), _threads(args)
-    a_spec = ASpec()
-    if args.model:
-        model = _read_model(args.model, args.command)
-        diag = representative_diagonal(model, args.n_dim, minor_size(args.q, args.n_dim))
-        a_spec = ASpec(kind="explicit", matrix=np.diag(diag))
-    return ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=trials,
-                            master_seed=args.seed, target="bulk", x=args.x,
-                            a_spec=a_spec, bins=bins, threads=threads)
+def _config(args, target: str, **fields) -> ExperimentConfig:
+    """The run's config from the flags every Monte Carlo mode reads, updated by ``fields``."""
+    shared = dict(n_dim=args.n_dim, q=args.q, trials=args.trials, master_seed=args.master_seed,
+                  threads=args.threads)
+    return ExperimentConfig(target=target, **(shared | fields))
+
+
+def _run_bulk(args):
+    config = _config(args, "bulk", t=args.t, x=args.x, bins=args.bins)
+    model = _read_model(args.model, args.command) if args.model else None
+    return montecarlo.run_bulk_experiment(config, model)
 
 
 def cmd_simulate(args):
-    report = montecarlo.run_bulk_experiment(_bulk_config(args))
+    report = _run_bulk(args)
     _emit_report(args, report, reports.bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} mu_hat={report.extras['mu_hat']:.6g} "
           f"{_fmt_run(report.extras)}")
 
 
 def cmd_compare(args):
-    _check("--min-coverage", args.min_coverage, 0.0 <= args.min_coverage <= 1.0, "in [0, 1]")
-    report = montecarlo.run_bulk_experiment(_bulk_config(args))
+    if not 0.0 <= args.min_coverage <= 1.0:
+        raise ValueError(f"--min-coverage must be in [0, 1], got {args.min_coverage}")
+    report = _run_bulk(args)
     _emit_report(args, report, reports.bulk_report_csv)
     peak = ""
     if "interlace_lo" in report.extras:
@@ -293,24 +217,15 @@ def cmd_compare(args):
 def _spike_path(args):
     if args.format != "csv":
         raise ValueError("spike --path writes a CSV trajectory only; drop --format json")
-    _check("--N", args.n_dim, args.n_dim >= 2, ">= 2")
-    _check("--q", args.q, 0.0 < args.q <= 1.0 and minor_size(args.q, args.n_dim) >= 2,
-           "in (0, 1] with round(qN) >= 2")
-    _check("--t-max", args.t_max, args.t_max > 0, "> 0")
-    _check("--steps", args.steps, args.steps >= 1, ">= 1")
     series = montecarlo.spike_path_series(args.n_dim, args.q, args.spike, args.t_max,
-                                          args.steps, args.seed)
+                                          args.steps, args.master_seed)
     _emit(args, reports.trajectory_csv(series))
 
 
 def _spike_spike(args):
-    _check("--t", args.t, args.t >= 0, ">= 0")
     a_spec = (ASpec(kind="split_spike", spike=args.spike, minor_spike=args.mu)
               if args.mu is not None else ASpec(kind="uniform_spike", spike=args.spike))
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=_trials(args),
-                              master_seed=args.seed, target="spike_spike",
-                              a_spec=a_spec, threads=_threads(args))
-    report = montecarlo.run_spike_spike(config)
+    report = montecarlo.run_spike_spike(_config(args, "spike_spike", t=args.t, a_spec=a_spec))
     _emit_report(args, report, reports.spike_top_report_csv)
     est = report.estimates[0]
     _note(f"top_overlap={est.mean:.6g} theory={report.theory[0]:.6g} "
@@ -319,11 +234,8 @@ def _spike_spike(args):
 
 
 def _spike_bulk(args):
-    _check("--t", args.t, args.t > 0, "> 0")
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=args.t, trials=_trials(args),
-                              master_seed=args.seed, target="spike_bulk",
-                              a_spec=ASpec(kind="tail_spike", spike=args.spike),
-                              bins=_bins(args), threads=_threads(args))
+    config = _config(args, "spike_bulk", t=args.t, bins=args.bins,
+                     a_spec=ASpec(kind="tail_spike", spike=args.spike))
     report = montecarlo.run_spike_bulk(config)
     _emit_report(args, report, reports.spike_bulk_report_csv)
     mass = report.estimates[-1]
@@ -333,46 +245,21 @@ def _spike_bulk(args):
 
 
 def _bernoulli_bulk(args):
-    _check("--p", args.p, 0.0 < args.p < 1.0, "in (0, 1)")
-    _check_minor(args)
-    config = ExperimentConfig(n_dim=args.n_dim, q=args.q, t=0.0, trials=_trials(args),
-                              master_seed=args.seed, target="bernoulli_bulk",
-                              p=args.p, bins=_bins(args), threads=_threads(args))
-    report = montecarlo.run_bernoulli_bulk(config)
+    report = montecarlo.run_bernoulli_bulk(
+        _config(args, "bernoulli_bulk", t=0.0, p=args.p, bins=args.bins))
     _emit_report(args, report, reports.bernoulli_bulk_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} t_eff={report.extras['t_eff']:.6g} "
           f"{_fmt_run(report.extras)}")
 
 
 def _bernoulli_spike(args):
-    _check("--p", args.p, 0.0 < args.p <= 1.0, "in (0, 1]")
-    for size in args.sizes:  # every size, before the first one's trials
-        _check("--sizes", size, 1 <= minor_size(args.q, size) <= size - 1,
-               "a list of sizes N with 1 <= round(qN) <= N-1")
-    config = ExperimentConfig(n_dim=args.sizes[0], q=args.q, t=0.0, trials=_trials(args),
-                              master_seed=args.seed, target="bernoulli_spike",
-                              p=args.p, n_dims=args.sizes, threads=_threads(args))
-    report = montecarlo.run_bernoulli_spike(config)
+    report = montecarlo.run_bernoulli_spike(_config(
+        args, "bernoulli_spike", n_dim=args.n_dims[0], t=0.0, p=args.p, n_dims=args.n_dims))
     _emit_report(args, report, reports.bernoulli_spike_report_csv)
     _note(f"coverage={_fmt_cov(report.coverage)} {_fmt_run(report.extras)}")
 
 
-def _check_probe(args, t_ok: bool, t_allowed: str):
-    """Refuse the flags of the frozen state and its increments by name (exit 2).
-
-    Both probes read the minor's three middle levels, so ``--n`` needs three.
-    """
-    _check("--N", args.n_dim, 4 <= args.n_dim <= probes.MAX_PROBE_DIM,
-           f"in [4, {probes.MAX_PROBE_DIM}]")
-    _check("--n", args.n, 3 <= args.n < args.n_dim, f"in [3, {args.n_dim - 1}]")
-    _check("--t", args.t, t_ok, t_allowed)
-    _check("--dt", args.dt, args.dt > 0, "> 0")
-
-
 def _probe_correlation(args):
-    _check_probe(args, args.t >= 0, ">= 0")
-    _check("--samples", args.samples, args.samples >= probes.MIN_CORRELATION_SAMPLES,
-           f">= {probes.MIN_CORRELATION_SAMPLES}")
     report = probes.correlation_probe(args.n_dim, args.n, args.t, samples=args.samples,
                                       seed=args.seed, dt=args.dt)
     _emit_report(args, report, reports.probe_report_csv)
@@ -380,9 +267,6 @@ def _probe_correlation(args):
 
 
 def _probe_drift(args):
-    _check_probe(args, args.t > 0, "> 0")
-    _check("--trials", args.trials, args.trials >= probes.MIN_DRIFT_TRIALS,
-           f">= {probes.MIN_DRIFT_TRIALS}")
     report = probes.drift_probe(args.n_dim, args.n, args.t, dt=args.dt,
                                 trials=args.trials, seed=args.seed)
     _emit_report(args, report, reports.probe_report_csv)
@@ -417,7 +301,8 @@ MODES = {
         "--interlace": (_theory_interlace, {"q": REQUIRED, "x": 0.5, "t": 1.0}),
         "--spike-mass": (_theory_value(overlaps_theory.spike_bulk_mass, "spike", "q", "t"),
                          {"spike": REQUIRED, "q": REQUIRED, "t": 1.0}),
-        "--bernoulli-expansion": (_theory_bernoulli_expansion,
+        "--bernoulli-expansion": (_theory_value(overlaps_theory.bernoulli_spike_overlap,
+                                                "n_dim", "n", "p", "q"),
                                   {"n|q": REQUIRED, "n_dim": 400, "p": 0.5}),
     }),
     "spike": (lambda args: "--path" if args.path and args.mode == "spike"
@@ -428,7 +313,7 @@ MODES = {
     }),
     "bernoulli": (lambda args: f"--mode {args.mode}", {
         "--mode bulk": (_bernoulli_bulk, {"n_dim": 300, "bins": 25}),
-        "--mode spike": (_bernoulli_spike, {"sizes": (100, 200, 400)}),
+        "--mode spike": (_bernoulli_spike, {"n_dims": (100, 200, 400)}),
     }),
     "probe": (lambda args: f"--kind {args.kind}", {
         "--kind correlation": (_probe_correlation, {"samples": 100_000}),
@@ -437,12 +322,13 @@ MODES = {
 }
 
 
-def _run_mode(flags: dict, args):
+def _run_mode(args):
     """Check ``args`` against its mode's row of :data:`MODES`, fill in the defaults, run it.
 
-    ``flags`` maps each dest to the flag a ``ValueError`` names, with the mode, on
-    a flag of another mode's row, both flags of a pair or an unset REQUIRED flag.
+    A ``ValueError`` names the flags (``args.flags``) with the mode, on a flag
+    of another mode's row, both flags of a pair or an unset REQUIRED flag.
     """
+    flags = args.flags
     select, modes = MODES[args.command]
     run, row = modes[mode := select(args)]
     name = f"{args.command} {mode}"
@@ -465,6 +351,7 @@ def _run_mode(flags: dict, args):
     if needs:
         raise ValueError(f"{name} needs {' and '.join(needs)}")
     return run(args)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -529,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--N", type=int, dest="n_dim")
     p.add_argument("--bins", type=int)
-    p.add_argument("--sizes", type=_sizes, help="comma list of sizes")
+    p.add_argument("--sizes", type=_sizes, dest="n_dims", help="comma list of sizes")
 
     p = sub.add_parser("probe", help="SDE-level identity probes")
     _add_report(p, pool=False)
@@ -541,21 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--trials", type=int)
 
-    for command in MODES:
-        p = sub.choices[command]
-        flags = {a.dest: min(a.option_strings, key=len) for a in p._actions}
-        p.set_defaults(func=functools.partial(_run_mode, flags))
+    for command, p in sub.choices.items():
+        # a dest is the library's name of the argument it feeds, so an InputError maps to a flag
+        p.set_defaults(flags={a.dest: min(a.option_strings, key=len) for a in p._actions})
+        if command in MODES:
+            p.set_defaults(func=_run_mode)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:
-            _check("--seed", args.seed, args.seed >= 0, ">= 0")
         if args.out:
             _check_out(args.out)
         return args.func(args) or 0  # a command returns None on success
+    except InputError as exc:  # the library names the argument; the user gave its flag
+        _note(f"error: {args.flags.get(exc.name, exc.name)} must be {exc.allowed}, "
+              f"got {exc.value}")
+        return 2
     except (DomainError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2

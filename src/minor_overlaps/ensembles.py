@@ -22,6 +22,8 @@ import numpy as np
 # import out of the trial pool, whose workers would otherwise wait on it
 from numpy.random import Generator, SeedSequence, default_rng
 
+from .errors import require
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -42,6 +44,11 @@ def derive_stream(master_seed: int, trial_index: int) -> SeedSpec:
     ``SeedSequence(entropy=master_seed, spawn_key=(k,))``.
     """
     return SeedSpec(master_seed=int(master_seed), stream_id=int(trial_index))
+
+
+def check_seed(seed: int, name: str):
+    """Refuse a negative seed, which no stream takes, by its argument's ``name``."""
+    require(name, seed, seed >= 0, ">= 0")
 
 
 def _pair(n_dim: int, out):

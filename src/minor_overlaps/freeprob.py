@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require
 
 #: default offset below the real axis for boundary extraction
 DEFAULT_BOUNDARY_EPS = 1e-6
@@ -159,8 +159,7 @@ def semicircle_stieltjes(z: complex, t: float) -> complex:
     The branch is fixed by ``G ~ 1/z`` at infinity; approaching the axis from
     below inside the bulk yields ``Im(G) = +pi * rho``.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require("t", t, t > 0, "> 0")
     # sqrt(z^2 - R^2) with its cut on [-R, R]: Im follows Im(z)
     radius = 2.0 * np.sqrt(t)
     return (z - np.sqrt(z - radius) * np.sqrt(z + radius)) / (2.0 * t)
@@ -168,8 +167,7 @@ def semicircle_stieltjes(z: complex, t: float) -> complex:
 
 def semicircle_density(lam, t: float):
     """Density ``sqrt((4t - lam^2)_+) / (2 pi t)`` (zero outside the support)."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require("t", t, t > 0, "> 0")
     lam = np.asarray(lam, dtype=float)
     val = np.sqrt(np.maximum(4.0 * t - lam * lam, 0.0)) / (2.0 * np.pi * t)
     return val if val.ndim else float(val)
@@ -190,8 +188,7 @@ def _semicircle_root(x, radius: float):
 
 def semicircle_tail_mass(lam, t: float):
     """Spectral mass above ``lam`` under the radius ``2 sqrt(t)`` semicircle (vectorized)."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require("t", t, t > 0, "> 0")
     r = 2.0 * np.sqrt(t)
     lam = np.clip(np.asarray(lam, dtype=float), -r, r)
     root = _semicircle_root(lam, r)
@@ -279,8 +276,7 @@ def semicircle_pole_integral(edges, t: float, r1: complex, r2: complex) -> np.nd
     ``DomainError`` when a real pole lies on the support, where the
     integrand's denominator vanishes.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require("t", t, t > 0, "> 0")
     radius = 2.0 * np.sqrt(t)
     r1, r2 = complex(r1), complex(r2)
     for r in (r1, r2):
@@ -296,9 +292,9 @@ def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
 
     ``radius_scale=sqrt(q)`` yields the minor's quantile, which equals
     ``sqrt(q)`` times the full quantile.  Solved by bisection (:func:`_bisect`).
+    An ``x`` outside ``[0, 1]`` is refused by name.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+    require("x", x, 0.0 <= x <= 1.0, "in [0, 1]")
     if t <= 0 or radius_scale <= 0:
         raise ValueError("t and radius_scale must be > 0")
     t_eff = t * radius_scale * radius_scale

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ensembles import (
+    check_seed,
     derive_stream,
     rank_one,
     sample_bernoulli,
@@ -64,10 +65,11 @@ from .ensembles import (
     tail_spike_vector,
     uniform_spike_vector,
 )
-from .errors import NumericError
+from .errors import NumericError, require
 from .freeprob import (
     SpectrumModel,
     boundary_values,
+    representative_diagonal,
     scan_support_edge,
     semicircle_pole_integral,
     semicircle_tail_mass,
@@ -76,6 +78,9 @@ from .freeprob import (
 )
 from .overlaps_theory import (
     FiniteInitialTransform,
+    _bin_edges,
+    _bulk_bin_edges,
+    _check_bins,
     interlace_interval,
     overlap_kernel,
     spike_bulk_mass,
@@ -156,9 +161,12 @@ class ASpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment parameters; runners validate the fields they use.
+    """Shared experiment parameters.
 
-    ``target`` names the experiment in the JSON config; no runner reads it.
+    Building one refuses ``master_seed``, ``trials``, ``bins`` and ``threads``
+    out of range by name (:class:`~minor_overlaps.errors.InputError`); each
+    runner refuses the other fields it reads before any set-up.  ``target``
+    names the experiment in the JSON config; no runner reads it.
     """
 
     n_dim: int
@@ -174,6 +182,12 @@ class ExperimentConfig:
     bins: int = 25
     bin_range: tuple | None = None
     threads: int = 0
+
+    def __post_init__(self):
+        check_seed(self.master_seed, "master_seed")
+        require("trials", self.trials, self.trials >= MIN_CI_TRIALS, f">= {MIN_CI_TRIALS}")
+        _check_bins(self.bins)
+        _check_threads(self.threads)
 
     @property
     def n(self) -> int:
@@ -275,6 +289,14 @@ def max_threads() -> int:
     return MAX_THREADS_PER_CPU * _available_cpus()
 
 
+def _check_threads(threads: int):
+    """Refuse a pool size below 0 or above :func:`max_threads` by the name ``threads``."""
+    require("threads", threads, threads >= 0, ">= 0")
+    limit = max_threads()
+    require("threads", threads, threads <= limit,
+            f"at most {limit} ({MAX_THREADS_PER_CPU} per available core)")
+
+
 def _pool_map(threads: int, fn, items):
     """Map ``fn`` over ``items`` on the trial pool; results stream in item order.
 
@@ -290,14 +312,10 @@ def _pool_map(threads: int, fn, items):
     the results it has read: an item that draws random numbers draws them in
     item order whatever the worker count, and a caller that reduces each
     result as it arrives holds a bounded number of items and results.  The
-    caller reads ``results`` to its end or closes it.  Raises ``ValueError``,
-    before any worker starts, for ``threads < 0`` or above :func:`max_threads`.
+    caller reads ``results`` to its end or closes it.  ``threads`` is
+    refused as :class:`ExperimentConfig` refuses it, before any worker starts.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads > max_threads():
-        raise ValueError(f"threads must be at most {max_threads()} ({MAX_THREADS_PER_CPU} per "
-                         f"available core), got {threads}")
+    _check_threads(threads)
     threads = threads or _available_cpus()
     used = {"pool_threads": threads,
             "trial_blas_threads": None if _openblas_threads() is None else 1}
@@ -354,21 +372,11 @@ def _run_trials(trials: int, threads: int, worker):
     return [column[:kept] for column in columns], run
 
 
-def _bin_edges(bins: int, lo: float, hi: float) -> np.ndarray:
-    """``bins`` equal bins over ``[lo, hi]``; every binned curve's edges come from here."""
-    if bins < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
-    if not lo < hi:
-        raise ValueError("empty bin range")
-    return np.linspace(lo, hi, bins + 1)
-
-
-def _bulk_bin_edges(t: float, bins: int, bin_range=None, radius_scale: float = 1.0) -> np.ndarray:
-    """Edges over ``bin_range``, by default ``|x| < 2 sqrt(t) radius_scale`` less 5% per end."""
-    if bin_range is None:
-        root = np.sqrt(t) * radius_scale
-        bin_range = (-2.0 * root + 0.1 * root, 2.0 * root - 0.1 * root)
-    return _bin_edges(bins, *bin_range)
+def _check_minor(n_dim: int, q: float):
+    """Refuse by name an ``n_dim`` or a ``q`` that leaves the minor no row or the full side none."""
+    require("n_dim", n_dim, n_dim >= 2, ">= 2")
+    require("q", q, 0.0 < q < 1.0 and 1 <= minor_size(q, n_dim) <= n_dim - 1,
+            "in (0, 1) with 1 <= round(qN) <= N-1")
 
 
 def _estimate(center, mean, half, n_samples, kind) -> OverlapEstimate:
@@ -580,9 +588,6 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
     audited as grid rows by columns, rows as whole when every full
     eigenvector is read.
     """
-    if config.trials < MIN_CI_TRIALS:
-        raise ValueError(f"confidence intervals need at least {MIN_CI_TRIALS} trials, "
-                         f"got {config.trials}")
     n_dim, n = config.n_dim, config.n
     full_request, minor_request = requests
     local = threading.local()
@@ -624,23 +629,29 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
 # ---------------------------------------------------------------------------
 
 @_one_blas_thread()
-def run_bulk_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_bulk_experiment(config: ExperimentConfig, model: SpectrumModel | None = None
+                        ) -> ExperimentReport:
     """Binned rescaled overlaps of one minor eigenvector row against theory.
 
     Per trial: observe ``A + noise(t)``, decompose the matrix and its leading
     ``n x n`` block, take the minor row at quantile ``x``, and accumulate
     ``N * overlap^2`` into bins of the full eigenvalue.  The matched theory is
     the closed-form kernel at the trial-averaged realized minor eigenvalue,
-    density-averaged over each bin.
+    density-averaged over each bin, or with an explicit ``A`` the general
+    kernel.  A ``model`` puts the explicit ``A = diag(representative_diagonal(model,
+    N, n))`` in place of ``config.a_spec``.  Refuses ``n_dim``, ``q``, ``t``
+    and ``x`` by name before any set-up.
     """
     start = time.perf_counter()
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
-    if not 0.0 < q < 1.0 or not 1 <= n <= n_dim - 1:
-        raise ValueError("bulk experiment needs q in (0,1) with 1 <= round(qN) <= N-1")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    _check_minor(n_dim, q)
+    require("t", t, t > 0, "> 0")
+    require("x", config.x, 0.0 <= config.x <= 1.0, "in [0, 1]")
     if config.a_spec.kind not in ("null", "explicit"):
         raise ValueError("bulk experiment needs a null or explicit deterministic part")
+    if model is not None:
+        diag = representative_diagonal(model, n_dim, n)
+        config = replace(config, a_spec=ASpec(kind="explicit", matrix=np.diag(diag)))
     row_idx = quantile_index(config.x, n) - 1
     a_mat = config.a_spec.build(n_dim, n)
 
@@ -703,21 +714,22 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
 
     ``extras["minor_edge_trials"]`` counts the kept trials whose minor top
     eigenvalue lies within ``SPIKE_ABSORB_MARGIN`` of the minor bulk edge
-    ``2 sqrt(qt)`` or below it; they stay in the estimate.
+    ``2 sqrt(qt)`` or below it; they stay in the estimate.  Refuses ``n_dim``
+    and ``q`` by name before any set-up, then the spikes (``spike``, and ``mu``
+    for the minor's) and ``t`` through :func:`~minor_overlaps.overlaps_theory.spike_spike_overlap`.
     """
     start = time.perf_counter()
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind not in ("uniform_spike", "split_spike"):
         raise ValueError("spike-spike experiment needs a uniform_spike or split_spike part")
-    if not 1 <= n <= n_dim:
-        raise ValueError(f"spike-spike experiment needs 1 <= round(qN) <= N, "
-                         f"got n={n}, N={n_dim}")
+    require("n_dim", n_dim, n_dim >= 1, ">= 1")
+    require("q", q, 0.0 < q <= 1.0 and n >= 1, "in (0, 1] with round(qN) >= 1")
     spike = config.a_spec.spike
     if config.a_spec.kind == "split_spike":
         minor_spike = config.a_spec.minor_spike
     else:
         minor_spike = spike * n / n_dim
-    theory = spike_spike_overlap(spike, minor_spike, q, t)  # validates the time window
+    theory = spike_spike_overlap(spike, minor_spike, q, t)  # also refuses an absorbed window
     a_mat = config.a_spec.build(n_dim, n)
 
     def trial(lam, mu, overlaps):
@@ -734,24 +746,27 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
 
 @_one_blas_thread()
 def spike_path_series(n_dim: int, q: float, spike: float, t_max: float, steps: int,
-                      seed: int) -> TrajectorySeries:
+                      master_seed: int) -> TrajectorySeries:
     """One noise path under the uniform spike: spike positions and bulk tops.
 
     The times are ``steps + 1`` equal steps over ``[0, t_max]``; the path
-    draws from ``derive_stream(seed, 0)``.
+    draws from ``derive_stream(master_seed, 0)``.  Refuses every argument out
+    of range by name before the path is drawn.
     """
     n = minor_size(q, n_dim)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 2 <= n <= n_dim:
-        raise ValueError(f"path mode needs 2 <= round(qN) <= N, got n={n}, N={n_dim}")
+    require("n_dim", n_dim, n_dim >= 2, ">= 2")
+    require("q", q, 0.0 < q <= 1.0 and n >= 2, "in (0, 1] with round(qN) >= 2")
+    require("spike", spike, spike >= 0, ">= 0")
+    require("t_max", t_max, t_max > 0, "> 0")
+    require("steps", steps, steps >= 1, ">= 1")
+    check_seed(master_seed, "master_seed")
     a_mat = rank_one(uniform_spike_vector(n_dim, spike))
     t_grid = np.linspace(0.0, t_max, steps + 1)
     lam1 = np.empty(t_grid.size)
     lam2 = np.empty(t_grid.size)
     mu1 = np.empty(t_grid.size)
     mu2 = np.empty(t_grid.size)
-    for k, h in enumerate(sample_path(n_dim, t_grid, derive_stream(seed, 0))):
+    for k, h in enumerate(sample_path(n_dim, t_grid, derive_stream(master_seed, 0))):
         x_mat = a_mat + h
         w = np.linalg.eigvalsh(x_mat)
         lam1[k], lam2[k] = w[-1], w[-2]
@@ -768,17 +783,18 @@ def run_spike_bulk(config: ExperimentConfig) -> ExperimentReport:
     Bins ``N * overlap^2`` of every minor eigenvector against the top full
     eigenvector by minor eigenvalue, and also reports the total overlap mass
     against its linear-in-t limit.  The final estimate row (kind
-    ``total_mass``) carries that total.
+    ``total_mass``) carries that total.  Refuses ``n_dim``, ``q``, ``t`` and
+    ``spike`` by name before any set-up.
     """
     start = time.perf_counter()
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
     if config.a_spec.kind != "tail_spike":
         raise ValueError("spike-bulk experiment needs a tail_spike deterministic part")
-    if not 1 <= n <= n_dim - 1:
-        raise ValueError(f"spike-bulk experiment needs 1 <= round(qN) <= N-1, "
-                         f"got n={n}, N={n_dim}")
+    _check_minor(n_dim, q)
+    require("t", t, t > 0, "> 0")
     spike = config.a_spec.spike
-    mass_theory = spike_bulk_mass(spike, q, t)  # validates t < spike^2
+    require("spike", spike, spike > 0, "> 0")
+    mass_theory = spike_bulk_mass(spike, q, t)  # refuses t >= spike^2
     a_mat = config.a_spec.build(n_dim, n)
     edges = _bulk_bin_edges(t, config.bins, config.bin_range, radius_scale=np.sqrt(q))
 
@@ -814,14 +830,13 @@ def run_bernoulli_bulk(config: ExperimentConfig) -> ExperimentReport:
     The effective noise variance is ``p (1 - p)``; the top eigenpair of each
     matrix (the diverging spikes) is excluded before binning.  Full-side
     eigenvalues are restricted to a narrow window around zero, minor-side
-    eigenvalues are binned.
+    eigenvalues are binned.  Refuses ``p``, ``n_dim`` and ``q`` by name before
+    any set-up.
     """
     start = time.perf_counter()
     n_dim, q, n, p = config.n_dim, config.q, config.n, config.p
-    if not 0.0 < p < 1.0:
-        raise ValueError("bernoulli bulk mode needs p in (0, 1)")
-    if not 0.0 < q < 1.0 or not 1 <= n <= n_dim - 1:
-        raise ValueError("need q in (0,1) with 1 <= round(qN) <= N-1")
+    require("p", p, 0.0 < p < 1.0, "in (0, 1)")
+    _check_minor(n_dim, q)
     t_eff = p * (1.0 - p)
     edges = _bulk_bin_edges(t_eff, config.bins, config.bin_range, radius_scale=np.sqrt(q))
     # the lambda window is one bin of the full bulk's default grid
@@ -864,16 +879,18 @@ def run_bernoulli_spike(config: ExperimentConfig) -> ExperimentReport:
     estimate is ``n/N - mean overlap^2`` of the two top eigenvectors, matched
     against the 1/N term of the finite-size expansion.  Stream ids advance as
     ``size_index * trials + trial`` so the sweep is reproducible as a whole.
+    Refuses ``p``, ``q`` and every size (of ``n_dims``, else ``n_dim``) by
+    name before the first size's trials.
     """
     start = time.perf_counter()
     p = config.p
-    if not 0.0 < p <= 1.0:
-        raise ValueError("bernoulli spike mode needs p in (0, 1]")
-
+    require("p", p, 0.0 < p <= 1.0, "in (0, 1]")
+    require("q", config.q, 0.0 < config.q < 1.0, "in (0, 1)")
     sizes = tuple(config.n_dims) or (config.n_dim,)
-    for n_dim in sizes:  # every size, before the first one's trials
-        if not 1 <= minor_size(config.q, n_dim) <= n_dim - 1:
-            raise ValueError(f"size {n_dim}: round(qN) out of range")
+    for n_dim in sizes:
+        require("n_dims" if config.n_dims else "n_dim", n_dim,
+                1 <= minor_size(config.q, n_dim) <= n_dim - 1,
+                "a list of sizes N with 1 <= round(qN) <= N-1")
     rows, theory, counts = [], [], collections.Counter()
     for idx, n_dim in enumerate(sizes):
         sized = replace(config, n_dim=n_dim)

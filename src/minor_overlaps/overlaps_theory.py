@@ -22,11 +22,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PoleError
-from .freeprob import BoundaryValues, SpectrumModel, _bisect, semicircle_quantile
-from .spectral import eig_sym, overlap_columns
+from .errors import DomainError, NumericError, PoleError, require
+from .freeprob import (BoundaryValues, SpectrumModel, _bisect, boundary_values,
+                       representative_diagonal, semicircle_density, semicircle_quantile,
+                       solve_minor_stieltjes, solve_stieltjes)
+from .spectral import eig_sym, minor_size, overlap_columns
 
 _POLE_TOL = 1e-12
+
+
+def _check_time_and_fraction(t: float, q: float, q_one: bool):
+    """Refuse by name a ``q`` outside ``(0, 1)``, or ``(0, 1]`` with ``q_one``, and ``t <= 0``."""
+    require("q", q, 0.0 < q < 1.0 or (q_one and q == 1.0), "in (0, 1]" if q_one else "in (0, 1)")
+    require("t", t, t > 0, "> 0")
+
+
+def _check_bins(bins: int):
+    """Refuse a bin count below 1 by name: the rule of every binned curve and run."""
+    require("bins", bins, bins >= 1, ">= 1")
+
+
+def _bin_edges(bins: int, lo: float, hi: float) -> np.ndarray:
+    """``bins`` equal bins over ``[lo, hi]``; every binned curve's edges come from here."""
+    if bins < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
+    if not lo < hi:
+        raise ValueError("empty bin range")
+    return np.linspace(lo, hi, bins + 1)
+
+
+def _bulk_bin_edges(t: float, bins: int, bin_range=None, radius_scale: float = 1.0) -> np.ndarray:
+    """Edges over ``bin_range``, by default ``|x| < 2 sqrt(t) radius_scale`` less 5% per end."""
+    if bin_range is None:
+        root = np.sqrt(t) * radius_scale
+        bin_range = (-2.0 * root + 0.1 * root, 2.0 * root - 0.1 * root)
+    return _bin_edges(bins, *bin_range)
+
+
+def _bin_centers(t: float, bins: int, radius_scale: float = 1.0) -> np.ndarray:
+    """Centers of the default :func:`_bulk_bin_edges`, a ``bins`` below 1 refused by name."""
+    _check_bins(bins)
+    edges = _bulk_bin_edges(t, bins, radius_scale=radius_scale)
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +152,7 @@ def evolve_double_stieltjes(s0, z: complex, z_tilde: complex, t: float, q: float
     """
     if np.imag(z) == 0 or np.imag(z_tilde) == 0:
         raise ValueError("arguments must lie off the real axis")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    require("t", t, t >= 0, ">= 0")
     if t == 0.0:
         return s0(z, z_tilde)
     if full_ev is None or minor_ev is None:
@@ -145,11 +181,9 @@ def overlap_kernel(s0, minor_b: BoundaryValues, full_b: BoundaryValues,
     refused pairs of arrays).  No extra epsilon enters the final evaluation:
     the characteristic endpoints already carry imaginary parts ``-pi t rho``
     and ``-+ q pi t rho_tilde`` that keep ``s0`` away from its real poles.
+    Refuses ``t`` and ``q`` by name.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    if not 0.0 < q < 1.0:
-        raise DomainError("kernel inversion requires 0 < q < 1")
+    _check_time_and_fraction(t, q, q_one=False)
     refused = np.logical_or(full_b.edge_flagged, minor_b.edge_flagged)
     if refused.ndim == 0 and refused:
         raise DomainError(f"edge-flagged point at lam={full_b.lam} (rho={full_b.rho:.3e}) "
@@ -168,16 +202,38 @@ def overlap_kernel(s0, minor_b: BoundaryValues, full_b: BoundaryValues,
     return w if w.ndim else float(w)
 
 
+def general_kernel_curve(model: SpectrumModel, mu: float, lambda_range, bins: int, t: float,
+                         q: float, n0: int):
+    """:func:`overlap_kernel` at ``mu`` for ``bins`` points ``lam`` spanning ``lambda_range``.
+
+    The initial transform is the closed form of ``model`` realized at size
+    ``n0`` (:func:`~minor_overlaps.freeprob.representative_diagonal`).
+    ``bins``, ``t``, ``q`` and ``n0`` are refused by name before it is built.
+    Returns ``(lams, w, rho)``: ``w`` is NaN at each refused ``lam``, and a
+    ``mu`` at or outside the minor bulk's edge raises ``DomainError``.
+    """
+    _check_bins(bins)
+    _check_time_and_fraction(t, q, q_one=False)
+    require("n0", n0, n0 >= 1, ">= 1")
+    n0_minor = minor_size(q, n0)
+    s0 = FiniteInitialTransform.from_diagonal(
+        representative_diagonal(model, n0, n0_minor), n0_minor)
+    minor_b = boundary_values(lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q), mu)
+    if minor_b.edge_flagged:
+        raise DomainError(f"mu={mu} lies outside the minor bulk or at its edge "
+                          f"(minor rho={minor_b.rho:.3e}); every point would be refused")
+    lams = np.linspace(*lambda_range, bins)
+    full_b = boundary_values(lambda z: solve_stieltjes(model, z, t), lams)
+    return lams, overlap_kernel(s0, minor_b, full_b, t, q), full_b.rho
+
+
 # ---------------------------------------------------------------------------
 # closed form for a pure noise matrix
 # ---------------------------------------------------------------------------
 
 def kernel_goe_value(mu, lam, t: float, q: float):
-    """Vectorized closed-form kernel for a vanishing deterministic part."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    if not 0.0 < q < 1.0:
-        raise DomainError("closed-form kernel requires 0 < q < 1")
+    """Vectorized closed-form kernel for a vanishing deterministic part; refuses ``t``, ``q``."""
+    _check_time_and_fraction(t, q, q_one=False)
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
     denom = (1.0 - q) ** 2 * t + (lam - mu) * (q * lam - mu)
@@ -185,6 +241,21 @@ def kernel_goe_value(mu, lam, t: float, q: float):
         raise DomainError("kernel denominator is not positive; point outside the bulk box")
     val = (1.0 - q) * t / denom
     return val if val.ndim else float(val)
+
+
+def kernel_goe_curve(t: float, q: float, bins: int, x: float = 0.5, mu: float | None = None):
+    """:func:`kernel_goe_value` at the centers of ``bins`` bins of the full bulk.
+
+    The minor eigenvalue is ``mu``, by default the minor bulk's quantile ``x``
+    (:func:`~minor_overlaps.freeprob.semicircle_quantile`).  Refuses ``t``,
+    ``q``, ``x`` and ``bins`` by name.  Returns ``(lams, mu, w, w * rho)``.
+    """
+    _check_time_and_fraction(t, q, q_one=False)
+    if mu is None:
+        mu = semicircle_quantile(x, t, np.sqrt(q))
+    lams = _bin_centers(t, bins)
+    w = kernel_goe_value(mu, lams, t, q)
+    return lams, mu, w, w * semicircle_density(lams, t)
 
 
 def kernel_peak_location(mu: float, t: float, q: float) -> float:
@@ -197,12 +268,9 @@ def kernel_peak_location(mu: float, t: float, q: float) -> float:
     bracketed by the sign facts P(-2 sqrt(t)) > 0 > P(2 sqrt(t)) and found by
     bisection to 1e-12.  For ``mu >= 0`` it satisfies
     ``mu <= peak <= mu / sqrt(q)`` (mirrored for negative ``mu``), which puts
-    it inside the interlacing interval.
+    it inside the interlacing interval.  Refuses ``t`` and ``q`` by name.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
+    _check_time_and_fraction(t, q, q_one=True)
     if abs(mu) > 2.0 * np.sqrt(q * t) + 1e-12:
         raise DomainError(f"mu={mu} outside the minor bulk [-2 sqrt(qt), 2 sqrt(qt)]")
     if q == 1.0:
@@ -218,11 +286,9 @@ def kernel_peak_location(mu: float, t: float, q: float) -> float:
 
 
 def interlace_interval(x: float, t: float, q: float):
-    """Asymptotic Cauchy bounds for the minor quantile ``x``: lower and upper values."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if t <= 0 or not 0.0 < q <= 1.0:
-        raise ValueError("need t > 0 and q in (0, 1]")
+    """Asymptotic Cauchy bounds for the minor quantile ``x``; refuses ``t``, ``q``, ``x``."""
+    _check_time_and_fraction(t, q, q_one=True)
+    require("x", x, 0.0 <= x <= 1.0, "in [0, 1]")
     lower = semicircle_quantile(q * x + 1.0 - q, t)
     upper = semicircle_quantile(q * x, t)
     return lower, upper
@@ -252,17 +318,14 @@ class SpikeTrajectory:
 def spike_trajectories(spike: float, t: float, minor_spike: float | None = None,
                        q: float | None = None) -> SpikeTrajectory:
     """Spike positions ``spike + t/spike`` and ``minor_spike + q t/minor_spike``."""
-    if spike <= 0:
-        raise ValueError("spike must be > 0")
+    require("spike", spike, spike > 0, "> 0")
     full_pos = spike + t / spike
     if minor_spike is None:
         return SpikeTrajectory(t=float(t), full_position=float(full_pos),
                                minor_position=None,
                                full_valid=bool(t < spike ** 2), minor_valid=None)
-    if minor_spike <= 0:
-        raise ValueError("minor_spike must be > 0")
-    if q is None or not 0.0 < q <= 1.0:
-        raise ValueError("a minor spike needs q in (0, 1]")
+    require("minor_spike", minor_spike, minor_spike > 0, "> 0")
+    require("q", q, q is not None and 0.0 < q <= 1.0, "in (0, 1] with a minor spike")
     minor_pos = minor_spike + q * t / minor_spike
     return SpikeTrajectory(t=float(t), full_position=float(full_pos),
                            minor_position=float(minor_pos),
@@ -299,29 +362,26 @@ def _refuses_overflow(formula):
 
 
 @_refuses_overflow
-def spike_spike_overlap(spike: float, minor_spike: float, q: float, t: float) -> float:
+def spike_spike_overlap(spike: float, mu: float, q: float, t: float) -> float:
     """Limiting squared overlap of the two spike eigenvectors.
 
     Solves the drift equation for the top-top squared overlap with initial
-    condition ``minor_spike / spike``:
+    condition ``mu / spike``, ``mu`` the minor's spike:
 
         f(t) = (mu/lam) (lam^2 - t)(mu^2 - q t) / (lam mu - q t)^2.
 
-    Valid while both spikes survive, ``t < min(spike^2, minor_spike^2 / q)``.
+    Refuses ``spike``, ``mu`` (the minor cannot gain mass), ``q`` and ``t``
+    by name.  Valid while both spikes survive, ``t < min(spike^2, mu^2 / q)``.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    if not 0.0 < minor_spike <= spike:
-        raise DomainError("need 0 < minor_spike <= spike (the minor cannot gain mass)")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    require("spike", spike, spike > 0, "> 0")
+    require("mu", mu, 0.0 < mu <= spike, f"in (0, {spike}]")
+    require("q", q, 0.0 < q <= 1.0, "in (0, 1]")
+    require("t", t, t >= 0, ">= 0")
     if t >= spike ** 2:
         raise DomainError(f"t={t} >= spike^2={spike**2}: full-matrix spike absorbed")
-    if t >= minor_spike ** 2 / q:
-        raise DomainError(
-            f"t={t} >= minor_spike^2/q={minor_spike**2 / q}: minor spike absorbed"
-        )
-    lam, mu = spike, minor_spike
+    if t >= mu ** 2 / q:
+        raise DomainError(f"t={t} >= minor_spike^2/q={mu**2 / q}: minor spike absorbed")
+    lam = spike
     return float((mu / lam) * (lam * lam - t) * (mu * mu - q * t) / (lam * mu - q * t) ** 2)
 
 
@@ -331,12 +391,9 @@ def spike_bulk_overlap(spike: float, q: float, t: float, mu):
 
     ``(spike^2 - q t) t / (spike^2 - spike mu + q t)^2`` for ``mu`` inside the
     minor bulk; the noise builds this coupling even though the minor starts
-    with no trace of the spike.
+    with no trace of the spike.  Refuses ``t`` and ``q`` by name.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
+    _check_time_and_fraction(t, q, q_one=True)
     if t >= spike ** 2:
         raise DomainError(f"t={t} >= spike^2={spike**2}: spike absorbed")
     mu = np.asarray(mu, dtype=float)
@@ -346,29 +403,41 @@ def spike_bulk_overlap(spike: float, q: float, t: float, mu):
     return val if val.ndim else float(val)
 
 
+def spike_bulk_curve(spike: float, q: float, t: float, bins: int):
+    """:func:`spike_bulk_overlap` at the centers of ``bins`` minor-bulk bins: ``(mus, g, g * rho)``.
+
+    Refuses ``t``, ``q`` and ``bins`` by name; ``rho`` is the minor's density.
+    """
+    _check_time_and_fraction(t, q, q_one=True)
+    mus = _bin_centers(t, bins, radius_scale=np.sqrt(q))
+    g = spike_bulk_overlap(spike, q, t, mus)
+    return mus, g, g * semicircle_density(mus, q * t)
+
+
 @_refuses_overflow
 def spike_bulk_mass(spike: float, q: float, t: float) -> float:
-    """Total expected overlap mass of the full spike on the minor: ``q t / spike^2``."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Overlap mass of the full spike on the minor, ``q t / spike^2``; refuses ``q``, ``t``."""
+    require("q", q, 0.0 < q <= 1.0, "in (0, 1]")
+    require("t", t, t >= 0, ">= 0")
     if t >= spike ** 2:
         raise DomainError(f"t={t} >= spike^2={spike**2}: spike absorbed")
     return float(q * t / spike ** 2)
 
 
-def bernoulli_spike_overlap(n_dim: int, n: int, p: float) -> float:
+def bernoulli_spike_overlap(n_dim: int, n: int | None, p: float, q: float | None = None) -> float:
     """Finite-size expansion of the top-top overlap for Bernoulli matrices.
 
     ``n/N - (1 - n/N)(1/p - 1)/N`` with remainder O(N^{-3/2}); the leading
-    term tends to the minor fraction.
+    term tends to the minor fraction.  The minor size is ``n``, or with
+    ``n=None`` ``round(qN)`` of the fraction ``q``.  Refuses ``n_dim``, ``n``,
+    ``q`` and ``p`` by name (at ``p = 0`` the expansion diverges).
     """
-    if not 1 <= n <= n_dim:
-        raise ValueError("need 1 <= n <= n_dim")
-    if p == 0:
-        raise DomainError("p = 0: the expansion diverges")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    require("n_dim", n_dim, n_dim >= 1, ">= 1")
+    if n is None:
+        n = minor_size(q, n_dim)
+        require("q", q, 0.0 < q <= 1.0 and n >= 1, "in (0, 1] with round(qN) >= 1")
+    else:
+        require("n", n, 1 <= n <= n_dim, f"in [1, {n_dim}]")
+    require("p", p, 0.0 < p <= 1.0, "in (0, 1]")
     frac = n / n_dim
     return float(frac - (1.0 - frac) * (1.0 / p - 1.0) / n_dim)

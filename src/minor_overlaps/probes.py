@@ -23,9 +23,8 @@ names the one used as ``stepper``).  The correlation probe runs serially, at
 one BLAS thread, in batches of ``_CHUNK`` samples drawn into one buffer.  Both
 probes report through :func:`_probe_report`, which ends in the runners'
 :func:`~minor_overlaps.montecarlo._report`.
-Every probe refuses ``n_dim > MAX_PROBE_DIM``, a minor without three middle
-levels, and fewer draws than ``MIN_CORRELATION_SAMPLES`` or
-``MIN_DRIFT_TRIALS``.
+Every probe refuses each argument out of range by name
+(:class:`~minor_overlaps.errors.InputError`) before the frozen state is built.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ import time
 
 import numpy as np
 
-from .ensembles import derive_stream, sample_goe
+from .ensembles import check_seed, derive_stream, sample_goe
+from .errors import require
 from .montecarlo import ExperimentReport, Z_99, _estimate, _one_blas_thread, _pool_map, _report
 from .spectral import eig_sym, eigpair_at, eigpair_backend
 
@@ -69,19 +69,15 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     return x_mat, full.eigenvalues, full_vecs, block.eigenvalues, block_vecs, signed
 
 
-def _check_probe(n_dim: int, n: int, dt: float):
-    """Refuse a matrix, minor or increment size no probe can use.
+def _check_probe(n_dim: int, n: int, dt: float, seed: int):
+    """Refuse by name a matrix, minor, increment size or seed no probe can use.
 
     Both probes read minor levels around ``n // 2``, so the minor needs three.
     """
-    if n_dim > MAX_PROBE_DIM:
-        raise ValueError(f"probes are restricted to n_dim <= {MAX_PROBE_DIM}, got {n_dim}")
-    if not 1 <= n < n_dim:
-        raise ValueError(f"need 1 <= n < n_dim, got n={n}, n_dim={n_dim}")
-    if n < 3:
-        raise ValueError(f"a mid-bulk pair needs n >= 3, got n={n}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"need a finite dt > 0, got {dt}")
+    check_seed(seed, "seed")
+    require("n_dim", n_dim, 4 <= n_dim <= MAX_PROBE_DIM, f"in [4, {MAX_PROBE_DIM}]")
+    require("n", n, 3 <= n < n_dim, f"in [3, {n_dim - 1}]")
+    require("dt", dt, np.isfinite(dt) and dt > 0, "> 0")
 
 
 def _probe_report(config: dict, start: float, sums, sq_sums, count: int, dt: float,
@@ -130,9 +126,10 @@ def correlation_probe(n_dim: int, n: int, t: float, samples: int, seed: int,
     does, so its bytes do not depend on the caller's count.
     """
     start = time.perf_counter()
-    if samples < MIN_CORRELATION_SAMPLES:
-        raise ValueError("correlation probe needs at least 1e4 samples")
-    _check_probe(n_dim, n, dt)
+    _check_probe(n_dim, n, dt, seed)
+    require("t", t, t >= 0, ">= 0")
+    require("samples", samples, samples >= MIN_CORRELATION_SAMPLES,
+            f">= {MIN_CORRELATION_SAMPLES}")
     _, _, full_vecs, _, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
 
     minor_indices = (n // 2 - 1, n // 2, n // 2 + 1)
@@ -256,14 +253,12 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     columns, whatever ``trials`` is.  The extras record
     the ``pair``, the ``pool_threads`` and ``trial_blas_threads``, and the
     ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped matrices.
+    At ``t = 0`` the frozen levels are degenerate, so ``t`` must be positive.
     """
     start = time.perf_counter()
-    if trials < MIN_DRIFT_TRIALS:
-        raise ValueError(f"drift probe needs at least {MIN_DRIFT_TRIALS} trials")
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"drift probe needs a finite t > 0 (at t = 0 the frozen "
-                         f"levels are degenerate), got {t}")
-    _check_probe(n_dim, n, dt)
+    _check_probe(n_dim, n, dt, seed)
+    require("t", t, np.isfinite(t) and t > 0, "> 0")
+    require("trials", trials, trials >= MIN_DRIFT_TRIALS, f">= {MIN_DRIFT_TRIALS}")
     with _one_blas_thread():
         x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
         i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minor_overlaps import cli
 from minor_overlaps.errors import NumericError
+from minor_overlaps.overlaps_theory import FiniteInitialTransform
 from minor_overlaps.reports import (
     BULK_CURVE_HEADER,
     MINOR_CURVE_HEADER,
@@ -88,7 +93,7 @@ def test_compare_runs_and_gates(capsys, tmp_path, monkeypatch):
     # this run covers every judged bin; the gate is read on a report that covers half
     run = cli.montecarlo.run_bulk_experiment
     monkeypatch.setattr(cli.montecarlo, "run_bulk_experiment",
-                        lambda config: dataclasses.replace(run(config), coverage=0.5))
+                        lambda config, model=None: dataclasses.replace(run(config), coverage=0.5))
     code, _, stderr = _run(capsys, args + ["--min-coverage", "0.6"])
     assert code == 3 and stderr.endswith("coverage below threshold 0.6\n")
 
@@ -214,9 +219,11 @@ def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     calls = dict.fromkeys(("full", "full_points", "minor", "minor_points"), 0)
-    monkeypatch.setattr(cli, "solve_stieltjes", _counting(calls, "full", cli.solve_stieltjes))
-    monkeypatch.setattr(cli, "solve_minor_stieltjes",
-                        _counting(calls, "minor", cli.solve_minor_stieltjes))
+    theory = cli.overlaps_theory
+    monkeypatch.setattr(theory, "solve_stieltjes",
+                        _counting(calls, "full", theory.solve_stieltjes))
+    monkeypatch.setattr(theory, "solve_minor_stieltjes",
+                        _counting(calls, "minor", theory.solve_minor_stieltjes))
     code, stdout, stderr = _run(capsys, [
         "theory", "--kernel", "general", "--model", str(model_path), "--qfrac", "0.5",
         "--t", "1", "--mu", "0.5", "--lambda-range", "-1.5", "1.5",
@@ -234,7 +241,7 @@ def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--qfrac", "1"], "0 < q < 1"),
+    (["--qfrac", "1"], "--q must be in (0, 1), got 1.0"),
     (["--qfrac", "0.5", "--mu", "5"], "mu=5.0 lies outside the minor bulk"),
 ], ids=["q-one", "mu-outside-minor-bulk"])
 def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, message):
@@ -250,6 +257,18 @@ def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, me
 
 def _never(*args, **kwargs):
     raise AssertionError("the run started")
+
+
+#: every stage that sets a run up: a refused argument must reach none of them
+SET_UP = ((cli.montecarlo, "_run_decomposed"), (cli.montecarlo, "_scan_general_support"),
+          (cli.montecarlo, "representative_diagonal"), (cli.montecarlo, "sample_path"),
+          (cli.overlaps_theory, "representative_diagonal"), (cli.probes, "_frozen_state"),
+          (FiniteInitialTransform, "from_matrix"), (FiniteInitialTransform, "from_diagonal"))
+
+
+def _refuse_set_up(monkeypatch):
+    for owner, name in SET_UP:
+        monkeypatch.setattr(owner, name, _never)
 
 
 _GENERAL = ["theory", "--kernel", "general", "--model", "{model}", "--mu", "0.3",
@@ -274,7 +293,7 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
     (_GENERAL + ["--n0", "0"], "--n0 must be >= 1, got 0"),
     (_GENERAL + ["--n0", "-4"], "--n0 must be >= 1, got -4"),
     (_GENERAL + ["--t", "0"], "--t must be > 0, got 0.0"),
-    (["theory", "--spike-mass", "--lambda", "3", "--q", "-0.5"], "q must lie in (0, 1]"),
+    (["theory", "--spike-mass", "--lambda", "3", "--q", "-0.5"], "--q must be in (0, 1], got -0.5"),
     (["theory", "--interlace", "--q", "-0.5"], "--q must be in (0, 1], got -0.5"),
     (["theory", "--interlace", "--q", "0.5", "--x", "1.5"], "--x must be in [0, 1], got 1.5"),
     (["theory", "--bernoulli-expansion", "--q", "-0.5"],
@@ -284,11 +303,11 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
     (_PATH + ["--t-max", "0"], "--t-max must be > 0, got 0.0"),
     (_PATH + ["--t-max", "-1"], "--t-max must be > 0, got -1.0"),
     (["spike", "--mode", "spike", "--lambda", "1", "--qfrac", "0.001", "--N", "60", "--t", "0.2"],
-     "spike-spike experiment needs 1 <= round(qN) <= N, got n=0, N=60"),
+     "--q must be in (0, 1] with round(qN) >= 1, got 0.001"),
     (["spike", "--mode", "spike", "--lambda", "1", "--mu", "0.5", "--qfrac", "0.001", "--N",
-      "60", "--t", "0.2"], "spike-spike experiment needs 1 <= round(qN) <= N, got n=0, N=60"),
+      "60", "--t", "0.2"], "--q must be in (0, 1] with round(qN) >= 1, got 0.001"),
     (["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.005", "--N", "60", "--t", "1"],
-     "spike-bulk experiment needs 1 <= round(qN) <= N-1, got n=0, N=60"),
+     "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 0.005"),
     (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "400,-3",
       "--trials", "100"], "--sizes must be a list of sizes N with 1 <= round(qN) <= N-1, got -3"),
     (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "30,1",
@@ -329,6 +348,35 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
      "--q must be in (0, 1] with round(qN) >= 2, got 1.5"),
     (["spike", "--mode", "spike", "--path", "--lambda", "1", "--qfrac", "0.5", "--N", "1"],
      "--N must be >= 2, got 1"),
+    (["theory", "--spike-f", "--lambda", "1", "--mu", "0.3", "--q", "1.5", "--t", "0.2"],
+     "--q must be in (0, 1], got 1.5"),
+    (["theory", "--lambda-star", "--mu", "0.3", "--q", "0"], "--q must be in (0, 1], got 0.0"),
+    (["theory", "--spike-f", "--lambda", "1", "--mu", "0.3", "--q", "0.3", "--t", "-1"],
+     "--t must be >= 0, got -1.0"),
+    (["theory", "--lambda-star", "--mu", "0.3", "--q", "0.5", "--t", "-1"],
+     "--t must be > 0, got -1.0"),
+    (["theory", "--kernel", "goe", "--q", "0.5", "--x", "1.5"], "--x must be in [0, 1], got 1.5"),
+    (_GENERAL + ["--q", "1.5"], "--q must be in (0, 1), got 1.5"),
+    (["theory", "--bernoulli-expansion", "--q", "0.5", "--p", "1.5"],
+     "--p must be in (0, 1], got 1.5"),
+    (_SIMULATE + ["--threads", "-1"], "--threads must be >= 0, got -1"),
+    (_TOP_SPIKE + ["--t", "0.2", "--threads", "-1"], "--threads must be >= 0, got -1"),
+    (_BULK_SPIKE + ["--threads", "-1"], "--threads must be >= 0, got -1"),
+    (_BULK_BERNOULLI + ["--p", "0.5", "--N", "40", "--threads", "-1"],
+     "--threads must be >= 0, got -1"),
+    (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "0.5", "--sizes", "30,40",
+      "--trials", "100", "--threads", "-1"], "--threads must be >= 0, got -1"),
+    (["spike", "--mode", "bulk", "--lambda", "3", "--qfrac", "0.995", "--N", "60"],
+     "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 0.995"),
+    (_TOP_SPIKE + ["--t", "0.2", "--lambda=-1"], "--lambda must be > 0, got -1.0"),
+    (_TOP_SPIKE + ["--t", "0.2", "--mu", "2"], "--mu must be in (0, 1.0], got 2.0"),
+    (_PATH + ["--lambda=-1"], "--lambda must be >= 0, got -1.0"),
+    (["bernoulli", "--mode", "spike", "--p", "0.7", "--qfrac", "1.5", "--sizes", "30,40",
+      "--trials", "100"], "--q must be in (0, 1), got 1.5"),
+    (_SIMULATE + ["--qfrac", "1.5", "--model", "{model}"],
+     "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 1.5"),
+    (_SIMULATE + ["--N", "0", "--model", "{model}"], "--N must be >= 2, got 0"),
+    (_BULK_SPIKE + ["--lambda=-3"], "--lambda must be > 0, got -3.0"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
@@ -341,16 +389,19 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
         "compare-trials", "spike-spike-trials", "spike-bulk-trials", "bernoulli-bulk-trials",
         "bernoulli-spike-trials", "bernoulli-spike-p-above-one", "bernoulli-spike-p-zero",
         "spike-path-steps-zero", "spike-path-steps-negative", "spike-path-one-minor-level",
-        "spike-path-q-above-one", "spike-path-N"])
+        "spike-path-q-above-one", "spike-path-N", "spike-f-q-above-one", "lambda-star-q-zero",
+        "spike-f-t-negative", "lambda-star-t-negative", "goe-x", "general-q",
+        "bernoulli-expansion-p", "simulate-threads-negative", "spike-spike-threads-negative",
+        "spike-bulk-threads-negative", "bernoulli-bulk-threads-negative",
+        "bernoulli-spike-threads-negative", "spike-bulk-full-minor", "spike-spike-lambda-negative",
+        "split-spike-mu-above-lambda", "spike-path-lambda-negative", "bernoulli-spike-q",
+        "simulate-model-q", "simulate-model-N", "spike-bulk-lambda-negative"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
                                                          message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
-    # no trial, path or --model transform starts
-    for runner in ("run_bulk_experiment", "run_bernoulli_bulk", "run_bernoulli_spike",
-                   "_run_decomposed", "spike_path_series"):
-        monkeypatch.setattr(cli.montecarlo, runner, _never)
-    monkeypatch.setattr(cli, "representative_diagonal", _never)
+    # no trial, path, model realization or initial transform starts
+    _refuse_set_up(monkeypatch)
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     argv = [arg.format(model=model_path) for arg in argv]
@@ -465,8 +516,7 @@ _CORRELATION = ["probe", "--kind", "correlation", "--N", "20", "--n", "10",
         "drift-N-3"])
 def test_probe_invalid_input_exits_two(capsys, monkeypatch, argv, message):
     # each flag is refused by name before the frozen state is built
-    for name in ("_frozen_state", "drift_probe", "correlation_probe"):
-        monkeypatch.setattr(cli.probes, name, _never)
+    _refuse_set_up(monkeypatch)
     code, stdout, stderr = _run(capsys, argv)
     assert (code, stdout) == (2, "")
     assert stderr == f"error: {message}\n"
@@ -634,7 +684,7 @@ def test_negative_threads_exits_two(capsys, argv):
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2
     assert stdout == ""
-    assert stderr == f"error: threads must be >= 0, got {argv[-1]}\n"
+    assert stderr == f"error: --threads must be >= 0, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -790,7 +840,7 @@ def test_refused_model_exits_two(capsys, tmp_path, monkeypatch, argv, text, mess
 
 
 def test_numeric_failure_maps_to_exit_four(capsys, monkeypatch):
-    def boom(config):
+    def boom(config, model=None):
         raise NumericError("forced failure")
 
     monkeypatch.setattr(cli.montecarlo, "run_bulk_experiment", boom)
@@ -859,3 +909,87 @@ def test_bisections_stop_where_the_float_spacing_exceeds_their_width():
     assert -2e4 < lower < upper < 2e4
     peak = float(lines[-2])
     assert 1e4 <= peak <= 1e4 / np.sqrt(0.5)  # mu <= peak <= mu / sqrt(q)
+
+
+_MODEL = str(Path(__file__).resolve().parent / "golden" / "two_atom_model.json")
+_THREADS = f"int[0,{cli.montecarlo.max_threads()}]"
+_SHARED = {"--trials": "int[100,inf)", "--threads": _THREADS, "--seed": "int[0,inf)"}
+
+#: a valid run of each mode, and the range of each numeric flag it reads; a
+#: range is an interval such as "(0,1]", of integers when it starts with "int"
+_RANGES = {
+    "simulate": (_SIMULATE + ["--bins", "5"], {
+        "--N": "int[2,inf)", "--q": "(0,1)", "--t": "(0,inf)", "--x": "[0,1]",
+        "--bins": "int[1,inf)", **_SHARED}),
+    "spike-spike": (_TOP_SPIKE + ["--t", "0.2"], {
+        "--N": "int[1,inf)", "--q": "(0,1]", "--t": "[0,inf)", "--lambda": "(0,inf)",
+        "--mu": "(0,1]", **_SHARED}),
+    "spike-bulk": (_BULK_SPIKE + ["--bins", "5"], {
+        "--N": "int[2,inf)", "--q": "(0,1)", "--t": "(0,inf)", "--lambda": "(0,inf)",
+        "--bins": "int[1,inf)", **_SHARED}),
+    "spike-path": (_PATH, {
+        "--N": "int[2,inf)", "--q": "(0,1]", "--lambda": "[0,inf)", "--t-max": "(0,inf)",
+        "--steps": "int[1,inf)", "--seed": "int[0,inf)"}),
+    "bernoulli-bulk": (_BULK_BERNOULLI + ["--p", "0.5", "--N", "40", "--bins", "5"], {
+        "--N": "int[2,inf)", "--q": "(0,1)", "--p": "(0,1)", "--bins": "int[1,inf)", **_SHARED}),
+    "bernoulli-spike": (_BERNOULLI_SPIKE, {
+        "--q": "(0,1)", "--p": "(0,1]", "--sizes": "int[2,inf)", **_SHARED}),
+    "probe-drift": (_DRIFT, {
+        "--N": "int[4,100]", "--n": "int[3,19]", "--t": "(0,inf)", "--dt": "(0,inf)",
+        "--trials": "int[1000,inf)", "--seed": "int[0,inf)"}),
+    "probe-correlation": (_CORRELATION, {
+        "--N": "int[4,100]", "--n": "int[3,19]", "--t": "[0,inf)", "--dt": "(0,inf)",
+        "--samples": "int[10000,inf)", "--seed": "int[0,inf)"}),
+    "kernel-goe": (_KERNEL_GOE, {
+        "--q": "(0,1)", "--t": "(0,inf)", "--x": "[0,1]", "--bins": "int[1,inf)"}),
+    "kernel-general": ([a.replace("m.json", _MODEL) for a in _KERNEL_GENERAL]
+                       + ["--q", "0.5", "--bins", "8", "--n0", "200"], {
+        "--q": "(0,1)", "--t": "(0,inf)", "--bins": "int[1,inf)", "--n0": "int[1,inf)"}),
+    "spike-f": (_SPIKE_F, {
+        "--lambda": "(0,inf)", "--mu": "(0,1]", "--q": "(0,1]", "--t": "[0,inf)"}),
+    "spike-g": (_SPIKE_G, {"--q": "(0,1]", "--t": "(0,inf)", "--bins": "int[1,inf)"}),
+    "lambda-star": (["theory", "--lambda-star", "--mu", "0.3", "--q", "0.5"], {
+        "--q": "(0,1]", "--t": "(0,inf)"}),
+    "interlace": (["theory", "--interlace", "--q", "0.9"], {
+        "--q": "(0,1]", "--t": "(0,inf)", "--x": "[0,1]"}),
+    "spike-mass": (["theory", "--spike-mass", "--lambda", "3", "--q", "0.5"], {
+        "--q": "(0,1]", "--t": "[0,inf)"}),
+    "bernoulli-expansion": (_EXPANSION + ["--q", "0.5"], {
+        "--N": "int[1,inf)", "--q": "(0,1]", "--p": "(0,1]"}),
+}
+
+
+def _outside(interval: str):
+    """Values just outside ``interval``: at an open end, or up to 1e-3 (3 integers) past an end."""
+    integer = interval.startswith("int")
+    interval = interval.removeprefix("int")
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    if integer:
+        sides = [st.integers(1, 3).map(lambda i: int(lo) - i)]
+        if hi < np.inf:
+            sides.append(st.integers(1, 3).map(lambda i: int(hi) + i))
+    else:
+        def gap(open_end):
+            return st.floats(0.0 if open_end else 1e-9, 1e-3)
+        sides = [gap(interval[0] == "(").map(lambda d: lo - d)]
+        if hi < np.inf:
+            sides.append(gap(interval[-1] == ")").map(lambda d: hi + d))
+    return st.one_of(sides)
+
+
+@given(st.data())
+def test_a_value_just_outside_a_flag_range_is_refused_by_that_flag(data):
+    # one owner per rule: whichever entry point refuses, the message names the
+    # flag the user gave, and no stage that sets a run up is reached first
+    argv, ranges = _RANGES[data.draw(st.sampled_from(sorted(_RANGES)), label="mode")]
+    flag = data.draw(st.sampled_from(sorted(ranges)), label="flag")
+    value = data.draw(_outside(ranges[flag]), label="value")
+    text = f"30,{value}" if flag == "--sizes" else value
+    out, err = io.StringIO(), io.StringIO()
+    with (pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        _refuse_set_up(patch)
+        code = cli.main(argv + [f"{flag}={text}"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {flag} must be ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

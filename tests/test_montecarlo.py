@@ -41,7 +41,7 @@ from minor_overlaps import (
     spike_path_series,
 )
 from minor_overlaps import freeprob, montecarlo, overlaps_theory, probes, spectral
-from minor_overlaps.errors import NumericError
+from minor_overlaps.errors import InputError, NumericError
 from minor_overlaps.montecarlo import (
     Z_99,
     _coverage,
@@ -249,20 +249,100 @@ def test_bernoulli_spike_sums_its_run_counts_over_sizes(monkeypatch):
     assert (report.extras["aborted_trials"], report.extras["absorbed_trials"]) == (2, 70)
 
 
-@pytest.mark.parametrize("name, changes, message", [
-    ("bulk", {"x": 2.0, "a_spec": ASpec(kind="explicit", matrix=np.diag(np.linspace(-1, 1, 40)))},
-     r"quantile x must lie in \[0, 1\]"),
-    ("bernoulli-spike", {"n_dims": (30, 1)}, r"size 1: round\(qN\) out of range"),
-], ids=["bulk-model-quantile", "bernoulli-spike-later-size"])
-def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, name, changes, message):
+def _changed(name, **changes):
+    """A call of runner ``name`` on its small config with ``changes``."""
+    runner, config = _RUNNERS[name]
+    return lambda: runner(dataclasses.replace(config, **changes))
+
+
+_GENERAL = (SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5))), 0.3, (-2.0, 2.0))
+_LIMIT = montecarlo.max_threads()
+
+
+@pytest.mark.parametrize("call, name", [
+    (_changed("bulk", x=2.0, a_spec=ASpec(kind="explicit", matrix=np.diag(np.linspace(-1, 1, 40)))),
+     "x"),
+    (_changed("bernoulli-spike", n_dims=(30, 1)), "n_dims"),
+    (_changed("bulk", trials=99), "trials"),
+    (_changed("spike-bulk", bins=0), "bins"),
+    (_changed("spike-spike", threads=-1), "threads"),
+    (_changed("bernoulli-bulk", threads=_LIMIT + 1), "threads"),
+    (_changed("bulk", master_seed=-1), "master_seed"),
+    (_changed("bulk", n_dim=1), "n_dim"),
+    (_changed("bulk", q=1.0), "q"),
+    (_changed("bulk", t=0.0), "t"),
+    (lambda: run_bulk_experiment(_small_bulk_config(n_dim=40, q=1.5), _GENERAL[0]), "q"),
+    (_changed("spike-spike", n_dim=0), "n_dim"),
+    (_changed("spike-spike", q=0.001), "q"),
+    (_changed("spike-spike", a_spec=ASpec(kind="uniform_spike", spike=-1.0)), "spike"),
+    (_changed("spike-spike", a_spec=ASpec(kind="split_spike", spike=1.0, minor_spike=2.0)), "mu"),
+    (_changed("spike-spike", t=-1.0), "t"),
+    (_changed("spike-bulk", q=0.995), "q"),
+    (_changed("spike-bulk", t=0.0), "t"),
+    (_changed("spike-bulk", a_spec=ASpec(kind="tail_spike", spike=-3.0)), "spike"),
+    (_changed("bernoulli-bulk", p=1.0), "p"),
+    (_changed("bernoulli-bulk", n_dim=1), "n_dim"),
+    (_changed("bernoulli-spike", p=0.0), "p"),
+    (_changed("bernoulli-spike", q=1.5), "q"),
+    (lambda: spike_path_series(1, 0.5, 1.0, t_max=1.0, steps=4, master_seed=0), "n_dim"),
+    (lambda: spike_path_series(40, 0.03, 1.0, t_max=1.0, steps=4, master_seed=0), "q"),
+    (lambda: spike_path_series(40, 0.5, -1.0, t_max=1.0, steps=4, master_seed=0), "spike"),
+    (lambda: spike_path_series(40, 0.5, 1.0, t_max=0.0, steps=4, master_seed=0), "t_max"),
+    (lambda: spike_path_series(40, 0.5, 1.0, t_max=1.0, steps=0, master_seed=0), "steps"),
+    (lambda: spike_path_series(40, 0.5, 1.0, t_max=1.0, steps=4, master_seed=-1), "master_seed"),
+    (lambda: drift_probe(101, 10, 1.0, trials=1000), "n_dim"),
+    (lambda: drift_probe(20, 2, 1.0, trials=1000), "n"),
+    (lambda: drift_probe(20, 10, 0.0, trials=1000), "t"),
+    (lambda: drift_probe(20, 10, 1.0, dt=0.0, trials=1000), "dt"),
+    (lambda: drift_probe(20, 10, 1.0, trials=999), "trials"),
+    (lambda: drift_probe(20, 10, 1.0, trials=1000, seed=-1), "seed"),
+    (lambda: correlation_probe(20, 10, -1.0, samples=10_000, seed=0), "t"),
+    (lambda: correlation_probe(20, 10, 1.0, samples=9_999, seed=0), "samples"),
+    (lambda: overlaps_theory.kernel_goe_curve(1.0, 1.0, 5), "q"),
+    (lambda: overlaps_theory.kernel_goe_curve(0.0, 0.5, 5), "t"),
+    (lambda: overlaps_theory.kernel_goe_curve(1.0, 0.5, 0), "bins"),
+    (lambda: overlaps_theory.kernel_goe_curve(1.0, 0.5, 5, x=1.5), "x"),
+    (lambda: overlaps_theory.spike_bulk_curve(3.0, 1.5, 1.0, 5), "q"),
+    (lambda: overlaps_theory.spike_bulk_curve(3.0, 0.5, -1.0, 5), "t"),
+    (lambda: overlaps_theory.spike_bulk_curve(3.0, 0.5, 1.0, 0), "bins"),
+    (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 8, 1.0, 0.5, 0), "n0"),
+    (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 8, 0.0, 0.5, 200), "t"),
+    (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 8, 1.0, 1.0, 200), "q"),
+    (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 0, 1.0, 0.5, 200), "bins"),
+    (lambda: overlaps_theory.interlace_interval(0.5, 1.0, -0.5), "q"),
+    (lambda: overlaps_theory.interlace_interval(0.5, 0.0, 0.5), "t"),
+    (lambda: overlaps_theory.interlace_interval(1.5, 1.0, 0.5), "x"),
+    (lambda: overlaps_theory.bernoulli_spike_overlap(0, None, 0.5, 0.5), "n_dim"),
+    (lambda: overlaps_theory.bernoulli_spike_overlap(400, None, 0.5, -0.5), "q"),
+    (lambda: overlaps_theory.bernoulli_spike_overlap(400, 0, 0.5), "n"),
+], ids=["bulk-model-quantile", "bernoulli-spike-later-size", "trials", "bins", "threads-negative",
+        "threads-above-bound", "master-seed", "bulk-N", "bulk-q", "bulk-t", "bulk-model-q",
+        "spike-spike-N", "spike-spike-q", "spike-spike-spike", "spike-spike-mu", "spike-spike-t",
+        "spike-bulk-q", "spike-bulk-t", "spike-bulk-spike", "bernoulli-bulk-p",
+        "bernoulli-bulk-N", "bernoulli-spike-p", "bernoulli-spike-q", "path-N", "path-q",
+        "path-spike", "path-t-max", "path-steps", "path-seed", "probe-N", "probe-n", "drift-t",
+        "probe-dt", "drift-trials", "probe-seed", "correlation-t", "correlation-samples",
+        "goe-curve-q", "goe-curve-t", "goe-curve-bins", "goe-curve-x", "spike-g-curve-q",
+        "spike-g-curve-t", "spike-g-curve-bins", "general-curve-n0", "general-curve-t",
+        "general-curve-q", "general-curve-bins", "interlace-q", "interlace-t", "interlace-x",
+        "expansion-N", "expansion-q", "expansion-n"])
+def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, call, name):
+    # each rule the command line once stated by flag is the library's alone: a
+    # refusal names the argument, and no stage that sets a run up is reached
     def never(*args, **kwargs):
         raise AssertionError("set-up or trials ran")
 
-    for stage in ("_run_decomposed", "_scan_general_support"):
-        monkeypatch.setattr(montecarlo, stage, never)
-    runner, config = _RUNNERS[name]
-    with pytest.raises(ValueError, match=message):
-        runner(dataclasses.replace(config, **changes))
+    for owner, stage in ((montecarlo, "_run_decomposed"), (montecarlo, "_scan_general_support"),
+                         (montecarlo, "representative_diagonal"), (montecarlo, "sample_path"),
+                         (overlaps_theory, "representative_diagonal"), (probes, "_frozen_state"),
+                         (FiniteInitialTransform, "from_matrix"),
+                         (FiniteInitialTransform, "from_diagonal")):
+        monkeypatch.setattr(owner, stage, never)
+    with pytest.raises(InputError) as caught:
+        call()
+    assert caught.value.name == name
+    assert str(caught.value) == (f"{name} must be {caught.value.allowed}, "
+                                 f"got {caught.value.value}")
 
 
 def test_bulk_argmax_lies_in_interlacing_interval():
@@ -302,7 +382,7 @@ def test_split_spike_reaches_larger_minor_mass():
 
 
 def test_spike_path_series_tracks_linear_trajectory():
-    series = spike_path_series(300, 0.3, 1.0, t_max=1.2, steps=24, seed=303)
+    series = spike_path_series(300, 0.3, 1.0, t_max=1.2, steps=24, master_seed=303)
     assert series.t.size == 25
     early = series.t <= 0.7
     assert np.max(np.abs(series.lambda1[early] - (1.0 + series.t[early]))) < 0.15
@@ -313,9 +393,9 @@ def test_spike_path_series_tracks_linear_trajectory():
 
 def test_spike_path_series_refuses_a_minor_without_a_second_level():
     with pytest.raises(ValueError, match="round"):
-        spike_path_series(40, 0.03, 1.0, t_max=1.0, steps=4, seed=0)  # n = 1
+        spike_path_series(40, 0.03, 1.0, t_max=1.0, steps=4, master_seed=0)  # n = 1
     with pytest.raises(ValueError, match="steps"):
-        spike_path_series(40, 0.5, 1.0, t_max=1.0, steps=0, seed=0)
+        spike_path_series(40, 0.5, 1.0, t_max=1.0, steps=0, master_seed=0)
 
 
 def test_spike_bulk_report_shape_and_mass_row():
@@ -897,7 +977,7 @@ def test_drift_probe_rejects_large_matrices():
 
 def test_correlation_probe_shares_the_size_cap():
     # its normals are (chunk, N(N+1)/2): memory grows as N^2
-    with pytest.raises(ValueError, match="n_dim <= 100"):
+    with pytest.raises(InputError, match=r"^n_dim must be in \[4, 100\], got 101$"):
         correlation_probe(101, 50, 1.0, samples=10_000, seed=0)
 
 
@@ -1123,7 +1203,7 @@ def test_spike_path_memory_does_not_grow_with_steps():
     # keeping every step's 100x100 matrix would add 43 MB
     n_dim = 100
     peaks = {steps: _traced_peak(spike_path_series, n_dim, 0.5, 1.0, t_max=1.2, steps=steps,
-                                 seed=7)
+                                 master_seed=7)
              for steps in (60, 600)}
     # the series' five float arrays grow by 540 entries each
     assert peaks[600] < peaks[60] + 5 * 540 * 8 + 2**12, peaks
@@ -1213,7 +1293,7 @@ def test_drift_draws_hold_with_more_workers_than_cores_and_fast_switching():
 _FIRST_SOLVER_FAILS = """
 from unittest import mock
 from minor_overlaps import probes
-from minor_overlaps.errors import NumericError
+from minor_overlaps.errors import InputError, NumericError
 eigpair_at, pool_map, made = probes.eigpair_at, probes._pool_map, []
 
 def first_fails(size):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from minor_overlaps import (
     DomainError,
+    InputError,
     FiniteInitialTransform,
     NumericError,
     PoleError,
@@ -457,7 +458,7 @@ def test_spike_mass_values_and_quadrature_identity():
 def test_bernoulli_expansion_values():
     assert bernoulli_spike_overlap(100, 50, 1.0) == pytest.approx(0.5)
     assert bernoulli_spike_overlap(100, 50, 0.5) == pytest.approx(0.495)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match=r"^p must be in \(0, 1\], got 0.0$"):  # diverges at 0
         bernoulli_spike_overlap(100, 50, 0.0)
     # leading term tends to the minor fraction
     for n_dim in (10 ** 3, 10 ** 5, 10 ** 7):
