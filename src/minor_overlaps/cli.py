@@ -149,9 +149,9 @@ def _theory_kernel_goe(args):
 
 def _theory_kernel_general(args):
     model = _read_model(args.model, "theory --kernel general")
-    q = args.q if args.q is not None else model.q
     lams, w, rho = overlaps_theory.general_kernel_curve(model, args.mu, args.lambda_range,
-                                                        args.bins, args.t, q, args.n0)
+                                                        args.bins, args.t, args.q, args.n0)
+    q = args.q if args.q is not None else model.q
     ok = ~np.isnan(w)
     _emit(args, reports.theory_curve_csv(lams[ok], args.mu, args.t, q, w[ok], w[ok] * rho[ok]))
     _note(f"refused={args.bins - ok.sum()}")
@@ -167,7 +167,7 @@ def _theory_spike_g(args):
 
 def _theory_interlace(args):
     lo, hi = overlaps_theory.interlace_interval(args.x, args.t, args.q)
-    _emit(args, reports.simple_csv("x,t,q,lower,upper", [(args.x, args.t, args.q, lo, hi)]))
+    _emit(args, reports.csv_lines("x,t,q,lower,upper", [(args.x, args.t, args.q, lo, hi)]))
 
 
 # ---------------------------------------------------------------------------

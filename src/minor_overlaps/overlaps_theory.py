@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PoleError, require
+from .errors import DomainError, InputError, NumericError, PoleError, require
 from .freeprob import (BoundaryValues, SpectrumModel, _bisect, boundary_values,
                        representative_diagonal, semicircle_density, semicircle_quantile,
                        solve_minor_stieltjes, solve_stieltjes)
@@ -203,21 +203,31 @@ def overlap_kernel(s0, minor_b: BoundaryValues, full_b: BoundaryValues,
 
 
 def general_kernel_curve(model: SpectrumModel, mu: float, lambda_range, bins: int, t: float,
-                         q: float, n0: int):
+                         q: float | None, n0: int):
     """:func:`overlap_kernel` at ``mu`` for ``bins`` points ``lam`` spanning ``lambda_range``.
 
     The initial transform is the closed form of ``model`` realized at size
-    ``n0`` (:func:`~minor_overlaps.freeprob.representative_diagonal`).
-    ``bins``, ``t``, ``q`` and ``n0`` are refused by name before it is built.
-    Returns ``(lams, w, rho)``: ``w`` is NaN at each refused ``lam``, and a
-    ``mu`` at or outside the minor bulk's edge raises ``DomainError``.
+    ``n0`` (:func:`~minor_overlaps.freeprob.representative_diagonal`).  A
+    ``q`` of None takes the model's ``"q"``, refused as ``model``.  ``bins``,
+    ``t``, ``q`` and ``n0`` are refused by name before the transform is
+    built, ``n0`` also when an atom gets no entry in the realized matrix or
+    its minor.  Returns ``(lams, w, rho)``: ``w`` is NaN at each refused
+    ``lam``, and a ``mu`` at or outside the minor bulk's edge raises
+    ``DomainError``.
     """
     _check_bins(bins)
+    if q is None:
+        require("model", f'"q": {model.q}', 0.0 < model.q < 1.0, 'a model with "q" in (0, 1)')
+        q = model.q
     _check_time_and_fraction(t, q, q_one=False)
     require("n0", n0, n0 >= 1, ">= 1")
     n0_minor = minor_size(q, n0)
-    s0 = FiniteInitialTransform.from_diagonal(
-        representative_diagonal(model, n0, n0_minor), n0_minor)
+    try:
+        diag = representative_diagonal(model, n0, n0_minor)
+    except ValueError as exc:  # the realization refuses only an atom without an entry
+        raise InputError("n0", f"{n0} ({exc})", "large enough that every atom gets an entry "
+                         "in the matrix and its minor") from None
+    s0 = FiniteInitialTransform.from_diagonal(diag, n0_minor)
     minor_b = boundary_values(lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q), mu)
     if minor_b.edge_flagged:
         raise DomainError(f"mu={mu} lies outside the minor bulk or at its edge "

@@ -12,11 +12,11 @@ independent Gaussian increments through the frozen state:
 
 The drift probe draws and steps its increments on the trial pool
 (:func:`minor_overlaps.montecarlo._pool_map`) at one BLAS thread;
-:func:`drift_probe` states how they stream, how the caller reduces their rows
-in group columns it reuses, and why its report is the same bit for bit at
-every worker count and block size.  Each increment reads one number, the overlap
-of minor eigenvector ``i`` with full eigenvector ``j`` of the stepped matrix,
-so each step solves for those two eigenvectors alone
+:func:`drift_probe` states how they stream, how each pool task reduces its
+own block, and why its report is the same bit for bit at every worker count.
+Each increment reads one number, the overlap of minor eigenvector ``i`` with
+full eigenvector ``j`` of the stepped matrix, so each step solves for those
+two eigenvectors alone
 (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
 full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
 names the one used as ``stepper``).  The correlation probe runs serially, at
@@ -42,10 +42,8 @@ from .spectral import eig_sym, eigpair_at, eigpair_backend
 
 #: correlation-probe samples drawn and reduced per batch
 _CHUNK = 2000
-#: drift increments whose rows reduce in one ``(_GROUP x N) . (N x N)`` product; the
-#: printed bytes depend on it, since a product's rows round with its row count
-_GROUP = 500
-#: drift increments one pool task draws and steps, into its worker's one ``_BLOCK x N^2`` buffer;
+#: drift increments one pool task draws, steps and reduces, in its worker's one ``_BLOCK x N^2``
+#: buffer; the printed bytes depend on it, since each block's sums round with its row count.
 #: 10 holds less than 25 at the same speed, where 5 costs CPU
 _BLOCK = 10
 #: largest ``n_dim`` a probe accepts: the correlation probe's memory grows as ``n_dim^2``
@@ -235,24 +233,19 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     count is restored afterwards.
 
     The trial pool (:func:`~minor_overlaps.montecarlo._pool_map`, one worker
-    per core) is handed block descriptors ``(k, count)``, ``count`` at most
-    ``_BLOCK`` increments.  A pool task first draws its block from the
-    probe's one generator into its worker's one reused buffer, on turn ``k``
-    of a shared counter: block ``k`` draws only after block ``k - 1`` has,
-    and a task that fails still passes the turn on.  It then symmetrizes the
-    block in place, steps each increment with its worker's own solver pair,
-    and returns per-increment rows.  The caller copies each block's rows,
-    in draw order, into three group columns it allocates once (``_GROUP``
-    overlaps, ``_GROUP x N`` rows of ``dX psi_j`` and ``_GROUP x n`` rows of
-    ``dX_m phi_i``), reduces each group when it is full and the last, short
-    one at the end, and adds the groups' sums in order.  A group's products
-    run over the leading rows of the columns, the same contiguous arrays as a
-    single batch of its draws.  So the report is the same bit for bit at
-    every worker count and block size, and memory holds one block per
-    worker, the rows of the blocks the pool runs ahead and one group's
-    columns, whatever ``trials`` is.  The extras record
-    the ``pair``, the ``pool_threads`` and ``trial_blas_threads``, and the
-    ``stepper`` (``dsyevr`` or ``eigh``) that solved the stepped matrices.
+    per core) is handed block descriptors ``(k, first)``: block ``k`` is the
+    at most ``_BLOCK`` increments from ``first``.  A pool task first draws
+    its block from the probe's one generator into its worker's one reused
+    buffer, on turn ``k`` of a shared counter: block ``k`` draws only after
+    block ``k - 1`` has, and a task that fails still passes the turn on.  It
+    then symmetrizes the block in place, steps each increment with its
+    worker's own solver pair, and reduces the block's three terms to their
+    sums and sums of squares, which the caller adds in draw order.  So the
+    report is the same bit for bit at every worker count (the block size
+    sets how the sums round), and memory holds one block per worker,
+    whatever ``trials`` is.  The extras record the ``pair``, the
+    ``pool_threads`` and ``trial_blas_threads``, and the ``stepper``
+    (``dsyevr`` or ``eigh``) that solved the stepped matrices.
     At ``t = 0`` the frozen levels are degenerate, so ``t`` must be positive.
     """
     start = time.perf_counter()
@@ -278,26 +271,21 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
         turn = threading.Condition()
         drawn = 0  # blocks drawn so far: block k draws on turn k
 
-        def block_sizes():
-            for first in range(0, trials, _GROUP):
-                size = min(_GROUP, trials - first)
-                yield from (min(_BLOCK, size - s) for s in range(0, size, _BLOCK))
-
         def run(item):
             nonlocal drawn
-            k, count = item
+            k, first = item
             with turn:
                 turn.wait_for(lambda: drawn == k)
                 try:  # the turn passes on even if this task fails, so no later block waits forever
                     if not hasattr(local, "state"):
                         local.state = (np.empty((_BLOCK, n_dim, n_dim)), eigpair_at(n_dim),
                                        eigpair_at(n), np.empty((n_dim, n_dim)), np.empty((n, n)))
-                    dh = rng.standard_normal(out=local.state[0][:count])
+                    dh = rng.standard_normal(out=local.state[0][:min(_BLOCK, trials - first)])
                 finally:
                     drawn = k + 1
                     turn.notify_all()
             _, full_pair, minor_pair, full, minor = local.state
-            overlap = np.empty(count)
+            a = np.empty(len(dh))
             for c, m in enumerate(dh):
                 m += m.T
                 m *= scale
@@ -305,41 +293,22 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 minor[:] = full[:n, :n]  # before the full solve overwrites full
                 _, psi = full_pair(full, j)
                 _, phi = minor_pair(minor, i)
-                overlap[c] = phi @ psi[:n]
-            return (overlap, np.einsum("cab,b->ca", dh, psi_j),
-                    np.einsum("cab,b->ca", dh[:, :n, :n], phi_i))
+                a[c] = phi @ psi[:n]
+            # one row per increment: <psi_k| dX |psi_j> over k, <phi_l| dXm |phi_i> over l
+            beta_full = np.einsum("cab,b->ca", dh, psi_j) @ full_vecs
+            beta_minor = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i) @ block_vecs
+            terms = np.array([a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor])
+            return np.array([terms.sum(axis=1), (terms * terms).sum(axis=1)])
 
-        sums = np.zeros(3)
-        sq_sums = np.zeros(3)
-        # one group's rows, filled in draw order and reduced when the group is full
-        columns = (np.empty(_GROUP), np.empty((_GROUP, n_dim)), np.empty((_GROUP, n)))
-
-        # a function, so a group's products are freed before the next group is read
-        def reduce_group(rows):
-            a, dh_psi, dh_phi = (col[:rows] for col in columns)
-            beta_full = dh_psi @ full_vecs          # (c, N): <psi_k| dX |psi_j>
-            beta_minor = dh_phi @ block_vecs        # (c, n): <phi_l| dXm |phi_i>
-            terms = (a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor)
-            for slot, vals in enumerate(terms):
-                sums[slot] += vals.sum()
-                sq_sums[slot] += (vals * vals).sum()
-
-        results, used = _pool_map(0, run, enumerate(block_sizes()))
+        totals = np.zeros((2, 3))  # the three terms' sums, then their sums of squares
+        results, used = _pool_map(0, run, enumerate(range(0, trials, _BLOCK)))
         with contextlib.closing(results):
-            filled, left = 0, trials  # rows in the group, increments not yet reduced
             for block in results:
-                count = block[0].size
-                for col, rows in zip(columns, block):
-                    col[filled:filled + count] = rows
-                filled += count
-                if filled == min(_GROUP, left):  # blocks never straddle two groups
-                    reduce_group(filled)
-                    left -= filled
-                    filled = 0
+                totals += block
 
     config = {"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt, "trials": trials,
               "seed": seed}
-    return _probe_report(config, start, sums, sq_sums, trials, dt,
+    return _probe_report(config, start, *totals, trials, dt,
                          ("drift", "martingale_full", "martingale_minor"),
                          (float(d1 + d2 + d3), 0.0, 0.0),
                          {"pair": (i, j), **used, "stepper": eigpair_backend()})

@@ -47,17 +47,13 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _lines(header, rows):
+def csv_lines(header: str, rows) -> str:
+    """CSV text: ``header``, then one line per row in the shared float formatting."""
     return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
 
 
 def value_csv(value: float) -> str:
-    return _lines(VALUE_HEADER, [(value,)])
-
-
-def simple_csv(header: str, rows) -> str:
-    """One-off tabular output with the shared float formatting."""
-    return _lines(header, rows)
+    return csv_lines(VALUE_HEADER, [(value,)])
 
 
 def theory_curve_csv(centers, other_coord, t, q, theory_w, theory_w_rho,
@@ -66,7 +62,7 @@ def theory_curve_csv(centers, other_coord, t, q, theory_w, theory_w_rho,
     header = BULK_CURVE_HEADER if leading == "lambda" else MINOR_CURVE_HEADER
     rows = [(c, other_coord, t, q, w, wr, None, None, None, 0)
             for c, w, wr in zip(centers, theory_w, theory_w_rho)]
-    return _lines(header, rows)
+    return csv_lines(header, rows)
 
 
 def _curve_rows(report, other_coord, t, q):
@@ -78,20 +74,20 @@ def _curve_rows(report, other_coord, t, q):
 
 def bulk_report_csv(report) -> str:
     cfg = report.config
-    return _lines(BULK_CURVE_HEADER,
-                  _curve_rows(report, report.extras["mu_hat"], cfg.t, cfg.q))
+    return csv_lines(BULK_CURVE_HEADER,
+                     _curve_rows(report, report.extras["mu_hat"], cfg.t, cfg.q))
 
 
 def spike_bulk_report_csv(report) -> str:
     cfg = report.config
-    return _lines(MINOR_CURVE_HEADER,
-                  _curve_rows(report, report.extras["spike"], cfg.t, cfg.q))
+    return csv_lines(MINOR_CURVE_HEADER,
+                     _curve_rows(report, report.extras["spike"], cfg.t, cfg.q))
 
 
 def bernoulli_bulk_report_csv(report) -> str:
     cfg = report.config
-    return _lines(MINOR_CURVE_HEADER,
-                  _curve_rows(report, 0.0, report.extras["t_eff"], cfg.q))
+    return csv_lines(MINOR_CURVE_HEADER,
+                     _curve_rows(report, 0.0, report.extras["t_eff"], cfg.q))
 
 
 def spike_top_report_csv(report) -> str:
@@ -99,7 +95,7 @@ def spike_top_report_csv(report) -> str:
     est = report.estimates[0]
     row = (cfg.t, report.extras["spike"], report.extras["minor_spike"], cfg.q,
            report.theory[0], est.mean, est.ci_low, est.ci_high, est.n_samples)
-    return _lines(SPIKE_TOP_HEADER, [row])
+    return csv_lines(SPIKE_TOP_HEADER, [row])
 
 
 def bernoulli_spike_report_csv(report) -> str:
@@ -109,18 +105,18 @@ def bernoulli_spike_report_csv(report) -> str:
         n_dim = int(est.center)
         rows.append((n_dim, minor_size(cfg.q, n_dim), cfg.p, cfg.q,
                      est.mean, est.ci_low, est.ci_high, th, est.n_samples))
-    return _lines(BERNOULLI_SPIKE_HEADER, rows)
+    return csv_lines(BERNOULLI_SPIKE_HEADER, rows)
 
 
 def trajectory_csv(series) -> str:
     rows = zip(series.t, series.lambda1, series.mu1, series.edge_full, series.edge_minor)
-    return _lines(TRAJECTORY_HEADER, rows)
+    return csv_lines(TRAJECTORY_HEADER, rows)
 
 
 def probe_report_csv(report) -> str:
     rows = [(int(est.center), est.kind, est.mean, est.ci_low, est.ci_high, th, est.n_samples)
             for est, th in zip(report.estimates, report.theory)]
-    return _lines(PROBE_HEADER, rows)
+    return csv_lines(PROBE_HEADER, rows)
 
 
 def _config_obj(config):

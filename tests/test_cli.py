@@ -243,7 +243,9 @@ def test_theory_general_kernel_curve(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("flags, message", [
     (["--qfrac", "1"], "--q must be in (0, 1), got 1.0"),
     (["--qfrac", "0.5", "--mu", "5"], "mu=5.0 lies outside the minor bulk"),
-], ids=["q-one", "mu-outside-minor-bulk"])
+    (["--n0", "1"], "error: --n0 must be large enough that every atom gets an entry in the "
+     "matrix and its minor, got 1 (atom at 1.0 with weight 0.5 gets no entry at size 1;"),
+], ids=["q-one", "mu-outside-minor-bulk", "n0-one"])
 def test_theory_general_refused_everywhere_exits_two(capsys, tmp_path, flags, message):
     model_path = tmp_path / "model.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
@@ -377,6 +379,8 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
      "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 1.5"),
     (_SIMULATE + ["--N", "0", "--model", "{model}"], "--N must be >= 2, got 0"),
     (_BULK_SPIKE + ["--lambda=-3"], "--lambda must be > 0, got -3.0"),
+    (["theory", "--kernel", "general", "--model", "{model_q_one}", "--mu", "0.3",
+      "--lambda-range", "-2", "2"], '--model must be a model with "q" in (0, 1), got "q": 1'),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
@@ -395,16 +399,18 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
         "spike-bulk-threads-negative", "bernoulli-bulk-threads-negative",
         "bernoulli-spike-threads-negative", "spike-bulk-full-minor", "spike-spike-lambda-negative",
         "split-spike-mu-above-lambda", "spike-path-lambda-negative", "bernoulli-spike-q",
-        "simulate-model-q", "simulate-model-N", "spike-bulk-lambda-negative"])
+        "simulate-model-q", "simulate-model-N", "spike-bulk-lambda-negative",
+        "general-model-q-one"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
                                                          message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
     # pytest records warnings instead of printing them, so they are caught here
     # no trial, path, model realization or initial transform starts
     _refuse_set_up(monkeypatch)
-    model_path = tmp_path / "model.json"
+    model_path, model_q_one = tmp_path / "model.json", tmp_path / "model_q_one.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
-    argv = [arg.format(model=model_path) for arg in argv]
+    model_q_one.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 1}')
+    argv = [arg.format(model=model_path, model_q_one=model_q_one) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, stdout, stderr = _run(capsys, argv)

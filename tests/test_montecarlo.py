@@ -309,6 +309,8 @@ _LIMIT = montecarlo.max_threads()
     (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 8, 0.0, 0.5, 200), "t"),
     (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 8, 1.0, 1.0, 200), "q"),
     (lambda: overlaps_theory.general_kernel_curve(*_GENERAL, 0, 1.0, 0.5, 200), "bins"),
+    (lambda: overlaps_theory.general_kernel_curve(dataclasses.replace(_GENERAL[0], q=1.0),
+                                                  *_GENERAL[1:], 8, 1.0, None, 200), "model"),
     (lambda: overlaps_theory.interlace_interval(0.5, 1.0, -0.5), "q"),
     (lambda: overlaps_theory.interlace_interval(0.5, 0.0, 0.5), "t"),
     (lambda: overlaps_theory.interlace_interval(1.5, 1.0, 0.5), "x"),
@@ -324,8 +326,8 @@ _LIMIT = montecarlo.max_threads()
         "probe-dt", "drift-trials", "probe-seed", "correlation-t", "correlation-samples",
         "goe-curve-q", "goe-curve-t", "goe-curve-bins", "goe-curve-x", "spike-g-curve-q",
         "spike-g-curve-t", "spike-g-curve-bins", "general-curve-n0", "general-curve-t",
-        "general-curve-q", "general-curve-bins", "interlace-q", "interlace-t", "interlace-x",
-        "expansion-N", "expansion-q", "expansion-n"])
+        "general-curve-q", "general-curve-bins", "general-curve-model-q", "interlace-q",
+        "interlace-t", "interlace-x", "expansion-N", "expansion-q", "expansion-n"])
 def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, call, name):
     # each rule the command line once stated by flag is the library's alone: a
     # refusal names the argument, and no stage that sets a run up is reached
@@ -343,6 +345,26 @@ def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, call, nam
     assert caught.value.name == name
     assert str(caught.value) == (f"{name} must be {caught.value.allowed}, "
                                  f"got {caught.value.value}")
+
+
+@pytest.mark.parametrize("atoms, q, n0, reason", [
+    (((-1.0, 0.5), (1.0, 0.5)), 0.5, 1, "atom at 1.0 with weight 0.5 gets no entry at size 1"),
+    (((0.0, 0.9), (5.0, 0.1)), 0.1, 10,
+     "atom at 5.0 with weight 0.1 gets no entry in the leading 1x1 block at size 10"),
+], ids=["matrix", "minor"])
+def test_general_kernel_curve_refuses_an_n0_that_leaves_an_atom_out(monkeypatch, atoms, q, n0,
+                                                                    reason):
+    # the realized diagonal judges n0, before any initial transform is built
+    def never(*args, **kwargs):
+        raise AssertionError("a transform was built")
+
+    monkeypatch.setattr(FiniteInitialTransform, "from_diagonal", never)
+    with pytest.raises(InputError) as caught:
+        overlaps_theory.general_kernel_curve(SpectrumModel(atoms=atoms), *_GENERAL[1:], 8, 1.0,
+                                             q, n0)
+    assert caught.value.name == "n0"
+    assert str(caught.value) == (f"n0 must be large enough that every atom gets an entry in the "
+                                 f"matrix and its minor, got {n0} ({reason}; use a larger size)")
 
 
 def test_bulk_argmax_lies_in_interlacing_interval():
@@ -1033,46 +1055,41 @@ def test_drift_probes_are_thread_independent(seed, n_dim, frac, trials):
 
 def test_drift_probe_reproduces_pinned_benchmark_values():
     # the benchmark's probe-drift run at seed 1, recorded with dsyevr stepping
-    # the increments; only the drift row reads the stepped overlaps
+    # the increments and each block of 10 reducing its own sums; only the
+    # drift row reads the stepped overlaps
     report = drift_probe(60, 30, 1.0, dt=1e-4, trials=5000, seed=1)
     fields = _drift_fields(report)
     if report.extras["stepper"] == "dsyevr":
-        assert fields[0] == (0.0, "drift", -12.25250830823963, -14.908741892937927,
-                             -9.596274723541333, 5000)
+        assert fields[0] == (0.0, "drift", -12.252508308239635, -14.908741892937933,
+                             -9.596274723541338, 5000)
     # recorded when each increment was a full batched eigh (measured 3.6e-14 apart)
     np.testing.assert_allclose(fields[0][2:5], (-12.252508308240067, -14.90874189293837,
                                                 -9.596274723541764), rtol=1e-12, atol=0)
     assert fields[1:] == [
-        (1.0, "martingale_full", -0.6731168406776191, -2.75472175856377, 1.408488077208532,
+        (1.0, "martingale_full", -0.673116840677619, -2.7547217585637704, 1.4084880772085326,
          5000),
-        (2.0, "martingale_minor", -1.6217195148416754, -3.2406433134179666,
-         -0.002795716265383996, 5000),
+        (2.0, "martingale_minor", -1.6217195148416748, -3.2406433134179657,
+         -0.002795716265383552, 5000),
     ]
     assert report.theory == (-9.91870755099672, 0.0, 0.0)
     assert report.extras["pair"] == (15, 34)
 
 
 def test_drift_probes_reproduce_a_case_across_block_and_group_boundaries():
-    # recorded when pool tasks drew their own blocks under a lock, in groups
-    # of 500 increments; 1234 ends in a short group and, at every block size
-    # but 1, in a short block
+    # recorded when each pool task reduced its own block of 10 increments;
+    # 1234 ends in a short block of 4
     report = drift_probe(24, 10, 1.0, trials=1234, seed=3)
     if report.extras["stepper"] == "dsyevr":
-        assert _drift_fields(report)[0] == (0.0, "drift", -4.355617182542217,
-                                            -11.907728665742692, 3.196494300658256, 1234)
+        assert _drift_fields(report)[0] == (0.0, "drift", -4.355617182542218,
+                                            -11.907728665742692, 3.196494300658255, 1234)
     assert _drift_fields(report)[1:] == [
-        (1.0, "martingale_full", -0.6104937686288667, -3.8723792338263414, 2.651391696568608,
+        (1.0, "martingale_full", -0.6104937686288662, -3.872379233826341, 2.6513916965686084,
          1234),
-        (2.0, "martingale_minor", 0.5404326123697725, -6.102742325144147, 7.183607549883693,
+        (2.0, "martingale_minor", 0.5404326123697712, -6.102742325144152, 7.1836075498836935,
          1234),
     ]
     assert report.theory == (-4.124128921692691, 0.0, 0.0)
     assert report.extras["pair"] == (6, 13)
-    # the block size changes how the group columns fill, not what they hold
-    for block in (1, 7, 25):
-        with mock.patch.object(probes, "_BLOCK", block):
-            assert _drift_fields(drift_probe(24, 10, 1.0, trials=1234, seed=3)) == (
-                _drift_fields(report)), block
 
 
 def test_correlation_probe_reproduces_a_case_across_a_short_batch():
@@ -1212,20 +1229,19 @@ def test_spike_path_memory_does_not_grow_with_steps():
 
 @pytest.mark.parametrize("workers", [2, 8])
 def test_drift_probe_memory_does_not_grow_with_trials(workers):
-    # each worker draws into its own one block; the pool's read-ahead holds
-    # block descriptors and rows, not blocks.  At N = 40 a worker's block,
-    # stepped matrices, solver workspace and rows in flight stay under two
-    # blocks; the caller holds one group's columns and that group's products
+    # each worker draws into its own one block and reduces it; the pool's
+    # read-ahead holds block descriptors and six sums, not blocks.  At N = 40
+    # a worker's block, stepped matrices, solver workspace and products stay
+    # under two blocks
     n_dim, n = 40, 17
     block = probes._BLOCK * n_dim * n_dim * 8            # one block of increments
-    group = probes._GROUP * (n_dim + n + 1) * 8          # one group's columns
-    budget = 2 * workers * block + 2 * group + 2**19
+    budget = 2 * workers * block + 2**19
     with _drift_workers(workers):
         peaks = {trials: _traced_peak(drift_probe, n_dim, n, 1.0, trials=trials, seed=5)
                  for trials in (2000, 8000)}
     assert max(peaks.values()) < budget, peaks
-    # the blocks in flight when a group reduces vary with timing; the rows
-    # of 6000 more increments would add 2.8 MB
+    # the blocks in flight vary with timing; the rows of 6000 more
+    # increments would add 2.8 MB
     assert peaks[8000] < peaks[2000] + workers * block, peaks
 
 
