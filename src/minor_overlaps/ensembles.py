@@ -81,10 +81,8 @@ def sample_goe(n_dim: int, t: float, seed: SeedSpec, out=None) -> np.ndarray:
     float arrays: the draw is made into the first and the sample written into
     the second, which is returned; the values are the same bit for bit.
     """
-    if n_dim < 1:
-        raise ValueError("n_dim must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    require("n_dim", n_dim, n_dim >= 1, ">= 1")
+    require("t", t, t >= 0, ">= 0")
     if t == 0.0:
         h = _pair(n_dim, out)[1]
         h.fill(0.0)
@@ -185,10 +183,8 @@ def sample_bernoulli(n_dim: int, p: float, seed: SeedSpec, out=None) -> np.ndarr
     ``i <= j`` is ``U_ij < p`` for the uniform draw ``U``, and the lower
     triangle mirrors the upper one.  ``out`` is as for :func:`sample_goe`.
     """
-    if n_dim < 1:
-        raise ValueError("n_dim must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    require("n_dim", n_dim, n_dim >= 1, ">= 1")
+    require("p", p, 0.0 <= p <= 1.0, "in [0, 1]")
     u, x = _pair(n_dim, out)
     seed.generator().random(out=u)
     np.less(u, p, out=x)

@@ -109,29 +109,40 @@ def representative_diagonal(model: SpectrumModel, n_dim: int, n: int | None = No
 
     Multiplicities follow the weights (largest-remainder rounding) and atoms
     are interleaved proportionally, so every leading block keeps roughly the
-    same mixture and a principal minor inherits the model.  Raises
-    ``ValueError`` when an atom would get no entry at this size or, given the
-    minor size ``n``, no entry in the leading ``n x n`` block.
+    same mixture and a principal minor inherits the model.  An ``n_dim`` at
+    which an atom gets no entry or, given the minor size ``n``, no entry in
+    the leading ``n x n`` block is refused (:func:`check_realizable`).
     """
-    weights = np.array([w for _, w in model.atoms])
-    counts = np.floor(weights * n_dim).astype(int)
-    remainders = weights * n_dim - counts
+    check_realizable("n_dim", model, n_dim, n)
+    counts, order = _interleaving(model, n_dim)
+    return np.repeat(model._locs, counts)[order]
+
+
+def check_realizable(name: str, model: SpectrumModel, n_dim: int, n: int | None = None):
+    """Refuse as ``name`` a size ``n_dim`` at which :func:`representative_diagonal` gives an atom
+    no entry or, given ``n``, none in the leading ``n x n`` block; no diagonal is built."""
+    counts, order = _interleaving(model, n_dim)
+    out = [f"atom at {loc} with weight {w} gets no entry at size {n_dim}"
+           for (loc, w), c in zip(model.atoms, counts) if c == 0]
+    if not out and n is not None:
+        # an atom's first entry leads its others, so the block holds the atom if it holds that
+        firsts = np.argsort(order)[np.cumsum(counts) - counts]
+        held = {loc for (loc, _), first in zip(model.atoms, firsts) if first < n}
+        out = [f"atom at {loc} with weight {w} gets no entry in the leading {n}x{n} block at "
+               f"size {n_dim}" for loc, w in model.atoms if loc not in held]
+    require(name, f"{n_dim} ({out[0]}; use a larger size)" if out else n_dim, not out,
+            "large enough that every atom gets an entry in the matrix and its minor")
+
+
+def _interleaving(model: SpectrumModel, n_dim: int):
+    """Each atom's entry count at size ``n_dim``, and the stable order by ``(j + 0.5) / count``
+    that interleaves the entries, listed atom by atom."""
+    counts = np.floor(model._weights * n_dim).astype(int)
+    remainders = model._weights * n_dim - counts
     for k in np.argsort(-remainders)[: n_dim - counts.sum()]:
         counts[k] += 1
-    entries = []
-    for (loc, weight), c in zip(model.atoms, counts):
-        if c == 0:
-            raise ValueError(f"atom at {loc} with weight {weight} gets no entry "
-                             f"at size {n_dim}; use a larger size")
-        entries.extend((loc, (j + 0.5) / c) for j in range(c))
-    entries.sort(key=lambda pair: pair[1])
-    diag = np.array([loc for loc, _ in entries])
-    if n is not None:
-        for loc, weight in model.atoms:
-            if loc not in diag[:n]:
-                raise ValueError(f"atom at {loc} with weight {weight} gets no entry in the "
-                                 f"leading {n}x{n} block at size {n_dim}; use a larger size")
-    return diag
+    places = np.concatenate([(np.arange(c) + 0.5) / c for c in counts])
+    return counts, np.argsort(places, kind="stable")
 
 
 def stieltjes_atomic(model: SpectrumModel, w, deriv: bool = False):
@@ -295,8 +306,8 @@ def semicircle_quantile(x: float, t: float, radius_scale: float = 1.0) -> float:
     An ``x`` outside ``[0, 1]`` is refused by name.
     """
     require("x", x, 0.0 <= x <= 1.0, "in [0, 1]")
-    if t <= 0 or radius_scale <= 0:
-        raise ValueError("t and radius_scale must be > 0")
+    require("t", t, t > 0, "> 0")
+    require("radius_scale", radius_scale, radius_scale > 0, "> 0")
     t_eff = t * radius_scale * radius_scale
     r = 2.0 * np.sqrt(t_eff)
     lo, hi = -r, r         # tail_mass(lo) = 1, tail_mass(hi) = 0
@@ -400,8 +411,7 @@ def _continuation(model, z, t_shift, steps):
 
 def solve_stieltjes(model: SpectrumModel, z, t: float):
     """Transform of ``A + noise(t)`` at scalar or array ``z`` for an initial spectrum ``model``."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    require("t", t, t >= 0, ">= 0")
     return _solve_shifted(model, z, t)
 
 
@@ -411,10 +421,8 @@ def solve_minor_stieltjes(model: SpectrumModel, z, t: float, q: float):
     ``model`` describes the minor's *nonzero* initial spectrum (normalized to
     mass one).  With ``q = 1`` this coincides with :func:`solve_stieltjes`.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
+    require("t", t, t >= 0, ">= 0")
+    require("q", q, 0.0 < q <= 1.0, "in (0, 1]")
     return _solve_shifted(model, z, q * t)
 
 

@@ -69,6 +69,7 @@ from .errors import NumericError, require
 from .freeprob import (
     SpectrumModel,
     boundary_values,
+    check_realizable,
     representative_diagonal,
     scan_support_edge,
     semicircle_pole_integral,
@@ -601,19 +602,19 @@ def _run_decomposed(config: ExperimentConfig, sample, trial, requests, first_str
         block = s_buffer[:n * n].reshape(n, n)
         block[...] = x_mat[:n, :n]
         if minor_request is None:  # the minor holds every eigenvector
-            lam, _, full_vectors = _reduce_in_place(x_mat, full_request)
+            lam, full_vectors = _reduce_in_place(x_mat, full_request)
             reads = np.array(full_vectors[:n], order="F")
             mu, coefficients = _carry_in_place(block, reads, local.buffers)
             overlaps = coefficients ** 2
         else:
-            mu, _, minor_vectors = _reduce_in_place(block, minor_request)
+            mu, minor_vectors = _reduce_in_place(block, minor_request)
             if full_request is None:  # the full matrix holds every eigenvector
                 reads = np.zeros((n_dim, minor_vectors.shape[1]), order="F")
                 reads[:n] = minor_vectors
                 lam, coefficients = _carry_in_place(x_mat, reads, local.buffers)
                 overlaps = coefficients.T ** 2
             else:
-                lam, _, full_vectors = _reduce_in_place(x_mat, full_request)
+                lam, full_vectors = _reduce_in_place(x_mat, full_request)
                 overlaps = (minor_vectors.T @ full_vectors[:n]) ** 2
         ok, margin = check_interlacing(lam, mu)
         if not ok:
@@ -650,6 +651,7 @@ def run_bulk_experiment(config: ExperimentConfig, model: SpectrumModel | None = 
     if config.a_spec.kind not in ("null", "explicit"):
         raise ValueError("bulk experiment needs a null or explicit deterministic part")
     if model is not None:
+        check_realizable("n_dim", model, n_dim, n)
         diag = representative_diagonal(model, n_dim, n)
         config = replace(config, a_spec=ASpec(kind="explicit", matrix=np.diag(diag)))
     row_idx = quantile_index(config.x, n) - 1

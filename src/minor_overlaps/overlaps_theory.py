@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, PoleError, require
-from .freeprob import (BoundaryValues, SpectrumModel, _bisect, boundary_values,
+from .errors import DomainError, NumericError, PoleError, require
+from .freeprob import (BoundaryValues, SpectrumModel, _bisect, boundary_values, check_realizable,
                        representative_diagonal, semicircle_density, semicircle_quantile,
                        solve_minor_stieltjes, solve_stieltjes)
-from .spectral import eig_sym, minor_size, overlap_columns
+from .spectral import _audit_overlaps, eig_sym, minor_size
 
 _POLE_TOL = 1e-12
 
@@ -100,7 +100,9 @@ class FiniteInitialTransform:
 
     @classmethod
     def from_matrix(cls, a: np.ndarray, n: int) -> "FiniteInitialTransform":
-        """Transform of a symmetric ``a``: :meth:`from_diagonal` when ``a`` is diagonal."""
+        """Transform of a symmetric ``a``: :meth:`from_diagonal` when ``a`` is diagonal, else
+        the eigenvalues of ``a`` and its leading block with the squared overlaps ``(minor.T @
+        full[:n]) ** 2`` of their :func:`eig_sym` eigenvectors, audited as whole rows."""
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -108,9 +110,10 @@ class FiniteInitialTransform:
             raise ValueError(f"minor size n={n} out of range [1, {a.shape[0]}]")
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             return cls.from_diagonal(np.diagonal(a), n)
-        full, minor = eig_sym(a), eig_sym(a[:n, :n])
-        return cls(full.eigenvalues, minor.eigenvalues, full.eigenvalues, minor.eigenvalues,
-                   overlap_columns(full, minor, np.arange(a.shape[0])))
+        (lam, full), (mu, minor) = eig_sym(a), eig_sym(a[:n, :n])
+        weights = (minor.T @ full[:n]) ** 2
+        _audit_overlaps(weights, whole_rows=True)
+        return cls(lam, mu, lam, mu, weights)
 
     @classmethod
     def from_diagonal(cls, diag, n: int) -> "FiniteInitialTransform":
@@ -222,12 +225,9 @@ def general_kernel_curve(model: SpectrumModel, mu: float, lambda_range, bins: in
     _check_time_and_fraction(t, q, q_one=False)
     require("n0", n0, n0 >= 1, ">= 1")
     n0_minor = minor_size(q, n0)
-    try:
-        diag = representative_diagonal(model, n0, n0_minor)
-    except ValueError as exc:  # the realization refuses only an atom without an entry
-        raise InputError("n0", f"{n0} ({exc})", "large enough that every atom gets an entry "
-                         "in the matrix and its minor") from None
-    s0 = FiniteInitialTransform.from_diagonal(diag, n0_minor)
+    check_realizable("n0", model, n0, n0_minor)
+    s0 = FiniteInitialTransform.from_diagonal(representative_diagonal(model, n0, n0_minor),
+                                              n0_minor)
     minor_b = boundary_values(lambda z: solve_minor_stieltjes(s0.minor_model, z, t, q), mu)
     if minor_b.edge_flagged:
         raise DomainError(f"mu={mu} lies outside the minor bulk or at its edge "
@@ -258,11 +258,15 @@ def kernel_goe_curve(t: float, q: float, bins: int, x: float = 0.5, mu: float | 
 
     The minor eigenvalue is ``mu``, by default the minor bulk's quantile ``x``
     (:func:`~minor_overlaps.freeprob.semicircle_quantile`).  Refuses ``t``,
-    ``q``, ``x`` and ``bins`` by name.  Returns ``(lams, mu, w, w * rho)``.
+    ``q``, ``x``, ``bins`` and a given ``mu`` outside the minor bulk
+    ``[-2 sqrt(qt), 2 sqrt(qt)]`` by name.  Returns ``(lams, mu, w, w * rho)``.
     """
     _check_time_and_fraction(t, q, q_one=False)
     if mu is None:
         mu = semicircle_quantile(x, t, np.sqrt(q))
+    else:
+        edge = 2.0 * np.sqrt(q * t)
+        require("mu", mu, abs(mu) <= edge + 1e-12, f"in the minor bulk [{-edge:.6g}, {edge:.6g}]")
     lams = _bin_centers(t, bins)
     w = kernel_goe_value(mu, lams, t, q)
     return lams, mu, w, w * semicircle_density(lams, t)

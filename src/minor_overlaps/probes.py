@@ -60,11 +60,9 @@ def _frozen_state(n_dim: int, n: int, t: float, seed: int):
     ones.
     """
     x_mat = sample_goe(n_dim, t, derive_stream(seed, 0))
-    full, block = eig_sym(x_mat), eig_sym(x_mat[:n, :n])
-    # C-ordered copies: the drift probe's products round with their operands' layout
-    full_vecs, block_vecs = full.vectors(np.arange(n_dim)), block.vectors(np.arange(n))
+    (lam, full_vecs), (mu, block_vecs) = eig_sym(x_mat), eig_sym(x_mat[:n, :n])
     signed = block_vecs.T @ full_vecs[:n, :]
-    return x_mat, full.eigenvalues, full_vecs, block.eigenvalues, block_vecs, signed
+    return x_mat, lam, full_vecs, mu, block_vecs, signed
 
 
 def _check_probe(n_dim: int, n: int, dt: float, seed: int):

@@ -6,20 +6,19 @@ the value.  The minor of an ``N x N`` matrix is its bare leading ``n x n``
 block, decomposed at size ``n``; its eigenvectors live on the first ``n``
 coordinates.
 
-Three decompositions serve the package.  :func:`eig_sym` wraps ``eigh``
-and returns every eigenpair as a :class:`ReducedEig`.  The other two call
-LAPACK directly from numpy's bundled OpenBLAS (loaded on first use by
+Three decompositions serve the package, and each returns ``(eigenvalues,
+vectors)``: every eigenvalue, descending, and eigenvectors as columns.
+:func:`eig_sym` wraps ``eigh`` and gives every eigenvector.  The other two
+call LAPACK directly from numpy's bundled OpenBLAS (loaded on first use by
 :func:`_openblas`) and form no ``N x N`` eigenvector matrix:
-:func:`reduced_eig` gives every eigenvalue and only the requested
-eigenvectors, and :func:`_carry_in_place`, the trial driver's, gives every
-eigenvalue and the coefficients of given vectors on every eigenvector.  Both
-fall back to :func:`eig_sym` where numpy's OpenBLAS does not export their
-routines or where ``eigh`` would rescale the matrix.  :func:`overlap_columns`
-reads columns of the overlap grid between two :class:`ReducedEig` (every
-column gives the whole grid), audited by :func:`_audit_overlaps`.
-:func:`eigpair_at` computes one eigenpair by index with LAPACK ``dsyevr``
-(:func:`eigpair_backend` names the one in use), falling back to a full
-``eigh`` likewise.
+:func:`reduced_eig` gives only the requested eigenvectors, and
+:func:`_carry_in_place`, the trial driver's, the coefficients of given
+vectors on every eigenvector.  Both fall back to :func:`eig_sym` where
+numpy's OpenBLAS does not export their routines or where ``eigh`` would
+rescale the matrix.  :func:`_audit_overlaps` checks a grid of squared
+overlaps.  :func:`eigpair_at` computes one eigenpair by index with LAPACK
+``dsyevr`` (:func:`eigpair_backend` names the one in use), falling back to
+a full ``eigh`` likewise.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ import ctypes
 import functools
 import glob
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require
 
 _INT, _CHR, _I64, _PTR, _DBL = (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
                                 ctypes.c_double)
@@ -229,40 +227,6 @@ def _buffers(size: int):
             np.empty(5 * size + 3, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class ReducedEig:
-    """Every eigenpair of a symmetric matrix, from :func:`eig_sym`.
-
-    ``eigenvalues`` descend; ``ascending_vectors`` is ``eigh``'s ``V``, its
-    columns in ascending order of eigenvalue.
-    """
-
-    eigenvalues: np.ndarray
-    ascending_vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def vectors(self, idx):
-        """Eigenvectors at descending indices ``idx`` (an int or a list), copied."""
-        idx = np.asarray(idx)
-        outside = idx[(idx < 0) | (idx >= self.dim)]
-        if outside.size:
-            raise IndexError(f"descending index {outside.flat[0]} outside [0, {self.dim})")
-        return np.take(self.ascending_vectors, self.dim - 1 - idx, axis=1)
-
-    def coefficients(self, w: np.ndarray) -> np.ndarray:
-        """``V^T w``: the coefficients of ``w`` (a vector, or columns), descending."""
-        return (self.ascending_vectors.T @ w)[::-1]
-
-    def reconstruction_error(self, x: np.ndarray) -> float:
-        """Max-norm error of ``V diag(w) V^T`` against ``x``, relative to ``max(1, |x|_inf)``."""
-        v, w = self.vectors(np.arange(self.dim)), self.eigenvalues
-        err = np.max(np.abs((v * w) @ v.T - x))
-        return float(err / max(1.0, np.max(np.abs(x))))
-
-
 def _dormtr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: bytes):
     """Overwrite the Fortran-ordered columns ``c`` with ``Q c`` (``b"N"``) or ``Q^T c`` (``b"T"``).
 
@@ -274,11 +238,13 @@ def _dormtr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: bytes):
             tau.ctypes.data, c.ctypes.data, size)
 
 
-def eig_sym(x: np.ndarray) -> ReducedEig:
-    """Every eigenpair of a symmetric matrix by ``eigh``.
+def eig_sym(x: np.ndarray):
+    """Every eigenpair of a symmetric matrix by ``eigh``: ``(eigenvalues, vectors)``.
 
-    A non-square, empty or inexactly symmetric ``x`` raises ``ValueError``, a
-    non-finite one, or an ``eigh`` failure, ``NumericError``.
+    The eigenvalues descend, and the eigenvectors are the columns of a
+    C-ordered ``N x N`` array, in the same order.  A non-square, empty or
+    inexactly symmetric ``x`` raises ``ValueError``, a non-finite one, or an
+    ``eigh`` failure, ``NumericError``.
     """
     x, largest = _checked_symmetric(x)
     try:
@@ -288,7 +254,7 @@ def eig_sym(x: np.ndarray) -> ReducedEig:
             f"symmetric eigensolver failed on {x.shape[0]}x{x.shape[0]} matrix "
             f"(|X|_inf={largest:.3e}): {exc}"
         ) from exc
-    return ReducedEig(eigenvalues=w[::-1].copy(), ascending_vectors=v)
+    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])  # products round by their layout
 
 
 def reduced_eig(x: np.ndarray, request):
@@ -296,9 +262,9 @@ def reduced_eig(x: np.ndarray, request):
 
     ``request`` names them by descending index: an int, a list, or a function
     that maps the descending eigenvalues to an int or a list.  Returns
-    ``(eigenvalues, held, vectors)``: every eigenvalue, descending; ``held``,
-    the sorted distinct indices requested; and their eigenvectors, one column
-    each, in the order of ``held``.  LAPACK ``dsytrd`` reduces a copy of ``x``
+    ``(eigenvalues, vectors)``: every eigenvalue, descending, and the
+    eigenvectors at the sorted distinct indices requested, one column each,
+    in that order.  LAPACK ``dsytrd`` reduces a copy of ``x``
     to tridiagonal ``T = Q^T x Q``, ``dsterf`` finds every eigenvalue of ``T``,
     as in ``eigvalsh``, whose eigenvalues it gives bit for bit (within ~1e-14
     relative of ``eigh``'s), ``dstein`` finds only the requested eigenvectors
@@ -331,26 +297,25 @@ def _reduce_in_place(a: np.ndarray, request):
     # symmetric, so its C order is its column-major order
     a, largest = _checked_symmetric(np.require(a, float, ["C", "W"]))
     if _takes_eigh(largest):
-        dec = eig_sym(a)
-        held = _requested(request, dec.eigenvalues)
-        return dec.eigenvalues, held, dec.ascending_vectors[:, dec.dim - 1 - held]
+        w, v = eig_sym(a)
+        return w, v[:, _requested(request, w)]
     d, e, tau = _tridiagonal(a)
-    w, z, held = _requested_tridiagonal(d, e, request)
+    w, z = _requested_tridiagonal(d, e, request)
     vectors = np.array(z, order="F")
     _dormtr(a, tau, vectors, b"N")
-    return w, held, vectors
+    return w, vectors
 
 
 def _carry_in_place(a: np.ndarray, reads: np.ndarray, buffers):
     """Every eigenvalue of ``a`` and the coefficients of ``reads`` on its eigenvectors.
 
-    Returns ``(eigenvalues, coefficients)``, both descending, as
-    :func:`eig_sym`'s ``eigenvalues`` and ``coefficients(reads)``, with no
-    ``N x N`` back-transform: ``dsytrd`` reduces ``a`` (C-contiguous,
-    overwritten) to ``T = Q^T a Q``, ``dormtr`` overwrites ``reads`` (columns
-    of ``a``'s size, copied unless Fortran-ordered) with ``Q^T reads``, and
-    ``dstedc`` finds ``T = S diag(w) S^T``, writing ``S`` into ``buffers[0]``
-    and working in the rest of ``buffers`` (:func:`_buffers`), which may hold
+    Returns ``(eigenvalues, coefficients)``, both descending, as ``w`` and
+    ``v.T @ reads`` from :func:`eig_sym`'s ``(w, v)``, with no ``N x N``
+    back-transform: ``dsytrd`` reduces ``a`` (C-contiguous, overwritten) to
+    ``T = Q^T a Q``, ``dormtr`` overwrites ``reads`` (columns of ``a``'s
+    size, copied unless Fortran-ordered) with ``Q^T reads``, and ``dstedc``
+    finds ``T = S diag(w) S^T``, writing ``S`` into ``buffers[0]`` and
+    working in the rest of ``buffers`` (:func:`_buffers`), which may hold
     ``a``.  These are ``eigh``'s calls in its order, so the eigenvalues equal
     :func:`eig_sym`'s bit for bit.  Where :func:`_takes_eigh`, both are read
     off :func:`eig_sym`.  Input is refused as by :func:`eig_sym`, and
@@ -361,8 +326,8 @@ def _carry_in_place(a: np.ndarray, reads: np.ndarray, buffers):
     if reads.ndim != 2 or reads.shape[0] != a.shape[0]:
         raise ValueError(f"reads of shape {reads.shape} are not columns of size {a.shape[0]}")
     if _takes_eigh(largest):
-        dec = eig_sym(a)
-        return dec.eigenvalues, dec.coefficients(reads)
+        w, v = eig_sym(a)
+        return w, v.T @ reads
     size = a.shape[0]
     d, e, tau = _tridiagonal(a)
     _dormtr(a, tau, reads, b"T")
@@ -388,12 +353,12 @@ def _requested(request, eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _requested_tridiagonal(d: np.ndarray, e: np.ndarray, request):
-    """``(eigenvalues, vectors, held)`` of a tridiagonal ``T``: diagonal ``d``, off-diagonal ``e``.
+    """``(eigenvalues, vectors)`` of a tridiagonal ``T``: diagonal ``d``, off-diagonal ``e``.
 
-    Every eigenvalue comes from ``dsterf``, descending; ``held`` are the
-    descending indices ``request`` names, and ``vectors`` their eigenvectors
-    of ``T`` by inverse iteration (``dstein``), one column each, in the order
-    of ``held``.  ``dsterf`` first splits ``T`` into blocks wherever
+    Every eigenvalue comes from ``dsterf``, descending; ``vectors`` are the
+    eigenvectors of ``T`` at the sorted distinct descending indices
+    ``request`` names, by inverse iteration (``dstein``), one column each.
+    ``dsterf`` first splits ``T`` into blocks wherever
     ``|e_k| <= eps sqrt|d_k| sqrt|d_k+1|``, and each block's eigenvalues are
     its own; it runs here on each block in turn, which gives the same values
     and tells ``dstein`` the block of each requested eigenvalue, as it needs.
@@ -420,7 +385,7 @@ def _requested_tridiagonal(d: np.ndarray, e: np.ndarray, request):
         _call("dstein", size, _COL_MAJOR, size, d.ctypes.data, e.ctypes.data, where.size,
               values.ctypes.data, block.ctypes.data, ends.ctypes.data, z.ctypes.data, size,
               work.ctypes.data, iwork.ctypes.data, fail.ctypes.data)
-    return eigenvalues, z[:, np.searchsorted(where, wanted)], held
+    return eigenvalues, z[:, np.searchsorted(where, wanted)]
 
 
 def _audit_overlaps(values: np.ndarray, whole_rows: bool):
@@ -439,23 +404,6 @@ def _audit_overlaps(values: np.ndarray, whole_rows: bool):
     row_err = float(np.max(np.abs(values.sum(axis=1) - 1.0))) if whole_rows else 0.0
     if row_err > 1e-10:
         raise NumericError(f"overlap grid row sums deviate from 1 by {row_err:.3e}")
-
-
-def overlap_columns(full, minor, cols) -> np.ndarray:
-    """Columns ``cols`` (a list or array) of the overlap grid, from those full eigenvectors alone.
-
-    ``full`` and ``minor`` are :func:`eig_sym` decompositions of a matrix and
-    of its leading block.  Returns the ``n x len(cols)`` squared overlaps of
-    every minor eigenvector (rows, descending) with the full eigenvectors
-    ``cols``, audited as whole columns and, when ``cols`` holds every column,
-    as whole rows: then the result is the whole grid, each row summing to 1.
-    A minor larger than the full matrix raises ``ValueError``.
-    """
-    if minor.dim > full.dim:
-        raise ValueError(f"minor of size {minor.dim} does not fit a {full.dim}x{full.dim} matrix")
-    values = minor.coefficients(full.vectors(cols)[:minor.dim]) ** 2
-    _audit_overlaps(values, whole_rows=np.array_equal(np.sort(cols), np.arange(full.dim)))
-    return values
 
 
 def check_interlacing(full_evals: np.ndarray, minor_evals: np.ndarray):
@@ -484,10 +432,8 @@ def quantile_index(x: float, size: int) -> int:
     ``x = 0`` maps to the top eigenvalue and ``x = 1`` to the bottom one.
     Rounding is half-up, as in :func:`minor_size`, clamped to ``[1, size]``.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("quantile x must lie in [0, 1]")
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    require("x", x, 0.0 <= x <= 1.0, "in [0, 1]")
+    require("size", size, size >= 1, ">= 1")
     return int(np.clip(_round_half_up(x * size), 1, size))
 
 

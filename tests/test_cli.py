@@ -381,6 +381,13 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
     (_BULK_SPIKE + ["--lambda=-3"], "--lambda must be > 0, got -3.0"),
     (["theory", "--kernel", "general", "--model", "{model_q_one}", "--mu", "0.3",
       "--lambda-range", "-2", "2"], '--model must be a model with "q" in (0, 1), got "q": 1'),
+    (["simulate", "--N", "200", "--qfrac", "0.5", "--trials", "100", "--model", "{model_rare}"],
+     "--N must be large enough that every atom gets an entry in the matrix and its minor, got "
+     "200 (atom at 5.0 with weight 0.001 gets no entry at size 200; use a larger size)"),
+    (["theory", "--kernel", "goe", "--q", "0.5", "--mu", "5"],
+     "--mu must be in the minor bulk [-1.41421, 1.41421], got 5.0"),
+    (["theory", "--kernel", "goe", "--q", "0.5", "--mu", "1.5"],
+     "--mu must be in the minor bulk [-1.41421, 1.41421], got 1.5"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
@@ -400,7 +407,8 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
         "bernoulli-spike-threads-negative", "spike-bulk-full-minor", "spike-spike-lambda-negative",
         "split-spike-mu-above-lambda", "spike-path-lambda-negative", "bernoulli-spike-q",
         "simulate-model-q", "simulate-model-N", "spike-bulk-lambda-negative",
-        "general-model-q-one"])
+        "general-model-q-one", "simulate-model-N-leaves-an-atom-out", "goe-mu-outside",
+        "goe-mu-just-outside"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
                                                          message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;
@@ -408,9 +416,12 @@ def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monk
     # no trial, path, model realization or initial transform starts
     _refuse_set_up(monkeypatch)
     model_path, model_q_one = tmp_path / "model.json", tmp_path / "model_q_one.json"
+    model_rare = tmp_path / "model_rare.json"
     model_path.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 0.5}')
     model_q_one.write_text('{"atoms": [[-1.0, 0.5], [1.0, 0.5]], "spikes": [], "q": 1}')
-    argv = [arg.format(model=model_path, model_q_one=model_q_one) for arg in argv]
+    model_rare.write_text('{"atoms": [[0.0, 0.999], [5.0, 0.001]], "q": 0.5}')
+    argv = [arg.format(model=model_path, model_q_one=model_q_one, model_rare=model_rare)
+            for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, stdout, stderr = _run(capsys, argv)

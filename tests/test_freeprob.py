@@ -10,6 +10,7 @@ from minor_overlaps import (
     ConvergenceError,
     DomainError,
     FiniteInitialTransform,
+    InputError,
     SpectrumModel,
     boundary_values,
     derive_stream,
@@ -467,6 +468,30 @@ def test_representative_diagonal_refuses_atoms_outside_the_minor_block():
     assert np.array_equal(representative_diagonal(model, 200, 101), diag)
     with pytest.raises(ValueError, match=r"atom at 5.0 .* leading 100x100 block at size 200"):
         representative_diagonal(model, 200, 100)
+
+
+@given(weights=st.lists(st.integers(1, 1000), min_size=1, max_size=5),
+       locs=st.lists(st.sampled_from([-1.0, 0.0, 2.5, 5.0]), min_size=5, max_size=5),
+       n_dim=st.integers(1, 400), fraction=st.floats(0.0, 1.0))
+def test_realizability_is_judged_as_the_written_out_diagonal_judges_it(weights, locs, n_dim,
+                                                                       fraction):
+    # the diagonal written out entry by entry, atoms in order, sorted stably by place
+    model = SpectrumModel(atoms=tuple(zip(locs, np.array(weights) / sum(weights))))
+    n = max(1, round(fraction * n_dim))
+    shares = np.array([w for _, w in model.atoms]) * n_dim
+    counts = np.floor(shares).astype(int)
+    for k in np.argsort(-(shares - counts))[: n_dim - counts.sum()]:
+        counts[k] += 1
+    entries = sorted(((loc, (j + 0.5) / c) for (loc, _), c in zip(model.atoms, counts)
+                      for j in range(c)), key=lambda pair: pair[1])
+    diag = np.array([loc for loc, _ in entries])
+    left_out = 0 in counts or any(loc not in diag[:n] for loc, _ in model.atoms)
+    if left_out:
+        with pytest.raises(InputError, match="^n_dim must be large enough that every atom "):
+            freeprob.check_realizable("n_dim", model, n_dim, n)
+    else:
+        freeprob.check_realizable("n_dim", model, n_dim, n)
+        assert np.array_equal(representative_diagonal(model, n_dim, n), diag)
 
 
 def test_minor_model_of_two_atoms():

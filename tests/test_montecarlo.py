@@ -272,6 +272,8 @@ _LIMIT = montecarlo.max_threads()
     (_changed("bulk", q=1.0), "q"),
     (_changed("bulk", t=0.0), "t"),
     (lambda: run_bulk_experiment(_small_bulk_config(n_dim=40, q=1.5), _GENERAL[0]), "q"),
+    (lambda: run_bulk_experiment(_small_bulk_config(n_dim=200),
+                                 SpectrumModel(atoms=((0.0, 0.999), (5.0, 0.001)))), "n_dim"),
     (_changed("spike-spike", n_dim=0), "n_dim"),
     (_changed("spike-spike", q=0.001), "q"),
     (_changed("spike-spike", a_spec=ASpec(kind="uniform_spike", spike=-1.0)), "spike"),
@@ -302,6 +304,7 @@ _LIMIT = montecarlo.max_threads()
     (lambda: overlaps_theory.kernel_goe_curve(0.0, 0.5, 5), "t"),
     (lambda: overlaps_theory.kernel_goe_curve(1.0, 0.5, 0), "bins"),
     (lambda: overlaps_theory.kernel_goe_curve(1.0, 0.5, 5, x=1.5), "x"),
+    (lambda: overlaps_theory.kernel_goe_curve(1.0, 0.5, 5, mu=1.5), "mu"),
     (lambda: overlaps_theory.spike_bulk_curve(3.0, 1.5, 1.0, 5), "q"),
     (lambda: overlaps_theory.spike_bulk_curve(3.0, 0.5, -1.0, 5), "t"),
     (lambda: overlaps_theory.spike_bulk_curve(3.0, 0.5, 1.0, 0), "bins"),
@@ -319,12 +322,13 @@ _LIMIT = montecarlo.max_threads()
     (lambda: overlaps_theory.bernoulli_spike_overlap(400, 0, 0.5), "n"),
 ], ids=["bulk-model-quantile", "bernoulli-spike-later-size", "trials", "bins", "threads-negative",
         "threads-above-bound", "master-seed", "bulk-N", "bulk-q", "bulk-t", "bulk-model-q",
+        "bulk-model-N-leaves-an-atom-out",
         "spike-spike-N", "spike-spike-q", "spike-spike-spike", "spike-spike-mu", "spike-spike-t",
         "spike-bulk-q", "spike-bulk-t", "spike-bulk-spike", "bernoulli-bulk-p",
         "bernoulli-bulk-N", "bernoulli-spike-p", "bernoulli-spike-q", "path-N", "path-q",
         "path-spike", "path-t-max", "path-steps", "path-seed", "probe-N", "probe-n", "drift-t",
         "probe-dt", "drift-trials", "probe-seed", "correlation-t", "correlation-samples",
-        "goe-curve-q", "goe-curve-t", "goe-curve-bins", "goe-curve-x", "spike-g-curve-q",
+        "goe-curve-q", "goe-curve-t", "goe-curve-bins", "goe-curve-x", "goe-curve-mu", "spike-g-curve-q",
         "spike-g-curve-t", "spike-g-curve-bins", "general-curve-n0", "general-curve-t",
         "general-curve-q", "general-curve-bins", "general-curve-model-q", "interlace-q",
         "interlace-t", "interlace-x", "expansion-N", "expansion-q", "expansion-n"])

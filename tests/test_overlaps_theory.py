@@ -38,7 +38,6 @@ from minor_overlaps.freeprob import (
     solve_minor_stieltjes,
     solve_stieltjes,
 )
-from minor_overlaps.spectral import overlap_columns
 
 TWO_ATOMS = SpectrumModel(atoms=((-1.0, 0.5), (1.0, 0.5)))
 
@@ -56,10 +55,8 @@ def _zero_diagonal(q, n_dim=10):
 
 def _grid_reference(a, n):
     """The eigendecomposition-and-overlap-grid transform of ``a``, diagonal or not."""
-    full, minor = eig_sym(a), eig_sym(a[:n, :n])
-    return FiniteInitialTransform(full.eigenvalues, minor.eigenvalues, full.eigenvalues,
-                                  minor.eigenvalues,
-                                  overlap_columns(full, minor, np.arange(a.shape[0])))
+    (lam, full), (mu, minor) = eig_sym(a), eig_sym(a[:n, :n])
+    return FiniteInitialTransform(lam, mu, lam, mu, (minor.T @ full[:n]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +171,10 @@ def test_evolved_transform_against_finite_size_average():
     vals = np.empty(trials, dtype=complex)
     for m in range(trials):
         x = sample_goe(n_dim, t, derive_stream(909, m))
-        full, minor = eig_sym(x), eig_sym(x[:n, :n])
-        u = 1.0 / (zt - minor.eigenvalues)
-        v = 1.0 / (z - full.eigenvalues)
-        vals[m] = (u @ overlap_columns(full, minor, np.arange(n_dim)) @ v) / n_dim
+        (lam, full), (mu, minor) = eig_sym(x), eig_sym(x[:n, :n])
+        u = 1.0 / (zt - mu)
+        v = 1.0 / (z - lam)
+        vals[m] = (u @ (minor.T @ full[:n]) ** 2 @ v) / n_dim
     full_ev, minor_ev = _semicircle_evaluators(t, q)
     limit = evolve_double_stieltjes(_zero_diagonal(q), z, zt, t, q, full_ev, minor_ev)
     for part in (np.real, np.imag):
@@ -287,9 +284,8 @@ def test_general_kernel_against_binned_monte_carlo():
     blocks, mus, lams = [], [], []
     for m in range(trials):
         x = a + sample_goe(n_dim, t, derive_stream(404, m))
-        full, minor = eig_sym(x), eig_sym(x[:n, :n])
-        grid = overlap_columns(full, minor, np.arange(n_dim))
-        mu, lam = minor.eigenvalues, full.eigenvalues
+        (lam, full), (mu, minor) = eig_sym(x), eig_sym(x[:n, :n])
+        grid = (minor.T @ full[:n]) ** 2
         isel = np.flatnonzero(np.abs(mu - mu0) <= window / 2)
         jsel = np.flatnonzero(np.abs(lam - lam0) <= window / 2)
         blocks.append(n_dim * grid[np.ix_(isel, jsel)])
