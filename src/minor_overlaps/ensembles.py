@@ -22,7 +22,7 @@ import numpy as np
 # import out of the trial pool, whose workers would otherwise wait on it
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .errors import require
+from .errors import InputError, require
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,16 @@ def sample_path(n_dim: int, t_grid, seed: SeedSpec):
     consumer that drops a step's matrix before taking the next holds one.
     Increments between consecutive grid times are independent, so the value
     at grid time ``t`` is distributed like ``sample_goe(n_dim, t, ...)``.  A
-    bad grid is refused at the call, before anything is drawn.
+    bad grid is refused by name at the call, before anything is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a non-empty 1-d sequence")
-    if t_grid[0] < 0:
-        raise ValueError("t_grid must start at a time >= 0")
-    if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
-        raise ValueError("t_grid must be strictly increasing")
+    require("t_grid", f"shape {t_grid.shape}", t_grid.ndim == 1 and t_grid.size >= 1,
+            "a non-empty 1-d sequence")
+    require("t_grid", t_grid[0], t_grid[0] >= 0, "a grid starting at a time >= 0")
+    falls = np.flatnonzero(np.diff(t_grid) <= 0)
+    if falls.size:
+        k = falls[0]
+        raise InputError("t_grid", f"{t_grid[k + 1]} after {t_grid[k]}", "strictly increasing")
     return _cumulative_noise(n_dim, t_grid, seed.generator())
 
 
@@ -139,8 +140,7 @@ def uniform_spike_vector(n_dim: int, spike: float) -> np.ndarray:
     eigenvalue is ``spike`` and whose minor keeps a spike at
     ``spike * n / N``.
     """
-    if spike < 0:
-        raise ValueError("spike must be >= 0")
+    require("spike", spike, spike >= 0, ">= 0")
     return np.full(n_dim, np.sqrt(spike / n_dim))
 
 
@@ -151,10 +151,8 @@ def split_spike_vector(n_dim: int, n: int, spike: float, minor_spike: float) -> 
     ``minor_spike = spike * n / N``) so the minor's spike can be chosen
     independently, as long as it does not exceed the full spike.
     """
-    if not 1 <= n < n_dim:
-        raise ValueError("need 1 <= n < n_dim for a split spike vector")
-    if not 0 < minor_spike <= spike:
-        raise ValueError("need 0 < minor_spike <= spike")
+    require("n", n, 1 <= n < n_dim, f"in [1, {n_dim - 1}]")
+    require("minor_spike", minor_spike, 0 < minor_spike <= spike, f"in (0, {spike}]")
     psi = np.empty(n_dim)
     psi[:n] = np.sqrt(minor_spike / n)
     psi[n:] = np.sqrt((spike - minor_spike) / (n_dim - n))
@@ -167,10 +165,8 @@ def tail_spike_vector(n_dim: int, n: int, spike: float) -> np.ndarray:
     The resulting rank-one matrix has isolated eigenvalue ``spike`` while its
     top-left ``n x n`` minor is identically zero (spike-bulk initializer).
     """
-    if not 1 <= n < n_dim:
-        raise ValueError("need 1 <= n < n_dim for a tail spike vector")
-    if spike < 0:
-        raise ValueError("spike must be >= 0")
+    require("n", n, 1 <= n < n_dim, f"in [1, {n_dim - 1}]")
+    require("spike", spike, spike >= 0, ">= 0")
     psi = np.zeros(n_dim)
     psi[n:] = np.sqrt(spike / (n_dim - n))
     return psi

@@ -25,11 +25,13 @@ confidence intervals use the normal approximation over per-trial values
 three binned runners share one tail (:func:`_binned_report`), and every run,
 the probes included, ends in :func:`_report`.  The trial pool has one
 worker per available core (``threads=0``).  Every runner holds numpy's
-OpenBLAS at one thread from entry to return, set-up and theory included, so
-each worker decomposes single-threaded and the caller's BLAS setting is
-restored afterwards.  Reports therefore reproduce bit for bit for a fixed
-master seed, independent of worker count and of the caller's BLAS thread
-count.  The drift probe streams its increment blocks through the same pool
+OpenBLAS at one thread from entry to return, set-up and theory included
+(:func:`~minor_overlaps.spectral._one_blas_thread`; without that library
+every decomposition is ``eigh``'s and nothing is held), so each worker
+decomposes single-threaded and the caller's BLAS setting is restored
+afterwards.  Reports therefore reproduce bit for bit for a fixed master
+seed, independent of worker count and of the caller's BLAS thread count.
+The drift probe streams its increment blocks through the same pool
 (:func:`_pool_map`).
 
 Binned comparisons use the density-weighted average of the theory curve over
@@ -42,18 +44,16 @@ more than a confidence interval.
 from __future__ import annotations
 
 import collections
-import ctypes
-import functools
 import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral
 from .ensembles import (
     check_seed,
     derive_stream,
@@ -91,7 +91,7 @@ from .spectral import (
     _audit_overlaps,
     _buffers,
     _carry_in_place,
-    _openblas,
+    _one_blas_thread,
     _reduce_in_place,
     check_interlacing,
     minor_size,
@@ -165,8 +165,9 @@ class ExperimentConfig:
     """Shared experiment parameters.
 
     Building one refuses ``master_seed``, ``trials``, ``bins`` and ``threads``
-    out of range by name (:class:`~minor_overlaps.errors.InputError`); each
-    runner refuses the other fields it reads before any set-up.  ``target``
+    out of range, and a ``bin_range`` other than None or a finite increasing
+    pair, by name (:class:`~minor_overlaps.errors.InputError`); each runner
+    refuses the other fields it reads before any set-up.  ``target``
     names the experiment in the JSON config; no runner reads it.
     """
 
@@ -189,6 +190,10 @@ class ExperimentConfig:
         require("trials", self.trials, self.trials >= MIN_CI_TRIALS, f">= {MIN_CI_TRIALS}")
         _check_bins(self.bins)
         _check_threads(self.threads)
+        pair = self.bin_range
+        ok = pair is None or (np.shape(pair) == (2,) and np.isfinite(pair).all()
+                              and pair[0] < pair[1])
+        require("bin_range", pair, ok, "a finite increasing pair (lo, hi)")
 
     @property
     def n(self) -> int:
@@ -241,40 +246,6 @@ class TrajectorySeries:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _openblas_threads():
-    """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None."""
-    lib = _openblas()
-    try:
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no library (None), or one without these symbols
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread for the block, where its count is reachable.
-
-    The count is process-wide, so the caller's value is restored on exit.
-    ``@_one_blas_thread()`` holds it for each call of the function it decorates.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
 def _available_cpus() -> int:
     """The cores this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -307,19 +278,20 @@ def _pool_map(threads: int, fn, items):
     and hence the output bytes, do not depend on ``threads``.  Returns
     ``(results, used)``: ``results`` is an iterator over ``fn(item)`` for each
     item in turn, and ``used`` holds the resolved ``pool_threads`` and the
-    ``trial_blas_threads`` ``fn`` runs with (None when the BLAS count cannot be
-    set).  ``items`` is read in the caller's thread, in order, as the caller
-    reads ``results``, and never more than ``2 * threads + 1`` items ahead of
-    the results it has read: an item that draws random numbers draws them in
-    item order whatever the worker count, and a caller that reduces each
-    result as it arrives holds a bounded number of items and results.  The
-    caller reads ``results`` to its end or closes it.  ``threads`` is
-    refused as :class:`ExperimentConfig` refuses it, before any worker starts.
+    ``trial_blas_threads`` ``fn`` runs with (None where nothing is held:
+    without :func:`~minor_overlaps.spectral._openblas`).  ``items`` is read
+    in the caller's thread, in order, as the caller reads ``results``, and
+    never more than ``2 * threads + 1`` items ahead of the results it has
+    read: an item that draws random numbers draws them in item order
+    whatever the worker count, and a caller that reduces each result as it
+    arrives holds a bounded number of items and results.  The caller reads
+    ``results`` to its end or closes it.  ``threads`` is refused as
+    :class:`ExperimentConfig` refuses it, before any worker starts.
     """
     _check_threads(threads)
     threads = threads or _available_cpus()
     used = {"pool_threads": threads,
-            "trial_blas_threads": None if _openblas_threads() is None else 1}
+            "trial_blas_threads": None if spectral._openblas() is None else 1}
 
     def results():
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
@@ -717,8 +689,9 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     ``extras["minor_edge_trials"]`` counts the kept trials whose minor top
     eigenvalue lies within ``SPIKE_ABSORB_MARGIN`` of the minor bulk edge
     ``2 sqrt(qt)`` or below it; they stay in the estimate.  Refuses ``n_dim``
-    and ``q`` by name before any set-up, then the spikes (``spike``, and ``mu``
-    for the minor's) and ``t`` through :func:`~minor_overlaps.overlaps_theory.spike_spike_overlap`.
+    and ``q`` by name before any set-up (a split spike also needs ``round(qN)
+    <= N-1``), then the spikes (``spike``, and ``mu`` for the minor's) and
+    ``t`` through :func:`~minor_overlaps.overlaps_theory.spike_spike_overlap`.
     """
     start = time.perf_counter()
     n_dim, q, t, n = config.n_dim, config.q, config.t, config.n
@@ -728,6 +701,7 @@ def run_spike_spike(config: ExperimentConfig) -> ExperimentReport:
     require("q", q, 0.0 < q <= 1.0 and n >= 1, "in (0, 1] with round(qN) >= 1")
     spike = config.a_spec.spike
     if config.a_spec.kind == "split_spike":
+        _check_minor(n_dim, q)  # the split vector needs a row outside the minor
         minor_spike = config.a_spec.minor_spike
     else:
         minor_spike = spike * n / n_dim

@@ -42,12 +42,16 @@ def _check_bins(bins: int):
     require("bins", bins, bins >= 1, ">= 1")
 
 
+def _check_minor_bulk(mu, t: float, q: float):
+    """Refuse by name a ``mu`` outside the minor bulk ``|mu| <= 2 sqrt(qt)``, an array's first."""
+    edge, mus = 2.0 * np.sqrt(q * t), np.ravel(mu)
+    outside = mus[np.abs(mus) > edge + 1e-12]
+    require("mu", float(outside[0]) if outside.size else mu, not outside.size,
+            f"in the minor bulk [{-edge:.6g}, {edge:.6g}]")
+
+
 def _bin_edges(bins: int, lo: float, hi: float) -> np.ndarray:
-    """``bins`` equal bins over ``[lo, hi]``; every binned curve's edges come from here."""
-    if bins < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
-    if not lo < hi:
-        raise ValueError("empty bin range")
+    """Every binned curve's ``bins`` equal bins over ``[lo, hi]``; its callers refuse bad ones."""
     return np.linspace(lo, hi, bins + 1)
 
 
@@ -106,8 +110,7 @@ class FiniteInitialTransform:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not 1 <= n <= a.shape[0]:
-            raise ValueError(f"minor size n={n} out of range [1, {a.shape[0]}]")
+        require("n", n, 1 <= n <= a.shape[0], f"in [1, {a.shape[0]}]")
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             return cls.from_diagonal(np.diagonal(a), n)
         (lam, full), (mu, minor) = eig_sym(a), eig_sym(a[:n, :n])
@@ -122,9 +125,9 @@ class FiniteInitialTransform:
         The eigenvalues are the entries, which ``eigh`` returns bit for bit.
         """
         diag = np.asarray(diag, dtype=float)
-        if diag.ndim != 1 or not 1 <= n <= diag.size:
-            raise ValueError(f"need a non-empty diagonal and 1 <= n <= its size, got "
-                             f"shape {diag.shape} and n={n}")
+        if diag.ndim != 1 or diag.size == 0:
+            raise ValueError(f"expected a non-empty diagonal, got shape {diag.shape}")
+        require("n", n, 1 <= n <= diag.size, f"in [1, {diag.size}]")
         if not np.all(np.isfinite(diag)):
             raise NumericError(f"initial transform got a non-finite {diag.size}x{diag.size} "
                                f"diagonal matrix")
@@ -258,15 +261,14 @@ def kernel_goe_curve(t: float, q: float, bins: int, x: float = 0.5, mu: float | 
 
     The minor eigenvalue is ``mu``, by default the minor bulk's quantile ``x``
     (:func:`~minor_overlaps.freeprob.semicircle_quantile`).  Refuses ``t``,
-    ``q``, ``x``, ``bins`` and a given ``mu`` outside the minor bulk
-    ``[-2 sqrt(qt), 2 sqrt(qt)]`` by name.  Returns ``(lams, mu, w, w * rho)``.
+    ``q``, ``x``, ``bins`` and a given ``mu`` by name.  Returns ``(lams, mu, w,
+    w * rho)``.
     """
     _check_time_and_fraction(t, q, q_one=False)
     if mu is None:
         mu = semicircle_quantile(x, t, np.sqrt(q))
     else:
-        edge = 2.0 * np.sqrt(q * t)
-        require("mu", mu, abs(mu) <= edge + 1e-12, f"in the minor bulk [{-edge:.6g}, {edge:.6g}]")
+        _check_minor_bulk(mu, t, q)
     lams = _bin_centers(t, bins)
     w = kernel_goe_value(mu, lams, t, q)
     return lams, mu, w, w * semicircle_density(lams, t)
@@ -282,11 +284,10 @@ def kernel_peak_location(mu: float, t: float, q: float) -> float:
     bracketed by the sign facts P(-2 sqrt(t)) > 0 > P(2 sqrt(t)) and found by
     bisection to 1e-12.  For ``mu >= 0`` it satisfies
     ``mu <= peak <= mu / sqrt(q)`` (mirrored for negative ``mu``), which puts
-    it inside the interlacing interval.  Refuses ``t`` and ``q`` by name.
+    it inside the interlacing interval.  Refuses ``t``, ``q`` and ``mu`` by name.
     """
     _check_time_and_fraction(t, q, q_one=True)
-    if abs(mu) > 2.0 * np.sqrt(q * t) + 1e-12:
-        raise DomainError(f"mu={mu} outside the minor bulk [-2 sqrt(qt), 2 sqrt(qt)]")
+    _check_minor_bulk(mu, t, q)
     if q == 1.0:
         return float(mu)
 
@@ -405,14 +406,13 @@ def spike_bulk_overlap(spike: float, q: float, t: float, mu):
 
     ``(spike^2 - q t) t / (spike^2 - spike mu + q t)^2`` for ``mu`` inside the
     minor bulk; the noise builds this coupling even though the minor starts
-    with no trace of the spike.  Refuses ``t`` and ``q`` by name.
+    with no trace of the spike.  Refuses ``t``, ``q`` and ``mu`` by name.
     """
     _check_time_and_fraction(t, q, q_one=True)
     if t >= spike ** 2:
         raise DomainError(f"t={t} >= spike^2={spike**2}: spike absorbed")
     mu = np.asarray(mu, dtype=float)
-    if np.any(np.abs(mu) > 2.0 * np.sqrt(q * t) + 1e-12):
-        raise DomainError("mu outside the minor bulk [-2 sqrt(qt), 2 sqrt(qt)]")
+    _check_minor_bulk(mu, t, q)
     val = (spike * spike - q * t) * t / (spike * spike - spike * mu + q * t) ** 2
     return val if val.ndim else float(val)
 

@@ -10,21 +10,22 @@ independent Gaussian increments through the frozen state:
   finite differences and compares it with the three interaction sums that
   drive it; the martingale parts must average to zero.
 
-The drift probe draws and steps its increments on the trial pool
-(:func:`minor_overlaps.montecarlo._pool_map`) at one BLAS thread;
-:func:`drift_probe` states how they stream, how each pool task reduces its
-own block, and why its report is the same bit for bit at every worker count.
-Each increment reads one number, the overlap of minor eigenvector ``i`` with
-full eigenvector ``j`` of the stepped matrix, so each step solves for those
-two eigenvectors alone
-(:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by index, or a
-full ``eigh`` where numpy's OpenBLAS does not export it; the drift report
-names the one used as ``stepper``).  The correlation probe runs serially, at
-one BLAS thread, in batches of ``_CHUNK`` samples drawn into one buffer.  Both
-probes report through :func:`_probe_report`, which ends in the runners'
-:func:`~minor_overlaps.montecarlo._report`.
-Every probe refuses each argument out of range by name
-(:class:`~minor_overlaps.errors.InputError`) before the frozen state is built.
+Both probes run whole at one BLAS thread, as the runners do
+(:func:`minor_overlaps.spectral._one_blas_thread`).  The drift probe draws
+and steps its increments on the trial pool
+(:func:`minor_overlaps.montecarlo._pool_map`); :func:`drift_probe` states
+how they stream, how each pool task reduces its own block, and why its
+report is the same bit for bit at every worker count.  Each increment reads
+one number, the overlap of minor eigenvector ``i`` with full eigenvector
+``j`` of the stepped matrix, so each step solves for those two eigenvectors
+alone (:func:`minor_overlaps.spectral.eigpair_at`: LAPACK ``dsyevr`` by
+index, or a full ``eigh`` without numpy's OpenBLAS; the drift report names
+the one used as ``stepper``).  The correlation probe runs serially, in
+batches of ``_CHUNK`` samples drawn into one buffer.  Both probes report
+through :func:`_probe_report`, which ends in the runners'
+:func:`~minor_overlaps.montecarlo._report`.  Every probe refuses each
+argument out of range by name (:class:`~minor_overlaps.errors.InputError`)
+before the frozen state is built.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .ensembles import check_seed, derive_stream, sample_goe
 from .errors import require
-from .montecarlo import ExperimentReport, Z_99, _estimate, _one_blas_thread, _pool_map, _report
-from .spectral import eig_sym, eigpair_at, eigpair_backend
+from .montecarlo import ExperimentReport, Z_99, _estimate, _pool_map, _report
+from .spectral import _one_blas_thread, eig_sym, eigpair_at, eigpair_backend
 
 #: correlation-probe samples drawn and reduced per batch
 _CHUNK = 2000
@@ -219,6 +220,7 @@ def _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt):
     return chosen[1], chosen[2]
 
 
+@_one_blas_thread()
 def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
                 trials: int = 100_000, seed: int = 0) -> ExperimentReport:
     """Finite-difference drift of one squared overlap vs the drift formula.
@@ -250,59 +252,58 @@ def drift_probe(n_dim: int, n: int, t: float, dt: float = 1e-4,
     _check_probe(n_dim, n, dt, seed)
     require("t", t, np.isfinite(t) and t > 0, "> 0")
     require("trials", trials, trials >= MIN_DRIFT_TRIALS, f">= {MIN_DRIFT_TRIALS}")
-    with _one_blas_thread():
-        x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
-        i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
-        d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
-        s0 = signed[i, j] ** 2
+    x_mat, lam, full_vecs, mu, block_vecs, signed = _frozen_state(n_dim, n, t, seed)
+    i, j = _select_mid_bulk_pair(signed, lam, mu, n_dim, n, dt)
+    d1, d2, d3 = _drift_formula(signed, lam, mu, i, j, n_dim)
+    s0 = signed[i, j] ** 2
 
-        psi_j = full_vecs[:, j]
-        phi_i = block_vecs[:, i]
-        with np.errstate(divide="ignore"):
-            w_full = signed[i, :] * signed[i, j] / (lam[j] - lam)
-            w_full[j] = 0.0
-            w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
-            w_minor[i] = 0.0
-        rng = derive_stream(seed, 1).generator()
-        scale = np.sqrt(dt / (2.0 * n_dim))
-        local = threading.local()
-        turn = threading.Condition()
-        drawn = 0  # blocks drawn so far: block k draws on turn k
+    psi_j = full_vecs[:, j]
+    phi_i = block_vecs[:, i]
+    with np.errstate(divide="ignore"):
+        w_full = signed[i, :] * signed[i, j] / (lam[j] - lam)
+        w_full[j] = 0.0
+        w_minor = signed[:, j] * signed[i, j] / (mu[i] - mu)
+        w_minor[i] = 0.0
+    rng = derive_stream(seed, 1).generator()
+    scale = np.sqrt(dt / (2.0 * n_dim))
+    local = threading.local()
+    turn = threading.Condition()
+    drawn = 0  # blocks drawn so far: block k draws on turn k
 
-        def run(item):
-            nonlocal drawn
-            k, first = item
-            with turn:
-                turn.wait_for(lambda: drawn == k)
-                try:  # the turn passes on even if this task fails, so no later block waits forever
-                    if not hasattr(local, "state"):
-                        local.state = (np.empty((_BLOCK, n_dim, n_dim)), eigpair_at(n_dim),
-                                       eigpair_at(n), np.empty((n_dim, n_dim)), np.empty((n, n)))
-                    dh = rng.standard_normal(out=local.state[0][:min(_BLOCK, trials - first)])
-                finally:
-                    drawn = k + 1
-                    turn.notify_all()
-            _, full_pair, minor_pair, full, minor = local.state
-            a = np.empty(len(dh))
-            for c, m in enumerate(dh):
-                m += m.T
-                m *= scale
-                np.add(x_mat, m, out=full)
-                minor[:] = full[:n, :n]  # before the full solve overwrites full
-                _, psi = full_pair(full, j)
-                _, phi = minor_pair(minor, i)
-                a[c] = phi @ psi[:n]
-            # one row per increment: <psi_k| dX |psi_j> over k, <phi_l| dXm |phi_i> over l
-            beta_full = np.einsum("cab,b->ca", dh, psi_j) @ full_vecs
-            beta_minor = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i) @ block_vecs
-            terms = np.array([a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor])
-            return np.array([terms.sum(axis=1), (terms * terms).sum(axis=1)])
+    def run(item):
+        nonlocal drawn
+        k, first = item
+        with turn:
+            turn.wait_for(lambda: drawn == k)
+            try:  # the turn passes on even if this task fails, so no later block waits forever
+                if not hasattr(local, "state"):
+                    local.state = (np.empty((_BLOCK, n_dim, n_dim)), eigpair_at(n_dim),
+                                   eigpair_at(n), np.empty((n_dim, n_dim)), np.empty((n, n)))
+                dh = rng.standard_normal(out=local.state[0][:min(_BLOCK, trials - first)])
+            finally:
+                drawn = k + 1
+                turn.notify_all()
+        _, full_pair, minor_pair, full, minor = local.state
+        a = np.empty(len(dh))
+        for c, m in enumerate(dh):
+            m += m.T
+            m *= scale
+            np.add(x_mat, m, out=full)
+            minor[:] = full[:n, :n]  # before the full solve overwrites full
+            _, psi = full_pair(full, j)
+            _, phi = minor_pair(minor, i)
+            a[c] = phi @ psi[:n]
+        # one row per increment: <psi_k| dX |psi_j> over k, <phi_l| dXm |phi_i> over l
+        beta_full = np.einsum("cab,b->ca", dh, psi_j) @ full_vecs
+        beta_minor = np.einsum("cab,b->ca", dh[:, :n, :n], phi_i) @ block_vecs
+        terms = np.array([a * a - s0, 2.0 * beta_full @ w_full, 2.0 * beta_minor @ w_minor])
+        return np.array([terms.sum(axis=1), (terms * terms).sum(axis=1)])
 
-        totals = np.zeros((2, 3))  # the three terms' sums, then their sums of squares
-        results, used = _pool_map(0, run, enumerate(range(0, trials, _BLOCK)))
-        with contextlib.closing(results):
-            for block in results:
-                totals += block
+    totals = np.zeros((2, 3))  # the three terms' sums, then their sums of squares
+    results, used = _pool_map(0, run, enumerate(range(0, trials, _BLOCK)))
+    with contextlib.closing(results):
+        for block in results:
+            totals += block
 
     config = {"probe": "drift", "n_dim": n_dim, "n": n, "t": t, "dt": dt, "trials": trials,
               "seed": seed}

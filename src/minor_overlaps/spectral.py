@@ -9,16 +9,17 @@ coordinates.
 Three decompositions serve the package, and each returns ``(eigenvalues,
 vectors)``: every eigenvalue, descending, and eigenvectors as columns.
 :func:`eig_sym` wraps ``eigh`` and gives every eigenvector.  The other two
-call LAPACK directly from numpy's bundled OpenBLAS (loaded on first use by
-:func:`_openblas`) and form no ``N x N`` eigenvector matrix:
+call LAPACK directly from numpy's bundled OpenBLAS (bound once, here alone,
+by :func:`_openblas`) and form no ``N x N`` eigenvector matrix:
 :func:`reduced_eig` gives only the requested eigenvectors, and
 :func:`_carry_in_place`, the trial driver's, the coefficients of given
-vectors on every eigenvector.  Both fall back to :func:`eig_sym` where
-numpy's OpenBLAS does not export their routines or where ``eigh`` would
-rescale the matrix.  :func:`_audit_overlaps` checks a grid of squared
-overlaps.  :func:`eigpair_at` computes one eigenpair by index with LAPACK
-``dsyevr`` (:func:`eigpair_backend` names the one in use), falling back to
-a full ``eigh`` likewise.
+vectors on every eigenvector.  Both fall back to :func:`eig_sym` without
+that library or where ``eigh`` would rescale the matrix.
+:func:`_audit_overlaps` checks a grid of squared overlaps.
+:func:`eigpair_at` computes one eigenpair by index with LAPACK ``dsyevr``
+(:func:`eigpair_backend` names the one in use), or a full ``eigh`` likewise.
+:func:`_one_blas_thread` holds the library's thread count at one; without
+it nothing is held.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import ctypes
 import functools
 import glob
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,9 +53,6 @@ _ARGTYPES = {
     # layout, n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail
     "dstein": [_INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR],
 }
-#: the routines :func:`reduced_eig` and :func:`_carry_in_place` call; without any of them
-#: both fall back to ``eigh``
-_REDUCTION = ("dsytrd", "dstedc", "dormtr", "dsterf", "dstein")
 #: LAPACK's relative machine precision ``dlamch('E')``, which ``dsterf`` splits ``T`` with
 _LAPACK_EPS = np.finfo(float).eps / 2
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR; a symmetric matrix reads the same in either layout
@@ -69,24 +68,42 @@ _SYMMETRY_CHUNK = 1 << 12
 def _openblas():
     """numpy's bundled OpenBLAS (scipy-openblas, 64-bit integers) as a CDLL, or None.
 
-    Each routine of ``_ARGTYPES`` it exports gets its argument types here, once.
+    None unless it exports every routine of ``_ARGTYPES`` and the getter and
+    setter of its thread count: one rule picks the LAPACK paths or ``eigh``.
+    Each symbol gets its types here, once.
     """
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
                                   "libscipy_openblas64_*.so"))
     try:
         lib = ctypes.CDLL(libs[0])
-    except (IndexError, OSError):
+        typed = [(getattr(lib, f"scipy_LAPACKE_{name}_work64_"), argtypes, _I64)
+                 for name, argtypes in _ARGTYPES.items()]
+        typed += [(lib.scipy_openblas_get_num_threads64_, [], _INT),
+                  (lib.scipy_openblas_set_num_threads64_, [_INT], None)]
+    except (IndexError, OSError, AttributeError):  # no library, or a symbol missing
         return None
-    for name, argtypes in _ARGTYPES.items():
-        fn = getattr(lib, f"scipy_LAPACKE_{name}_work64_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = argtypes, _I64
+    for fn, argtypes, restype in typed:
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 
-def _lapacke(name: str):
-    """Typed LAPACKE ``<name>_work`` of numpy's OpenBLAS, or None where it cannot be reached."""
-    return getattr(_openblas(), f"scipy_LAPACKE_{name}_work64_", None)
+@contextmanager
+def _one_blas_thread():
+    """Hold :func:`_openblas` at one thread for the block, and without it nothing.
+
+    The count is process-wide, so the caller's value is restored on exit.
+    ``@_one_blas_thread()`` holds it for each call of the function it decorates.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
 
 
 def _lapack(name: str, size: int, *values, integer_work: bool = False, workspace=None):
@@ -117,14 +134,14 @@ def _lapack(name: str, size: int, *values, integer_work: bool = False, workspace
 
 def _call(name: str, size: int, *args):
     """Call LAPACKE ``<name>_work`` with ``args``; a nonzero ``info`` raises ``NumericError``."""
-    info = _lapacke(name)(*args)
+    info = getattr(_openblas(), f"scipy_LAPACKE_{name}_work64_")(*args)
     if info != 0:
         raise NumericError(f"{name} failed on a {size}x{size} matrix: info={info}")
 
 
 def eigpair_backend() -> str:
     """``"dsyevr"`` when :func:`eigpair_at` solvers call LAPACK directly, else ``"eigh"``."""
-    return "eigh" if _lapacke("dsyevr") is None else "dsyevr"
+    return "eigh" if _openblas() is None else "dsyevr"
 
 
 def eigpair_at(size: int):
@@ -136,20 +153,20 @@ def eigpair_at(size: int):
     precision; its workspace is sized and allocated here, once, so each
     solver serves one thread.  ``a`` must be a writeable C-contiguous float64
     array; ``dsyevr`` overwrites it, and the returned vector is the solver's
-    buffer, overwritten by its next call.  Where numpy's OpenBLAS does not
-    export ``dsyevr`` (see :func:`eigpair_backend`), the pair is read off a
-    full ``np.linalg.eigh`` of ``a`` instead.
+    buffer, overwritten by its next call.  Without :func:`_openblas` (see
+    :func:`eigpair_backend`), the pair is read off a full ``np.linalg.eigh``
+    of ``a`` instead.  A ``size`` below 1 is refused by name.
     """
-    if size < 1:
-        raise ValueError(f"need size >= 1, got {size}")
-    dsyevr = _lapacke("dsyevr")
-    if dsyevr is None:
+    require("size", size, size >= 1, ">= 1")
+    lib = _openblas()
+    if lib is None:
         def eigpair(a, desc):
             _check_eigpair_input(a, desc, size)
             w, v = np.linalg.eigh(a)
             return w[size - 1 - desc], v[:, size - 1 - desc]
         return eigpair
 
+    dsyevr = lib.scipy_LAPACKE_dsyevr_work64_
     w, z = np.empty(size), np.empty(size)
     isuppz, m = np.empty(2, dtype=np.int64), np.empty(1, dtype=np.int64)
 
@@ -162,9 +179,7 @@ def eigpair_at(size: int):
 
     # workspace query: dsyevr reports its optimal sizes and reads no matrix
     work, iwork, query = np.empty(1), np.empty(1, dtype=np.int64), np.zeros((size, size))
-    info = dsyevr(*arguments(query.ctypes.data, work, iwork, -1, -1))
-    if info != 0:
-        raise NumericError(f"dsyevr workspace query failed at size {size}: info={info}")
+    _call("dsyevr", size, *arguments(query.ctypes.data, work, iwork, -1, -1))
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
     args = arguments(None, work, iwork, work.size, iwork.size)
     a_arg, il_arg, iu_arg = args[5], args[9], args[10]
@@ -269,8 +284,8 @@ def reduced_eig(x: np.ndarray, request):
     as in ``eigvalsh``, whose eigenvalues it gives bit for bit (within ~1e-14
     relative of ``eigh``'s), ``dstein`` finds only the requested eigenvectors
     of ``T`` (:func:`_requested_tridiagonal`), and one ``dormtr`` call forms
-    them.  Where numpy's OpenBLAS does not export these routines, or where
-    ``eigh`` rescales ``x`` first (:func:`_takes_eigh`), this reads the same
+    them.  Without :func:`_openblas`, or where ``eigh`` rescales ``x`` first
+    (:func:`_takes_eigh`), this reads the same
     from :func:`eig_sym`.  Input is refused as by :func:`eig_sym`, and a
     requested index outside the spectrum raises ``IndexError``.
     """
@@ -278,9 +293,8 @@ def reduced_eig(x: np.ndarray, request):
 
 
 def _takes_eigh(largest: float) -> bool:
-    """Whether to decompose by :func:`eig_sym`: a routine is missing, or ``eigh`` would rescale."""
-    return (any(_lapacke(name) is None for name in _REDUCTION)
-            or 0.0 < largest < _RMIN or largest > _RMAX)
+    """Whether to decompose by :func:`eig_sym`: no :func:`_openblas`, or ``eigh`` would rescale."""
+    return _openblas() is None or 0.0 < largest < _RMIN or largest > _RMAX
 
 
 def _tridiagonal(a: np.ndarray):

@@ -388,6 +388,12 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
      "--mu must be in the minor bulk [-1.41421, 1.41421], got 5.0"),
     (["theory", "--kernel", "goe", "--q", "0.5", "--mu", "1.5"],
      "--mu must be in the minor bulk [-1.41421, 1.41421], got 1.5"),
+    (["theory", "--lambda-star", "--mu", "5", "--q", "0.5"],
+     "--mu must be in the minor bulk [-1.41421, 1.41421], got 5.0"),
+    (["theory", "--spike-g", "--lambda", "3", "--q", "0.5", "--mu", "5"],
+     "--mu must be in the minor bulk [-1.41421, 1.41421], got 5.0"),
+    (_TOP_SPIKE + ["--t", "0.2", "--mu", "0.5", "--qfrac", "1"],
+     "--q must be in (0, 1) with 1 <= round(qN) <= N-1, got 1.0"),
 ], ids=["goe-q", "goe-t", "spike-g-q", "spike-g-t", "general-n0-zero", "general-n0-negative",
         "general-t", "spike-mass-q", "interlace-q", "interlace-x", "bernoulli-expansion-q",
         "bernoulli-expansion-n", "bernoulli-expansion-N", "spike-path-t-max-zero",
@@ -408,7 +414,8 @@ _BULK_BERNOULLI = ["bernoulli", "--mode", "bulk", "--qfrac", "0.5", "--trials", 
         "split-spike-mu-above-lambda", "spike-path-lambda-negative", "bernoulli-spike-q",
         "simulate-model-q", "simulate-model-N", "spike-bulk-lambda-negative",
         "general-model-q-one", "simulate-model-N-leaves-an-atom-out", "goe-mu-outside",
-        "goe-mu-just-outside"])
+        "goe-mu-just-outside", "lambda-star-mu-outside", "spike-g-mu-outside",
+        "split-spike-q-one"])
 def test_theory_refuses_a_bad_range_before_the_arithmetic(capsys, tmp_path, monkeypatch, argv,
                                                          message):
     # exit 2 names the flag and its range, and numpy warns of nothing first;

@@ -33,12 +33,16 @@ from minor_overlaps import (
     run_spike_bulk,
     run_spike_spike,
     sample_goe,
+    sample_path,
     semicircle_density,
     semicircle_stieltjes,
     solve_minor_stieltjes,
     solve_stieltjes,
     spike_bulk_overlap,
     spike_path_series,
+    split_spike_vector,
+    tail_spike_vector,
+    uniform_spike_vector,
 )
 from minor_overlaps import freeprob, montecarlo, overlaps_theory, probes, spectral
 from minor_overlaps.errors import InputError, NumericError
@@ -51,13 +55,12 @@ from minor_overlaps.montecarlo import (
     _binned_semicircle_average,
     _goe_kernel_poles,
     _scan_general_support,
-    _openblas_threads,
     _pool_map,
     _run_trials,
     miss_tail_probability,
 )
 from minor_overlaps.reports import bulk_report_csv
-from minor_overlaps.spectral import eigpair_backend
+from minor_overlaps.spectral import eigpair_at, eigpair_backend
 
 
 def _small_bulk_config(**overrides):
@@ -274,10 +277,15 @@ _LIMIT = montecarlo.max_threads()
     (lambda: run_bulk_experiment(_small_bulk_config(n_dim=40, q=1.5), _GENERAL[0]), "q"),
     (lambda: run_bulk_experiment(_small_bulk_config(n_dim=200),
                                  SpectrumModel(atoms=((0.0, 0.999), (5.0, 0.001)))), "n_dim"),
+    (lambda: run_bulk_experiment(_small_bulk_config(n_dim=40, bin_range=(3.0, 1.0)), _GENERAL[0]),
+     "bin_range"),
+    (_changed("bulk", bin_range=(-1.0, np.inf)), "bin_range"),
     (_changed("spike-spike", n_dim=0), "n_dim"),
     (_changed("spike-spike", q=0.001), "q"),
     (_changed("spike-spike", a_spec=ASpec(kind="uniform_spike", spike=-1.0)), "spike"),
     (_changed("spike-spike", a_spec=ASpec(kind="split_spike", spike=1.0, minor_spike=2.0)), "mu"),
+    (_changed("spike-spike", q=1.0, a_spec=ASpec(kind="split_spike", spike=1.0, minor_spike=0.5)),
+     "q"),
     (_changed("spike-spike", t=-1.0), "t"),
     (_changed("spike-bulk", q=0.995), "q"),
     (_changed("spike-bulk", t=0.0), "t"),
@@ -322,8 +330,10 @@ _LIMIT = montecarlo.max_threads()
     (lambda: overlaps_theory.bernoulli_spike_overlap(400, 0, 0.5), "n"),
 ], ids=["bulk-model-quantile", "bernoulli-spike-later-size", "trials", "bins", "threads-negative",
         "threads-above-bound", "master-seed", "bulk-N", "bulk-q", "bulk-t", "bulk-model-q",
-        "bulk-model-N-leaves-an-atom-out",
-        "spike-spike-N", "spike-spike-q", "spike-spike-spike", "spike-spike-mu", "spike-spike-t",
+        "bulk-model-N-leaves-an-atom-out", "bulk-model-bin-range-decreasing",
+        "bulk-bin-range-infinite",
+        "spike-spike-N", "spike-spike-q", "spike-spike-spike", "spike-spike-mu",
+        "split-spike-q-one", "spike-spike-t",
         "spike-bulk-q", "spike-bulk-t", "spike-bulk-spike", "bernoulli-bulk-p",
         "bernoulli-bulk-N", "bernoulli-spike-p", "bernoulli-spike-q", "path-N", "path-q",
         "path-spike", "path-t-max", "path-steps", "path-seed", "probe-N", "probe-n", "drift-t",
@@ -349,6 +359,35 @@ def test_runners_refuse_bad_input_before_set_up_or_trials(monkeypatch, call, nam
     assert caught.value.name == name
     assert str(caught.value) == (f"{name} must be {caught.value.allowed}, "
                                  f"got {caught.value.value}")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eigpair_at(0), "size must be >= 1, got 0"),
+    (lambda: sample_path(5, [[0.0]], derive_stream(0, 0)),
+     "t_grid must be a non-empty 1-d sequence, got shape (1, 1)"),
+    (lambda: sample_path(5, [-1.0, 1.0], derive_stream(0, 0)),
+     "t_grid must be a grid starting at a time >= 0, got -1.0"),
+    (lambda: sample_path(5, [0.0, 1.0, 1.0], derive_stream(0, 0)),
+     "t_grid must be strictly increasing, got 1.0 after 1.0"),
+    (lambda: FiniteInitialTransform.from_matrix(np.eye(3), 5), "n must be in [1, 3], got 5"),
+    (lambda: FiniteInitialTransform.from_diagonal(np.ones(3), 5), "n must be in [1, 3], got 5"),
+    (lambda: uniform_spike_vector(5, -1.0), "spike must be >= 0, got -1.0"),
+    (lambda: split_spike_vector(5, 5, 1.0, 0.5), "n must be in [1, 4], got 5"),
+    (lambda: split_spike_vector(5, 2, 1.0, 2.0), "minor_spike must be in (0, 1.0], got 2.0"),
+    (lambda: tail_spike_vector(5, 0, 1.0), "n must be in [1, 4], got 0"),
+    (lambda: tail_spike_vector(5, 2, -1.0), "spike must be >= 0, got -1.0"),
+    (lambda: overlaps_theory.kernel_peak_location(5.0, 1.0, 0.5),
+     "mu must be in the minor bulk [-1.41421, 1.41421], got 5.0"),
+    (lambda: spike_bulk_overlap(3.0, 0.5, 1.0, [0.0, 2.0, -3.0]),
+     "mu must be in the minor bulk [-1.41421, 1.41421], got 2.0"),
+], ids=["eigpair-size", "path-grid-shape", "path-grid-start", "path-grid-order",
+        "transform-matrix-n", "transform-diagonal-n", "uniform-spike", "split-spike-n",
+        "split-spike-minor-spike", "tail-spike-n", "tail-spike-spike", "peak-mu",
+        "spike-g-first-mu-outside"])
+def test_exported_functions_refuse_a_range_by_name(call, message):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("atoms, q, n0, reason", [
@@ -759,10 +798,11 @@ def test_general_kernel_is_positive_where_accepted():
 @pytest.fixture
 def blas_threads():
     """OpenBLAS (getter, setter), with the caller's count set to 2 and restored after."""
-    blas = _openblas_threads()
-    if blas is None:
-        pytest.skip("numpy's bundled OpenBLAS thread symbols are not available")
-    get_threads, set_threads = blas
+    lib = spectral._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    blas = get_threads, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                                       lib.scipy_openblas_set_num_threads64_)
     before = get_threads()
     set_threads(2)
     yield blas
@@ -917,6 +957,25 @@ def test_bulk_model_run_holds_one_blas_thread_from_set_up_to_trials(blas_threads
     assert len(seen["solve"]) == 1 + 1 + 6 + 2 and set(seen["solve"]) == {1}
     assert seen["trial"] == [1] * 200
     assert report.extras["trial_blas_threads"] == 1
+    assert get_threads() == 2
+
+
+def test_runs_without_the_library_hold_no_blas_count(blas_threads, monkeypatch):
+    # without numpy's OpenBLAS bound, every decomposition is eigh's at the caller's count
+    get_threads, _ = blas_threads
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        seen.append(get_threads())
+        return eigh(a)
+
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    bulk = run_bulk_experiment(_small_bulk_config(n_dim=20, threads=2))
+    drift = drift_probe(20, 10, 1.0, trials=1000, seed=3)
+    assert len(seen) == 2 * 100 + 2 + 2 * 1000 and set(seen) == {2}
+    assert bulk.extras["trial_blas_threads"] is drift.extras["trial_blas_threads"] is None
     assert get_threads() == 2
 
 
@@ -1135,8 +1194,8 @@ def test_bulk_results_grow_by_one_row_of_columns_per_trial():
     bins = 12
     peaks = {trials: _traced_peak(run_bulk_experiment,
                                   _small_bulk_config(n_dim=20, bins=bins, trials=trials))
-             for trials in (300, 3000)}
-    assert peaks[3000] - peaks[300] < 1.25 * 8 * (2 * bins + 2) * 2700, peaks
+             for trials in (100, 1000)}
+    assert peaks[1000] - peaks[100] < 1.25 * 8 * (2 * bins + 2) * 900, peaks
 
 
 #: a runner whose full side holds every eigenvector, and one whose minor does, at

@@ -99,10 +99,12 @@ def test_diagonal_closed_form_matches_the_eigendecomposition_grid():
 def test_initial_transform_refuses_bad_matrices():
     with pytest.raises(ValueError, match="square"):
         FiniteInitialTransform.from_matrix(np.zeros((3, 4)), 2)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(InputError, match=r"^n must be in \[1, 3\], got 4$"):
         FiniteInitialTransform.from_matrix(np.eye(3), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^n must be in \[1, 3\], got 0$"):
         FiniteInitialTransform.from_diagonal(np.zeros(3), 0)
+    with pytest.raises(ValueError, match="non-empty diagonal"):
+        FiniteInitialTransform.from_diagonal(np.zeros(0), 1)
     with pytest.raises(NumericError, match="non-finite"):
         FiniteInitialTransform.from_matrix(np.diag([0.0, np.nan, 1.0]), 2)
     with pytest.raises(NumericError, match="non-finite"):
@@ -331,7 +333,7 @@ def test_peak_location_against_polynomial_roots():
 
 
 def test_peak_rejects_out_of_bulk_target():
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="mu must be in the minor bulk"):
         kernel_peak_location(2.5, 1.0, 0.5)
 
 

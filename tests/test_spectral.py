@@ -1,3 +1,4 @@
+import ctypes
 import re
 import tracemalloc
 
@@ -242,12 +243,60 @@ def test_eigpair_falls_back_to_eigh_without_the_library(monkeypatch):
     assert np.array_equal(vector, v[:, 9])
 
 
+_SYMBOLS = ([f"scipy_LAPACKE_{name}_work64_" for name in spectral._ARGTYPES]
+            + ["scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"])
+
+
+@pytest.fixture
+def openblas_lacking(monkeypatch):
+    """``lacking(symbol)``: rebinds numpy's OpenBLAS as if it did not export ``symbol``."""
+    library = ctypes.CDLL
+
+    class Lacking:
+        def __init__(self, path):
+            self._lib = library(path)
+
+        def __getattr__(self, name):
+            if name == missing:
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    def lacking(symbol):
+        nonlocal missing
+        missing = symbol
+        spectral._openblas.cache_clear()
+        return spectral._openblas()
+
+    missing = None
+    if spectral._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    monkeypatch.setattr(ctypes, "CDLL", Lacking)
+    yield lacking
+    spectral._openblas.cache_clear()  # the next caller binds the library itself
+
+
+@pytest.mark.parametrize("symbol", _SYMBOLS)
+def test_one_missing_symbol_puts_every_decomposition_on_eigh(openblas_lacking, symbol):
+    assert openblas_lacking(None) is not None  # the stub binds the library whole
+    assert openblas_lacking(symbol) is None
+    x = sample_goe(20, 1.0, derive_stream(8, 0))
+    w, v = eig_sym(x)
+    reads = np.random.default_rng(8).standard_normal((20, 2))
+    assert spectral._takes_eigh(1.0) and eigpair_backend() == "eigh"
+    values, vectors = reduced_eig(x, [0, 7])
+    assert np.array_equal(values, w) and np.array_equal(vectors, v[:, [0, 7]])
+    carried_values, coefficients = _carry(x, reads)
+    assert np.array_equal(carried_values, w) and np.array_equal(coefficients, v.T @ reads)
+    value, vector = eigpair_at(20)(x.copy(), 7)
+    assert (value, vector.tolist()) == (w[7], v[:, 7].tolist())
+
+
 # ---------------------------------------------------------------------------
 # every eigenvalue from one reduction: requested eigenvectors, or carried vectors
 # ---------------------------------------------------------------------------
 
 def _lapack_path() -> bool:
-    return all(spectral._lapacke(name) is not None for name in spectral._REDUCTION)
+    return spectral._openblas() is not None
 
 
 def _isolated(w: np.ndarray) -> np.ndarray:
